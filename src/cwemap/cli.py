@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -73,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--batch-size", type=int, default=None)
     p_train.add_argument("--seed", type=int, default=None)
     p_train.add_argument("--jobs", type=int, default=None,
-                         help="parallel node-training workers (default: cores)")
+                         help="deprecated; ignored: node training is serial")
     p_train.add_argument("--split", type=float, default=None,
                          help="train on this seeded fraction of the corpus")
     p_train.add_argument("--log-dir", help="write per-node epoch,loss CSV logs here")
@@ -168,7 +167,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.split is not None:
         corpus, _ = evaluation.split_corpus(corpus, args.split, cfg.seed)
         print(f"training on seeded split: {len(corpus)} records")
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     try:
         if args.baseline == "flat":
             model = hierarchy.train_flat_baseline(corpus, taxonomy, assets, cfg)
@@ -177,13 +175,9 @@ def cmd_train(args: argparse.Namespace) -> int:
                 corpus, taxonomy, assets, cfg, hidden_size=args.hidden
             )
         else:
-            model = hierarchy.train_hierarchy(
-                corpus, taxonomy, assets, cfg, jobs=jobs, log_dir=args.log_dir
-            )
-    except (ConfigurationError, ValidationError):
-        raise
-    except (FloatingPointError, MemoryError) as exc:
-        raise TrainingError(str(exc)) from exc
+            model = hierarchy.train_hierarchy(corpus, taxonomy, assets, cfg, log_dir=args.log_dir)
+    except MemoryError as exc:
+        raise TrainingError("out of memory") from exc
     modelstore.save(model, args.model)
     for node_id in sorted(model.epochs_run):
         print(f"{node_id}: {model.epochs_run[node_id]} epochs")

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -196,8 +195,13 @@ class FlatModel:
         return encode(ngram_set(tokens), self.dictionary)
 
 
-def _tokens_of(record: CveRecord, assets: PrepAssets) -> list[str]:
-    return preprocess(record.description, assets.stopwords, assets.synonyms)
+def _cached_tokens(
+    token_cache: dict[str, list[str]], key: str, text: str, assets: PrepAssets
+) -> list[str]:
+    """Preprocessed ``text``, computed once per ``key`` (``cve:<id>``/``cwe:<id>``)."""
+    if key not in token_cache:
+        token_cache[key] = preprocess(text, assets.stopwords, assets.synonyms)
+    return token_cache[key]
 
 
 def _resolvable_labels(record: CveRecord, taxonomy: Taxonomy) -> frozenset[str]:
@@ -220,13 +224,17 @@ def assemble_training_sets(
     taxonomy: Taxonomy,
     dictionary: Dictionary,
     assets: PrepAssets,
+    token_cache: dict[str, list[str]] | None = None,
 ) -> dict[str, list[netcore.Example]]:
     """Per-node training examples with multi-hot child targets.
 
     Unlabeled records and labels missing from the taxonomy are skipped (the
     latter with a warning).  Nodes where a CVE marks no child are excluded
     from that CVE's contributions, so no all-zero targets are produced.
+    Descriptions already preprocessed into ``token_cache`` (keyed
+    ``cve:<id>``) are not preprocessed again.
     """
+    token_cache = token_cache if token_cache is not None else {}
     sets: dict[str, list[netcore.Example]] = {}
     child_index: dict[str, dict[str, int]] = {
         n: {c: i for i, c in enumerate(kids)} for n, kids in taxonomy.children.items() if kids
@@ -238,7 +246,8 @@ def assemble_training_sets(
         on_path: set[str] = set()
         for label in labels:
             on_path.update(_path_nodes(taxonomy, label))
-        fv = encode(ngram_set(_tokens_of(record, assets)), dictionary)
+        tokens = _cached_tokens(token_cache, f"cve:{record.id}", record.description, assets)
+        fv = encode(ngram_set(tokens), dictionary)
         for node_id, index in child_index.items():
             if node_id != taxonomy.root_id and node_id not in on_path:
                 continue
@@ -269,11 +278,6 @@ def build_class_documents(
     """
     token_cache = token_cache if token_cache is not None else {}
 
-    def tokens_for_text(key: str, text: str) -> list[str]:
-        if key not in token_cache:
-            token_cache[key] = preprocess(text, assets.stopwords, assets.synonyms)
-        return token_cache[key]
-
     # Source documents grouped by the taxonomy node they attach to.
     node_sources: dict[str, list[Counter]] = {n: [] for n in taxonomy.nodes}
     for node_id, node in taxonomy.nodes.items():
@@ -281,13 +285,14 @@ def build_class_documents(
             continue
         text = node.text()
         if text:
-            counts = count_terms(tokens_for_text(f"cwe:{node_id}", text))
+            counts = count_terms(_cached_tokens(token_cache, f"cwe:{node_id}", text, assets))
             node_sources[node_id].append(counts)
     for record in corpus:
         labels = _resolvable_labels(record, taxonomy)
         if not labels:
             continue
-        counts = count_terms(tokens_for_text(f"cve:{record.id}", record.description))
+        tokens = _cached_tokens(token_cache, f"cve:{record.id}", record.description, assets)
+        counts = count_terms(tokens)
         for label in labels:
             node_sources[label].append(counts)
 
@@ -349,15 +354,13 @@ def _corpus_documents(
     for record in corpus:
         if not _resolvable_labels(record, taxonomy):
             continue
-        tokens = preprocess(record.description, assets.stopwords, assets.synonyms)
-        token_cache[f"cve:{record.id}"] = tokens
-        docs.append(tokens)
+        docs.append(
+            _cached_tokens(token_cache, f"cve:{record.id}", record.description, assets)
+        )
     for node_id, node in taxonomy.nodes.items():
         if node_id == taxonomy.root_id or not node.text():
             continue
-        tokens = preprocess(node.text(), assets.stopwords, assets.synonyms)
-        token_cache[f"cwe:{node_id}"] = tokens
-        docs.append(tokens)
+        docs.append(_cached_tokens(token_cache, f"cwe:{node_id}", node.text(), assets))
     if not docs:
         raise ConfigurationError("no labeled records resolvable against the taxonomy")
     return docs
@@ -368,14 +371,15 @@ def train_hierarchy(
     taxonomy: Taxonomy,
     assets: PrepAssets,
     cfg: TrainConfig,
-    jobs: int = 1,
     log_dir: str | Path | None = None,
 ) -> HierarchicalModel:
     """Train one classifier per internal node (TF-IDF init by default).
 
-    Nodes without a single training example keep their initial weights.
-    Node training tasks are independent; ``jobs`` bounds their parallelism
-    without affecting the result.
+    Each text is preprocessed once and shared by the dictionary, the class
+    documents and the training sets.  Nodes are trained one after another,
+    each from its own seed; nodes without a single training example keep
+    their initial weights.  With ``log_dir``, each trained node writes its
+    epoch losses to ``<log_dir>/<node id>.csv``.
     """
     if not corpus:
         raise ConfigurationError("empty training corpus")
@@ -384,39 +388,29 @@ def train_hierarchy(
     dictionary = build_dictionary(docs, cfg.min_term_count)
     fingerprint = dictionary.fingerprint()
     class_docs = build_class_documents(corpus, taxonomy, dictionary, assets, token_cache)
-    training_sets = assemble_training_sets(corpus, taxonomy, dictionary, assets)
+    training_sets = assemble_training_sets(corpus, taxonomy, dictionary, assets, token_cache)
 
-    internal = [n for n in sorted(taxonomy.children) if taxonomy.children[n]]
     classifiers: dict[str, NodeClassifier] = {}
-    for node_id in internal:
+    epochs_run: dict[str, int] = {}
+    for node_id in sorted(taxonomy.children):
         children = taxonomy.children[node_id]
-        weights = _initial_matrix(node_id, children, dictionary, class_docs, cfg)
-        classifiers[node_id] = NodeClassifier(
+        if not children:
+            continue
+        clf = NodeClassifier(
             node_id=node_id,
             child_ids=children,
-            weights=weights,
+            weights=_initial_matrix(node_id, children, dictionary, class_docs, cfg),
             dictionary_fingerprint=fingerprint,
         )
-
-    epochs_run: dict[str, int] = {}
-
-    def train_one(node_id: str) -> None:
         examples = training_sets.get(node_id)
-        if not examples:
+        if examples:
+            node_cfg = replace(cfg, seed=_node_seed(cfg.seed, node_id))
+            log_path = Path(log_dir) / f"{node_id}.csv" if log_dir is not None else None
+            clf, losses = train_node(clf, examples, node_cfg, log_path)
+            epochs_run[node_id] = len(losses)
+        else:
             epochs_run[node_id] = 0
-            return
-        node_cfg = replace(cfg, seed=_node_seed(cfg.seed, node_id))
-        log_path = Path(log_dir) / f"{node_id}.csv" if log_dir is not None else None
-        trained, losses = train_node(classifiers[node_id], examples, node_cfg, log_path)
-        classifiers[node_id] = trained
-        epochs_run[node_id] = len(losses)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(train_one, internal))
-    else:
-        for node_id in internal:
-            train_one(node_id)
+        classifiers[node_id] = clf
 
     return HierarchicalModel(
         taxonomy=taxonomy,
@@ -603,7 +597,7 @@ def train_two_layer_baseline(
     docs = _corpus_documents(corpus, taxonomy, assets, token_cache)
     dictionary = build_dictionary(docs, cfg.min_term_count)
     fingerprint = dictionary.fingerprint()
-    training_sets = assemble_training_sets(corpus, taxonomy, dictionary, assets)
+    training_sets = assemble_training_sets(corpus, taxonomy, dictionary, assets, token_cache)
 
     classifiers: dict[str, TwoLayerClassifier] = {}
     epochs_run: dict[str, int] = {}

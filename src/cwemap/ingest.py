@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -211,12 +211,20 @@ def write_cve_corpus(records: list[CveRecord], path: str | Path) -> None:
 
 
 def build_taxonomy(nodes: list[CweNode]) -> Taxonomy:
-    """Validate nodes and assemble the DAG under the virtual root."""
+    """Validate nodes and assemble the DAG under the virtual root.
+
+    Node and parent ids are normalized (``cwe-1`` becomes ``CWE-1``) on the
+    stored nodes themselves, so ``nodes``, ``children`` and the saved file
+    all use the same ids.
+    """
     by_id: dict[str, CweNode] = {}
     for node in nodes:
         node_id = normalize_cwe_id(node.id)
         if node_id in by_id:
             raise ValidationError(f"duplicate taxonomy node id {node_id}")
+        parent_ids = frozenset(normalize_cwe_id(p) for p in node.parent_ids)
+        if node_id != node.id or parent_ids != node.parent_ids:
+            node = replace(node, id=node_id, parent_ids=parent_ids)
         by_id[node_id] = node
     for node in by_id.values():
         for parent in node.parent_ids:
@@ -289,7 +297,7 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
                 name=str(raw.get("name") or ""),
                 description=str(raw.get("description") or ""),
                 extended_description=raw.get("extended_description"),
-                parent_ids=frozenset(normalize_cwe_id(p) for p in raw.get("parent_ids") or ()),
+                parent_ids=frozenset(str(p) for p in raw.get("parent_ids") or ()),
             )
         )
     return build_taxonomy(nodes)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IntegrityError, VersionError
+from .errors import CwemapError, IntegrityError, VersionError
 from .features import Dictionary
 from .hierarchy import (
     FLAT_NODE_ID,
@@ -36,6 +36,16 @@ MANIFEST = "manifest.json"
 DICTIONARY = "dictionary.tsv"
 TAXONOMY = "taxonomy.json"
 WEIGHTS_DIR = "weights"
+
+# Every manifest field and its JSON type.
+_MANIFEST_FIELDS = {
+    "format_version": int,
+    "model_kind": str,
+    "dictionary_fingerprint": str,
+    "taxonomy_fingerprint": str,
+    "config": dict,
+    "nodes": list,
+}
 
 
 @dataclass(frozen=True)
@@ -60,15 +70,28 @@ class ModelManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "ModelManifest":
-        doc = json.loads(text)
-        return cls(
-            format_version=doc["format_version"],
-            model_kind=doc["model_kind"],
-            dictionary_fingerprint=doc["dictionary_fingerprint"],
-            taxonomy_fingerprint=doc["taxonomy_fingerprint"],
-            config=doc["config"],
-            nodes=doc["nodes"],
-        )
+        """Parse a manifest; IntegrityError unless it has every field, well typed."""
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise IntegrityError(f"malformed manifest JSON ({exc.msg})") from exc
+        if not isinstance(doc, dict):
+            raise IntegrityError("manifest is not a JSON object")
+        missing = sorted(set(_MANIFEST_FIELDS) - set(doc))
+        if missing:
+            raise IntegrityError(f"manifest lacks {', '.join(missing)}")
+        for key, kind in _MANIFEST_FIELDS.items():
+            if not isinstance(doc[key], kind):
+                raise IntegrityError(f"manifest field {key} is not a {kind.__name__}")
+        for entry in doc["nodes"]:
+            if not (
+                isinstance(entry, dict)
+                and isinstance(entry.get("node_id"), str)
+                and isinstance(entry.get("child_ids"), list)
+                and isinstance(entry.get("files"), dict)
+            ):
+                raise IntegrityError("manifest node entry lacks node_id, child_ids or files")
+        return cls(**{key: doc[key] for key in _MANIFEST_FIELDS})
 
 
 def _sha256(data: bytes) -> str:
@@ -173,7 +196,13 @@ def save(model, directory: str | Path) -> ModelManifest:
     return manifest
 
 
-def _read_matrix(path: Path, rows: int, cols: int) -> np.ndarray:
+def _read_weights(directory: Path, entry: dict, name: str) -> np.ndarray:
+    """The matrix in weight file ``name``, shaped as the manifest entry lists it."""
+    dims = entry["files"].get(name)
+    if not (isinstance(dims, list) and len(dims) == 2 and all(isinstance(d, int) for d in dims)):
+        raise IntegrityError(f"manifest entry {entry['node_id']} lists no shape for {name}")
+    rows, cols = dims
+    path = directory / WEIGHTS_DIR / name
     if not path.exists():
         raise IntegrityError(f"missing weight file: {path}")
     data = path.read_bytes()
@@ -198,10 +227,16 @@ def load(directory: str | Path):
             f"(supported: {FORMAT_VERSION})"
         )
 
-    dictionary = Dictionary.from_tsv((directory / DICTIONARY).read_text(encoding="utf-8"))
+    for name in (DICTIONARY, TAXONOMY):
+        if not (directory / name).is_file():
+            raise IntegrityError(f"missing model file: {directory / name}")
+    try:
+        dictionary = Dictionary.from_tsv((directory / DICTIONARY).read_text(encoding="utf-8"))
+        taxonomy = load_taxonomy(directory / TAXONOMY)
+    except (CwemapError, ValueError) as exc:
+        raise IntegrityError(f"unreadable model file: {exc}") from exc
     if dictionary.fingerprint() != manifest.dictionary_fingerprint:
         raise IntegrityError("dictionary fingerprint mismatch")
-    taxonomy = load_taxonomy(directory / TAXONOMY)
     if taxonomy_fingerprint(taxonomy) != manifest.taxonomy_fingerprint:
         raise IntegrityError("taxonomy fingerprint mismatch")
 
@@ -214,8 +249,7 @@ def load(directory: str | Path):
         classifiers = {}
         for entry in manifest.nodes:
             node_id = entry["node_id"]
-            (name, dims), = entry["files"].items()
-            weights = _read_matrix(directory / WEIGHTS_DIR / name, *dims)
+            weights = _read_weights(directory, entry, f"{node_id}.f64le")
             classifiers[node_id] = NodeClassifier(
                 node_id=node_id,
                 child_ids=tuple(entry["child_ids"]),
@@ -233,12 +267,8 @@ def load(directory: str | Path):
         classifiers = {}
         for entry in manifest.nodes:
             node_id = entry["node_id"]
-            hidden_name = f"{node_id}.hidden.f64le"
-            out_name = f"{node_id}.out.f64le"
-            w_hidden = _read_matrix(
-                directory / WEIGHTS_DIR / hidden_name, *entry["files"][hidden_name]
-            )
-            w_out = _read_matrix(directory / WEIGHTS_DIR / out_name, *entry["files"][out_name])
+            w_hidden = _read_weights(directory, entry, f"{node_id}.hidden.f64le")
+            w_out = _read_weights(directory, entry, f"{node_id}.out.f64le")
             classifiers[node_id] = TwoLayerClassifier(
                 node_id=node_id,
                 child_ids=tuple(entry["child_ids"]),
@@ -255,9 +285,10 @@ def load(directory: str | Path):
             hidden_size=hidden_size or (next(iter(classifiers.values())).w_hidden.shape[1]),
         )
     if manifest.model_kind == "flat":
-        entry, = manifest.nodes
-        (name, dims), = entry["files"].items()
-        weights = _read_matrix(directory / WEIGHTS_DIR / name, *dims)
+        if len(manifest.nodes) != 1:
+            raise IntegrityError("a flat model's manifest must list exactly one node")
+        entry = manifest.nodes[0]
+        weights = _read_weights(directory, entry, f"{FLAT_NODE_ID}.f64le")
         classifier = NodeClassifier(
             node_id=entry["node_id"],
             child_ids=tuple(entry["child_ids"]),

@@ -7,6 +7,17 @@ weight column i; a sigmoid turns it into an independent per-class score
 (multi-label, classes are not mutually exclusive).  Training minimizes
 mean binary cross-entropy computed in the numerically stable logit form.
 
+Training packs a node's examples once into a CSR batch (the on-positions
+of all rows back to back, row offsets, and a targets matrix), and each
+minibatch is a vectorized row gather from it.  ``loss_and_gradient``
+computes the minibatch logits in one pass and derives both the loss and
+the gradient from them.  It accumulates with ``np.add.at`` in row order:
+the order in which the per-example ``forward_logits`` sums the rows for
+two or more children, so the weights match per-example training bit for
+bit.  A BLAS product would reorder the sums and move the weights by ulps.
+(For a single child NumPy sums the one-column rows pairwise, so there the
+per-example logits can differ in the last bit.)
+
 A two-layer variant (one sigmoid hidden layer) backs the over-fitting
 baseline; it shares the loss, the Adam update, and the training loop
 structure.
@@ -15,12 +26,14 @@ structure.
 from __future__ import annotations
 
 import csv
+import itertools
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, TrainingError
 from .features import FeatureVector
 
 LOSS_PLATEAU_DELTA = 1e-5
@@ -47,8 +60,10 @@ class TrainConfig:
             raise ConfigurationError("adam betas must lie in (0, 1)")
         if not 0.0 < self.decision_threshold < 1.0:
             raise ConfigurationError("decision_threshold must lie in (0, 1)")
-        if self.learning_rate <= 0.0:
-            raise ConfigurationError("learning_rate must be positive")
+        if not math.isfinite(self.learning_rate) or self.learning_rate <= 0.0:
+            raise ConfigurationError("learning_rate must be positive and finite")
+        if not math.isfinite(self.adam_epsilon) or self.adam_epsilon <= 0.0:
+            raise ConfigurationError("adam_epsilon must be positive and finite")
         if self.max_epochs < 0 or self.batch_size < 1:
             raise ConfigurationError("bad epoch/batch settings")
         if self.weight_init not in ("tfidf", "random"):
@@ -140,33 +155,98 @@ def bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> float:
     z = np.asarray(targets, dtype=np.float64)
     if x.shape != z.shape:
         raise ConfigurationError(f"logits shape {x.shape} != targets shape {z.shape}")
-    per_class = np.maximum(x, 0.0) - x * z + np.log1p(np.exp(-np.abs(x)))
-    return float(per_class.mean())
+    return float(_bce_terms(x, z).mean())
+
+
+def _bce_terms(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0) - x * z + np.log1p(np.exp(-np.abs(x)))
 
 
 Example = tuple[FeatureVector, np.ndarray]
 
 
+@dataclass(frozen=True)
+class CsrBatch:
+    """Examples in compressed-sparse-row form.
+
+    Row r's on-positions are ``positions[offsets[r]:offsets[r + 1]]`` and
+    its multi-hot targets are ``targets[r]``.
+    """
+
+    positions: np.ndarray  # (nnz,) int64 feature positions, row after row
+    offsets: np.ndarray  # (n + 1,) int64 row starts into positions
+    targets: np.ndarray  # (n, C) float64
+
+    @classmethod
+    def from_examples(
+        cls, examples: list[Example], dimension: int, n_classes: int, node_id: str = ""
+    ) -> "CsrBatch":
+        """Pack (feature vector, targets) pairs, checking their sizes."""
+        for fv, targets in examples:
+            if fv.dimension != dimension:
+                raise ConfigurationError(
+                    f"{node_id}: feature dimension {fv.dimension} != weight rows {dimension}"
+                )
+            if len(targets) != n_classes:
+                raise ConfigurationError(
+                    f"{node_id}: target length {len(targets)} != {n_classes}"
+                )
+        n = len(examples)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        lengths = np.fromiter((len(fv.on_positions) for fv, _ in examples), np.int64, count=n)
+        np.cumsum(lengths, out=offsets[1:])
+        positions = np.fromiter(
+            itertools.chain.from_iterable(fv.on_positions for fv, _ in examples),
+            dtype=np.int64,
+            count=int(offsets[-1]),
+        )
+        targets = np.array([z for _, z in examples], dtype=np.float64).reshape(n, n_classes)
+        return cls(positions=positions, offsets=offsets, targets=targets)
+
+    @property
+    def size(self) -> int:
+        return self.targets.shape[0]
+
+    def rows(self) -> np.ndarray:
+        """Row number of every entry of ``positions``."""
+        return np.repeat(np.arange(self.size), np.diff(self.offsets))
+
+    def take(self, index: np.ndarray) -> "CsrBatch":
+        """The rows at the integer array ``index``, in that order (repeats allowed)."""
+        starts = self.offsets[index]
+        lengths = self.offsets[index + 1] - starts
+        offsets = np.zeros(len(index) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        gather = np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])
+        return CsrBatch(self.positions[gather], offsets, self.targets[index])
+
+
+def loss_and_gradient(weights: np.ndarray, batch: CsrBatch) -> tuple[float, np.ndarray]:
+    """Batch-mean BCE loss and its exact gradient from one forward pass."""
+    if batch.size == 0:
+        raise ConfigurationError("loss and gradient of an empty batch")
+    n, c = batch.targets.shape
+    rows = batch.rows()
+    logits = np.zeros((n, c), dtype=np.float64)
+    np.add.at(logits, rows, weights[batch.positions])
+    loss = float(_bce_terms(logits, batch.targets).mean(axis=1).mean())
+    residual = (sigmoid(logits) - batch.targets) * (1.0 / (c * n))
+    grad = np.zeros_like(weights)
+    np.add.at(grad, batch.positions, residual[rows])
+    return loss, grad
+
+
+def _pack(clf: NodeClassifier, batch: list[Example]) -> CsrBatch:
+    return CsrBatch.from_examples(batch, *clf.weights.shape, node_id=clf.node_id)
+
+
 def gradient(clf: NodeClassifier, batch: list[Example]) -> np.ndarray:
     """Exact gradient of the batch-mean BCE loss with respect to the weights."""
-    if not batch:
-        raise ConfigurationError("gradient of an empty batch")
-    d, c = clf.weights.shape
-    grad = np.zeros((d, c), dtype=np.float64)
-    scale = 1.0 / (c * len(batch))
-    for fv, targets in batch:
-        if len(targets) != c:
-            raise ConfigurationError(f"{clf.node_id}: target length {len(targets)} != {c}")
-        residual = (sigmoid(forward_logits(clf, fv)) - targets) * scale
-        if fv.on_positions:
-            grad[list(fv.on_positions)] += residual
-    return grad
+    return loss_and_gradient(clf.weights, _pack(clf, batch))[1]
 
 
 def batch_loss(clf: NodeClassifier, batch: list[Example]) -> float:
-    return float(
-        np.mean([bce_with_logits(forward_logits(clf, fv), z) for fv, z in batch])
-    )
+    return loss_and_gradient(clf.weights, _pack(clf, batch))[0]
 
 
 def adam_step(
@@ -194,6 +274,14 @@ def _epoch_order(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.permutation(n)
 
 
+def _check_finite(node_id: str, epoch: int, loss: float, weights: np.ndarray) -> None:
+    if not math.isfinite(loss) or not np.isfinite(weights).all():
+        raise TrainingError(
+            f"{node_id}: non-finite loss or weights after epoch {epoch} "
+            "(lower the learning rate)"
+        )
+
+
 def train_node(
     clf: NodeClassifier,
     examples: list[Example],
@@ -206,30 +294,31 @@ def train_node(
     generator seeded from cfg.seed.  Stops early when the mean epoch loss
     has not improved by at least LOSS_PLATEAU_DELTA for
     ``early_stop_patience`` consecutive epochs (patience <= 0 disables).
-    Returns the trained classifier and the per-epoch loss history.
+    Raises TrainingError as soon as an epoch leaves the loss or the weights
+    non-finite.  Returns the trained classifier and the per-epoch loss
+    history.
     """
     if not examples:
         raise ConfigurationError(f"{clf.node_id}: no training examples")
-    for fv, _ in examples:
-        _check_dimension(clf, fv)
+    data = CsrBatch.from_examples(examples, *clf.weights.shape, node_id=clf.node_id)
 
     weights = clf.weights.copy()
     state = AdamState.zeros_like(weights)
     rng = np.random.default_rng(cfg.seed)
-    n = len(examples)
+    n = data.size
     losses: list[float] = []
     best = np.inf
     stale = 0
-    for _ in range(cfg.max_epochs):
+    for epoch in range(cfg.max_epochs):
         order = _epoch_order(rng, n)
         total = 0.0
         for start in range(0, n, cfg.batch_size):
-            batch = [examples[i] for i in order[start : start + cfg.batch_size]]
-            work = replace(clf, weights=weights)
-            total += batch_loss(work, batch) * len(batch)
-            grads = gradient(work, batch)
+            batch = data.take(order[start : start + cfg.batch_size])
+            loss, grads = loss_and_gradient(weights, batch)
+            total += loss * batch.size
             weights, state = adam_step(weights, grads, state, cfg)
         epoch_loss = total / n
+        _check_finite(clf.node_id, epoch, epoch_loss, weights)
         losses.append(epoch_loss)
         if epoch_loss < best - LOSS_PLATEAU_DELTA:
             best = epoch_loss

@@ -77,6 +77,13 @@ def tfidf(term: str, doc: ClassDocument, docs: list[ClassDocument]) -> float:
     return term_frequency(term, doc) * inverse_document_frequency(term, docs)
 
 
+def _dictionary_entries(values: dict[str, int], dictionary: Dictionary):
+    """Dictionary positions and values of the dictionary terms among ``values``."""
+    pairs = [(dictionary.index[t], v) for t, v in values.items() if t in dictionary.index]
+    positions = np.array([p for p, _ in pairs], dtype=np.intp)
+    return positions, np.array([v for _, v in pairs], dtype=np.int64)
+
+
 def init_weights(
     children: list[str],
     dictionary: Dictionary,
@@ -91,6 +98,11 @@ def init_weights(
     positive in that class's column even at two-child nodes.  With
     single-source class documents this reduces to tfidf() over the child
     aggregates.
+
+    Only each document's own terms are visited.  The IDF comes from a table
+    indexed by integer df and built with math.log10, and the TF is computed
+    in the order of term_frequency(), so every weight equals the scalar
+    formula bit for bit.
     """
     missing = [c for c in children if c not in class_docs]
     if missing:
@@ -98,15 +110,25 @@ def init_weights(
     docs = [class_docs[c] for c in children]
     m = sum(doc.source_doc_count for doc in docs)
     weights = np.zeros((dictionary.size, len(children)), dtype=np.float64)
-    for term, k in dictionary.index.items():
-        df = sum(doc.doc_frequency(term) for doc in docs)
-        if df == 0 or df >= m:
-            continue
-        idf = math.log10(m / (1 + df))
-        if idf <= 0.0:
-            continue
-        for g, doc in enumerate(docs):
-            tf = term_frequency(term, doc)
-            if tf > 0.0:
-                weights[k, g] = tf * idf
+
+    df = np.zeros(dictionary.size, dtype=np.int64)
+    for doc in docs:
+        source_df = doc.source_term_df
+        if source_df is None:
+            source_df = dict.fromkeys(doc.term_counts, 1)
+        positions, counts = _dictionary_entries(source_df, dictionary)
+        df[positions] += counts
+    # idf = log10(M / (1 + df)), zero where df = 0 or the ratio is <= 1.
+    idf_of = np.zeros(int(df.max(initial=0)) + 1, dtype=np.float64)
+    for k in np.unique(df).tolist():
+        if 0 < k < m:
+            idf_of[k] = max(math.log10(m / (1 + k)), 0.0)
+    idf = idf_of[df]
+
+    for g, doc in enumerate(docs):
+        positions, counts = _dictionary_entries(doc.term_counts, dictionary)
+        present = counts > 0
+        positions = positions[present]
+        tf = 0.5 + 0.5 * counts[present] / doc.max_count
+        weights[positions, g] = tf * idf[positions]
     return weights

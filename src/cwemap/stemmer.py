@@ -4,7 +4,13 @@ Pure-Python, operates on single lowercase tokens.  Non-letter characters
 (digits, hyphens) are treated as consonants, so tokens like "cross-site"
 stem deterministically.  Uppercase "Y" is used internally to mark
 consonant-y and never appears in output.
+
+``stem`` is pure, so it is memoized in a bounded LRU cache: a corpus
+repeats a few thousand word types many times over, and a type stays in
+the cache while it is among the 65,536 most recently stemmed.
 """
+
+import functools
 
 _VOWELS = frozenset("aeiouy")
 _DOUBLES = ("bb", "dd", "ff", "gg", "mm", "nn", "pp", "rr", "tt")
@@ -119,6 +125,7 @@ def _is_short_word(word: str, r1: int) -> bool:
     return r1 >= len(word) and _ends_short_syllable(word)
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def stem(token: str) -> str:
     """Return the Porter2 English stem of a lowercase token."""
     word = token

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import synthdata
-from cwemap import hierarchy
+from cwemap import cli, hierarchy
 from cwemap.errors import ConfigurationError, ValidationError
 from cwemap.hierarchy import (
     PrepAssets,
@@ -16,8 +16,8 @@ from cwemap.hierarchy import (
     train_hierarchy,
     train_two_layer_baseline,
 )
-from cwemap.ingest import CveRecord
-from cwemap.modelstore import fingerprint
+from cwemap.ingest import CveRecord, save_taxonomy, write_cve_corpus
+from cwemap.modelstore import fingerprint, load
 from cwemap.netcore import TrainConfig, sigmoid
 from cwemap.textprep import SynonymTable
 
@@ -125,12 +125,41 @@ class TestTrainHierarchy:
         m2 = train_hierarchy(corpus, taxonomy, ASSETS, quick_cfg(max_epochs=10, seed=2))
         assert fingerprint(m1) != fingerprint(m2)
 
-    def test_jobs_do_not_change_result(self, small_synth):
+    def test_jobs_do_not_change_result(self, small_synth, tmp_path):
+        # --jobs is accepted for old command lines but training is serial.
         taxonomy, leaves, pools, corpus = small_synth
-        cfg = quick_cfg(max_epochs=10)
-        serial = train_hierarchy(corpus, taxonomy, ASSETS, cfg, jobs=1)
-        parallel = train_hierarchy(corpus, taxonomy, ASSETS, cfg, jobs=4)
-        assert fingerprint(serial) == fingerprint(parallel)
+        write_cve_corpus(corpus, tmp_path / "corpus.jsonl")
+        save_taxonomy(taxonomy, tmp_path / "taxonomy.json")
+        base = ["train", "--corpus", str(tmp_path / "corpus.jsonl"),
+                "--taxonomy", str(tmp_path / "taxonomy.json"), "--max-epochs", "10",
+                "--th", "1", "--seed", "3"]
+        assert cli.main(base + ["--model", str(tmp_path / "serial")]) == 0
+        assert cli.main(base + ["--jobs", "4", "--model", str(tmp_path / "jobs4")]) == 0
+        assert fingerprint(load(tmp_path / "serial")) == fingerprint(load(tmp_path / "jobs4"))
+
+    def test_pinned_fingerprints(self):
+        # Referee for refactors of the training path: these models must stay
+        # bit-identical.  One run trains a fixed number of epochs; the other
+        # stops on the loss plateau, so it also pins the epoch losses.
+        taxonomy, leaves, pools = synthdata.binary_taxonomy(depth=3, pool_size=20, seed=7)
+        corpus = synthdata.make_corpus(leaves, pools, per_leaf=12, tokens_per_cve=10,
+                                       noise=0.2, seed=3)
+        fixed = TrainConfig(max_epochs=6, batch_size=8, seed=5, min_term_count=2,
+                            early_stop_patience=0)
+        plateau = TrainConfig(learning_rate=0.3, max_epochs=100, batch_size=8, seed=5,
+                              min_term_count=2, early_stop_patience=2)
+        model = train_hierarchy(corpus, taxonomy, ASSETS, fixed)
+        assert fingerprint(model) == (
+            "b9dec93ca2ac5bdbc3da7d3d790d2a9837d2ed3983e671c97e6dd9809e4c20ce"
+        )
+        model = train_hierarchy(corpus, taxonomy, ASSETS, plateau)
+        assert sorted(model.epochs_run.items()) == [
+            ("CWE-100", 6), ("CWE-101", 5), ("CWE-102", 6), ("CWE-103", 10),
+            ("CWE-104", 7), ("CWE-105", 7), ("ROOT", 9),
+        ]
+        assert fingerprint(model) == (
+            "7a1fbb4539a077c3628a7ea3473afdf39730457d47cd4dc2740bc7367220a12b"
+        )
 
     def test_empty_corpus_rejected(self, chain_taxonomy):
         with pytest.raises(ConfigurationError):

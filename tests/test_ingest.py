@@ -180,6 +180,26 @@ class TestTaxonomy:
         with pytest.raises(FormatError):
             load_taxonomy(path)
 
+    def test_lower_case_ids_normalized_everywhere(self, tmp_path):
+        t = build_taxonomy(
+            [
+                CweNode(id="cwe-1", name="top"),
+                CweNode(id=" cwe-2", name="child", parent_ids=frozenset({"cwe-1"})),
+            ]
+        )
+        assert set(t.nodes) == {"CWE-1", "CWE-2", t.root_id}
+        assert t.nodes["CWE-1"].id == "CWE-1"
+        assert t.nodes["CWE-2"].parent_ids == frozenset({"CWE-1"})
+        assert t.children[t.root_id] == ("CWE-1",)
+        assert t.children["CWE-1"] == ("CWE-2",)
+        assert all(child in t.nodes for kids in t.children.values() for child in kids)
+        path = tmp_path / "tax.json"
+        save_taxonomy(t, path)
+        saved = json.loads(path.read_text())["nodes"]
+        assert [n["id"] for n in saved] == ["CWE-1", "CWE-2"]
+        assert saved[1]["parent_ids"] == ["CWE-1"]
+        assert load_taxonomy(path).children == t.children
+
 
 class TestPathsToRoot:
     def test_chain_single_path(self, chain_taxonomy):

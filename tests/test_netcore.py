@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cwemap.errors import ConfigurationError
+from cwemap.errors import ConfigurationError, TrainingError
 from cwemap.features import FeatureVector
 from cwemap.netcore import (
     AdamState,
+    CsrBatch,
     NodeClassifier,
     TrainConfig,
     TwoLayerClassifier,
@@ -16,6 +19,7 @@ from cwemap.netcore import (
     forward_logits,
     forward_scores,
     gradient,
+    loss_and_gradient,
     sigmoid,
     train_node,
     train_two_layer,
@@ -150,6 +154,102 @@ class TestGradient:
         assert np.abs(analytic - numeric).max() / denom <= 1e-5
 
 
+def reference_loss_and_gradient(weights, batch):
+    """Per-example loss and gradient, one forward pass per example.
+
+    Logits add the selected weight rows one by one, in position order: the
+    order in which ``weights[rows].sum(axis=0)`` sums a matrix of two or
+    more columns.
+    """
+    d, c = weights.shape
+    grad = np.zeros((d, c))
+    scale = 1.0 / (c * len(batch))
+    losses = []
+    for feature, targets in batch:
+        logits = np.zeros(c)
+        for position in feature.on_positions:
+            logits = logits + weights[position]
+        losses.append(bce_with_logits(logits, targets))
+        residual = (sigmoid(logits) - targets) * scale
+        if feature.on_positions:
+            grad[list(feature.on_positions)] += residual
+    return float(np.mean(losses)), grad
+
+
+@st.composite
+def weights_and_batches(draw):
+    d = draw(st.integers(1, 12))
+    c = draw(st.integers(1, 5))
+    values = draw(st.lists(st.floats(-60.0, 60.0), min_size=d * c, max_size=d * c))
+    weights = np.array(values, dtype=np.float64).reshape(d, c)
+    distinct = draw(
+        st.lists(
+            st.tuples(
+                st.sets(st.integers(0, d - 1)),  # may be empty
+                st.lists(st.sampled_from([0.0, 1.0]), min_size=c, max_size=c),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=12))
+    batch = [(fv(d, *distinct[i][0]), np.array(distinct[i][1])) for i in picks]
+    return weights, batch
+
+
+class TestLossAndGradient:
+    @settings(max_examples=200, deadline=None)
+    @given(weights_and_batches())
+    def test_matches_per_example_reference(self, case):
+        weights, batch = case
+        d, c = weights.shape
+        loss, grad = loss_and_gradient(weights, CsrBatch.from_examples(batch, d, c))
+        ref_loss, ref_grad = reference_loss_and_gradient(weights, batch)
+        np.testing.assert_array_equal(grad, ref_grad)
+        assert abs(loss - ref_loss) <= 1e-15 * max(1.0, abs(ref_loss))
+
+    @settings(max_examples=100, deadline=None)
+    @given(weights_and_batches())
+    def test_reference_forward_is_the_row_sum(self, case):
+        weights, batch = case
+        if weights.shape[1] < 2:
+            return  # one column: NumPy sums the rows pairwise, not in order
+        for feature, _ in batch:
+            logits = np.zeros(weights.shape[1])
+            for position in feature.on_positions:
+                logits = logits + weights[position]
+            np.testing.assert_array_equal(logits, forward_logits(clf(weights), feature))
+
+    @settings(max_examples=60, deadline=None)
+    @given(weights_and_batches(), st.data())
+    def test_take_gathers_the_chosen_rows(self, case, data):
+        weights, batch = case
+        d, c = weights.shape
+        packed = CsrBatch.from_examples(batch, d, c)
+        index = data.draw(st.lists(st.integers(0, len(batch) - 1), min_size=1, max_size=20))
+        chosen = [batch[i] for i in index]
+        taken = packed.take(np.array(index))
+        expected = CsrBatch.from_examples(chosen, d, c)
+        np.testing.assert_array_equal(taken.positions, expected.positions)
+        np.testing.assert_array_equal(taken.offsets, expected.offsets)
+        np.testing.assert_array_equal(taken.targets, expected.targets)
+
+    def test_wrappers_agree_with_fused_pass(self, rng):
+        weights = rng.normal(size=(6, 3))
+        batch = [(fv(6, 0, 4), np.array([1.0, 0.0, 1.0])), (fv(6), np.array([0.0, 1.0, 0.0]))]
+        loss, grad = loss_and_gradient(weights, CsrBatch.from_examples(batch, 6, 3))
+        assert batch_loss(clf(weights), batch) == loss
+        np.testing.assert_array_equal(gradient(clf(weights), batch), grad)
+
+    def test_target_length_mismatch_rejected(self):
+        with pytest.raises(ConfigurationError):
+            gradient(clf(np.zeros((3, 2))), [(fv(3, 1), np.array([1.0, 0.0, 0.0]))])
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ConfigurationError):
+            CsrBatch.from_examples([(fv(4, 1), np.array([1.0, 0.0]))], 3, 2)
+
+
 class TestAdam:
     def cfg(self, **overrides):
         return TrainConfig(**overrides)
@@ -187,6 +287,16 @@ class TestTrainConfig:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ConfigurationError):
             TrainConfig(weight_init="magic")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_learning_rate_rejected(self, value):
+        with pytest.raises(ConfigurationError):
+            TrainConfig(learning_rate=value)
+
+    @pytest.mark.parametrize("value", [0.0, -1e-8, math.nan, math.inf])
+    def test_bad_adam_epsilon_rejected(self, value):
+        with pytest.raises(ConfigurationError):
+            TrainConfig(adam_epsilon=value)
 
     def test_round_trip(self):
         cfg = TrainConfig(learning_rate=0.1, seed=9)
@@ -248,6 +358,12 @@ class TestTrainNode:
         c, _ = separable_toy()
         with pytest.raises(ConfigurationError):
             train_node(c, [], TrainConfig())
+
+    def test_non_finite_weights_raise_training_error(self):
+        c, examples = separable_toy()
+        cfg = TrainConfig(learning_rate=1e308, max_epochs=5, batch_size=1)
+        with np.errstate(all="ignore"), pytest.raises(TrainingError):
+            train_node(c, examples, cfg)
 
     def test_loss_log_written(self, tmp_path):
         c, examples = separable_toy()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cwemap.errors import ConfigurationError
 from cwemap.features import Dictionary
@@ -166,3 +168,68 @@ class TestInitWeights:
         }
         w = init_weights(["CWE-1", "CWE-2"], d, docs)
         assert (w >= 0).all()
+
+
+def reference_init_weights(children, dictionary, class_docs):
+    """Scalar loop over every dictionary term and child: the textbook formula."""
+    docs = [class_docs[c] for c in children]
+    m = sum(d.source_doc_count for d in docs)
+    weights = np.zeros((dictionary.size, len(children)))
+    for term, k in dictionary.index.items():
+        df = sum(d.doc_frequency(term) for d in docs)
+        if df == 0 or df >= m:
+            continue
+        idf = math.log10(m / (1 + df))
+        if idf <= 0.0:
+            continue
+        for g, d in enumerate(docs):
+            tf = term_frequency(term, d)
+            if tf > 0.0:
+                weights[k, g] = tf * idf
+    return weights
+
+
+VOCABULARY = [f"t{i}" for i in range(14)]
+
+
+@st.composite
+def init_cases(draw):
+    dict_terms = draw(st.lists(st.sampled_from(VOCABULARY), min_size=1, unique=True))
+    n_children = draw(st.integers(1, 4))
+    explicit_df = draw(st.booleans())
+    class_docs = {}
+    for g in range(n_children):
+        # Terms outside the dictionary and zero counts are both allowed.
+        counts = draw(st.dictionaries(st.sampled_from(VOCABULARY), st.integers(0, 9), max_size=10))
+        if explicit_df:
+            doc_count = draw(st.integers(1, 12))
+            sources = draw(st.dictionaries(st.sampled_from(VOCABULARY),
+                                           st.integers(0, doc_count), max_size=10))
+        else:
+            doc_count, sources = 1, None
+        class_docs[f"CWE-{g}"] = doc(f"CWE-{g}", counts, sources=sources, doc_count=doc_count)
+    return list(class_docs), make_dict(dict_terms), class_docs
+
+
+class TestInitWeightsMatchesScalarReference:
+    @settings(max_examples=150, deadline=None)
+    @given(init_cases())
+    def test_bit_identical(self, case):
+        children, dictionary, class_docs = case
+        np.testing.assert_array_equal(
+            init_weights(children, dictionary, class_docs),
+            reference_init_weights(children, dictionary, class_docs),
+        )
+
+    def test_both_df_sources_covered(self):
+        d = make_dict(["a", "b", "c"])
+        plain = {"CWE-1": doc("CWE-1", {"a": 3, "b": 1}), "CWE-2": doc("CWE-2", {"c": 2}),
+                 "CWE-3": doc("CWE-3", {"c": 1})}
+        explicit = {
+            "CWE-1": doc("CWE-1", {"a": 5, "b": 1}, sources={"a": 4, "b": 1}, doc_count=5),
+            "CWE-2": doc("CWE-2", {"b": 3, "c": 2}, sources={"b": 2, "c": 2}, doc_count=5),
+        }
+        for docs in (plain, explicit):
+            children = list(docs)
+            np.testing.assert_array_equal(init_weights(children, d, docs),
+                                          reference_init_weights(children, d, docs))
