@@ -25,7 +25,6 @@ from .hierarchy import (
     TwoLayerModel,
     assemble_training_sets,
     classify,
-    classify_flat,
     threshold,
     top_k,
     train_flat_baseline,
@@ -45,6 +44,7 @@ from .ingest import (
 )
 from .netcore import (
     AdamState,
+    CsrBatch,
     NodeClassifier,
     TrainConfig,
     TwoLayerClassifier,
@@ -56,7 +56,7 @@ from .netcore import (
     train_node,
 )
 from .scoring import ClassDocument, init_weights, inverse_document_frequency, term_frequency, tfidf
-from .evaluation import EvalReport, evaluate, evaluate_model, is_correct, split_corpus
+from .evaluation import EvalReport, evaluate, is_correct, split_corpus
 from .modelstore import ModelManifest, fingerprint, load, save
 from .textprep import SynonymTable, apply_synonyms, preprocess, stem, tokenize
 

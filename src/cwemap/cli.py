@@ -61,8 +61,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--synonyms", help="synonym table JSON (default: packaged table)")
     p_train.add_argument("--model", help="output model directory")
     p_train.add_argument("--baseline", choices=["flat", "two-layer"])
-    p_train.add_argument("--hidden", type=int, default=hierarchy.DEFAULT_HIDDEN_SIZE,
-                         help="hidden width for the two-layer baseline")
+    p_train.add_argument("--hidden", type=int, default=None,
+                         help="hidden width for the two-layer baseline "
+                         f"(default {hierarchy.DEFAULT_HIDDEN_SIZE})")
     p_train.add_argument("--init", choices=["tfidf", "random"], default=None,
                          help="weight initialization for the hierarchical model")
     p_train.add_argument("--th", type=int, default=None, help="dictionary min term count")
@@ -85,7 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--tau", type=float, default=None)
     p_classify.add_argument("--k", type=int, default=None)
 
-    p_eval = sub.add_parser("eval", help="evaluate a model on a labeled corpus")
+    p_eval = sub.add_parser("eval", help="classify a labeled corpus once and report "
+                            "fine- and coarse-grain metrics")
     p_eval.add_argument("--model", required=True, help="model directory")
     p_eval.add_argument("--corpus", required=True, help="labeled corpus JSONL")
     p_eval.add_argument("--out", help="directory for report.json / report.txt")
@@ -104,7 +106,7 @@ def _apply_config_file(args: argparse.Namespace) -> argparse.Namespace:
         return args
     path = Path(args.config)
     try:
-        overrides = json.loads(path.read_text(encoding="utf-8"))
+        overrides = json.loads(ingest.read_input_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON ({exc.msg})", path=path, line=exc.lineno) from exc
     if not isinstance(overrides, dict):
@@ -160,6 +162,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     if not args.corpus or not args.taxonomy or not args.model:
         raise ConfigurationError("train needs --corpus, --taxonomy, and --model")
+    if args.log_dir is not None:
+        try:
+            Path(args.log_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(f"--log-dir {args.log_dir}: {exc.strerror}") from exc
     corpus = ingest.load_cve_corpus(args.corpus)
     taxonomy = ingest.load_taxonomy(args.taxonomy)
     assets = _load_assets(args)
@@ -171,8 +178,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         if args.baseline == "flat":
             model = hierarchy.train_flat_baseline(corpus, taxonomy, assets, cfg)
         elif args.baseline == "two-layer":
+            hidden = args.hidden if args.hidden is not None else hierarchy.DEFAULT_HIDDEN_SIZE
             model = hierarchy.train_two_layer_baseline(
-                corpus, taxonomy, assets, cfg, hidden_size=args.hidden
+                corpus, taxonomy, assets, cfg, hidden_size=hidden
             )
         else:
             model = hierarchy.train_hierarchy(corpus, taxonomy, assets, cfg, log_dir=args.log_dir)
@@ -185,23 +193,21 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _classify_records(model, records: list[ingest.CveRecord], selection):
+    return hierarchy.classify(model, [r.description for r in records], selection,
+                              ids=[r.id for r in records])
+
+
 def cmd_classify(args: argparse.Namespace) -> int:
     model = modelstore.load(args.model)
     selection = _selection(args)
-    classify_fn = (
-        hierarchy.classify_flat if isinstance(model, hierarchy.FlatModel) else hierarchy.classify
-    )
-    predictions = []
     if args.corpus:
-        for record in ingest.load_cve_corpus(args.corpus):
-            predictions.append(
-                classify_fn(model, record.description, selection, cve_id=record.id)
-            )
+        predictions = _classify_records(model, ingest.load_cve_corpus(args.corpus), selection)
     else:
         text = sys.stdin.read()
         if not text.strip():
             raise ValidationError("empty description on stdin")
-        predictions.append(classify_fn(model, text, selection, cve_id="stdin"))
+        predictions = hierarchy.classify(model, [text], selection, ids=["stdin"])
     if args.out:
         evaluation.write_predictions(predictions, args.out)
     else:
@@ -210,10 +216,15 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _eval_both_modes(model, test_set, selection):
-    fine = evaluation.evaluate_model(model, test_set, "fine", selection=selection)
-    coarse = evaluation.evaluate_model(model, test_set, "coarse", selection=selection)
-    return fine, coarse
+def _evaluate_both(predictions, test_set, taxonomy):
+    return (evaluation.evaluate(predictions, test_set, taxonomy, "fine"),
+            evaluation.evaluate(predictions, test_set, taxonomy, "coarse"))
+
+
+def _eval_model(model, test_set, selection):
+    """Classify the test set once and evaluate those predictions in both modes."""
+    return _evaluate_both(_classify_records(model, test_set, selection), test_set,
+                          model.taxonomy)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -224,7 +235,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         _, corpus = evaluation.split_corpus(corpus, args.split, seed)
         print(f"evaluating on seeded split: {len(corpus)} records")
     selection = _selection(args)
-    fine, coarse = _eval_both_modes(model, corpus, selection)
+    fine, coarse = _eval_model(model, corpus, selection)
     print(evaluation.format_report_table(fine, coarse))
     if args.out:
         out = Path(args.out)
@@ -234,12 +245,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.compare:
         compare_path = Path(args.compare)
         if compare_path.is_dir():
-            other = modelstore.load(compare_path)
-            other_fine, other_coarse = _eval_both_modes(other, corpus, selection)
+            other_fine, other_coarse = _eval_model(modelstore.load(compare_path), corpus,
+                                                   selection)
         else:
-            predictions = evaluation.load_predictions(compare_path)
-            other_fine = evaluation.evaluate(predictions, corpus, model.taxonomy, "fine")
-            other_coarse = evaluation.evaluate(predictions, corpus, model.taxonomy, "coarse")
+            other_fine, other_coarse = _evaluate_both(
+                evaluation.load_predictions(compare_path), corpus, model.taxonomy)
         print()
         print(f"{'Accuracy':<12} {'this model':>12} {'compared':>12}")
         print(f"{'fine-grain':<12} {fine.accuracy:>12.4f} {other_fine.accuracy:>12.4f}")

@@ -186,26 +186,6 @@ def _predicts_deeper(pred: Prediction, satisfied: list[str], taxonomy: Taxonomy)
     return False
 
 
-def evaluate_model(
-    model,
-    test_set: list[CveRecord],
-    mode: str,
-    classify_fn=None,
-    selection=None,
-) -> EvalReport:
-    """Classify a labeled test set with ``model`` and evaluate in ``mode``."""
-    from . import hierarchy
-
-    if classify_fn is None:
-        classify_fn = (
-            hierarchy.classify_flat if isinstance(model, hierarchy.FlatModel) else hierarchy.classify
-        )
-    predictions = [
-        classify_fn(model, record.description, selection, cve_id=record.id) for record in test_set
-    ]
-    return evaluate(predictions, test_set, model.taxonomy, mode)
-
-
 def split_corpus(
     records: list[CveRecord], train_fraction: float, seed: int
 ) -> tuple[list[CveRecord], list[CveRecord]]:

@@ -8,8 +8,16 @@ descends from the virtual root, keeping children whose sigmoid score
 clears the decision rule, and reports all selected nodes plus the maximal
 root-to-deepest paths.
 
+Inference works on batches of records.  ``classify`` encodes each text
+once, then takes the records ``CHUNK_RECORDS`` at a time and walks the
+internal nodes in topological order, parents first.  Each node is scored
+once per chunk, in one pass over the rows of the records that reached it
+(a record reaches a node when a parent selected it), so the descent makes
+one pass per node, not one per (record, node) pair.
+
 The flat one-shot baseline and the two-layer baseline used for
-architecture comparisons live here as well.
+architecture comparisons live here as well; the flat baseline is the
+one-node case of the same walk.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from .errors import ConfigurationError, ValidationError
 from .features import Dictionary, FeatureVector, build_dictionary, count_terms, encode, ngram_set
 from .ingest import CveRecord, Taxonomy, _cwe_sort_key, load_stopwords, load_synonyms
 from .netcore import (
+    CsrBatch,
     NodeClassifier,
     TrainConfig,
     TwoLayerClassifier,
@@ -41,6 +50,8 @@ logger = logging.getLogger(__name__)
 
 FLAT_NODE_ID = "FLAT"
 DEFAULT_HIDDEN_SIZE = 64
+#: Records ``classify`` scores together at each node; bounds its memory.
+CHUNK_RECORDS = 512
 
 
 @dataclass(frozen=True)
@@ -77,11 +88,19 @@ class SelectionMode:
     def label(self) -> str:
         return f"threshold:{self.tau}" if self.kind == "threshold" else f"topk:{self.k}"
 
-    def select(self, child_ids: tuple[str, ...], scores: np.ndarray) -> list[str]:
+    def select(self, child_ids: tuple[str, ...], scores: np.ndarray) -> np.ndarray:
+        """Boolean ``(records, children)`` mask of the children each row keeps.
+
+        Threshold keeps ``score >= tau``.  Top-k keeps the first k children
+        ranked by (-score, child id), so equal scores go to the smaller id.
+        """
         if self.kind == "threshold":
-            return [c for c, s in zip(child_ids, scores) if s >= self.tau]
-        ranked = sorted(zip(child_ids, scores), key=lambda cs: (-cs[1], cs[0]))
-        return [c for c, _ in ranked[: self.k]]
+            return scores >= self.tau
+        id_rank = np.argsort(np.argsort(np.array(child_ids)))
+        ranked = np.lexsort((np.broadcast_to(id_rank, scores.shape), -scores), axis=1)
+        keep = np.zeros(scores.shape, dtype=bool)
+        np.put_along_axis(keep, ranked[:, : self.k], True, axis=1)
+        return keep
 
 
 def threshold(tau: float) -> SelectionMode:
@@ -145,15 +164,12 @@ class HierarchicalModel:
     assets: PrepAssets
     epochs_run: dict[str, int] = field(default_factory=dict)
 
-    def node_scores(self, node_id: str, fv: FeatureVector):
-        clf = self.classifiers.get(node_id)
-        if clf is None:
-            return None
-        return clf.child_ids, forward_scores(clf, fv)
+    def scoring_plan(self) -> list[tuple[str, NodeClassifier | None]]:
+        """(internal node, its classifier or None), parents before children."""
+        return [(n, self.classifiers.get(n)) for n in self.taxonomy.internal_nodes()]
 
-    def encode_text(self, text: str) -> FeatureVector:
-        tokens = preprocess(text, self.assets.stopwords, self.assets.synonyms)
-        return encode(ngram_set(tokens), self.dictionary)
+    def score_batch(self, clf: NodeClassifier, batch: CsrBatch) -> np.ndarray:
+        return forward_scores(clf, batch)
 
 
 @dataclass
@@ -168,15 +184,12 @@ class TwoLayerModel:
     hidden_size: int = DEFAULT_HIDDEN_SIZE
     epochs_run: dict[str, int] = field(default_factory=dict)
 
-    def node_scores(self, node_id: str, fv: FeatureVector):
-        clf = self.classifiers.get(node_id)
-        if clf is None:
-            return None
-        return clf.child_ids, two_layer_scores(clf, fv)
+    def scoring_plan(self) -> list[tuple[str, TwoLayerClassifier | None]]:
+        """(internal node, its classifier or None), parents before children."""
+        return [(n, self.classifiers.get(n)) for n in self.taxonomy.internal_nodes()]
 
-    def encode_text(self, text: str) -> FeatureVector:
-        tokens = preprocess(text, self.assets.stopwords, self.assets.synonyms)
-        return encode(ngram_set(tokens), self.dictionary)
+    def score_batch(self, clf: TwoLayerClassifier, batch: CsrBatch) -> np.ndarray:
+        return two_layer_scores(clf, batch)
 
 
 @dataclass
@@ -190,9 +203,18 @@ class FlatModel:
     assets: PrepAssets
     epochs_run: dict[str, int] = field(default_factory=dict)
 
-    def encode_text(self, text: str) -> FeatureVector:
-        tokens = preprocess(text, self.assets.stopwords, self.assets.synonyms)
-        return encode(ngram_set(tokens), self.dictionary)
+    def scoring_plan(self) -> list[tuple[str, NodeClassifier]]:
+        """The one classifier, at the root: every class is its child."""
+        return [(self.taxonomy.root_id, self.classifier)]
+
+    def score_batch(self, clf: NodeClassifier, batch: CsrBatch) -> np.ndarray:
+        return forward_scores(clf, batch)
+
+
+def encode_text(model, text: str) -> FeatureVector:
+    """Preprocess ``text`` with the model's assets and encode it in its dictionary."""
+    tokens = preprocess(text, model.assets.stopwords, model.assets.synonyms)
+    return encode(ngram_set(tokens), model.dictionary)
 
 
 def _cached_tokens(
@@ -422,35 +444,6 @@ def train_hierarchy(
     )
 
 
-def _descend(model, fv: FeatureVector, mode: SelectionMode):
-    """Shared top-down frontier walk; scores each selected node once."""
-    taxonomy: Taxonomy = model.taxonomy
-    selected: set[str] = set()
-    scores: dict[str, float] = {}
-    truncated: set[str] = set()
-    queue = [taxonomy.root_id]
-    visited: set[str] = set()
-    while queue:
-        node_id = queue.pop(0)
-        if node_id in visited:
-            continue
-        visited.add(node_id)
-        children = taxonomy.children.get(node_id, ())
-        if not children:
-            continue
-        result = model.node_scores(node_id, fv)
-        if result is None:
-            truncated.add(node_id)
-            continue
-        child_ids, child_scores = result
-        for child, score in zip(child_ids, child_scores):
-            scores[child] = max(scores.get(child, 0.0), float(score))
-        for child in mode.select(child_ids, np.asarray(child_scores)):
-            selected.add(child)
-            queue.append(child)
-    return selected, scores, truncated
-
-
 def _maximal_paths(taxonomy: Taxonomy, selected: set[str]) -> tuple[tuple[str, ...], ...]:
     """All maximal chains of selected nodes starting at selected root-children."""
     paths: list[tuple[str, ...]] = []
@@ -471,28 +464,92 @@ def _maximal_paths(taxonomy: Taxonomy, selected: set[str]) -> tuple[tuple[str, .
 
 
 def classify(
-    model: HierarchicalModel | TwoLayerModel,
-    text: str,
+    model: HierarchicalModel | TwoLayerModel | FlatModel,
+    texts: list[str],
     mode: SelectionMode | None = None,
-    cve_id: str = "",
-) -> Prediction:
-    """Top-down classification of one raw description."""
-    if not text.strip():
-        raise ValidationError("empty description")
+    ids: list[str] | None = None,
+) -> list[Prediction]:
+    """Classify raw descriptions top-down, one prediction per text, in order.
+
+    Every text is checked before any is classified: a bare string or an
+    empty description raises ValidationError.  The records are then taken
+    ``CHUNK_RECORDS`` at a time.  Within a chunk, the internal nodes are
+    walked in topological order from the virtual root, and each node
+    scores all records that reached it in one batch; the records whose
+    scores pass ``mode`` reach the selected children.  A child's score is
+    the maximum over the parents that scored it.  A reached internal node
+    without a classifier is reported in ``truncated``.  The flat baseline
+    is the one-node case: its classifier at the root selects every class
+    at once.  Candidates are the nodes on the maximal paths of selected
+    nodes from a root child, so every model gives path-consistent output.
+    """
+    if isinstance(texts, str):
+        raise ValidationError("classify takes a list of descriptions, not one string")
+    texts = list(texts)
+    ids = [""] * len(texts) if ids is None else list(ids)
+    if len(ids) != len(texts):
+        raise ValidationError(f"{len(ids)} ids for {len(texts)} descriptions")
+    for cve_id, text in zip(ids, texts):
+        if not isinstance(text, str) or not text.strip():
+            raise ValidationError(f"{cve_id}: empty description" if cve_id else "empty description")
     if mode is None:
         mode = threshold(model.config.decision_threshold)
-    fv = model.encode_text(text)
-    selected, scores, truncated = _descend(model, fv, mode)
-    paths = _maximal_paths(model.taxonomy, selected)
-    on_paths = {node for path in paths for node in path}
-    return Prediction(
-        cve_id=cve_id,
-        candidates=frozenset(on_paths),
-        paths=paths,
-        scores=scores,
-        mode=mode.label(),
-        truncated=frozenset(truncated),
-    )
+    plan = model.scoring_plan()
+    predictions: list[Prediction] = []
+    for start in range(0, len(texts), CHUNK_RECORDS):
+        stop = start + CHUNK_RECORDS
+        predictions += _classify_chunk(model, plan, texts[start:stop], ids[start:stop], mode)
+    return predictions
+
+
+def _classify_chunk(model, plan, texts: list[str], ids: list[str], mode: SelectionMode):
+    """One pass of the walk over ``plan`` for a chunk of records."""
+    n = len(texts)
+    batch = CsrBatch.from_features([encode_text(model, t) for t in texts], model.dictionary.size)
+    scores: list[dict[str, float]] = [{} for _ in range(n)]
+    selected: list[set[str]] = [set() for _ in range(n)]
+    truncated: list[set[str]] = [set() for _ in range(n)]
+    in_plan = {node_id for node_id, _ in plan}
+    # Per node, the row-index arrays of the records its parents sent to it.
+    reached: dict[str, list[np.ndarray]] = {model.taxonomy.root_id: [np.arange(n)]}
+    for node_id, clf in plan:
+        parts = reached.pop(node_id, None)
+        if parts is None:
+            continue
+        rows = parts[0] if len(parts) == 1 else np.unique(np.concatenate(parts))
+        if clf is None:
+            for r in rows.tolist():
+                truncated[r].add(node_id)
+            continue
+        node_scores = model.score_batch(clf, batch.take(rows))
+        keep = mode.select(clf.child_ids, node_scores)
+        for r, values in zip(rows.tolist(), node_scores.tolist()):
+            record_scores = scores[r]
+            for child, value in zip(clf.child_ids, values):
+                record_scores[child] = max(record_scores.get(child, 0.0), value)
+        for j in np.flatnonzero(keep.any(axis=0)).tolist():
+            child = clf.child_ids[j]
+            picked = rows[keep[:, j]]
+            for r in picked.tolist():
+                selected[r].add(child)
+            if child in in_plan:
+                reached.setdefault(child, []).append(picked)
+
+    label = mode.label()
+    predictions = []
+    for i in range(n):
+        paths = _maximal_paths(model.taxonomy, selected[i])
+        predictions.append(
+            Prediction(
+                cve_id=ids[i],
+                candidates=frozenset(node for path in paths for node in path),
+                paths=paths,
+                scores=scores[i],
+                mode=label,
+                truncated=frozenset(truncated[i]),
+            )
+        )
+    return predictions
 
 
 def flat_class_list(corpus: list[CveRecord], taxonomy: Taxonomy) -> tuple[str, ...]:
@@ -550,34 +607,6 @@ def train_flat_baseline(
         config=cfg,
         assets=assets,
         epochs_run={FLAT_NODE_ID: len(losses)},
-    )
-
-
-def classify_flat(
-    model: FlatModel, text: str, mode: SelectionMode | None = None, cve_id: str = ""
-) -> Prediction:
-    """One-shot selection over every class, reported like a hierarchy result.
-
-    Candidates are restricted to nodes reachable through selected parents
-    so the output satisfies the same path-consistency contract as the
-    hierarchical classifier.
-    """
-    if not text.strip():
-        raise ValidationError("empty description")
-    if mode is None:
-        mode = threshold(model.config.decision_threshold)
-    fv = model.encode_text(text)
-    raw_scores = forward_scores(model.classifier, fv)
-    selected = set(mode.select(model.classifier.child_ids, raw_scores))
-    scores = {c: float(s) for c, s in zip(model.classifier.child_ids, raw_scores)}
-    paths = _maximal_paths(model.taxonomy, selected)
-    on_paths = {node for path in paths for node in path}
-    return Prediction(
-        cve_id=cve_id,
-        candidates=frozenset(on_paths),
-        paths=paths,
-        scores=scores,
-        mode=mode.label(),
     )
 
 

@@ -39,7 +39,7 @@ _NVD_UNLABELED = {"NVD-CWE-OTHER", "NVD-CWE-NOINFO"}
 
 def normalize_cwe_id(raw: str) -> str:
     """Canonicalize a CWE label to ``CWE-<integer>`` or raise."""
-    cleaned = raw.strip().upper()
+    cleaned = raw.strip().upper() if isinstance(raw, str) else ""
     if not CWE_ID_RE.match(cleaned):
         raise ValidationError(f"not a CWE identifier: {raw!r}")
     return cleaned
@@ -54,10 +54,14 @@ class CveRecord:
     cwe_labels: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        if not CVE_ID_RE.match(self.id):
+        if not isinstance(self.id, str) or not CVE_ID_RE.match(self.id):
             raise ValidationError(f"not a CVE identifier: {self.id!r}")
+        if not isinstance(self.description, str):
+            raise ValidationError(f"{self.id}: description must be a string")
         if not self.description.strip():
             raise ValidationError(f"{self.id}: description is empty")
+        if isinstance(self.cwe_labels, str):
+            raise ValidationError(f"{self.id}: cwe_labels must be a collection of strings")
         object.__setattr__(
             self, "cwe_labels", frozenset(normalize_cwe_id(l) for l in self.cwe_labels)
         )
@@ -109,8 +113,23 @@ class Taxonomy:
         return node_id in self.nodes
 
     def internal_nodes(self) -> list[str]:
-        """Node ids (including the virtual root) that have children."""
-        return [n for n, kids in self.children.items() if kids]
+        """Node ids that have children, in topological order from the virtual root.
+
+        Every parent comes before each of its children.
+        """
+        waiting = {n: 0 for n in self.children}
+        for kids in self.children.values():
+            for kid in kids:
+                waiting[kid] += 1
+        order, ready = [], [self.root_id]
+        while ready:
+            node_id = ready.pop()
+            order.append(node_id)
+            for kid in self.children.get(node_id, ()):
+                waiting[kid] -= 1
+                if waiting[kid] == 0:
+                    ready.append(kid)
+        return [n for n in order if self.children.get(n)]
 
     def ancestors(self, node_id: str) -> frozenset[str]:
         """All proper ancestors excluding the virtual root."""
@@ -162,33 +181,72 @@ def _cwe_sort_key(node_id: str):
     return (0, int(m.group(1)), "") if m else (1, 0, node_id)
 
 
+def read_input_text(path: str | Path) -> str:
+    """The text of a UTF-8 input file.
+
+    A directory or undecodable bytes raise ParseError naming the path; a
+    missing file raises FileNotFoundError.
+    """
+    path = Path(path)
+    try:
+        return path.read_text(encoding="utf-8")
+    except IsADirectoryError:
+        raise ParseError("is a directory, not a file", path=path) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text (byte {exc.start})", path=path) from None
+
+
+def _corpus_lines(path: Path):
+    """(line number, text) of each line of a UTF-8 file, decoded line by line."""
+    try:
+        fh = path.open("rb")
+    except IsADirectoryError:
+        raise ParseError("is a directory, not a file", path=path) from None
+    with fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                yield lineno, raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"not UTF-8 text (byte {exc.start})", path=path,
+                                 line=lineno) from None
+
+
 def load_cve_corpus(path: str | Path) -> list[CveRecord]:
-    """Load a JSONL corpus in file order; duplicate ids are rejected."""
+    """Load a JSONL corpus in file order; duplicate ids are rejected.
+
+    A line that is not a JSON object with a string ``id``, a string
+    ``description`` and an optional list of strings ``cwe_labels`` raises
+    ParseError naming the path and line.
+    """
     path = Path(path)
     records: list[CveRecord] = []
     seen: set[str] = set()
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"malformed JSON ({exc.msg})", path=path, line=lineno) from exc
-            if not isinstance(obj, dict):
-                raise ParseError("expected a JSON object", path=path, line=lineno)
-            try:
-                record = CveRecord(
-                    id=obj.get("id", ""),
-                    description=obj.get("description", ""),
-                    cwe_labels=frozenset(obj.get("cwe_labels") or ()),
-                )
-            except ValidationError as exc:
-                raise ParseError(str(exc), path=path, line=lineno) from exc
-            if record.id in seen:
-                raise ValidationError(f"{path}:{lineno}: duplicate CVE id {record.id}")
-            seen.add(record.id)
-            records.append(record)
+    for lineno, line in _corpus_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"malformed JSON ({exc.msg})", path=path, line=lineno) from exc
+        if not isinstance(obj, dict):
+            raise ParseError("expected a JSON object", path=path, line=lineno)
+        labels = obj.get("cwe_labels")
+        if labels is None:
+            labels = []
+        if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
+            raise ParseError("cwe_labels must be a list of strings", path=path, line=lineno)
+        try:
+            record = CveRecord(
+                id=obj.get("id", ""),
+                description=obj.get("description", ""),
+                cwe_labels=frozenset(labels),
+            )
+        except ValidationError as exc:
+            raise ParseError(str(exc), path=path, line=lineno) from exc
+        if record.id in seen:
+            raise ValidationError(f"{path}:{lineno}: duplicate CVE id {record.id}")
+        seen.add(record.id)
+        records.append(record)
     return records
 
 
@@ -282,7 +340,7 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
     """Load a taxonomy JSON document and validate the DAG."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(read_input_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON ({exc.msg})", path=path, line=exc.lineno) from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
@@ -340,7 +398,7 @@ def import_nvd_feed(path: str | Path) -> list[CveRecord]:
     """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(read_input_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON ({exc.msg})", path=path, line=exc.lineno) from exc
     if not isinstance(doc, dict) or "CVE_Items" not in doc:
@@ -376,7 +434,7 @@ def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
     if path is None:
         text = resources.files("cwemap.data").joinpath("stopwords.txt").read_text("utf-8")
     else:
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_input_text(path)
     words = set()
     for line in text.splitlines():
         word = line.split("#", 1)[0].strip().lower()
@@ -393,7 +451,7 @@ def load_synonyms(
         text = resources.files("cwemap.data").joinpath("synonyms.json").read_text("utf-8")
         source = "<default>"
     else:
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_input_text(path)
         source = str(path)
     try:
         doc = json.loads(text)

@@ -11,12 +11,13 @@ Training packs a node's examples once into a CSR batch (the on-positions
 of all rows back to back, row offsets, and a targets matrix), and each
 minibatch is a vectorized row gather from it.  ``loss_and_gradient``
 computes the minibatch logits in one pass and derives both the loss and
-the gradient from them.  It accumulates with ``np.add.at`` in row order:
-the order in which the per-example ``forward_logits`` sums the rows for
-two or more children, so the weights match per-example training bit for
-bit.  A BLAS product would reorder the sums and move the weights by ulps.
-(For a single child NumPy sums the one-column rows pairwise, so there the
-per-example logits can differ in the last bit.)
+the gradient from them.  Inference scores a batch of records the same way
+(``forward_scores``).  Both accumulate with ``np.add.at`` in row order: the
+order in which ``weights[rows].sum(axis=0)`` adds the rows of one record
+for two or more children, so the weights match per-example training bit
+for bit.  A BLAS product would reorder the sums and move the weights by
+ulps.  (For a single child NumPy sums a one-column slice pairwise, so a
+record-at-a-time sum there can differ from the batch in the last bit.)
 
 A two-layer variant (one sigmoid hidden layer) backs the over-fitting
 baseline; it shares the loss, the Adam update, and the training loop
@@ -129,24 +130,12 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_dimension(clf, fv: FeatureVector) -> None:
-    d = clf.weights.shape[0] if isinstance(clf, NodeClassifier) else clf.w_hidden.shape[0]
+def _check_dimension(clf: "TwoLayerClassifier", fv: FeatureVector) -> None:
+    d = clf.w_hidden.shape[0]
     if fv.dimension != d:
         raise ConfigurationError(
             f"{clf.node_id}: feature dimension {fv.dimension} != weight rows {d}"
         )
-
-
-def forward_logits(clf: NodeClassifier, fv: FeatureVector) -> np.ndarray:
-    """Pre-sigmoid outputs: sum of the weight rows selected by the on-bits."""
-    _check_dimension(clf, fv)
-    if not fv.on_positions:
-        return np.zeros(clf.weights.shape[1], dtype=np.float64)
-    return clf.weights[list(fv.on_positions)].sum(axis=0)
-
-
-def forward_scores(clf: NodeClassifier, fv: FeatureVector) -> np.ndarray:
-    return sigmoid(forward_logits(clf, fv))
 
 
 def bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> float:
@@ -167,15 +156,24 @@ Example = tuple[FeatureVector, np.ndarray]
 
 @dataclass(frozen=True)
 class CsrBatch:
-    """Examples in compressed-sparse-row form.
+    """Feature vectors of one dimension in compressed-sparse-row form.
 
     Row r's on-positions are ``positions[offsets[r]:offsets[r + 1]]`` and
-    its multi-hot targets are ``targets[r]``.
+    its multi-hot targets are ``targets[r]``; a batch packed for inference
+    has no targets (``targets`` is ``(n, 0)``).
     """
 
     positions: np.ndarray  # (nnz,) int64 feature positions, row after row
     offsets: np.ndarray  # (n + 1,) int64 row starts into positions
     targets: np.ndarray  # (n, C) float64
+    dimension: int  # length of every packed feature vector
+
+    @classmethod
+    def from_features(
+        cls, features: list[FeatureVector], dimension: int, node_id: str = ""
+    ) -> "CsrBatch":
+        """Pack feature vectors without targets, checking their dimension."""
+        return cls.from_examples([(fv, ()) for fv in features], dimension, 0, node_id)
 
     @classmethod
     def from_examples(
@@ -201,7 +199,7 @@ class CsrBatch:
             count=int(offsets[-1]),
         )
         targets = np.array([z for _, z in examples], dtype=np.float64).reshape(n, n_classes)
-        return cls(positions=positions, offsets=offsets, targets=targets)
+        return cls(positions=positions, offsets=offsets, targets=targets, dimension=dimension)
 
     @property
     def size(self) -> int:
@@ -218,7 +216,31 @@ class CsrBatch:
         offsets = np.zeros(len(index) + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
         gather = np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])
-        return CsrBatch(self.positions[gather], offsets, self.targets[index])
+        return CsrBatch(self.positions[gather], offsets, self.targets[index], self.dimension)
+
+
+def _row_sums(matrix: np.ndarray, batch: CsrBatch, node_id: str) -> np.ndarray:
+    """Per row of ``batch``, the sum of the rows of ``matrix`` at its on-positions.
+
+    Each row's sum runs over its positions in order (``np.add.at``).
+    """
+    if batch.dimension != matrix.shape[0]:
+        raise ConfigurationError(
+            f"{node_id}: feature dimension {batch.dimension} != weight rows {matrix.shape[0]}"
+        )
+    sums = np.zeros((batch.size, matrix.shape[1]), dtype=np.float64)
+    np.add.at(sums, batch.rows(), matrix[batch.positions])
+    return sums
+
+
+def forward_logits(clf: NodeClassifier, batch: CsrBatch) -> np.ndarray:
+    """Pre-sigmoid outputs, ``(n, C)``: per row, the weight rows its on-bits select."""
+    return _row_sums(clf.weights, batch, clf.node_id)
+
+
+def forward_scores(clf: NodeClassifier, batch: CsrBatch) -> np.ndarray:
+    """Per-child sigmoid scores of every row of ``batch``, ``(n, C)``."""
+    return sigmoid(forward_logits(clf, batch))
 
 
 def loss_and_gradient(weights: np.ndarray, batch: CsrBatch) -> tuple[float, np.ndarray]:
@@ -360,8 +382,15 @@ def two_layer_logits(clf: TwoLayerClassifier, fv: FeatureVector) -> np.ndarray:
     return sigmoid(pre) @ clf.w_out
 
 
-def two_layer_scores(clf: TwoLayerClassifier, fv: FeatureVector) -> np.ndarray:
-    return sigmoid(two_layer_logits(clf, fv))
+def two_layer_scores(clf: TwoLayerClassifier, batch: CsrBatch) -> np.ndarray:
+    """``two_layer_logits`` of every row of ``batch`` through a sigmoid, ``(n, C)``.
+
+    The output layer is one vector-matrix product per row (a stacked
+    ``matmul``), the product ``two_layer_logits`` computes; a single
+    matrix-matrix product would sum in another order.
+    """
+    hidden = sigmoid(_row_sums(clf.w_hidden, batch, clf.node_id))
+    return sigmoid(np.matmul(hidden[:, np.newaxis, :], clf.w_out)[:, 0, :])
 
 
 def two_layer_gradient(

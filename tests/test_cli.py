@@ -1,12 +1,16 @@
-"""Exit codes of the command-line interface at its input boundaries."""
+"""Exit codes of the command-line interface at its input boundaries, and the
+output contract the benchmark reads."""
 
+import io
+import json
+import re
 import shutil
 
 import numpy as np
 import pytest
 
 import synthdata
-from cwemap import cli
+from cwemap import cli, evaluation, hierarchy, ingest, modelstore
 from cwemap.ingest import save_taxonomy, write_cve_corpus
 from cwemap.modelstore import DICTIONARY, MANIFEST, TAXONOMY
 
@@ -98,3 +102,160 @@ class TestModelIntegrity:
     def test_corrupt_file_exits_4(self, damaged, inputs, name):
         (damaged / name).write_text("0\tonly two", encoding="utf-8")
         assert classify(damaged, inputs) == cli.EXIT_INTEGRITY
+
+
+GOOD_LINE = '{"id": "CVE-2020-0001", "description": "some text", "cwe_labels": ["CWE-100"]}'
+BAD_LINES = {
+    "description-number": '{"id": "CVE-2020-0002", "description": 42, "cwe_labels": []}',
+    "label-number": '{"id": "CVE-2020-0002", "description": "text", "cwe_labels": [7]}',
+    "label-string": '{"id": "CVE-2020-0002", "description": "text", "cwe_labels": "CWE-79"}',
+    "label-object": '{"id": "CVE-2020-0002", "description": "text", "cwe_labels": {"CWE-79": 1}}',
+    "id-number": '{"id": 42, "description": "text", "cwe_labels": []}',
+    "id-list": '{"id": ["CVE-2020-0002"], "description": "text"}',
+    "description-null": '{"id": "CVE-2020-0002", "description": null}',
+}
+
+
+class TestCorpusBoundary:
+    @pytest.mark.parametrize("line", BAD_LINES.values(), ids=BAD_LINES.keys())
+    def test_mistyped_field_exits_2_naming_the_line(self, model_dir, tmp_path, capsys, line):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(GOOD_LINE + "\n" + line + "\n", encoding="utf-8")
+        argv = ["classify", "--model", str(model_dir), "--corpus", str(corpus)]
+        assert cli.main(argv) == cli.EXIT_INPUT
+        assert f"{corpus}:2:" in capsys.readouterr().err
+
+    def test_non_utf8_corpus_exits_2(self, model_dir, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(GOOD_LINE.encode() + b"\n" + GOOD_LINE.encode("utf-16") + b"\n")
+        argv = ["classify", "--model", str(model_dir), "--corpus", str(corpus)]
+        assert cli.main(argv) == cli.EXIT_INPUT
+        assert f"{corpus}:2:" in capsys.readouterr().err
+
+    def test_directory_as_corpus_exits_2(self, model_dir, inputs, tmp_path):
+        assert cli.main(["classify", "--model", str(model_dir),
+                         "--corpus", str(tmp_path)]) == cli.EXIT_INPUT
+        assert cli.main(["train", "--corpus", str(tmp_path), "--taxonomy",
+                         str(inputs / "taxonomy.json"), "--model",
+                         str(tmp_path / "m")]) == cli.EXIT_INPUT
+
+    def test_directory_or_non_utf8_taxonomy_exits_2(self, inputs, tmp_path):
+        bad = tmp_path / "taxonomy.json"
+        bad.write_bytes(b'{"nodes": [{"id": "CWE-1", "name": "\xff"}]}')
+        for taxonomy in (tmp_path, bad):
+            argv = ["train", "--corpus", str(inputs / "corpus.jsonl"),
+                    "--taxonomy", str(taxonomy), "--model", str(tmp_path / "m")]
+            assert cli.main(argv) == cli.EXIT_INPUT
+
+    def test_mistyped_field_exits_2_in_train(self, inputs, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(BAD_LINES["label-number"] + "\n", encoding="utf-8")
+        argv = ["train", "--corpus", str(corpus), "--taxonomy", str(inputs / "taxonomy.json"),
+                "--model", str(tmp_path / "m")]
+        assert cli.main(argv) == cli.EXIT_INPUT
+
+
+class TestTrainFlags:
+    def test_log_dir_created_with_parents(self, inputs, tmp_path):
+        log_dir = tmp_path / "logs" / "nested"
+        assert cli.main(train_argv(inputs, tmp_path / "m", "--log-dir", str(log_dir))) == 0
+        assert sorted(p.name for p in log_dir.iterdir()) == [
+            "CWE-100.csv", "CWE-101.csv", "ROOT.csv"]
+
+    def test_log_dir_that_is_a_file_exits_2(self, inputs, tmp_path):
+        (tmp_path / "logs").write_text("", encoding="utf-8")
+        argv = train_argv(inputs, tmp_path / "m", "--log-dir", str(tmp_path / "logs"))
+        assert cli.main(argv) == cli.EXIT_INPUT
+        assert not (tmp_path / "m").exists()
+
+    def test_config_sets_hidden(self, inputs, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"hidden": 3}', encoding="utf-8")
+        argv = ["--config", str(config)] + train_argv(inputs, tmp_path / "m",
+                                                      "--baseline", "two-layer")
+        assert cli.main(argv) == cli.EXIT_OK
+        assert modelstore.load(tmp_path / "m").hidden_size == 3
+
+    def test_flag_overrides_config_hidden(self, inputs, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"hidden": 3}', encoding="utf-8")
+        argv = ["--config", str(config)] + train_argv(inputs, tmp_path / "m",
+                                                      "--baseline", "two-layer", "--hidden", "5")
+        assert cli.main(argv) == cli.EXIT_OK
+        assert modelstore.load(tmp_path / "m").hidden_size == 5
+
+
+class TestBenchContract:
+    """What the benchmark reads from the program's output, pinned."""
+
+    def test_train_prints_the_saved_model_fingerprint(self, inputs, tmp_path, capsys):
+        assert cli.main(train_argv(inputs, tmp_path / "m")) == cli.EXIT_OK
+        printed = re.search(r"fingerprint ([0-9a-f]{12})", capsys.readouterr().out)
+        assert printed is not None
+        saved = modelstore.fingerprint(modelstore.load(tmp_path / "m"))
+        assert printed.group(1) == saved[:12]
+
+    def test_eval_report_matches_classify_predictions(self, model_dir, inputs, tmp_path):
+        corpus = str(inputs / "corpus.jsonl")
+        predictions, report = tmp_path / "p.jsonl", tmp_path / "report"
+        assert cli.main(["classify", "--model", str(model_dir), "--corpus", corpus,
+                         "--out", str(predictions)]) == cli.EXIT_OK
+        assert cli.main(["eval", "--model", str(model_dir), "--corpus", corpus,
+                         "--out", str(report)]) == cli.EXIT_OK
+        doc = json.loads((report / "report.json").read_text(encoding="utf-8"))
+        loaded = evaluation.load_predictions(predictions)
+        records = ingest.load_cve_corpus(corpus)
+        taxonomy = modelstore.load(model_dir).taxonomy
+        for mode in ("fine", "coarse"):
+            expected = evaluation.evaluate(loaded, records, taxonomy, mode).accuracy
+            assert doc[mode]["accuracy"] == expected
+
+    def test_every_prediction_row_has_id_candidates_paths(self, model_dir, inputs, tmp_path):
+        predictions = tmp_path / "p.jsonl"
+        assert cli.main(["classify", "--model", str(model_dir), "--corpus",
+                         str(inputs / "corpus.jsonl"), "--out", str(predictions)]) == 0
+        rows = [json.loads(line) for line in predictions.read_text(encoding="utf-8").splitlines()]
+        ids = [r.id for r in ingest.load_cve_corpus(inputs / "corpus.jsonl")]
+        assert [row["id"] for row in rows] == ids
+        for row in rows:
+            assert {"id", "candidates", "paths"} <= set(row)
+            assert all({"cwe", "score"} <= set(c) for c in row["candidates"])
+
+
+class TestClassifyAndEval:
+    def test_eval_classifies_once_per_model(self, model_dir, inputs, monkeypatch, capsys):
+        calls = []
+        real = hierarchy.classify
+
+        def counting(model, texts, *args, **kwargs):
+            calls.append(len(texts))
+            return real(model, texts, *args, **kwargs)
+
+        monkeypatch.setattr(hierarchy, "classify", counting)
+        argv = ["eval", "--model", str(model_dir), "--corpus", str(inputs / "corpus.jsonl"),
+                "--compare", str(model_dir)]
+        assert cli.main(argv) == cli.EXIT_OK
+        n = len(ingest.load_cve_corpus(inputs / "corpus.jsonl"))
+        assert calls == [n, n]
+        fine = re.search(r"fine-grain\s+([0-9.]+)\s+([0-9.]+)", capsys.readouterr().out)
+        assert fine.group(1) == fine.group(2)
+
+    def test_compare_with_predictions_file(self, model_dir, inputs, tmp_path, capsys):
+        corpus = str(inputs / "corpus.jsonl")
+        predictions = tmp_path / "p.jsonl"
+        assert cli.main(["classify", "--model", str(model_dir), "--corpus", corpus,
+                         "--out", str(predictions)]) == cli.EXIT_OK
+        assert cli.main(["eval", "--model", str(model_dir), "--corpus", corpus,
+                         "--compare", str(predictions)]) == cli.EXIT_OK
+        coarse = re.search(r"coarse-grain\s+([0-9.]+)\s+([0-9.]+)", capsys.readouterr().out)
+        assert coarse.group(1) == coarse.group(2)
+
+    def test_stdin_text_gives_one_prediction(self, model_dir, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO("some description text"))
+        assert cli.main(["classify", "--model", str(model_dir)]) == cli.EXIT_OK
+        (line,) = capsys.readouterr().out.splitlines()
+        assert json.loads(line)["id"] == "stdin"
+
+    def test_empty_stdin_exits_2(self, model_dir, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("  \n"))
+        assert cli.main(["classify", "--model", str(model_dir)]) == cli.EXIT_INPUT

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 import synthdata
-from cwemap import cli, hierarchy
+from cwemap import cli
 from cwemap.errors import ConfigurationError, ValidationError
 from cwemap.hierarchy import (
     PrepAssets,
     assemble_training_sets,
     classify,
-    classify_flat,
+    encode_text,
     flat_class_list,
     threshold,
     top_k,
@@ -24,6 +24,11 @@ from cwemap.textprep import SynonymTable
 from conftest import make_record
 
 ASSETS = PrepAssets(stopwords=frozenset(), synonyms=SynonymTable.empty())
+
+
+def classify_one(model, text, mode=None):
+    (pred,) = classify(model, [text], mode)
+    return pred
 
 
 def quick_cfg(**overrides):
@@ -178,7 +183,7 @@ class TestClassify:
         leaf = leaves[0]
         parent = next(iter(taxonomy.nodes[leaf].parent_ids))
         text = synthdata.leaf_text(pools, leaf, seed=77)
-        pred = classify(model, text)
+        pred = classify_one(model, text)
         assert pred.paths == ((parent, leaf),)
         assert pred.candidates == frozenset({parent, leaf})
 
@@ -187,22 +192,22 @@ class TestClassify:
         mode = threshold(0.75)
         for seed, leaf in enumerate(leaves):
             text = synthdata.leaf_text(pools, leaf, seed=100 + seed)
-            pred = classify(model, text, mode)
+            pred = classify_one(model, text, mode)
             assert set(pred.paths) == set(_oracle_paths(model, text, mode))
 
     def test_unattainable_threshold_yields_empty(self, model):
-        pred = classify(model, "anything at all", threshold(1.0))
+        pred = classify_one(model, "anything at all", threshold(1.0))
         assert pred.candidates == frozenset()
         assert pred.paths == ()
 
     def test_empty_text_rejected(self, model):
         with pytest.raises(ValidationError):
-            classify(model, "   ")
+            classify_one(model, "   ")
 
     def test_top_k_mode_reaches_leaves(self, small_synth, model):
         taxonomy, leaves, pools, _ = small_synth
         text = synthdata.leaf_text(pools, leaves[2], seed=55)
-        pred = classify(model, text, top_k(1))
+        pred = classify_one(model, text, top_k(1))
         assert pred.mode == "topk:1"
         assert len(pred.paths) == 1
         assert len(pred.paths[0]) == 2  # descends one child per level to a leaf
@@ -211,33 +216,26 @@ class TestClassify:
         taxonomy, leaves, pools, _ = small_synth
         for seed, leaf in enumerate(leaves):
             text = synthdata.leaf_text(pools, leaf, seed=300 + seed)
-            low = classify(model, text, threshold(0.6)).candidates
-            high = classify(model, text, threshold(0.9)).candidates
+            low = classify_one(model, text, threshold(0.6)).candidates
+            high = classify_one(model, text, threshold(0.9)).candidates
             assert high <= low
 
-    def test_frontier_locality_instrumentation(self, small_synth, model, monkeypatch):
+    def test_frontier_locality_instrumentation(self, small_synth, model):
+        # Only the root and the internal nodes a record reached are scored,
+        # so scores cover exactly their children.
         taxonomy, leaves, pools, _ = small_synth
-        calls = []
-        real = hierarchy.forward_scores
-
-        def counting(clf, fv):
-            calls.append(clf.node_id)
-            return real(clf, fv)
-
-        monkeypatch.setattr(hierarchy, "forward_scores", counting)
-        text = synthdata.leaf_text(pools, leaves[0], seed=42)
-        pred = classify(model, text)
-        scored_internal = [
-            n for n in pred.candidates | {taxonomy.root_id} if taxonomy.children[n]
-        ]
-        assert sorted(calls) == sorted(scored_internal)
+        for seed, leaf in enumerate(leaves):
+            text = synthdata.leaf_text(pools, leaf, seed=42 + seed)
+            pred = classify_one(model, text)
+            scored = [n for n in pred.candidates | {taxonomy.root_id} if taxonomy.children[n]]
+            assert set(pred.scores) == {c for n in scored for c in taxonomy.children[n]}
 
     def test_path_consistency_invariant(self, small_synth, model):
         taxonomy, leaves, pools, _ = small_synth
         root_children = set(taxonomy.children[taxonomy.root_id])
         for seed, leaf in enumerate(leaves):
             text = synthdata.leaf_text(pools, leaf, seed=500 + seed)
-            pred = classify(model, text, threshold(0.6))
+            pred = classify_one(model, text, threshold(0.6))
             for path in pred.paths:
                 assert path[0] in root_children
                 for parent, child in zip(path, path[1:]):
@@ -248,7 +246,7 @@ class TestClassify:
 def _oracle_paths(model, text, mode):
     """Exhaustive reimplementation: dense scores + recursive selection."""
     taxonomy = model.taxonomy
-    fv = model.encode_text(text)
+    fv = encode_text(model, text)
     dense = np.zeros(model.dictionary.size)
     dense[list(fv.on_positions)] = 1.0
 
@@ -293,7 +291,7 @@ class TestChainScenario:
             for n in range(1, 7)
         ]
         model = train_hierarchy(corpus, chain_taxonomy, ASSETS, quick_cfg())
-        pred = classify(
+        pred = classify_one(
             model,
             "remote os command injection via shell metacharacters in a parameter",
         )
@@ -308,7 +306,7 @@ class TestDagScenario:
             for n in range(1, 9)
         ]
         model = train_hierarchy(corpus, dag_taxonomy, ASSETS, quick_cfg())
-        pred = classify(model, "upload file with link extension bypasses the check")
+        pred = classify_one(model, "upload file with link extension bypasses the check")
         assert pred.candidates == frozenset({"CWE-435", "CWE-664", "CWE-22"})
         assert set(pred.paths) == {("CWE-435", "CWE-22"), ("CWE-664", "CWE-22")}
         # the shared node appears once in candidates, once per maximal path
@@ -322,7 +320,7 @@ class TestInitializationAsPrior:
         for seed, leaf in enumerate(leaves):
             parent = next(iter(taxonomy.nodes[leaf].parent_ids))
             text = synthdata.leaf_text(pools, leaf, seed=900 + seed)
-            pred = classify(model, text)
+            pred = classify_one(model, text)
             assert (parent, leaf) in pred.paths
 
 
@@ -344,7 +342,7 @@ class TestFlatBaseline:
         taxonomy, leaves, pools, corpus = small_synth
         model = train_flat_baseline(corpus, taxonomy, ASSETS, quick_cfg(max_epochs=60))
         text = synthdata.leaf_text(pools, leaves[1], seed=31)
-        pred = classify_flat(model, text, threshold(0.5))
+        pred = classify_one(model, text, threshold(0.5))
         root_children = set(taxonomy.children[taxonomy.root_id])
         for path in pred.paths:
             assert path[0] in root_children
@@ -360,7 +358,7 @@ class TestTwoLayerBaseline:
         )
         assert set(model.classifiers) == {taxonomy.root_id, "CWE-100", "CWE-101"}
         text = synthdata.leaf_text(pools, leaves[0], seed=12)
-        pred = classify(model, text, top_k(1))
+        pred = classify_one(model, text, top_k(1))
         assert pred.paths  # descends somewhere without error
 
     def test_hidden_size_validated(self, small_synth):

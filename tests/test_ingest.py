@@ -152,6 +152,21 @@ class TestTaxonomy:
         assert chain_taxonomy.ancestors("CWE-78") == frozenset({"CWE-707", "CWE-74", "CWE-77"})
         assert chain_taxonomy.descendants("CWE-74") == frozenset({"CWE-77", "CWE-78"})
 
+    def test_internal_nodes_parents_first(self):
+        # CWE-3 sits under CWE-1 and, deeper, under CWE-4 -> CWE-2.
+        t = build_taxonomy([
+            CweNode(id="CWE-1"), CweNode(id="CWE-2"),
+            CweNode(id="CWE-4", parent_ids=frozenset({"CWE-2"})),
+            CweNode(id="CWE-3", parent_ids=frozenset({"CWE-1", "CWE-4"})),
+            CweNode(id="CWE-5", parent_ids=frozenset({"CWE-3"})),
+        ])
+        order = t.internal_nodes()
+        assert sorted(order) == sorted(n for n, kids in t.children.items() if kids)
+        assert order[0] == t.root_id
+        for node_id in order:
+            for parent in t.parents(node_id) - {t.root_id}:
+                assert order.index(parent) < order.index(node_id)
+
     def test_load_save_round_trip(self, tmp_path, dag_taxonomy):
         path = tmp_path / "taxonomy.json"
         save_taxonomy(dag_taxonomy, path)

@@ -25,6 +25,7 @@ from cwemap.netcore import (
     train_two_layer,
     two_layer_gradient,
     two_layer_logits,
+    two_layer_scores,
 )
 
 
@@ -44,46 +45,56 @@ def dense_logits_oracle(weights, feature):
     return dense @ weights
 
 
+def rows(dimension, *features):
+    """A CsrBatch of one row per tuple of on-positions."""
+    return CsrBatch.from_features([fv(dimension, *f) for f in features], dimension)
+
+
 class TestForward:
     def test_zero_vector_gives_zero_logits(self):
         c = clf(np.ones((4, 3)))
-        np.testing.assert_array_equal(forward_logits(c, fv(4)), np.zeros(3))
+        np.testing.assert_array_equal(forward_logits(c, rows(4, ())), np.zeros((1, 3)))
 
     def test_single_row_selection(self):
         c = clf([[0.2, -0.1], [9.0, 9.0]])
-        np.testing.assert_allclose(forward_logits(c, fv(2, 0)), [0.2, -0.1], atol=1e-15)
+        np.testing.assert_array_equal(forward_logits(c, rows(2, (0,))), [[0.2, -0.1]])
 
     def test_matches_dense_oracle(self, rng):
         weights = rng.normal(size=(5, 3))
         c = clf(weights)
-        feature = fv(5, 0, 3)
+        features = [fv(5, 0, 3), fv(5), fv(5, 1, 2, 4)]
         np.testing.assert_allclose(
-            forward_logits(c, feature), dense_logits_oracle(weights, feature), atol=1e-12
+            forward_logits(c, CsrBatch.from_features(features, 5)),
+            [dense_logits_oracle(weights, f) for f in features],
+            atol=1e-12,
         )
 
     def test_dimension_mismatch_rejected(self):
         c = clf(np.ones((4, 2)))
         with pytest.raises(ConfigurationError):
-            forward_logits(c, fv(5, 1))
+            forward_logits(c, rows(5, (1,)))
 
     def test_linearity_over_disjoint_supports(self, rng):
         weights = rng.normal(size=(8, 3))
         c = clf(weights)
-        a, b = fv(8, 0, 2), fv(8, 5, 7)
-        union = fv(8, 0, 2, 5, 7)
-        np.testing.assert_allclose(
-            forward_logits(c, union),
-            forward_logits(c, a) + forward_logits(c, b),
-            atol=1e-12,
-        )
+        a, b, union = forward_logits(c, rows(8, (0, 2), (5, 7), (0, 2, 5, 7)))
+        np.testing.assert_allclose(union, a + b, atol=1e-12)
 
     def test_scores(self):
         c = clf(np.zeros((3, 2)))
-        np.testing.assert_allclose(forward_scores(c, fv(3, 1)), [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(forward_scores(c, rows(3, (1,))), [[0.5, 0.5]], atol=1e-15)
         c2 = clf([[20.0, -20.0]])
-        scores = forward_scores(c2, fv(1, 0))
+        (scores,) = forward_scores(c2, rows(1, (0,)))
         assert scores[0] >= 1 - 1e-8
         assert scores[1] <= 1e-8
+
+    def test_each_row_scored_on_its_own(self, rng):
+        weights = rng.normal(size=(6, 4))
+        c = clf(weights)
+        features = [(0, 5), (), (1, 2, 3), (0, 5)]
+        together = forward_scores(c, rows(6, *features))
+        for row, feature in zip(together, features):
+            np.testing.assert_array_equal(row, forward_scores(c, rows(6, feature))[0])
 
 
 class TestBce:
@@ -211,14 +222,16 @@ class TestLossAndGradient:
     @settings(max_examples=100, deadline=None)
     @given(weights_and_batches())
     def test_reference_forward_is_the_row_sum(self, case):
+        # Batched logits add each row's weight rows in position order, for
+        # any number of columns, exactly as the reference does.
         weights, batch = case
-        if weights.shape[1] < 2:
-            return  # one column: NumPy sums the rows pairwise, not in order
-        for feature, _ in batch:
-            logits = np.zeros(weights.shape[1])
+        d, c = weights.shape
+        batched = forward_logits(clf(weights), CsrBatch.from_examples(batch, d, c))
+        for (feature, _), row in zip(batch, batched):
+            logits = np.zeros(c)
             for position in feature.on_positions:
                 logits = logits + weights[position]
-            np.testing.assert_array_equal(logits, forward_logits(clf(weights), feature))
+            np.testing.assert_array_equal(logits, row)
 
     @settings(max_examples=60, deadline=None)
     @given(weights_and_batches(), st.data())
@@ -337,10 +350,9 @@ class TestTrainNode:
         trained, losses = train_node(c, examples, cfg)
         assert losses[0] <= math.log(2) + 1e-9
         # training accuracy: every positive class strictly clears every negative
-        for feature, target in examples:
-            scores = forward_scores(trained, feature)
-            predicted = scores >= 0.5
-            assert (predicted == target.astype(bool)).all()
+        batch = CsrBatch.from_examples(examples, *trained.weights.shape)
+        predicted = forward_scores(trained, batch) >= 0.5
+        np.testing.assert_array_equal(predicted, batch.targets.astype(bool))
 
     def test_one_small_step_decreases_loss(self, rng):
         weights = rng.normal(size=(4, 2))
@@ -424,6 +436,13 @@ class TestTwoLayer:
         ]
         trained, losses = train_two_layer(net, examples, TrainConfig(max_epochs=50, seed=1))
         assert losses[-1] < losses[0]
+
+    def test_batch_scores_equal_per_record_logits(self, rng):
+        net = self.make(rng, d=8, h=5, c_out=3)
+        features = [fv(8, 0, 3, 7), fv(8), fv(8, 1, 2, 4, 5, 6), fv(8, 0, 3, 7)]
+        batched = two_layer_scores(net, CsrBatch.from_features(features, 8))
+        for feature, row in zip(features, batched):
+            np.testing.assert_array_equal(row, sigmoid(two_layer_logits(net, feature)))
 
     def test_shape_validation(self, rng):
         with pytest.raises(ConfigurationError):
