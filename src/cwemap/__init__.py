@@ -2,7 +2,8 @@
 
 Pipeline: five-stage text preprocessing, 1/2/3-gram dictionary features,
 TF-IDF-initialized single-layer classifiers (one per CWE taxonomy node),
-top-down multi-label inference, and fine/coarse-grain evaluation.
+top-down multi-label inference, and fine/coarse-grain evaluation.  The
+flat and two-layer ablation baselines are other kinds of the same ``Model``.
 """
 
 from .errors import (
@@ -17,19 +18,15 @@ from .errors import (
 )
 from .features import Dictionary, FeatureVector, build_dictionary, encode, ngram_set, ngrams
 from .hierarchy import (
-    FlatModel,
-    HierarchicalModel,
+    Model,
     Prediction,
     PrepAssets,
     SelectionMode,
-    TwoLayerModel,
     assemble_training_sets,
     classify,
     threshold,
     top_k,
-    train_flat_baseline,
     train_hierarchy,
-    train_two_layer_baseline,
 )
 from .ingest import (
     CveRecord,
@@ -49,14 +46,12 @@ from .netcore import (
     TrainConfig,
     TwoLayerClassifier,
     adam_step,
-    bce_with_logits,
-    forward_logits,
     forward_scores,
     gradient,
     train_node,
 )
-from .scoring import ClassDocument, init_weights, inverse_document_frequency, term_frequency, tfidf
-from .evaluation import EvalReport, evaluate, is_correct, split_corpus
+from .scoring import ClassDocument, init_weights
+from .evaluation import EvalReport, evaluate, split_corpus
 from .modelstore import ModelManifest, fingerprint, load, save
 from .textprep import SynonymTable, apply_synonyms, preprocess, stem, tokenize
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -101,7 +102,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace) -> argparse.Namespace:
+def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
+                       ) -> argparse.Namespace:
+    """Fill the flags left unset from --config; explicit flags win.
+
+    Every value must have its flag's type (an integer passes for a float, a
+    boolean for nothing) and be one of its choices; else ConfigurationError.
+    """
     if not args.config:
         return args
     path = Path(args.config)
@@ -111,30 +118,43 @@ def _apply_config_file(args: argparse.Namespace) -> argparse.Namespace:
         raise ParseError(f"malformed JSON ({exc.msg})", path=path, line=exc.lineno) from exc
     if not isinstance(overrides, dict):
         raise FormatError(f"{path}: config must be a JSON object")
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = {a.dest: a for a in subparsers.choices[args.command]._actions
+               if hasattr(args, a.dest)}
     for key, value in overrides.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            setattr(args, attr, value)
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            continue
+        kind = action.type or str
+        if kind is float and isinstance(value, int) and not isinstance(value, bool):
+            value = float(value)
+        if isinstance(value, bool) or not isinstance(value, kind) or (
+            action.choices is not None and value not in action.choices
+        ):
+            expected = f"one of {list(action.choices)}" if action.choices else f"a {kind.__name__}"
+            raise ConfigurationError(f"{path}: {key} must be {expected}, not {value!r}")
+        if getattr(args, action.dest) is None:
+            setattr(args, action.dest, value)
     return args
 
 
+def _check_output_dir(flag: str, path: str) -> None:
+    """ConfigurationError unless ``path`` is a directory or could be made one."""
+    path = Path(path)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir() or not os.access(existing, os.W_OK | os.X_OK):
+        raise ConfigurationError(f"{flag} {path}: {existing} is not a writable directory")
+
+
+# TrainConfig field of each train flag.
+_CONFIG_FLAGS = {"lr": "learning_rate", "tau": "decision_threshold", "max_epochs": "max_epochs",
+                 "batch_size": "batch_size", "seed": "seed", "th": "min_term_count",
+                 "init": "weight_init"}
+
+
 def _train_config(args: argparse.Namespace) -> TrainConfig:
-    kwargs = {}
-    if args.lr is not None:
-        kwargs["learning_rate"] = args.lr
-    if args.tau is not None:
-        kwargs["decision_threshold"] = args.tau
-    if args.max_epochs is not None:
-        kwargs["max_epochs"] = args.max_epochs
-    if args.batch_size is not None:
-        kwargs["batch_size"] = args.batch_size
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.th is not None:
-        kwargs["min_term_count"] = args.th
-    if getattr(args, "init", None) is not None:
-        kwargs["weight_init"] = args.init
-    return TrainConfig(**kwargs)
+    return TrainConfig(**{name: getattr(args, flag) for flag, name in _CONFIG_FLAGS.items()
+                          if getattr(args, flag) is not None})
 
 
 def _selection(args: argparse.Namespace):
@@ -162,6 +182,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     if not args.corpus or not args.taxonomy or not args.model:
         raise ConfigurationError("train needs --corpus, --taxonomy, and --model")
+    _check_output_dir("--model", args.model)
     if args.log_dir is not None:
         try:
             Path(args.log_dir).mkdir(parents=True, exist_ok=True)
@@ -175,15 +196,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         corpus, _ = evaluation.split_corpus(corpus, args.split, cfg.seed)
         print(f"training on seeded split: {len(corpus)} records")
     try:
-        if args.baseline == "flat":
-            model = hierarchy.train_flat_baseline(corpus, taxonomy, assets, cfg)
-        elif args.baseline == "two-layer":
-            hidden = args.hidden if args.hidden is not None else hierarchy.DEFAULT_HIDDEN_SIZE
-            model = hierarchy.train_two_layer_baseline(
-                corpus, taxonomy, assets, cfg, hidden_size=hidden
-            )
-        else:
-            model = hierarchy.train_hierarchy(corpus, taxonomy, assets, cfg, log_dir=args.log_dir)
+        model = hierarchy.train_hierarchy(
+            corpus, taxonomy, assets, cfg, log_dir=args.log_dir,
+            kind=args.baseline or "hierarchical",
+            hidden_size=args.hidden if args.hidden is not None else hierarchy.DEFAULT_HIDDEN_SIZE,
+        )
     except MemoryError as exc:
         raise TrainingError("out of memory") from exc
     modelstore.save(model, args.model)
@@ -270,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config_file(args)
+        args = _apply_config_file(args, parser)
         return _COMMANDS[args.command](args)
     except (IntegrityError, VersionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

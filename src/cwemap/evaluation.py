@@ -81,19 +81,6 @@ def _label_correct(pred: Prediction, label: str, taxonomy: Taxonomy, mode: str) 
     raise ValidationError(f"unknown evaluation mode {mode!r}")
 
 
-def is_correct(
-    pred: Prediction, labels: frozenset[str] | set[str], taxonomy: Taxonomy, mode: str
-) -> bool:
-    """Whether the prediction satisfies the mode's rule for any label."""
-    resolvable = [l for l in labels if l in taxonomy]
-    for label in labels:
-        if label not in taxonomy:
-            logger.warning("%s: label %s not in taxonomy, skipped", pred.cve_id, label)
-    if not resolvable:
-        raise ValidationError(f"{pred.cve_id}: no labels resolvable in the taxonomy")
-    return any(_label_correct(pred, label, taxonomy, mode) for label in resolvable)
-
-
 def evaluate(
     predictions: list[Prediction],
     test_set: list[CveRecord],

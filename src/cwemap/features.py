@@ -89,6 +89,8 @@ class Dictionary:
             pos, term, count = int(parts[0]), parts[1], int(parts[2])
             index[term] = pos
             counts[term] = count
+        if set(index.values()) != set(range(len(index))):
+            raise ParseError("positions are not 0..n-1, one term each")
         return cls(index=index, counts=counts, min_count=min_count)
 
     def save_tsv(self, path: str | Path) -> None:

@@ -1,23 +1,31 @@
-"""Classifier-per-node training and top-down multi-label inference.
+"""Model kinds, classifier-per-node training and top-down multi-label inference.
 
-Every internal taxonomy node owns an independent single-layer classifier
-over its children.  Training sets are assembled per node: a CVE labeled c
-yields, at every internal node on any root-to-c path, one example whose
-multi-hot target marks the children lying on such a path.  Inference
-descends from the virtual root, keeping children whose sigmoid score
-clears the decision rule, and reports all selected nodes plus the maximal
-root-to-deepest paths.
+A model is one scorer per scoring node over a shared dictionary (Silla &
+Freitas's "local classifier per parent node").  Its ``kind`` picks one of
+three configurations of that design:
 
-Inference works on batches of records.  ``classify`` encodes each text
-once, then takes the records ``CHUNK_RECORDS`` at a time and walks the
-internal nodes in topological order, parents first.  Each node is scored
-once per chunk, in one pass over the rows of the records that reached it
-(a record reaches a node when a parent selected it), so the descent makes
-one pass per node, not one per (record, node) pair.
+* ``hierarchical``: the paper's model, a single-layer scorer at every
+  internal taxonomy node, initialized from TF-IDF class documents;
+* ``two-layer``: the same nodes with a random-init hidden layer (ablation);
+* ``flat``: one random-init single-layer scorer at the root whose classes
+  are every label and its ancestors (the one-shot ablation, node ``FLAT``).
 
-The flat one-shot baseline and the two-layer baseline used for
-architecture comparisons live here as well; the flat baseline is the
-one-node case of the same walk.
+``train_hierarchy`` is the one front half for all three: each text is
+preprocessed once, the dictionary and the per-node training sets are built
+from it, and every scoring node is fitted by ``netcore.train_node``; only
+the initial scorer and the flat targets depend on the kind.
+
+Training sets are assembled per node: a CVE labeled c yields, at every
+internal node on any root-to-c path, one example whose multi-hot target
+marks the children lying on such a path.  Inference descends from the
+virtual root, keeping children whose sigmoid score clears the decision
+rule, and reports all selected nodes plus the maximal root-to-deepest
+paths.  ``classify`` encodes each text once, then takes the records
+``CHUNK_RECORDS`` at a time and walks the scoring plan, parents first.
+Each node is scored once per chunk, in one pass over the rows of the
+records that reached it (a record reaches a node when a parent selected
+it), so the descent makes one pass per node, not one per (record, node)
+pair.  The flat baseline is the one-node case of the same walk.
 """
 
 from __future__ import annotations
@@ -32,16 +40,15 @@ import numpy as np
 from . import netcore
 from .errors import ConfigurationError, ValidationError
 from .features import Dictionary, FeatureVector, build_dictionary, count_terms, encode, ngram_set
-from .ingest import CveRecord, Taxonomy, _cwe_sort_key, load_stopwords, load_synonyms
+from .ingest import CveRecord, Taxonomy, _cwe_sort_key
 from .netcore import (
     CsrBatch,
     NodeClassifier,
+    Scorer,
     TrainConfig,
     TwoLayerClassifier,
     forward_scores,
     train_node,
-    train_two_layer,
-    two_layer_scores,
 )
 from .scoring import ClassDocument, init_weights
 from .textprep import SynonymTable, preprocess
@@ -60,11 +67,6 @@ class PrepAssets:
 
     stopwords: frozenset[str]
     synonyms: SynonymTable
-
-    @classmethod
-    def default(cls) -> "PrepAssets":
-        stopwords = load_stopwords()
-        return cls(stopwords=stopwords, synonyms=load_synonyms(stopwords=stopwords))
 
 
 @dataclass(frozen=True)
@@ -153,65 +155,49 @@ class Prediction:
         )
 
 
-@dataclass
-class HierarchicalModel:
-    """One trained classifier per internal node, sharing one dictionary."""
-
-    taxonomy: Taxonomy
-    dictionary: Dictionary
-    classifiers: dict[str, NodeClassifier]
-    config: TrainConfig
-    assets: PrepAssets
-    epochs_run: dict[str, int] = field(default_factory=dict)
-
-    def scoring_plan(self) -> list[tuple[str, NodeClassifier | None]]:
-        """(internal node, its classifier or None), parents before children."""
-        return [(n, self.classifiers.get(n)) for n in self.taxonomy.internal_nodes()]
-
-    def score_batch(self, clf: NodeClassifier, batch: CsrBatch) -> np.ndarray:
-        return forward_scores(clf, batch)
+#: The scorer class of each model kind.
+SCORERS = {"hierarchical": NodeClassifier, "two-layer": TwoLayerClassifier,
+           "flat": NodeClassifier}
 
 
 @dataclass
-class TwoLayerModel:
-    """Hierarchy of two-layer classifiers (over-fitting baseline)."""
+class Model:
+    """One scorer per scoring node, sharing one dictionary.
+
+    ``classifiers`` maps a taxonomy node to the scorer of its children; the
+    flat baseline's one scorer sits at the root.
+    """
 
     taxonomy: Taxonomy
     dictionary: Dictionary
-    classifiers: dict[str, TwoLayerClassifier]
+    classifiers: dict[str, Scorer]
     config: TrainConfig
     assets: PrepAssets
-    hidden_size: int = DEFAULT_HIDDEN_SIZE
+    kind: str = "hierarchical"
     epochs_run: dict[str, int] = field(default_factory=dict)
 
-    def scoring_plan(self) -> list[tuple[str, TwoLayerClassifier | None]]:
-        """(internal node, its classifier or None), parents before children."""
-        return [(n, self.classifiers.get(n)) for n in self.taxonomy.internal_nodes()]
-
-    def score_batch(self, clf: TwoLayerClassifier, batch: CsrBatch) -> np.ndarray:
-        return two_layer_scores(clf, batch)
+    @property
+    def hidden_size(self) -> int | None:
+        """Hidden width of the two-layer scorers, read off their weights; else None."""
+        return next((clf.hidden_size for clf in self.classifiers.values()), None)
 
 
-@dataclass
-class FlatModel:
-    """Single one-shot classifier over every class (flat baseline)."""
-
-    taxonomy: Taxonomy
-    dictionary: Dictionary
-    classifier: NodeClassifier
-    config: TrainConfig
-    assets: PrepAssets
-    epochs_run: dict[str, int] = field(default_factory=dict)
-
-    def scoring_plan(self) -> list[tuple[str, NodeClassifier]]:
-        """The one classifier, at the root: every class is its child."""
-        return [(self.taxonomy.root_id, self.classifier)]
-
-    def score_batch(self, clf: NodeClassifier, batch: CsrBatch) -> np.ndarray:
-        return forward_scores(clf, batch)
+def scoring_node(taxonomy: Taxonomy, node_id: str) -> str:
+    """The node a scorer named ``node_id`` scores the children of."""
+    return taxonomy.root_id if node_id == FLAT_NODE_ID else node_id
 
 
-def encode_text(model, text: str) -> FeatureVector:
+def scoring_plan(model: Model) -> list[tuple[str, Scorer | None]]:
+    """(node, its scorer or None) in walk order, parents before children.
+
+    Every internal node takes part, except in the flat baseline, whose one
+    scorer at the root already scores every class.
+    """
+    nodes = [model.taxonomy.root_id] if model.kind == "flat" else model.taxonomy.internal_nodes()
+    return [(n, model.classifiers.get(n)) for n in nodes]
+
+
+def encode_text(model: Model, text: str) -> FeatureVector:
     """Preprocess ``text`` with the model's assets and encode it in its dictionary."""
     tokens = preprocess(text, model.assets.stopwords, model.assets.synonyms)
     return encode(ngram_set(tokens), model.dictionary)
@@ -352,17 +338,29 @@ def _node_seed(base_seed: int, node_id: str) -> int:
     return int(np.random.SeedSequence([base_seed, digest]).generate_state(1)[0])
 
 
-def _initial_matrix(
+def _initial_scorer(
+    kind: str,
     node_id: str,
     children: tuple[str, ...],
     dictionary: Dictionary,
-    class_docs: dict[str, dict[str, ClassDocument]],
+    class_docs: dict[str, dict[str, ClassDocument]] | None,
     cfg: TrainConfig,
-) -> np.ndarray:
-    if cfg.weight_init == "random":
-        rng = np.random.default_rng(_node_seed(cfg.seed, node_id))
-        return rng.normal(0.0, 0.01, size=(dictionary.size, len(children)))
-    return init_weights(list(children), dictionary, class_docs[node_id])
+    hidden_size: int,
+) -> Scorer:
+    """A scorer before training: TF-IDF weights when there are class documents,
+    else seeded random ones."""
+    if class_docs is not None:
+        return NodeClassifier(node_id, children,
+                              init_weights(list(children), dictionary, class_docs[node_id]))
+    d = dictionary.size
+    rng = np.random.default_rng(_node_seed(cfg.seed, node_id))
+    if kind == "two-layer":
+        return TwoLayerClassifier(
+            node_id, children,
+            w_hidden=rng.normal(0.0, 1.0 / np.sqrt(max(d, 1)), size=(d, hidden_size)),
+            w_out=rng.normal(0.0, 1.0 / np.sqrt(hidden_size), size=(hidden_size, len(children))),
+        )
+    return NodeClassifier(node_id, children, rng.normal(0.0, 0.01, size=(d, len(children))))
 
 
 def _corpus_documents(
@@ -388,58 +386,91 @@ def _corpus_documents(
     return docs
 
 
+def _flat_training_set(
+    corpus: list[CveRecord],
+    taxonomy: Taxonomy,
+    dictionary: Dictionary,
+    token_cache: dict[str, list[str]],
+) -> tuple[tuple[str, ...], list[netcore.Example]]:
+    """The flat baseline's classes (every label and its ancestors, in taxonomy
+    order) and examples, each marking the labels of a record and their ancestors."""
+    marked = []
+    for record in corpus:
+        labels = _resolvable_labels(record, taxonomy)
+        if labels:
+            marked.append((record, set().union(*(_path_nodes(taxonomy, x) for x in labels))))
+    classes = tuple(sorted(set().union(*(on_path for _, on_path in marked)), key=_cwe_sort_key))
+    if not classes:
+        raise ConfigurationError("no trainable classes in the corpus")
+    class_pos = {c: i for i, c in enumerate(classes)}
+    examples: list[netcore.Example] = []
+    for record, on_path in marked:
+        targets = np.zeros(len(classes), dtype=np.float64)
+        targets[[class_pos[c] for c in on_path]] = 1.0
+        examples.append((encode(ngram_set(token_cache[f"cve:{record.id}"]), dictionary), targets))
+    return classes, examples
+
+
 def train_hierarchy(
     corpus: list[CveRecord],
     taxonomy: Taxonomy,
     assets: PrepAssets,
     cfg: TrainConfig,
     log_dir: str | Path | None = None,
-) -> HierarchicalModel:
-    """Train one classifier per internal node (TF-IDF init by default).
+    kind: str = "hierarchical",
+    hidden_size: int = DEFAULT_HIDDEN_SIZE,
+) -> Model:
+    """Train a model of ``kind``: one scorer per scoring node.
 
     Each text is preprocessed once and shared by the dictionary, the class
-    documents and the training sets.  Nodes are trained one after another,
-    each from its own seed; nodes without a single training example keep
-    their initial weights.  With ``log_dir``, each trained node writes its
-    epoch losses to ``<log_dir>/<node id>.csv``.
+    documents and the training sets.  Scorers are trained one after
+    another, each from its own seed; a node without a single training
+    example keeps its initial weights.  Hierarchical scorers start from
+    TF-IDF weights unless ``cfg.weight_init`` is "random"; two-layer scorers
+    (``hidden_size`` wide) and the flat one always start from random
+    weights.  With ``log_dir``, each trained scorer writes its epoch losses
+    to ``<log_dir>/<node id>.csv``.
     """
+    if kind not in SCORERS:
+        raise ConfigurationError(f"unknown model kind {kind!r}")
     if not corpus:
         raise ConfigurationError("empty training corpus")
+    if kind == "two-layer" and hidden_size < 1:
+        raise ConfigurationError("hidden_size must be >= 1")
     token_cache: dict[str, list[str]] = {}
     docs = _corpus_documents(corpus, taxonomy, assets, token_cache)
     dictionary = build_dictionary(docs, cfg.min_term_count)
-    fingerprint = dictionary.fingerprint()
-    class_docs = build_class_documents(corpus, taxonomy, dictionary, assets, token_cache)
-    training_sets = assemble_training_sets(corpus, taxonomy, dictionary, assets, token_cache)
+    class_docs = None
+    if kind == "flat":
+        classes, examples = _flat_training_set(corpus, taxonomy, dictionary, token_cache)
+        nodes, training_sets = {FLAT_NODE_ID: classes}, {FLAT_NODE_ID: examples}
+    else:
+        nodes = {n: kids for n, kids in taxonomy.children.items() if kids}
+        if kind == "hierarchical" and cfg.weight_init == "tfidf":
+            class_docs = build_class_documents(corpus, taxonomy, dictionary, assets, token_cache)
+        training_sets = assemble_training_sets(corpus, taxonomy, dictionary, assets, token_cache)
 
-    classifiers: dict[str, NodeClassifier] = {}
+    classifiers: dict[str, Scorer] = {}
     epochs_run: dict[str, int] = {}
-    for node_id in sorted(taxonomy.children):
-        children = taxonomy.children[node_id]
-        if not children:
-            continue
-        clf = NodeClassifier(
-            node_id=node_id,
-            child_ids=children,
-            weights=_initial_matrix(node_id, children, dictionary, class_docs, cfg),
-            dictionary_fingerprint=fingerprint,
-        )
+    for node_id in sorted(nodes):
+        clf = _initial_scorer(kind, node_id, nodes[node_id], dictionary, class_docs, cfg,
+                              hidden_size)
+        epochs_run[node_id] = 0
         examples = training_sets.get(node_id)
         if examples:
             node_cfg = replace(cfg, seed=_node_seed(cfg.seed, node_id))
             log_path = Path(log_dir) / f"{node_id}.csv" if log_dir is not None else None
             clf, losses = train_node(clf, examples, node_cfg, log_path)
             epochs_run[node_id] = len(losses)
-        else:
-            epochs_run[node_id] = 0
-        classifiers[node_id] = clf
+        classifiers[scoring_node(taxonomy, node_id)] = clf
 
-    return HierarchicalModel(
+    return Model(
         taxonomy=taxonomy,
         dictionary=dictionary,
         classifiers=classifiers,
         config=cfg,
         assets=assets,
+        kind=kind,
         epochs_run=epochs_run,
     )
 
@@ -464,7 +495,7 @@ def _maximal_paths(taxonomy: Taxonomy, selected: set[str]) -> tuple[tuple[str, .
 
 
 def classify(
-    model: HierarchicalModel | TwoLayerModel | FlatModel,
+    model: Model,
     texts: list[str],
     mode: SelectionMode | None = None,
     ids: list[str] | None = None,
@@ -494,7 +525,7 @@ def classify(
             raise ValidationError(f"{cve_id}: empty description" if cve_id else "empty description")
     if mode is None:
         mode = threshold(model.config.decision_threshold)
-    plan = model.scoring_plan()
+    plan = scoring_plan(model)
     predictions: list[Prediction] = []
     for start in range(0, len(texts), CHUNK_RECORDS):
         stop = start + CHUNK_RECORDS
@@ -521,7 +552,7 @@ def _classify_chunk(model, plan, texts: list[str], ids: list[str], mode: Selecti
             for r in rows.tolist():
                 truncated[r].add(node_id)
             continue
-        node_scores = model.score_batch(clf, batch.take(rows))
+        node_scores = forward_scores(clf, batch.take(rows))
         keep = mode.select(clf.child_ids, node_scores)
         for r, values in zip(rows.tolist(), node_scores.tolist()):
             record_scores = scores[r]
@@ -550,114 +581,3 @@ def _classify_chunk(model, plan, texts: list[str], ids: list[str], mode: Selecti
             )
         )
     return predictions
-
-
-def flat_class_list(corpus: list[CveRecord], taxonomy: Taxonomy) -> tuple[str, ...]:
-    """Union of label classes and their ancestors, in taxonomy order."""
-    classes: set[str] = set()
-    for record in corpus:
-        for label in _resolvable_labels(record, taxonomy):
-            classes.add(label)
-            classes.update(taxonomy.ancestors(label))
-    return tuple(sorted(classes, key=_cwe_sort_key))
-
-
-def train_flat_baseline(
-    corpus: list[CveRecord],
-    taxonomy: Taxonomy,
-    assets: PrepAssets,
-    cfg: TrainConfig,
-) -> FlatModel:
-    """One-shot single-layer baseline over all classes, random init."""
-    if not corpus:
-        raise ConfigurationError("empty training corpus")
-    token_cache: dict[str, list[str]] = {}
-    docs = _corpus_documents(corpus, taxonomy, assets, token_cache)
-    dictionary = build_dictionary(docs, cfg.min_term_count)
-    classes = flat_class_list(corpus, taxonomy)
-    if not classes:
-        raise ConfigurationError("no trainable classes in the corpus")
-    class_pos = {c: i for i, c in enumerate(classes)}
-
-    examples: list[netcore.Example] = []
-    for record in corpus:
-        labels = _resolvable_labels(record, taxonomy)
-        if not labels:
-            continue
-        targets = np.zeros(len(classes), dtype=np.float64)
-        for label in labels:
-            targets[class_pos[label]] = 1.0
-            for anc in taxonomy.ancestors(label):
-                targets[class_pos[anc]] = 1.0
-        fv = encode(ngram_set(token_cache[f"cve:{record.id}"]), dictionary)
-        examples.append((fv, targets))
-
-    rng = np.random.default_rng(_node_seed(cfg.seed, FLAT_NODE_ID))
-    clf = NodeClassifier(
-        node_id=FLAT_NODE_ID,
-        child_ids=classes,
-        weights=rng.normal(0.0, 0.01, size=(dictionary.size, len(classes))),
-        dictionary_fingerprint=dictionary.fingerprint(),
-    )
-    trained, losses = train_node(clf, examples, replace(cfg, seed=_node_seed(cfg.seed, FLAT_NODE_ID)))
-    return FlatModel(
-        taxonomy=taxonomy,
-        dictionary=dictionary,
-        classifier=trained,
-        config=cfg,
-        assets=assets,
-        epochs_run={FLAT_NODE_ID: len(losses)},
-    )
-
-
-def train_two_layer_baseline(
-    corpus: list[CveRecord],
-    taxonomy: Taxonomy,
-    assets: PrepAssets,
-    cfg: TrainConfig,
-    hidden_size: int = DEFAULT_HIDDEN_SIZE,
-) -> TwoLayerModel:
-    """Hierarchical baseline with one random-init hidden layer per node."""
-    if not corpus:
-        raise ConfigurationError("empty training corpus")
-    if hidden_size < 1:
-        raise ConfigurationError("hidden_size must be >= 1")
-    token_cache: dict[str, list[str]] = {}
-    docs = _corpus_documents(corpus, taxonomy, assets, token_cache)
-    dictionary = build_dictionary(docs, cfg.min_term_count)
-    fingerprint = dictionary.fingerprint()
-    training_sets = assemble_training_sets(corpus, taxonomy, dictionary, assets, token_cache)
-
-    classifiers: dict[str, TwoLayerClassifier] = {}
-    epochs_run: dict[str, int] = {}
-    for node_id in sorted(taxonomy.children):
-        children = taxonomy.children[node_id]
-        if not children:
-            continue
-        rng = np.random.default_rng(_node_seed(cfg.seed, node_id))
-        clf = TwoLayerClassifier(
-            node_id=node_id,
-            child_ids=children,
-            w_hidden=rng.normal(0.0, 1.0 / np.sqrt(max(dictionary.size, 1)),
-                                size=(dictionary.size, hidden_size)),
-            w_out=rng.normal(0.0, 1.0 / np.sqrt(hidden_size), size=(hidden_size, len(children))),
-            dictionary_fingerprint=fingerprint,
-        )
-        examples = training_sets.get(node_id)
-        if examples:
-            node_cfg = replace(cfg, seed=_node_seed(cfg.seed, node_id))
-            clf, losses = train_two_layer(clf, examples, node_cfg)
-            epochs_run[node_id] = len(losses)
-        else:
-            epochs_run[node_id] = 0
-        classifiers[node_id] = clf
-
-    return TwoLayerModel(
-        taxonomy=taxonomy,
-        dictionary=dictionary,
-        classifiers=classifiers,
-        config=cfg,
-        assets=assets,
-        hidden_size=hidden_size,
-        epochs_run=epochs_run,
-    )

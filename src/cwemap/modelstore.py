@@ -1,11 +1,17 @@
-"""Deterministic model persistence.
+"""Deterministic model persistence: one save, load and fingerprint for every kind.
 
 Directory layout: ``manifest.json``, ``dictionary.tsv``, ``taxonomy.json``
-and one raw weight file per classifier under ``weights/`` (row-major
-float64, little-endian).  The manifest records content fingerprints of the
-dictionary and taxonomy plus the full config snapshot (including the
-preprocessing assets), so a model can never be applied against drifted
-inputs.  Saving the same model twice produces byte-identical files.
+and, under ``weights/``, one raw file (row-major float64, little-endian)
+per entry of each scorer's ``params()``: ``<node>.f64le`` for single-layer
+weights, ``<node>.hidden.f64le`` and ``<node>.out.f64le`` for the two
+layers of the two-layer baseline; the flat baseline's one scorer is node
+``FLAT``.  The manifest records the model kind, content fingerprints of
+the dictionary and taxonomy, the full config snapshot (including the
+preprocessing assets and, for a model with a hidden layer, its width) and
+the child ids and weight shapes of every scorer, so a model can never be
+applied against drifted inputs.  Saving the same model twice produces
+byte-identical files.  Anything malformed in a model directory raises
+IntegrityError (or VersionError for an unknown format or kind).
 """
 
 from __future__ import annotations
@@ -17,17 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CwemapError, IntegrityError, VersionError
+from .errors import ConfigurationError, CwemapError, IntegrityError, VersionError
 from .features import Dictionary
-from .hierarchy import (
-    FLAT_NODE_ID,
-    FlatModel,
-    HierarchicalModel,
-    PrepAssets,
-    TwoLayerModel,
-)
+from .hierarchy import SCORERS, Model, PrepAssets, scoring_node
 from .ingest import Taxonomy, load_taxonomy, save_taxonomy
-from .netcore import NodeClassifier, TrainConfig, TwoLayerClassifier
+from .netcore import Scorer, TrainConfig
 from .textprep import SynonymTable
 
 FORMAT_VERSION = 1
@@ -36,6 +36,8 @@ MANIFEST = "manifest.json"
 DICTIONARY = "dictionary.tsv"
 TAXONOMY = "taxonomy.json"
 WEIGHTS_DIR = "weights"
+#: Weight file name of each scorer parameter: ``<node><infix>.f64le``.
+_FILE_INFIX = {"weights": "", "w_hidden": ".hidden", "w_out": ".out"}
 
 # Every manifest field and its JSON type.
 _MANIFEST_FIELDS = {
@@ -48,6 +50,10 @@ _MANIFEST_FIELDS = {
 }
 
 
+def _str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 @dataclass(frozen=True)
 class ModelManifest:
     format_version: int
@@ -58,14 +64,7 @@ class ModelManifest:
     nodes: list[dict]  # {"node_id", "child_ids", "files": {name: [rows, cols]}}
 
     def to_json(self) -> str:
-        doc = {
-            "format_version": self.format_version,
-            "model_kind": self.model_kind,
-            "dictionary_fingerprint": self.dictionary_fingerprint,
-            "taxonomy_fingerprint": self.taxonomy_fingerprint,
-            "config": self.config,
-            "nodes": self.nodes,
-        }
+        doc = {key: getattr(self, key) for key in _MANIFEST_FIELDS}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     @classmethod
@@ -81,27 +80,23 @@ class ModelManifest:
         if missing:
             raise IntegrityError(f"manifest lacks {', '.join(missing)}")
         for key, kind in _MANIFEST_FIELDS.items():
-            if not isinstance(doc[key], kind):
+            if isinstance(doc[key], bool) or not isinstance(doc[key], kind):
                 raise IntegrityError(f"manifest field {key} is not a {kind.__name__}")
         for entry in doc["nodes"]:
             if not (
                 isinstance(entry, dict)
                 and isinstance(entry.get("node_id"), str)
-                and isinstance(entry.get("child_ids"), list)
+                and _str_list(entry.get("child_ids"))
                 and isinstance(entry.get("files"), dict)
             ):
                 raise IntegrityError("manifest node entry lacks node_id, child_ids or files")
         return cls(**{key: doc[key] for key in _MANIFEST_FIELDS})
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def taxonomy_fingerprint(taxonomy: Taxonomy) -> str:
     canonical = json.dumps({"nodes": taxonomy.to_node_list()}, sort_keys=True,
                            separators=(",", ":"))
-    return _sha256(canonical.encode("utf-8"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _assets_dict(assets: PrepAssets) -> dict:
@@ -114,79 +109,66 @@ def _assets_dict(assets: PrepAssets) -> dict:
     }
 
 
-def _assets_from_dict(data: dict) -> PrepAssets:
-    groups = tuple(
-        (g["code"], tuple(tuple(m.split(" ")) for m in g["members"]))
-        for g in data.get("synonym_groups", ())
-    )
+def _assets_from_dict(data) -> PrepAssets:
+    groups = data.get("synonym_groups", []) if isinstance(data, dict) else None
+    stopwords = data.get("stopwords", []) if isinstance(data, dict) else None
+    if not (_str_list(stopwords) and isinstance(groups, list) and all(
+        isinstance(g, dict) and isinstance(g.get("code"), str) and _str_list(g.get("members"))
+        for g in groups
+    )):
+        raise ConfigurationError("malformed preprocessing assets")
     return PrepAssets(
-        stopwords=frozenset(data.get("stopwords", ())),
-        synonyms=SynonymTable(groups=groups),
+        stopwords=frozenset(stopwords),
+        synonyms=SynonymTable(groups=tuple(
+            (g["code"], tuple(tuple(m.split(" ")) for m in g["members"])) for g in groups
+        )),
     )
 
 
-def _classifier_entries(model) -> list[tuple[str, dict[str, np.ndarray], tuple[str, ...]]]:
-    """(node_id, {file name: matrix}, child_ids) per classifier, sorted."""
-    entries = []
-    if isinstance(model, HierarchicalModel):
-        for node_id in sorted(model.classifiers):
-            clf = model.classifiers[node_id]
-            entries.append((node_id, {f"{node_id}.f64le": clf.weights}, clf.child_ids))
-    elif isinstance(model, TwoLayerModel):
-        for node_id in sorted(model.classifiers):
-            clf = model.classifiers[node_id]
-            entries.append(
-                (
-                    node_id,
-                    {
-                        f"{node_id}.hidden.f64le": clf.w_hidden,
-                        f"{node_id}.out.f64le": clf.w_out,
-                    },
-                    clf.child_ids,
-                )
-            )
-    elif isinstance(model, FlatModel):
-        clf = model.classifier
-        entries.append((FLAT_NODE_ID, {f"{FLAT_NODE_ID}.f64le": clf.weights}, clf.child_ids))
-    else:
-        raise IntegrityError(f"cannot persist model of type {type(model).__name__}")
-    return entries
+def _config_dict(model: Model) -> dict:
+    config = model.config.to_dict()
+    config["assets"] = _assets_dict(model.assets)
+    return config
 
 
-def _model_kind(model) -> str:
-    return {
-        HierarchicalModel: "hierarchical",
-        TwoLayerModel: "two-layer",
-        FlatModel: "flat",
-    }[type(model)]
+def _weight_files(model: Model) -> list[tuple[Scorer, dict[str, np.ndarray]]]:
+    """(scorer, {weight file name: matrix}) per scorer, sorted by node id."""
+    return [
+        (clf, {_weight_file(clf.node_id, name): value for name, value in clf.params().items()})
+        for clf in sorted(model.classifiers.values(), key=lambda clf: clf.node_id)
+    ]
 
 
-def save(model, directory: str | Path) -> ModelManifest:
+def _weight_file(node_id: str, param: str) -> str:
+    return f"{node_id}{_FILE_INFIX[param]}.f64le"
+
+
+def _le_bytes(matrix: np.ndarray) -> bytes:
+    return np.ascontiguousarray(matrix, dtype="<f8").tobytes()
+
+
+def save(model: Model, directory: str | Path) -> ModelManifest:
     """Persist a model; returns the manifest that was written."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / WEIGHTS_DIR).mkdir(exist_ok=True)
+    (directory / WEIGHTS_DIR).mkdir(parents=True, exist_ok=True)
 
     model.dictionary.save_tsv(directory / DICTIONARY)
     save_taxonomy(model.taxonomy, directory / TAXONOMY)
 
-    config = dict(model.config.to_dict())
-    config["assets"] = _assets_dict(model.assets)
-    if isinstance(model, TwoLayerModel):
+    config = _config_dict(model)
+    if model.hidden_size is not None:
         config["hidden_size"] = model.hidden_size
 
     nodes = []
-    for node_id, files, child_ids in _classifier_entries(model):
-        file_dims = {}
+    for clf, files in _weight_files(model):
         for name, matrix in files.items():
-            data = np.ascontiguousarray(matrix, dtype="<f8").tobytes()
-            (directory / WEIGHTS_DIR / name).write_bytes(data)
-            file_dims[name] = list(matrix.shape)
-        nodes.append({"node_id": node_id, "child_ids": list(child_ids), "files": file_dims})
+            (directory / WEIGHTS_DIR / name).write_bytes(_le_bytes(matrix))
+        nodes.append({"node_id": clf.node_id, "child_ids": list(clf.child_ids),
+                      "files": {name: list(matrix.shape) for name, matrix in files.items()}})
 
     manifest = ModelManifest(
         format_version=FORMAT_VERSION,
-        model_kind=_model_kind(model),
+        model_kind=model.kind,
         dictionary_fingerprint=model.dictionary.fingerprint(),
         taxonomy_fingerprint=taxonomy_fingerprint(model.taxonomy),
         config=config,
@@ -199,11 +181,12 @@ def save(model, directory: str | Path) -> ModelManifest:
 def _read_weights(directory: Path, entry: dict, name: str) -> np.ndarray:
     """The matrix in weight file ``name``, shaped as the manifest entry lists it."""
     dims = entry["files"].get(name)
-    if not (isinstance(dims, list) and len(dims) == 2 and all(isinstance(d, int) for d in dims)):
+    if not (isinstance(dims, list) and len(dims) == 2
+            and all(isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in dims)):
         raise IntegrityError(f"manifest entry {entry['node_id']} lists no shape for {name}")
     rows, cols = dims
     path = directory / WEIGHTS_DIR / name
-    if not path.exists():
+    if not path.is_file():
         raise IntegrityError(f"missing weight file: {path}")
     data = path.read_bytes()
     expected = rows * cols * 8
@@ -214,18 +197,24 @@ def _read_weights(directory: Path, entry: dict, name: str) -> np.ndarray:
     return np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
 
 
-def load(directory: str | Path):
+def load(directory: str | Path) -> Model:
     """Restore a model, verifying fingerprints and weight-file integrity."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST
-    if not manifest_path.exists():
+    if not manifest_path.is_file():
         raise IntegrityError(f"missing manifest: {manifest_path}")
-    manifest = ModelManifest.from_json(manifest_path.read_text(encoding="utf-8"))
+    try:
+        manifest = ModelManifest.from_json(manifest_path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise IntegrityError(f"{manifest_path}: not UTF-8 text") from exc
     if manifest.format_version != FORMAT_VERSION:
         raise VersionError(
             f"unsupported model format version {manifest.format_version} "
             f"(supported: {FORMAT_VERSION})"
         )
+    scorer = SCORERS.get(manifest.model_kind)
+    if scorer is None:
+        raise VersionError(f"unknown model kind {manifest.model_kind!r}")
 
     for name in (DICTIONARY, TAXONOMY):
         if not (directory / name).is_file():
@@ -240,83 +229,34 @@ def load(directory: str | Path):
     if taxonomy_fingerprint(taxonomy) != manifest.taxonomy_fingerprint:
         raise IntegrityError("taxonomy fingerprint mismatch")
 
-    config = dict(manifest.config)
-    assets = _assets_from_dict(config.pop("assets", {}))
-    hidden_size = config.pop("hidden_size", None)
-    train_config = TrainConfig.from_dict(config)
-
-    if manifest.model_kind == "hierarchical":
+    try:
+        config = dict(manifest.config)
+        assets = _assets_from_dict(config.pop("assets", {}))
+        config.pop("hidden_size", None)  # read off the weights instead
         classifiers = {}
         for entry in manifest.nodes:
             node_id = entry["node_id"]
-            weights = _read_weights(directory, entry, f"{node_id}.f64le")
-            classifiers[node_id] = NodeClassifier(
-                node_id=node_id,
-                child_ids=tuple(entry["child_ids"]),
-                weights=weights,
-                dictionary_fingerprint=manifest.dictionary_fingerprint,
-            )
-        return HierarchicalModel(
-            taxonomy=taxonomy,
-            dictionary=dictionary,
-            classifiers=classifiers,
-            config=train_config,
-            assets=assets,
-        )
-    if manifest.model_kind == "two-layer":
-        classifiers = {}
-        for entry in manifest.nodes:
-            node_id = entry["node_id"]
-            w_hidden = _read_weights(directory, entry, f"{node_id}.hidden.f64le")
-            w_out = _read_weights(directory, entry, f"{node_id}.out.f64le")
-            classifiers[node_id] = TwoLayerClassifier(
-                node_id=node_id,
-                child_ids=tuple(entry["child_ids"]),
-                w_hidden=w_hidden,
-                w_out=w_out,
-                dictionary_fingerprint=manifest.dictionary_fingerprint,
-            )
-        return TwoLayerModel(
-            taxonomy=taxonomy,
-            dictionary=dictionary,
-            classifiers=classifiers,
-            config=train_config,
-            assets=assets,
-            hidden_size=hidden_size or (next(iter(classifiers.values())).w_hidden.shape[1]),
-        )
-    if manifest.model_kind == "flat":
-        if len(manifest.nodes) != 1:
-            raise IntegrityError("a flat model's manifest must list exactly one node")
-        entry = manifest.nodes[0]
-        weights = _read_weights(directory, entry, f"{FLAT_NODE_ID}.f64le")
-        classifier = NodeClassifier(
-            node_id=entry["node_id"],
-            child_ids=tuple(entry["child_ids"]),
-            weights=weights,
-            dictionary_fingerprint=manifest.dictionary_fingerprint,
-        )
-        return FlatModel(
-            taxonomy=taxonomy,
-            dictionary=dictionary,
-            classifier=classifier,
-            config=train_config,
-            assets=assets,
-        )
-    raise VersionError(f"unknown model kind {manifest.model_kind!r}")
+            params = {name: _read_weights(directory, entry, _weight_file(node_id, name))
+                      for name in scorer.PARAMS}
+            clf = scorer(node_id, tuple(entry["child_ids"]), **params)
+            classifiers[scoring_node(taxonomy, node_id)] = clf
+        return Model(taxonomy=taxonomy, dictionary=dictionary, classifiers=classifiers,
+                     config=TrainConfig.from_dict(config), assets=assets,
+                     kind=manifest.model_kind)
+    except ConfigurationError as exc:
+        raise IntegrityError(f"{manifest_path}: {exc}") from exc
 
 
-def fingerprint(model) -> str:
+def fingerprint(model: Model) -> str:
     """Content hash covering dictionary, taxonomy, config, and all weights."""
     h = hashlib.sha256()
     h.update(model.dictionary.fingerprint().encode())
     h.update(taxonomy_fingerprint(model.taxonomy).encode())
-    config = dict(model.config.to_dict())
-    config["assets"] = _assets_dict(model.assets)
-    h.update(json.dumps(config, sort_keys=True, separators=(",", ":")).encode())
-    for node_id, files, child_ids in _classifier_entries(model):
-        h.update(node_id.encode())
-        h.update(",".join(child_ids).encode())
+    h.update(json.dumps(_config_dict(model), sort_keys=True, separators=(",", ":")).encode())
+    for clf, files in _weight_files(model):
+        h.update(clf.node_id.encode())
+        h.update(",".join(clf.child_ids).encode())
         for name in sorted(files):
             h.update(name.encode())
-            h.update(np.ascontiguousarray(files[name], dtype="<f8").tobytes())
+            h.update(_le_bytes(files[name]))
     return h.hexdigest()

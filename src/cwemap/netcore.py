@@ -1,27 +1,32 @@
-"""Per-node classifiers: forward pass, loss, gradients, Adam, training.
+"""Node scorers, their loss and gradients, Adam, and the one training loop.
 
-A node classifier is a bias-free single-layer network: one output neuron
-per child class, each fully connected to the binary feature vector.  The
-logit for class i is the sparse dot product of the feature vector with
-weight column i; a sigmoid turns it into an independent per-class score
-(multi-label, classes are not mutually exclusive).  Training minimizes
-mean binary cross-entropy computed in the numerically stable logit form.
+A model is one scorer per scoring node.  A scorer maps the binary feature
+vector of a record to one logit per child class; a sigmoid turns each into
+an independent per-class score (multi-label, classes are not mutually
+exclusive).  Two scorers share one protocol:
 
-Training packs a node's examples once into a CSR batch (the on-positions
-of all rows back to back, row offsets, and a targets matrix), and each
-minibatch is a vectorized row gather from it.  ``loss_and_gradient``
-computes the minibatch logits in one pass and derives both the loss and
-the gradient from them.  Inference scores a batch of records the same way
-(``forward_scores``).  Both accumulate with ``np.add.at`` in row order: the
-order in which ``weights[rows].sum(axis=0)`` adds the rows of one record
-for two or more children, so the weights match per-example training bit
-for bit.  A BLAS product would reorder the sums and move the weights by
-ulps.  (For a single child NumPy sums a one-column slice pairwise, so a
-record-at-a-time sum there can differ from the batch in the last bit.)
+* ``NodeClassifier``: bias-free single layer, the logit for class i is the
+  sparse dot product of the feature vector with weight column i;
+* ``TwoLayerClassifier``: one bias-free sigmoid hidden layer before the
+  output layer (the over-fitting baseline).
 
-A two-layer variant (one sigmoid hidden layer) backs the over-fitting
-baseline; it shares the loss, the Adam update, and the training loop
-structure.
+Each has ``child_ids``, ``params()`` (its named weight matrices), batched
+``logits`` and a fused ``loss_and_grads`` on a ``CsrBatch``, the
+mean binary cross-entropy (in the stable logit form) and its gradient per
+parameter from one forward pass.  ``train_node`` is the only training
+loop: mini-batch Adam on every entry of ``params()``, with a loss-plateau
+stop and a non-finite check after every epoch.
+
+Training packs a node's examples once into a CSR batch (the on-positions of
+all rows back to back, row offsets, and a targets matrix), and each
+minibatch is a vectorized row gather from it.  Sums over a row's
+on-positions use ``np.add.at`` in row order: the order in which
+``weights[rows].sum(axis=0)`` adds the rows of one record for two or more
+columns, so the weights match per-example training bit for bit.  A BLAS
+product would reorder the sums and move the weights by ulps.  (NumPy sums
+a one-column slice pairwise, so a record-at-a-time sum there can differ
+from the batch in the last bit.)  The two-layer output layer is one
+vector-matrix product per row (a stacked ``matmul``) for the same reason.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -71,42 +76,24 @@ class TrainConfig:
             raise ConfigurationError(f"unknown weight_init {self.weight_init!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "max_epochs": self.max_epochs,
-            "batch_size": self.batch_size,
-            "adam_beta1": self.adam_beta1,
-            "adam_beta2": self.adam_beta2,
-            "adam_epsilon": self.adam_epsilon,
-            "decision_threshold": self.decision_threshold,
-            "early_stop_patience": self.early_stop_patience,
-            "seed": self.seed,
-            "weight_init": self.weight_init,
-            "min_term_count": self.min_term_count,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in data.items() if k in known})
+        """The settings in ``data``, unknown keys ignored.
 
-
-@dataclass
-class NodeClassifier:
-    """Single-layer, bias-free classifier over one node's children."""
-
-    node_id: str
-    child_ids: tuple[str, ...]
-    weights: np.ndarray  # shape (D, C), float64
-    dictionary_fingerprint: str = ""
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.ndim != 2 or self.weights.shape[1] != len(self.child_ids):
-            raise ConfigurationError(
-                f"{self.node_id}: weights shape {self.weights.shape} does not match "
-                f"{len(self.child_ids)} children"
-            )
+        ConfigurationError when a value's JSON type differs from its
+        default's (an integer passes for a float; a boolean for nothing).
+        """
+        kwargs = {}
+        for f in fields(cls):
+            if f.name in data:
+                value, kind = data[f.name], type(f.default)
+                allowed = (int, float) if kind is float else kind
+                if isinstance(value, bool) or not isinstance(value, allowed):
+                    raise ConfigurationError(f"config {f.name} is not a {kind.__name__}")
+                kwargs[f.name] = value
+        return cls(**kwargs)
 
 
 @dataclass
@@ -128,23 +115,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def _check_dimension(clf: "TwoLayerClassifier", fv: FeatureVector) -> None:
-    d = clf.w_hidden.shape[0]
-    if fv.dimension != d:
-        raise ConfigurationError(
-            f"{clf.node_id}: feature dimension {fv.dimension} != weight rows {d}"
-        )
-
-
-def bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> float:
-    """Mean binary cross-entropy over classes, stable for large |logit|."""
-    x = np.asarray(logits, dtype=np.float64)
-    z = np.asarray(targets, dtype=np.float64)
-    if x.shape != z.shape:
-        raise ConfigurationError(f"logits shape {x.shape} != targets shape {z.shape}")
-    return float(_bce_terms(x, z).mean())
 
 
 def _bce_terms(x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -233,29 +203,120 @@ def _row_sums(matrix: np.ndarray, batch: CsrBatch, node_id: str) -> np.ndarray:
     return sums
 
 
-def forward_logits(clf: NodeClassifier, batch: CsrBatch) -> np.ndarray:
-    """Pre-sigmoid outputs, ``(n, C)``: per row, the weight rows its on-bits select."""
-    return _row_sums(clf.weights, batch, clf.node_id)
-
-
-def forward_scores(clf: NodeClassifier, batch: CsrBatch) -> np.ndarray:
-    """Per-child sigmoid scores of every row of ``batch``, ``(n, C)``."""
-    return sigmoid(forward_logits(clf, batch))
+def _loss_and_residual(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Batch-mean BCE of ``logits`` and its gradient with respect to them."""
+    n, c = targets.shape
+    if n == 0:
+        raise ConfigurationError("loss and gradient of an empty batch")
+    loss = float(_bce_terms(logits, targets).mean(axis=1).mean())
+    return loss, (sigmoid(logits) - targets) * (1.0 / (c * n))
 
 
 def loss_and_gradient(weights: np.ndarray, batch: CsrBatch) -> tuple[float, np.ndarray]:
-    """Batch-mean BCE loss and its exact gradient from one forward pass."""
-    if batch.size == 0:
-        raise ConfigurationError("loss and gradient of an empty batch")
-    n, c = batch.targets.shape
+    """Batch-mean BCE loss of a single layer and its exact gradient, one forward pass."""
     rows = batch.rows()
-    logits = np.zeros((n, c), dtype=np.float64)
+    logits = np.zeros((batch.size, weights.shape[1]), dtype=np.float64)
     np.add.at(logits, rows, weights[batch.positions])
-    loss = float(_bce_terms(logits, batch.targets).mean(axis=1).mean())
-    residual = (sigmoid(logits) - batch.targets) * (1.0 / (c * n))
+    loss, residual = _loss_and_residual(logits, batch.targets)
     grad = np.zeros_like(weights)
     np.add.at(grad, batch.positions, residual[rows])
     return loss, grad
+
+
+@dataclass
+class NodeClassifier:
+    """Single-layer, bias-free scorer over one node's children."""
+
+    node_id: str
+    child_ids: tuple[str, ...]
+    weights: np.ndarray  # shape (D, C), float64
+
+    PARAMS = ("weights",)
+    hidden_size = None
+
+    def __post_init__(self):
+        self.weights = np.asarray(self.weights, dtype=np.float64)
+        if self.weights.ndim != 2 or self.weights.shape[1] != len(self.child_ids):
+            raise ConfigurationError(
+                f"{self.node_id}: weights shape {self.weights.shape} does not match "
+                f"{len(self.child_ids)} children"
+            )
+
+    @property
+    def dimension(self) -> int:
+        return self.weights.shape[0]
+
+    def params(self) -> dict[str, np.ndarray]:
+        return {"weights": self.weights}
+
+    def logits(self, batch: CsrBatch) -> np.ndarray:
+        """Pre-sigmoid outputs, ``(n, C)``: per row, the weight rows its on-bits select."""
+        return _row_sums(self.weights, batch, self.node_id)
+
+    def loss_and_grads(self, batch: CsrBatch) -> tuple[float, dict[str, np.ndarray]]:
+        loss, grad = loss_and_gradient(self.weights, batch)
+        return loss, {"weights": grad}
+
+
+@dataclass
+class TwoLayerClassifier:
+    """Scorer with one sigmoid hidden layer, no biases (over-fitting baseline)."""
+
+    node_id: str
+    child_ids: tuple[str, ...]
+    w_hidden: np.ndarray  # shape (D, H)
+    w_out: np.ndarray  # shape (H, C)
+
+    PARAMS = ("w_hidden", "w_out")
+
+    def __post_init__(self):
+        self.w_hidden = np.asarray(self.w_hidden, dtype=np.float64)
+        self.w_out = np.asarray(self.w_out, dtype=np.float64)
+        if self.w_hidden.ndim != 2 or self.w_out.ndim != 2 or (
+            self.w_hidden.shape[1] != self.w_out.shape[0]
+        ):
+            raise ConfigurationError(f"{self.node_id}: hidden width mismatch")
+        if self.w_out.shape[1] != len(self.child_ids):
+            raise ConfigurationError(f"{self.node_id}: output width != number of children")
+
+    @property
+    def dimension(self) -> int:
+        return self.w_hidden.shape[0]
+
+    @property
+    def hidden_size(self) -> int:
+        return self.w_hidden.shape[1]
+
+    def params(self) -> dict[str, np.ndarray]:
+        return {"w_hidden": self.w_hidden, "w_out": self.w_out}
+
+    def _forward(self, batch: CsrBatch) -> tuple[np.ndarray, np.ndarray]:
+        hidden = sigmoid(_row_sums(self.w_hidden, batch, self.node_id))
+        return hidden, np.matmul(hidden[:, np.newaxis, :], self.w_out)[:, 0, :]
+
+    def logits(self, batch: CsrBatch) -> np.ndarray:
+        """Pre-sigmoid outputs, ``(n, C)``: the hidden layer's activations times ``w_out``."""
+        return self._forward(batch)[1]
+
+    def loss_and_grads(self, batch: CsrBatch) -> tuple[float, dict[str, np.ndarray]]:
+        """Backpropagated gradients of both layers; every product runs per row,
+        in the order a record-at-a-time pass would take."""
+        hidden, logits = self._forward(batch)
+        loss, residual = _loss_and_residual(logits, batch.targets)
+        g_out = (hidden[:, :, np.newaxis] * residual[:, np.newaxis, :]).sum(axis=0)
+        d_out = np.matmul(self.w_out, residual[:, :, np.newaxis])[:, :, 0]
+        d_pre = d_out * hidden * (1.0 - hidden)
+        g_hidden = np.zeros_like(self.w_hidden)
+        np.add.at(g_hidden, batch.positions, d_pre[batch.rows()])
+        return loss, {"w_hidden": g_hidden, "w_out": g_out}
+
+
+Scorer = NodeClassifier | TwoLayerClassifier
+
+
+def forward_scores(clf: Scorer, batch: CsrBatch) -> np.ndarray:
+    """Per-child sigmoid scores of every row of ``batch``, ``(n, C)``."""
+    return sigmoid(clf.logits(batch))
 
 
 def _pack(clf: NodeClassifier, batch: list[Example]) -> CsrBatch:
@@ -292,55 +353,51 @@ def _write_loss_log(log_path, losses: list[float]) -> None:
             writer.writerow([epoch, f"{loss:.10g}"])
 
 
-def _epoch_order(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.permutation(n)
-
-
-def _check_finite(node_id: str, epoch: int, loss: float, weights: np.ndarray) -> None:
-    if not math.isfinite(loss) or not np.isfinite(weights).all():
-        raise TrainingError(
-            f"{node_id}: non-finite loss or weights after epoch {epoch} "
-            "(lower the learning rate)"
-        )
-
-
 def train_node(
-    clf: NodeClassifier,
+    clf: Scorer,
     examples: list[Example],
     cfg: TrainConfig,
     log_path: str | Path | None = None,
-) -> tuple[NodeClassifier, list[float]]:
-    """Mini-batch Adam training with a training-loss plateau stop.
+) -> tuple[Scorer, list[float]]:
+    """Mini-batch Adam on every parameter of ``clf``, with a training-loss plateau stop.
 
     Deterministic for a fixed (seed, data, config): shuffling is driven by a
-    generator seeded from cfg.seed.  Stops early when the mean epoch loss
-    has not improved by at least LOSS_PLATEAU_DELTA for
-    ``early_stop_patience`` consecutive epochs (patience <= 0 disables).
-    Raises TrainingError as soon as an epoch leaves the loss or the weights
-    non-finite.  Returns the trained classifier and the per-epoch loss
-    history.
+    generator seeded from cfg.seed, and each parameter keeps its own Adam
+    state.  Stops early when the mean epoch loss has not improved by at
+    least LOSS_PLATEAU_DELTA for ``early_stop_patience`` consecutive epochs
+    (patience <= 0 disables).  Raises TrainingError as soon as an epoch
+    leaves the loss or any parameter non-finite.  Returns the trained
+    scorer and the per-epoch loss history.
     """
     if not examples:
         raise ConfigurationError(f"{clf.node_id}: no training examples")
-    data = CsrBatch.from_examples(examples, *clf.weights.shape, node_id=clf.node_id)
+    data = CsrBatch.from_examples(examples, clf.dimension, len(clf.child_ids), clf.node_id)
 
-    weights = clf.weights.copy()
-    state = AdamState.zeros_like(weights)
+    work = replace(clf)
+    states = {name: AdamState.zeros_like(value) for name, value in clf.params().items()}
     rng = np.random.default_rng(cfg.seed)
     n = data.size
     losses: list[float] = []
     best = np.inf
     stale = 0
     for epoch in range(cfg.max_epochs):
-        order = _epoch_order(rng, n)
+        order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = data.take(order[start : start + cfg.batch_size])
-            loss, grads = loss_and_gradient(weights, batch)
+            loss, grads = work.loss_and_grads(batch)
             total += loss * batch.size
-            weights, state = adam_step(weights, grads, state, cfg)
+            for name, grad in grads.items():
+                value, states[name] = adam_step(getattr(work, name), grad, states[name], cfg)
+                setattr(work, name, value)
         epoch_loss = total / n
-        _check_finite(clf.node_id, epoch, epoch_loss, weights)
+        if not math.isfinite(epoch_loss) or not all(
+            np.isfinite(value).all() for value in work.params().values()
+        ):
+            raise TrainingError(
+                f"{clf.node_id}: non-finite loss or weights after epoch {epoch} "
+                "(lower the learning rate)"
+            )
         losses.append(epoch_loss)
         if epoch_loss < best - LOSS_PLATEAU_DELTA:
             best = epoch_loss
@@ -351,112 +408,4 @@ def train_node(
                 break
     if log_path is not None:
         _write_loss_log(log_path, losses)
-    return replace(clf, weights=weights), losses
-
-
-@dataclass
-class TwoLayerClassifier:
-    """Baseline node classifier with one sigmoid hidden layer (no biases)."""
-
-    node_id: str
-    child_ids: tuple[str, ...]
-    w_hidden: np.ndarray  # shape (D, H)
-    w_out: np.ndarray  # shape (H, C)
-    dictionary_fingerprint: str = ""
-
-    def __post_init__(self):
-        self.w_hidden = np.asarray(self.w_hidden, dtype=np.float64)
-        self.w_out = np.asarray(self.w_out, dtype=np.float64)
-        if self.w_hidden.shape[1] != self.w_out.shape[0]:
-            raise ConfigurationError(f"{self.node_id}: hidden width mismatch")
-        if self.w_out.shape[1] != len(self.child_ids):
-            raise ConfigurationError(f"{self.node_id}: output width != number of children")
-
-
-def two_layer_logits(clf: TwoLayerClassifier, fv: FeatureVector) -> np.ndarray:
-    _check_dimension(clf, fv)
-    if fv.on_positions:
-        pre = clf.w_hidden[list(fv.on_positions)].sum(axis=0)
-    else:
-        pre = np.zeros(clf.w_hidden.shape[1], dtype=np.float64)
-    return sigmoid(pre) @ clf.w_out
-
-
-def two_layer_scores(clf: TwoLayerClassifier, batch: CsrBatch) -> np.ndarray:
-    """``two_layer_logits`` of every row of ``batch`` through a sigmoid, ``(n, C)``.
-
-    The output layer is one vector-matrix product per row (a stacked
-    ``matmul``), the product ``two_layer_logits`` computes; a single
-    matrix-matrix product would sum in another order.
-    """
-    hidden = sigmoid(_row_sums(clf.w_hidden, batch, clf.node_id))
-    return sigmoid(np.matmul(hidden[:, np.newaxis, :], clf.w_out)[:, 0, :])
-
-
-def two_layer_gradient(
-    clf: TwoLayerClassifier, batch: list[Example]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Backpropagated gradients (d_hidden, d_out) of the batch-mean BCE."""
-    if not batch:
-        raise ConfigurationError("gradient of an empty batch")
-    g_hidden = np.zeros_like(clf.w_hidden)
-    g_out = np.zeros_like(clf.w_out)
-    c = clf.w_out.shape[1]
-    scale = 1.0 / (c * len(batch))
-    for fv, targets in batch:
-        if fv.on_positions:
-            pre = clf.w_hidden[list(fv.on_positions)].sum(axis=0)
-        else:
-            pre = np.zeros(clf.w_hidden.shape[1], dtype=np.float64)
-        hidden = sigmoid(pre)
-        residual = (sigmoid(hidden @ clf.w_out) - targets) * scale
-        g_out += np.outer(hidden, residual)
-        d_pre = (clf.w_out @ residual) * hidden * (1.0 - hidden)
-        if fv.on_positions:
-            g_hidden[list(fv.on_positions)] += d_pre
-    return g_hidden, g_out
-
-
-def two_layer_batch_loss(clf: TwoLayerClassifier, batch: list[Example]) -> float:
-    return float(
-        np.mean([bce_with_logits(two_layer_logits(clf, fv), z) for fv, z in batch])
-    )
-
-
-def train_two_layer(
-    clf: TwoLayerClassifier,
-    examples: list[Example],
-    cfg: TrainConfig,
-) -> tuple[TwoLayerClassifier, list[float]]:
-    """Same loop as train_node, updating both layers with separate Adam state."""
-    if not examples:
-        raise ConfigurationError(f"{clf.node_id}: no training examples")
-    w_hidden = clf.w_hidden.copy()
-    w_out = clf.w_out.copy()
-    state_h = AdamState.zeros_like(w_hidden)
-    state_o = AdamState.zeros_like(w_out)
-    rng = np.random.default_rng(cfg.seed)
-    n = len(examples)
-    losses: list[float] = []
-    best = np.inf
-    stale = 0
-    for _ in range(cfg.max_epochs):
-        order = _epoch_order(rng, n)
-        total = 0.0
-        for start in range(0, n, cfg.batch_size):
-            batch = [examples[i] for i in order[start : start + cfg.batch_size]]
-            work = replace(clf, w_hidden=w_hidden, w_out=w_out)
-            total += two_layer_batch_loss(work, batch) * len(batch)
-            g_h, g_o = two_layer_gradient(work, batch)
-            w_hidden, state_h = adam_step(w_hidden, g_h, state_h, cfg)
-            w_out, state_o = adam_step(w_out, g_o, state_o, cfg)
-        epoch_loss = total / n
-        losses.append(epoch_loss)
-        if epoch_loss < best - LOSS_PLATEAU_DELTA:
-            best = epoch_loss
-            stale = 0
-        else:
-            stale += 1
-            if cfg.early_stop_patience > 0 and stale >= cfg.early_stop_patience:
-                break
-    return replace(clf, w_hidden=w_hidden, w_out=w_out), losses
+    return work, losses

@@ -54,29 +54,6 @@ class ClassDocument:
         return 1 if term in self.term_counts else 0
 
 
-def term_frequency(term: str, doc: ClassDocument) -> float:
-    """Augmented TF in [0, 1]; 0 when the term is absent from the document."""
-    count = doc.term_counts.get(term, 0)
-    if count == 0:
-        return 0.0
-    return 0.5 + 0.5 * count / doc.max_count
-
-
-def inverse_document_frequency(term: str, docs: list[ClassDocument]) -> float:
-    """log10(M / (1 + df)) over the document list, 0 when df = M."""
-    if not docs:
-        raise ConfigurationError("document list must be non-empty")
-    m = len(docs)
-    df = sum(1 for doc in docs if term in doc)
-    if df >= m:
-        return 0.0
-    return math.log10(m / (1 + df))
-
-
-def tfidf(term: str, doc: ClassDocument, docs: list[ClassDocument]) -> float:
-    return term_frequency(term, doc) * inverse_document_frequency(term, docs)
-
-
 def _dictionary_entries(values: dict[str, int], dictionary: Dictionary):
     """Dictionary positions and values of the dictionary terms among ``values``."""
     pairs = [(dictionary.index[t], v) for t, v in values.items() if t in dictionary.index]
@@ -96,13 +73,13 @@ def init_weights(
     source documents of all children (each class document reporting its own
     doc count and per-term df), so a term exclusive to one class scores
     positive in that class's column even at two-child nodes.  With
-    single-source class documents this reduces to tfidf() over the child
-    aggregates.
+    single-source class documents this reduces to the textbook TF-IDF over
+    the child aggregates.
 
     Only each document's own terms are visited.  The IDF comes from a table
     indexed by integer df and built with math.log10, and the TF is computed
-    in the order of term_frequency(), so every weight equals the scalar
-    formula bit for bit.
+    as 0.5 + 0.5 * count / max_count, in that order, so every weight equals
+    the scalar formula bit for bit.
     """
     missing = [c for c in children if c not in class_docs]
     if missing:

@@ -13,15 +13,12 @@ from cwemap import hierarchy
 from cwemap.errors import ValidationError
 from cwemap.features import build_dictionary
 from cwemap.hierarchy import (
-    HierarchicalModel,
+    Model,
     PrepAssets,
-    TwoLayerModel,
     classify,
     threshold,
     top_k,
-    train_flat_baseline,
     train_hierarchy,
-    train_two_layer_baseline,
 )
 from cwemap.ingest import CveRecord, CweNode, build_taxonomy
 from cwemap.netcore import NodeClassifier, TrainConfig, TwoLayerClassifier
@@ -62,9 +59,9 @@ def random_model(parents, seed, two_layer=False, scale=1.5):
                 node_id, kids, rng.normal(0, scale, (d, 6)), rng.normal(0, scale, (6, len(kids))))
         else:
             classifiers[node_id] = NodeClassifier(node_id, kids, rng.normal(0, scale, (d, len(kids))))
-    kind = TwoLayerModel if two_layer else HierarchicalModel
-    return kind(taxonomy=taxonomy, dictionary=dictionary, classifiers=classifiers,
-                config=CFG, assets=ASSETS), words
+    return Model(taxonomy=taxonomy, dictionary=dictionary, classifiers=classifiers,
+                 config=CFG, assets=ASSETS, kind="two-layer" if two_layer else "hierarchical"
+                 ), words
 
 
 @pytest.fixture(scope="module")
@@ -78,9 +75,9 @@ def models():
                                           if k not in ("CWE-12", "CWE-3")})
     return {
         "trained": (train_hierarchy(corpus, taxonomy, ASSETS, CFG), synth_words),
-        "two-layer": (train_two_layer_baseline(corpus, taxonomy, ASSETS, CFG, hidden_size=8),
-                      synth_words),
-        "flat": (train_flat_baseline(corpus, taxonomy, ASSETS, CFG), synth_words),
+        "two-layer": (train_hierarchy(corpus, taxonomy, ASSETS, CFG, kind="two-layer",
+                                      hidden_size=8), synth_words),
+        "flat": (train_hierarchy(corpus, taxonomy, ASSETS, CFG, kind="flat"), synth_words),
         "dag": (dag, dag_words),
         "dag-truncated": (truncated, dag_words),
         "dag-two-layer": (dag_two_layer, dag_words),

@@ -64,6 +64,68 @@ class TestTrain:
         assert code == cli.EXIT_TRAINING
         assert not (tmp_path / "m").exists()
 
+    def test_diverging_two_layer_training_exits_3(self, inputs, tmp_path):
+        argv = train_argv(inputs, tmp_path / "m", "--lr", "1e308", "--baseline", "two-layer",
+                          "--hidden", "4")
+        with np.errstate(all="ignore"):
+            code = cli.main(argv)
+        assert code == cli.EXIT_TRAINING
+        assert not (tmp_path / "m").exists()
+
+
+class TestModelOutputPath:
+    """``train --model`` is checked before any work is done."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the corpus was read before --model was checked")
+
+        monkeypatch.setattr(ingest, "load_cve_corpus", refuse)
+
+    def test_existing_file_exits_2(self, inputs, tmp_path, no_work):
+        (tmp_path / "m").write_text("keep me", encoding="utf-8")
+        assert cli.main(train_argv(inputs, tmp_path / "m")) == cli.EXIT_INPUT
+        assert (tmp_path / "m").read_text(encoding="utf-8") == "keep me"
+
+    def test_path_below_a_file_exits_2(self, inputs, tmp_path, no_work):
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        model = tmp_path / "file" / "sub" / "m"
+        assert cli.main(train_argv(inputs, model)) == cli.EXIT_INPUT
+
+    def test_existing_directory_is_reused(self, inputs, tmp_path):
+        (tmp_path / "m").mkdir()
+        assert cli.main(train_argv(inputs, tmp_path / "m")) == cli.EXIT_OK
+        assert modelstore.load(tmp_path / "m").dictionary.size > 0
+
+
+class TestConfigValues:
+    """A ``--config`` value must have the type and choices of its flag."""
+
+    @pytest.mark.parametrize("doc", [
+        {"hidden": "3"}, {"lr": "x"}, {"tau": [1]}, {"max_epochs": 2.5},
+        {"baseline": "deep"}, {"seed": True}, {"init": 1},
+    ], ids=["hidden-string", "lr-string", "tau-list", "max-epochs-float",
+            "baseline-choice", "seed-bool", "init-number"])
+    def test_mistyped_value_exits_2(self, inputs, tmp_path, doc):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["--config", str(config)] + train_argv(inputs, tmp_path / "m",
+                                                      "--baseline", "two-layer")
+        if "baseline" in doc:
+            argv = ["--config", str(config)] + train_argv(inputs, tmp_path / "m")
+        assert cli.main(argv) == cli.EXIT_INPUT
+        assert not (tmp_path / "m").exists()
+
+    def test_integer_for_a_float_flag_is_accepted(self, inputs, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"lr": 1, "tau": 0.5, "init": "random"}', encoding="utf-8")
+        argv = ["--config", str(config)] + train_argv(inputs, tmp_path / "m")
+        assert cli.main(argv) == cli.EXIT_OK
+        loaded = modelstore.load(tmp_path / "m").config
+        assert (loaded.learning_rate, loaded.decision_threshold) == (1.0, 0.5)
+        assert loaded.weight_init == "random"
+
 
 class TestModelIntegrity:
     def test_intact_model_classifies(self, model_dir, inputs):
@@ -92,6 +154,43 @@ class TestModelIntegrity:
         (model / MANIFEST).write_text(manifest.replace(".out.f64le", ".output.f64le"),
                                       encoding="utf-8")
         assert classify(model, inputs) == cli.EXIT_INTEGRITY
+
+    def test_weight_file_that_is_a_directory_exits_4(self, damaged, inputs):
+        weight = damaged / "weights" / "ROOT.f64le"
+        weight.unlink()
+        weight.mkdir()
+        assert classify(damaged, inputs) == cli.EXIT_INTEGRITY
+
+    def test_manifest_that_is_a_directory_exits_4(self, damaged, inputs):
+        (damaged / MANIFEST).unlink()
+        (damaged / MANIFEST).mkdir()
+        assert classify(damaged, inputs) == cli.EXIT_INTEGRITY
+
+    def test_non_utf8_manifest_exits_4(self, damaged, inputs):
+        manifest = (damaged / MANIFEST).read_bytes()
+        (damaged / MANIFEST).write_bytes(manifest.replace(b'"config"', b'"conf\xffig"'))
+        assert classify(damaged, inputs) == cli.EXIT_INTEGRITY
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["config"]["assets"].update(stopwords=5),
+        lambda doc: doc["config"].update(max_epochs="x"),
+        lambda doc: doc.update(format_version=True),
+        lambda doc: doc["config"].update(assets=[]),
+        lambda doc: doc["nodes"][0].update(child_ids=["CWE-1"]),
+    ], ids=["stopwords-number", "max-epochs-string", "format-version-bool", "assets-list",
+            "child-count"])
+    def test_mistyped_manifest_value_exits_4(self, damaged, inputs, edit):
+        doc = json.loads((damaged / MANIFEST).read_text(encoding="utf-8"))
+        edit(doc)
+        (damaged / MANIFEST).write_text(json.dumps(doc), encoding="utf-8")
+        assert classify(damaged, inputs) == cli.EXIT_INTEGRITY
+
+    def test_dictionary_position_out_of_range_exits_4(self, damaged, inputs):
+        lines = (damaged / DICTIONARY).read_text(encoding="utf-8").splitlines()
+        _, term, count = lines[1].split("\t")
+        lines[1] = f"999999\t{term}\t{count}"
+        (damaged / DICTIONARY).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert classify(damaged, inputs) == cli.EXIT_INTEGRITY
 
     @pytest.mark.parametrize("name", [DICTIONARY, TAXONOMY, MANIFEST])
     def test_missing_file_exits_4(self, damaged, inputs, name):

@@ -5,7 +5,6 @@ from cwemap.errors import ValidationError
 from cwemap.evaluation import (
     evaluate,
     format_report_table,
-    is_correct,
     load_predictions,
     split_corpus,
     write_predictions,
@@ -14,6 +13,7 @@ from cwemap.hierarchy import Prediction
 from cwemap.ingest import CveRecord
 
 from conftest import make_record
+from oracle import is_correct
 
 
 def pred(cve_id, paths, mode="threshold:0.75", extra_scores=None):

@@ -9,12 +9,9 @@ from cwemap.hierarchy import (
     assemble_training_sets,
     classify,
     encode_text,
-    flat_class_list,
     threshold,
     top_k,
-    train_flat_baseline,
     train_hierarchy,
-    train_two_layer_baseline,
 )
 from cwemap.ingest import CveRecord, save_taxonomy, write_cve_corpus
 from cwemap.modelstore import fingerprint, load
@@ -105,8 +102,10 @@ class TestTrainHierarchy:
         taxonomy, leaves, pools, corpus = small_synth
         model = train_hierarchy(corpus, taxonomy, ASSETS, quick_cfg())
         assert set(model.classifiers) == {taxonomy.root_id, "CWE-100", "CWE-101"}
-        for clf in model.classifiers.values():
-            assert clf.dictionary_fingerprint == model.dictionary.fingerprint()
+        for node_id, clf in model.classifiers.items():
+            assert clf.node_id == node_id
+            assert clf.child_ids == taxonomy.children[node_id]
+            assert clf.weights.shape == (model.dictionary.size, len(clf.child_ids))
 
     def test_untouched_subtree_keeps_init_weights(self, small_synth):
         taxonomy, leaves, pools, _ = small_synth
@@ -165,6 +164,25 @@ class TestTrainHierarchy:
         assert fingerprint(model) == (
             "7a1fbb4539a077c3628a7ea3473afdf39730457d47cd4dc2740bc7367220a12b"
         )
+
+    @pytest.mark.parametrize("baseline, expected", [
+        ("flat", "5bc3c814f31a4889026eebfe64145dd80162b0b9e20bb2aea3890b02bb79b050"),
+        ("two-layer", "409aba723d4710e12f1397995d762b54ee3de8a7472c8a6f3ea23bc0744b0e21"),
+    ])
+    def test_pinned_baseline_fingerprints(self, tmp_path, baseline, expected):
+        # The same referee for the two ablation baselines, trained through
+        # the command line (two-layer at hidden width 4).
+        taxonomy, leaves, pools = synthdata.binary_taxonomy(depth=3, pool_size=20, seed=7)
+        corpus = synthdata.make_corpus(leaves, pools, per_leaf=12, tokens_per_cve=10,
+                                       noise=0.2, seed=3)
+        write_cve_corpus(corpus, tmp_path / "corpus.jsonl")
+        save_taxonomy(taxonomy, tmp_path / "taxonomy.json")
+        argv = ["train", "--corpus", str(tmp_path / "corpus.jsonl"),
+                "--taxonomy", str(tmp_path / "taxonomy.json"), "--max-epochs", "6",
+                "--batch-size", "8", "--seed", "5", "--th", "2", "--hidden", "4",
+                "--baseline", baseline, "--model", str(tmp_path / "m")]
+        assert cli.main(argv) == 0
+        assert fingerprint(load(tmp_path / "m")) == expected
 
     def test_empty_corpus_rejected(self, chain_taxonomy):
         with pytest.raises(ConfigurationError):
@@ -324,23 +342,31 @@ class TestInitializationAsPrior:
             assert (parent, leaf) in pred.paths
 
 
+def train_flat(corpus, taxonomy, cfg):
+    return train_hierarchy(corpus, taxonomy, ASSETS, cfg, kind="flat")
+
+
 class TestFlatBaseline:
     def test_one_classifier_over_all_classes(self, small_synth):
         taxonomy, leaves, pools, corpus = small_synth
-        model = train_flat_baseline(corpus, taxonomy, ASSETS, quick_cfg(max_epochs=5))
-        assert len(model.classifier.child_ids) == 6  # 2 internal + 4 leaves
-        assert set(model.classifier.child_ids) == set(flat_class_list(corpus, taxonomy))
+        model = train_flat(corpus, taxonomy, quick_cfg(max_epochs=5))
+        (clf,) = model.classifiers.values()
+        assert model.classifiers == {taxonomy.root_id: clf}
+        assert clf.node_id == "FLAT"
+        assert len(clf.child_ids) == 6  # 2 internal + 4 leaves
+        labels = {label for record in corpus for label in record.cwe_labels}
+        assert set(clf.child_ids) == labels.union(*map(taxonomy.ancestors, labels))
 
     def test_reproducible_with_seed(self, small_synth):
         taxonomy, leaves, pools, corpus = small_synth
         cfg = quick_cfg(max_epochs=5)
-        m1 = train_flat_baseline(corpus, taxonomy, ASSETS, cfg)
-        m2 = train_flat_baseline(corpus, taxonomy, ASSETS, cfg)
+        m1 = train_flat(corpus, taxonomy, cfg)
+        m2 = train_flat(corpus, taxonomy, cfg)
         assert fingerprint(m1) == fingerprint(m2)
 
     def test_prediction_is_path_consistent(self, small_synth):
         taxonomy, leaves, pools, corpus = small_synth
-        model = train_flat_baseline(corpus, taxonomy, ASSETS, quick_cfg(max_epochs=60))
+        model = train_flat(corpus, taxonomy, quick_cfg(max_epochs=60))
         text = synthdata.leaf_text(pools, leaves[1], seed=31)
         pred = classify_one(model, text, threshold(0.5))
         root_children = set(taxonomy.children[taxonomy.root_id])
@@ -353,9 +379,8 @@ class TestFlatBaseline:
 class TestTwoLayerBaseline:
     def test_trains_and_classifies_end_to_end(self, small_synth):
         taxonomy, leaves, pools, corpus = small_synth
-        model = train_two_layer_baseline(
-            corpus, taxonomy, ASSETS, quick_cfg(max_epochs=30), hidden_size=8
-        )
+        model = train_hierarchy(corpus, taxonomy, ASSETS, quick_cfg(max_epochs=30),
+                                kind="two-layer", hidden_size=8)
         assert set(model.classifiers) == {taxonomy.root_id, "CWE-100", "CWE-101"}
         text = synthdata.leaf_text(pools, leaves[0], seed=12)
         pred = classify_one(model, text, top_k(1))
@@ -364,4 +389,5 @@ class TestTwoLayerBaseline:
     def test_hidden_size_validated(self, small_synth):
         taxonomy, leaves, pools, corpus = small_synth
         with pytest.raises(ConfigurationError):
-            train_two_layer_baseline(corpus, taxonomy, ASSETS, quick_cfg(), hidden_size=0)
+            train_hierarchy(corpus, taxonomy, ASSETS, quick_cfg(), kind="two-layer",
+                            hidden_size=0)

@@ -49,6 +49,21 @@ class TestCveRecord:
         with pytest.raises(ValidationError):
             normalize_cwe_id("NVD-CWE-Other")
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.text(max_size=12),
+        st.builds(lambda pad, cwe, n, tail: f"{pad}{cwe}-{n}{tail}",
+                  st.sampled_from(["", " ", "\t", "\n "]),
+                  st.sampled_from(["CWE", "cwe", "Cwe", "cWE"]),
+                  st.integers(0, 10**6), st.sampled_from(["", " ", "\n", "x"])),
+    ))
+    def test_normalize_cwe_id_is_idempotent(self, raw):
+        try:
+            once = normalize_cwe_id(raw)
+        except ValidationError:
+            return
+        assert normalize_cwe_id(once) == once
+
 
 class TestLoadCveCorpus:
     def test_single_line(self, tmp_path):

@@ -1,0 +1,84 @@
+"""Model persistence: save -> load keeps every model kind exactly."""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import synthdata
+from cwemap import modelstore
+from cwemap.features import build_dictionary
+from cwemap.hierarchy import FLAT_NODE_ID, Model, PrepAssets
+from cwemap.ingest import CweNode, build_taxonomy
+from cwemap.netcore import NodeClassifier, TrainConfig, TwoLayerClassifier
+from cwemap.textprep import SynonymTable, preprocess
+
+ASSETS = PrepAssets(stopwords=frozenset({"the", "a"}),
+                    synonyms=SynonymTable(groups=(("SQLI", (("sql", "injection"),)),)))
+KINDS = ("hierarchical", "two-layer", "flat")
+
+
+def make_model(kind, parents, seed, hidden=3):
+    """A model of ``kind`` over the taxonomy ``parents`` with random weights."""
+    taxonomy = build_taxonomy(
+        [CweNode(id=n, name=n, parent_ids=frozenset(p)) for n, p in parents.items()]
+    )
+    (words,) = synthdata.make_pools(1, 30, seed)
+    dictionary = build_dictionary([preprocess(" ".join(words), frozenset(),
+                                              SynonymTable.empty())], 1)
+    rng = np.random.default_rng(seed)
+    d = dictionary.size
+    cfg = TrainConfig(seed=seed, max_epochs=seed % 7)
+    if kind == "flat":
+        classes = tuple(sorted(parents))
+        classifiers = {taxonomy.root_id: NodeClassifier(FLAT_NODE_ID, classes,
+                                                        rng.normal(size=(d, len(classes))))}
+    else:
+        classifiers = {}
+        for node_id in taxonomy.internal_nodes():
+            kids = taxonomy.children[node_id]
+            if kind == "two-layer":
+                classifiers[node_id] = TwoLayerClassifier(
+                    node_id, kids, rng.normal(size=(d, hidden)),
+                    rng.normal(size=(hidden, len(kids))))
+            else:
+                classifiers[node_id] = NodeClassifier(node_id, kids,
+                                                      rng.normal(size=(d, len(kids))))
+    return Model(taxonomy=taxonomy, dictionary=dictionary, classifiers=classifiers, config=cfg,
+                 assets=ASSETS, kind=kind)
+
+
+@st.composite
+def taxonomies(draw):
+    """Parent lists of a random CWE DAG: each node's parents come before it."""
+    n = draw(st.integers(1, 9))
+    ids = [f"CWE-{10 + i}" for i in range(n)]
+    parents = {}
+    for i, node in enumerate(ids):
+        parents[node] = draw(st.lists(st.sampled_from(ids[:i]), max_size=2, unique=True)
+                             if i else st.just([]))
+    return parents
+
+
+def files_of(directory: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(directory)): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(KINDS), parents=taxonomies(), seed=st.integers(0, 2**16),
+       hidden=st.integers(1, 4))
+def test_save_load_fingerprint_is_identity(kind, parents, seed, hidden):
+    model = make_model(kind, parents, seed, hidden)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first", Path(tmp) / "second"
+        modelstore.save(model, first)
+        loaded = modelstore.load(first)
+        assert modelstore.fingerprint(loaded) == modelstore.fingerprint(model)
+        assert loaded.dictionary.size == model.dictionary.size
+        assert loaded.taxonomy.to_node_list() == model.taxonomy.to_node_list()
+        # Saving the loaded model again writes the same bytes.
+        modelstore.save(loaded, second)
+        assert files_of(second) == files_of(first)

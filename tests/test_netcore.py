@@ -15,18 +15,13 @@ from cwemap.netcore import (
     TwoLayerClassifier,
     adam_step,
     batch_loss,
-    bce_with_logits,
-    forward_logits,
     forward_scores,
     gradient,
     loss_and_gradient,
     sigmoid,
     train_node,
-    train_two_layer,
-    two_layer_gradient,
-    two_layer_logits,
-    two_layer_scores,
 )
+from oracle import bce_with_logits, two_layer_logits
 
 
 def fv(dimension, *positions):
@@ -53,18 +48,18 @@ def rows(dimension, *features):
 class TestForward:
     def test_zero_vector_gives_zero_logits(self):
         c = clf(np.ones((4, 3)))
-        np.testing.assert_array_equal(forward_logits(c, rows(4, ())), np.zeros((1, 3)))
+        np.testing.assert_array_equal(c.logits(rows(4, ())), np.zeros((1, 3)))
 
     def test_single_row_selection(self):
         c = clf([[0.2, -0.1], [9.0, 9.0]])
-        np.testing.assert_array_equal(forward_logits(c, rows(2, (0,))), [[0.2, -0.1]])
+        np.testing.assert_array_equal(c.logits(rows(2, (0,))), [[0.2, -0.1]])
 
     def test_matches_dense_oracle(self, rng):
         weights = rng.normal(size=(5, 3))
         c = clf(weights)
         features = [fv(5, 0, 3), fv(5), fv(5, 1, 2, 4)]
         np.testing.assert_allclose(
-            forward_logits(c, CsrBatch.from_features(features, 5)),
+            c.logits(CsrBatch.from_features(features, 5)),
             [dense_logits_oracle(weights, f) for f in features],
             atol=1e-12,
         )
@@ -72,12 +67,12 @@ class TestForward:
     def test_dimension_mismatch_rejected(self):
         c = clf(np.ones((4, 2)))
         with pytest.raises(ConfigurationError):
-            forward_logits(c, rows(5, (1,)))
+            c.logits(rows(5, (1,)))
 
     def test_linearity_over_disjoint_supports(self, rng):
         weights = rng.normal(size=(8, 3))
         c = clf(weights)
-        a, b, union = forward_logits(c, rows(8, (0, 2), (5, 7), (0, 2, 5, 7)))
+        a, b, union = c.logits(rows(8, (0, 2), (5, 7), (0, 2, 5, 7)))
         np.testing.assert_allclose(union, a + b, atol=1e-12)
 
     def test_scores(self):
@@ -97,29 +92,34 @@ class TestForward:
             np.testing.assert_array_equal(row, forward_scores(c, rows(6, feature))[0])
 
 
+def bce(logits, targets):
+    """The loss ``batch_loss`` charges one record whose logits are ``logits``."""
+    return batch_loss(clf([logits]), [(fv(1, 0), np.asarray(targets, dtype=np.float64))])
+
+
 class TestBce:
     def test_zero_logits_cost_ln2(self):
-        value = bce_with_logits(np.zeros(4), np.array([1.0, 0.0, 1.0, 0.0]))
+        value = bce(np.zeros(4), np.array([1.0, 0.0, 1.0, 0.0]))
         assert value == pytest.approx(math.log(2), abs=1e-12)
 
     def test_confident_correct_near_zero(self):
-        value = bce_with_logits(np.array([20.0]), np.array([1.0]))
+        value = bce(np.array([20.0]), np.array([1.0]))
         assert value == pytest.approx(math.log1p(math.exp(-20.0)), abs=1e-15)
         assert value < 3e-9
 
     def test_confident_wrong_costs_logit(self):
-        value = bce_with_logits(np.array([20.0]), np.array([0.0]))
+        value = bce(np.array([20.0]), np.array([0.0]))
         assert value == pytest.approx(20.0 + math.log1p(math.exp(-20.0)), abs=1e-12)
 
     def test_stable_for_huge_logits(self):
-        value = bce_with_logits(np.array([1000.0, -1000.0]), np.array([0.0, 1.0]))
+        value = bce(np.array([1000.0, -1000.0]), np.array([0.0, 1.0]))
         assert value == pytest.approx(1000.0, abs=1e-9)
 
     def test_nonnegative(self, rng):
         for _ in range(50):
             x = rng.normal(scale=5, size=4)
             z = rng.integers(0, 2, size=4).astype(float)
-            assert bce_with_logits(x, z) >= 0.0
+            assert bce(x, z) >= 0.0
 
 
 class TestGradient:
@@ -226,7 +226,7 @@ class TestLossAndGradient:
         # any number of columns, exactly as the reference does.
         weights, batch = case
         d, c = weights.shape
-        batched = forward_logits(clf(weights), CsrBatch.from_examples(batch, d, c))
+        batched = clf(weights).logits(CsrBatch.from_examples(batch, d, c))
         for (feature, _), row in zip(batch, batched):
             logits = np.zeros(c)
             for position in feature.on_positions:
@@ -386,6 +386,24 @@ class TestTrainNode:
         assert len(lines) == 4
 
 
+def reference_two_layer(net, batch):
+    """Per-example loss and backpropagated gradients of a two-layer scorer."""
+    g_hidden = np.zeros_like(net.w_hidden)
+    g_out = np.zeros_like(net.w_out)
+    scale = 1.0 / (net.w_out.shape[1] * len(batch))
+    losses = []
+    for feature, targets in batch:
+        hidden = sigmoid(net.w_hidden[list(feature.on_positions)].sum(axis=0))
+        logits = hidden @ net.w_out
+        losses.append(bce_with_logits(logits, targets))
+        residual = (sigmoid(logits) - targets) * scale
+        g_out += np.outer(hidden, residual)
+        d_pre = (net.w_out @ residual) * hidden * (1.0 - hidden)
+        if feature.on_positions:
+            g_hidden[list(feature.on_positions)] += d_pre
+    return float(np.mean(losses)), g_hidden, g_out
+
+
 class TestTwoLayer:
     def make(self, rng, d=6, h=4, c_out=2):
         return TwoLayerClassifier(
@@ -397,36 +415,51 @@ class TestTwoLayer:
 
     def test_gradient_matches_finite_differences(self, rng):
         net = self.make(rng)
-        batch = [
+        batch = CsrBatch.from_examples([
             (fv(6, 0, 3), np.array([1.0, 0.0])),
             (fv(6, 1, 2, 5), np.array([0.0, 1.0])),
-        ]
-        g_h, g_o = two_layer_gradient(net, batch)
+        ], 6, 2)
+        _, grads = net.loss_and_grads(batch)
         h = 1e-4
 
         def loss_of(w_hidden, w_out):
             probe = TwoLayerClassifier(
                 node_id="CWE-1", child_ids=net.child_ids, w_hidden=w_hidden, w_out=w_out
             )
-            return float(
-                np.mean([bce_with_logits(two_layer_logits(probe, f), z) for f, z in batch])
-            )
+            return probe.loss_and_grads(batch)[0]
 
-        for grad_matrix, attr in ((g_h, "w_hidden"), (g_o, "w_out")):
-            base_h, base_o = net.w_hidden.copy(), net.w_out.copy()
-            numeric = np.zeros_like(grad_matrix)
-            target = base_h if attr == "w_hidden" else base_o
-            for k in range(target.shape[0]):
-                for i in range(target.shape[1]):
-                    plus, minus = target.copy(), target.copy()
-                    plus[k, i] += h
-                    minus[k, i] -= h
-                    if attr == "w_hidden":
-                        numeric[k, i] = (loss_of(plus, base_o) - loss_of(minus, base_o)) / (2 * h)
-                    else:
-                        numeric[k, i] = (loss_of(base_h, plus) - loss_of(base_h, minus)) / (2 * h)
+        for attr in ("w_hidden", "w_out"):
+            base = net.params()
+            numeric = np.zeros_like(base[attr])
+            for k in range(numeric.shape[0]):
+                for i in range(numeric.shape[1]):
+                    plus, minus = dict(base), dict(base)
+                    plus[attr], minus[attr] = base[attr].copy(), base[attr].copy()
+                    plus[attr][k, i] += h
+                    minus[attr][k, i] -= h
+                    numeric[k, i] = (loss_of(**plus) - loss_of(**minus)) / (2 * h)
             denom = max(np.abs(numeric).max(), 1e-8)
-            assert np.abs(grad_matrix - numeric).max() / denom <= 1e-5
+            assert np.abs(grads[attr] - numeric).max() / denom <= 1e-5
+
+    @settings(max_examples=150, deadline=None)
+    @given(weights_and_batches(), st.integers(1, 6), st.integers(0, 2**16))
+    def test_fused_pass_matches_per_example_reference(self, case, hidden, seed):
+        # Bit for bit from two hidden units up.  With one, NumPy sums the
+        # one-column slice of a record pairwise, the batch in order.
+        _, batch = case
+        d, c = case[0].shape
+        rng = np.random.default_rng(seed)
+        net = self.make(rng, d=d, h=hidden, c_out=c)
+        loss, grads = net.loss_and_grads(CsrBatch.from_examples(batch, d, c))
+        ref_loss, ref_hidden, ref_out = reference_two_layer(net, batch)
+        if hidden >= 2:
+            assert loss == ref_loss
+            np.testing.assert_array_equal(grads["w_hidden"], ref_hidden)
+            np.testing.assert_array_equal(grads["w_out"], ref_out)
+        else:
+            assert abs(loss - ref_loss) <= 1e-15 * max(1.0, abs(ref_loss))
+            np.testing.assert_allclose(grads["w_hidden"], ref_hidden, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(grads["w_out"], ref_out, rtol=0, atol=1e-15)
 
     def test_training_reduces_loss(self, rng):
         net = self.make(rng)
@@ -434,13 +467,21 @@ class TestTwoLayer:
             (fv(6, 0), np.array([1.0, 0.0])),
             (fv(6, 5), np.array([0.0, 1.0])),
         ]
-        trained, losses = train_two_layer(net, examples, TrainConfig(max_epochs=50, seed=1))
+        trained, losses = train_node(net, examples, TrainConfig(max_epochs=50, seed=1))
         assert losses[-1] < losses[0]
+        assert set(trained.params()) == {"w_hidden", "w_out"}
+
+    def test_non_finite_weights_raise_training_error(self, rng):
+        net = self.make(rng)
+        examples = [(fv(6, 0), np.array([1.0, 0.0])), (fv(6, 5), np.array([0.0, 1.0]))]
+        cfg = TrainConfig(learning_rate=1e308, max_epochs=5, batch_size=1)
+        with np.errstate(all="ignore"), pytest.raises(TrainingError):
+            train_node(net, examples, cfg)
 
     def test_batch_scores_equal_per_record_logits(self, rng):
         net = self.make(rng, d=8, h=5, c_out=3)
         features = [fv(8, 0, 3, 7), fv(8), fv(8, 1, 2, 4, 5, 6), fv(8, 0, 3, 7)]
-        batched = two_layer_scores(net, CsrBatch.from_features(features, 8))
+        batched = forward_scores(net, CsrBatch.from_features(features, 8))
         for feature, row in zip(features, batched):
             np.testing.assert_array_equal(row, sigmoid(two_layer_logits(net, feature)))
 
