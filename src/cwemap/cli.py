@@ -245,6 +245,8 @@ def _eval_model(model, test_set, selection):
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if args.out:
+        _check_output_dir("--out", args.out)
     model = modelstore.load(args.model)
     corpus = ingest.load_cve_corpus(args.corpus)
     if args.split is not None:

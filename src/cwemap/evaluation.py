@@ -18,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 from .hierarchy import Prediction
-from .ingest import CveRecord, Taxonomy, paths_to_root
+from .ingest import CveRecord, Taxonomy, _corpus_lines, paths_to_root
 
 logger = logging.getLogger(__name__)
 
@@ -213,12 +213,26 @@ def write_report(fine: EvalReport, coarse: EvalReport, json_path: str | Path,
 
 
 def load_predictions(path: str | Path) -> list[Prediction]:
-    """Read a predictions JSONL file written by the CLI classify command."""
+    """Read a predictions JSONL file written by the CLI classify command.
+
+    A line that is not a JSON object in the classify output format raises
+    ParseError naming the path and line.
+    """
+    path = Path(path)
     out = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                out.append(Prediction.from_json_dict(json.loads(line)))
+    for lineno, line in _corpus_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"malformed JSON ({exc.msg})", path=path, line=lineno) from exc
+        if not isinstance(obj, dict):
+            raise ParseError("expected a JSON object", path=path, line=lineno)
+        try:
+            out.append(Prediction.from_json_dict(obj))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"not a prediction ({exc!r})", path=path, line=lineno) from exc
     return out
 
 

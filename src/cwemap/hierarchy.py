@@ -212,14 +212,19 @@ def _cached_tokens(
     return token_cache[key]
 
 
-def _resolvable_labels(record: CveRecord, taxonomy: Taxonomy) -> frozenset[str]:
-    kept = []
-    for label in record.cwe_labels:
-        if label in taxonomy:
-            kept.append(label)
-        else:
-            logger.warning("%s: label %s not in taxonomy, skipped", record.id, label)
-    return frozenset(kept)
+def resolve_labels(corpus: list[CveRecord], taxonomy: Taxonomy) -> list[frozenset[str]]:
+    """Per record, its labels found in the taxonomy; each missing label is
+    warned about once and skipped."""
+    resolved = []
+    for record in corpus:
+        kept = []
+        for label in sorted(record.cwe_labels):
+            if label in taxonomy:
+                kept.append(label)
+            else:
+                logger.warning("%s: label %s not in taxonomy, skipped", record.id, label)
+        resolved.append(frozenset(kept))
+    return resolved
 
 
 def _path_nodes(taxonomy: Taxonomy, label: str) -> frozenset[str]:
@@ -233,26 +238,28 @@ def assemble_training_sets(
     dictionary: Dictionary,
     assets: PrepAssets,
     token_cache: dict[str, list[str]] | None = None,
+    labels: list[frozenset[str]] | None = None,
 ) -> dict[str, list[netcore.Example]]:
     """Per-node training examples with multi-hot child targets.
 
     Unlabeled records and labels missing from the taxonomy are skipped (the
-    latter with a warning).  Nodes where a CVE marks no child are excluded
+    latter with a warning, unless ``labels`` already holds each record's
+    resolved labels).  Nodes where a CVE marks no child are excluded
     from that CVE's contributions, so no all-zero targets are produced.
     Descriptions already preprocessed into ``token_cache`` (keyed
     ``cve:<id>``) are not preprocessed again.
     """
     token_cache = token_cache if token_cache is not None else {}
+    labels = labels if labels is not None else resolve_labels(corpus, taxonomy)
     sets: dict[str, list[netcore.Example]] = {}
     child_index: dict[str, dict[str, int]] = {
         n: {c: i for i, c in enumerate(kids)} for n, kids in taxonomy.children.items() if kids
     }
-    for record in corpus:
-        labels = _resolvable_labels(record, taxonomy)
-        if not labels:
+    for record, record_labels in zip(corpus, labels):
+        if not record_labels:
             continue
         on_path: set[str] = set()
-        for label in labels:
+        for label in record_labels:
             on_path.update(_path_nodes(taxonomy, label))
         tokens = _cached_tokens(token_cache, f"cve:{record.id}", record.description, assets)
         fv = encode(ngram_set(tokens), dictionary)
@@ -269,65 +276,88 @@ def assemble_training_sets(
     return sets
 
 
+def _term_arrays(counts: Counter, dictionary: Dictionary) -> tuple[np.ndarray, np.ndarray]:
+    """Dictionary positions of the dictionary terms in ``counts``, and their counts."""
+    index = dictionary.index
+    hits = [(index[term], count) for term, count in counts.items() if term in index]
+    table = np.array(hits, dtype=np.int64).reshape(len(hits), 2)
+    return table[:, 0], table[:, 1]
+
+
+def _aggregate(node_id: str, sources: list[tuple[np.ndarray, np.ndarray]]) -> ClassDocument:
+    """The class document summing ``sources``: per position, the total count
+    and the number of sources containing it."""
+    if not sources:
+        return ClassDocument(node_id, np.empty(0), np.empty(0), np.empty(0))
+    positions = np.concatenate([p for p, _ in sources])
+    counts = np.concatenate([c for _, c in sources])
+    order = np.argsort(positions)
+    positions, counts = positions[order], counts[order]
+    starts = np.flatnonzero(np.diff(positions, prepend=-1))
+    return ClassDocument(
+        node_id,
+        positions=positions[starts],
+        counts=np.add.reduceat(counts, starts) if starts.size else counts,
+        df=np.diff(starts, append=positions.size),
+        source_doc_count=len(sources),
+    )
+
+
 def build_class_documents(
     corpus: list[CveRecord],
     taxonomy: Taxonomy,
     dictionary: Dictionary,
     assets: PrepAssets,
     token_cache: dict[str, list[str]] | None = None,
+    labels: list[frozenset[str]] | None = None,
 ) -> dict[str, dict[str, ClassDocument]]:
     """Per-node, per-child aggregate documents feeding weight initialization.
 
     A child's class document concatenates its own CWE text, the CWE texts
     of every node in its subtree, and the descriptions of every training
-    CVE labeled inside that subtree.  Counts are restricted to dictionary
-    terms; each constituent text also reports per-term document frequency
-    so initialization can compute a non-degenerate IDF.
+    CVE labeled inside that subtree (a CVE with two labels there counts
+    twice).  Counts are restricted to dictionary terms; each constituent
+    text also reports per-term document frequency so initialization can
+    compute a non-degenerate IDF.
+
+    Each source text is counted once into (position, count) arrays, and
+    each child's document is built once and shared by all of its parents.
+    ``labels`` holds each record's resolved labels (see ``resolve_labels``).
     """
     token_cache = token_cache if token_cache is not None else {}
+    labels = labels if labels is not None else resolve_labels(corpus, taxonomy)
 
     # Source documents grouped by the taxonomy node they attach to.
-    node_sources: dict[str, list[Counter]] = {n: [] for n in taxonomy.nodes}
+    node_sources: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {
+        n: [] for n in taxonomy.nodes
+    }
     for node_id, node in taxonomy.nodes.items():
         if node_id == taxonomy.root_id:
             continue
         text = node.text()
         if text:
-            counts = count_terms(_cached_tokens(token_cache, f"cwe:{node_id}", text, assets))
-            node_sources[node_id].append(counts)
-    for record in corpus:
-        labels = _resolvable_labels(record, taxonomy)
-        if not labels:
+            tokens = _cached_tokens(token_cache, f"cwe:{node_id}", text, assets)
+            node_sources[node_id].append(_term_arrays(count_terms(tokens), dictionary))
+    for record, record_labels in zip(corpus, labels):
+        if not record_labels:
             continue
         tokens = _cached_tokens(token_cache, f"cve:{record.id}", record.description, assets)
-        counts = count_terms(tokens)
-        for label in labels:
-            node_sources[label].append(counts)
+        source = _term_arrays(count_terms(tokens), dictionary)
+        for label in record_labels:
+            node_sources[label].append(source)
 
+    child_docs: dict[str, ClassDocument] = {}
     docs: dict[str, dict[str, ClassDocument]] = {}
     for node_id, kids in taxonomy.children.items():
         if not kids:
             continue
-        per_child: dict[str, ClassDocument] = {}
         for child in kids:
-            members = {child, *taxonomy.descendants(child)}
-            term_counts: Counter = Counter()
-            term_df: Counter = Counter()
-            n_sources = 0
-            for member in members:
-                for source in node_sources[member]:
-                    n_sources += 1
-                    for term, count in source.items():
-                        if term in dictionary:
-                            term_counts[term] += count
-                            term_df[term] += 1
-            per_child[child] = ClassDocument(
-                node_id=child,
-                term_counts=dict(term_counts),
-                source_doc_count=max(n_sources, 1),
-                source_term_df=dict(term_df),
-            )
-        docs[node_id] = per_child
+            if child not in child_docs:
+                members = {child, *taxonomy.descendants(child)}
+                child_docs[child] = _aggregate(
+                    child, [source for member in members for source in node_sources[member]]
+                )
+        docs[node_id] = {child: child_docs[child] for child in kids}
     return docs
 
 
@@ -368,11 +398,12 @@ def _corpus_documents(
     taxonomy: Taxonomy,
     assets: PrepAssets,
     token_cache: dict[str, list[str]],
+    labels: list[frozenset[str]],
 ) -> list[list[str]]:
     """Token sequences feeding the dictionary: labeled CVEs plus CWE texts."""
     docs = []
-    for record in corpus:
-        if not _resolvable_labels(record, taxonomy):
+    for record, record_labels in zip(corpus, labels):
+        if not record_labels:
             continue
         docs.append(
             _cached_tokens(token_cache, f"cve:{record.id}", record.description, assets)
@@ -391,14 +422,16 @@ def _flat_training_set(
     taxonomy: Taxonomy,
     dictionary: Dictionary,
     token_cache: dict[str, list[str]],
+    labels: list[frozenset[str]],
 ) -> tuple[tuple[str, ...], list[netcore.Example]]:
     """The flat baseline's classes (every label and its ancestors, in taxonomy
     order) and examples, each marking the labels of a record and their ancestors."""
     marked = []
-    for record in corpus:
-        labels = _resolvable_labels(record, taxonomy)
-        if labels:
-            marked.append((record, set().union(*(_path_nodes(taxonomy, x) for x in labels))))
+    for record, record_labels in zip(corpus, labels):
+        if record_labels:
+            marked.append(
+                (record, set().union(*(_path_nodes(taxonomy, x) for x in record_labels)))
+            )
     classes = tuple(sorted(set().union(*(on_path for _, on_path in marked)), key=_cwe_sort_key))
     if not classes:
         raise ConfigurationError("no trainable classes in the corpus")
@@ -438,17 +471,20 @@ def train_hierarchy(
     if kind == "two-layer" and hidden_size < 1:
         raise ConfigurationError("hidden_size must be >= 1")
     token_cache: dict[str, list[str]] = {}
-    docs = _corpus_documents(corpus, taxonomy, assets, token_cache)
+    labels = resolve_labels(corpus, taxonomy)
+    docs = _corpus_documents(corpus, taxonomy, assets, token_cache, labels)
     dictionary = build_dictionary(docs, cfg.min_term_count)
     class_docs = None
     if kind == "flat":
-        classes, examples = _flat_training_set(corpus, taxonomy, dictionary, token_cache)
+        classes, examples = _flat_training_set(corpus, taxonomy, dictionary, token_cache, labels)
         nodes, training_sets = {FLAT_NODE_ID: classes}, {FLAT_NODE_ID: examples}
     else:
         nodes = {n: kids for n, kids in taxonomy.children.items() if kids}
         if kind == "hierarchical" and cfg.weight_init == "tfidf":
-            class_docs = build_class_documents(corpus, taxonomy, dictionary, assets, token_cache)
-        training_sets = assemble_training_sets(corpus, taxonomy, dictionary, assets, token_cache)
+            class_docs = build_class_documents(corpus, taxonomy, dictionary, assets, token_cache,
+                                               labels)
+        training_sets = assemble_training_sets(corpus, taxonomy, dictionary, assets, token_cache,
+                                               labels)
 
     classifiers: dict[str, Scorer] = {}
     epochs_run: dict[str, int] = {}

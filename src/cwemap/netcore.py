@@ -27,6 +27,24 @@ product would reorder the sums and move the weights by ulps.  (NumPy sums
 a one-column slice pairwise, so a record-at-a-time sum there can differ
 from the batch in the last bit.)  The two-layer output layer is one
 vector-matrix product per row (a stacked ``matmul``) for the same reason.
+
+**Block fit.**  ``train_node`` fits each node on its support S, the
+feature positions set in at least one of its examples.  It takes the rows
+S of the row-indexed parameter (``ROW_PARAM``: the single layer's
+``weights``, the hidden layer's ``w_hidden``), renumbers the examples'
+positions to rows of that block, runs Adam on the ``|S| x C`` block (and
+on any other parameter whole), and scatters the block back into a copy of
+the full matrix.  This is exact, not an approximation: a row outside S
+gets a zero gradient at every step, so its Adam moments stay exactly 0 and
+its update is ``lr * 0 / (sqrt(0) + eps) = 0``; the rows in S see the same
+values in the same ``np.add.at`` order as in the full matrix.  Those rows
+never change, so their finiteness is checked once, before the fit.
+
+**Adam in place.**  ``adam_step`` overwrites the weights and the state's
+moments it is given, with ``out=`` arguments and two work arrays, and
+keeps the out-of-place formula's operations and their order, so every
+value is rounded as before.  ``train_node`` therefore fits copies and
+never touches the arrays of the scorer it is given.
 """
 
 from __future__ import annotations
@@ -232,6 +250,7 @@ class NodeClassifier:
     weights: np.ndarray  # shape (D, C), float64
 
     PARAMS = ("weights",)
+    ROW_PARAM = "weights"
     hidden_size = None
 
     def __post_init__(self):
@@ -268,6 +287,7 @@ class TwoLayerClassifier:
     w_out: np.ndarray  # shape (H, C)
 
     PARAMS = ("w_hidden", "w_out")
+    ROW_PARAM = "w_hidden"
 
     def __post_init__(self):
         self.w_hidden = np.asarray(self.w_hidden, dtype=np.float64)
@@ -335,14 +355,33 @@ def batch_loss(clf: NodeClassifier, batch: list[Example]) -> float:
 def adam_step(
     weights: np.ndarray, grads: np.ndarray, state: AdamState, cfg: TrainConfig
 ) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; returns new weights and state."""
-    t = state.step_count + 1
-    m = cfg.adam_beta1 * state.first_moment + (1.0 - cfg.adam_beta1) * grads
-    v = cfg.adam_beta2 * state.second_moment + (1.0 - cfg.adam_beta2) * grads**2
-    m_hat = m / (1.0 - cfg.adam_beta1**t)
-    v_hat = v / (1.0 - cfg.adam_beta2**t)
-    new_weights = weights - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_epsilon)
-    return new_weights, AdamState(first_moment=m, second_moment=v, step_count=t)
+    """One bias-corrected Adam update of ``weights`` and ``state``, in place.
+
+    Returns the same two objects; ``grads`` is only read.  Every value is
+    rounded as in the out-of-place ``m = b1 * m + (1 - b1) * g``,
+    ``v = b2 * v + (1 - b2) * g**2`` and
+    ``w - lr * m_hat / (sqrt(v_hat) + eps)``, evaluated left to right.
+    """
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    m, v = state.first_moment, state.second_moment
+    state.step_count += 1
+    t = state.step_count
+    term = np.multiply(grads, 1.0 - b1)
+    np.multiply(m, b1, out=m)
+    np.add(m, term, out=m)
+    np.square(grads, out=term)
+    np.multiply(term, 1.0 - b2, out=term)
+    np.multiply(v, b2, out=v)
+    np.add(v, term, out=v)
+    # term becomes the denominator sqrt(v_hat) + eps, then the step.
+    np.divide(v, 1.0 - b2**t, out=term)
+    np.sqrt(term, out=term)
+    np.add(term, cfg.adam_epsilon, out=term)
+    step = np.divide(m, 1.0 - b1**t)
+    np.multiply(step, cfg.learning_rate, out=step)
+    np.divide(step, term, out=step)
+    np.subtract(weights, step, out=weights)
+    return weights, state
 
 
 def _write_loss_log(log_path, losses: list[float]) -> None:
@@ -366,15 +405,26 @@ def train_node(
     state.  Stops early when the mean epoch loss has not improved by at
     least LOSS_PLATEAU_DELTA for ``early_stop_patience`` consecutive epochs
     (patience <= 0 disables).  Raises TrainingError as soon as an epoch
-    leaves the loss or any parameter non-finite.  Returns the trained
-    scorer and the per-epoch loss history.
+    leaves the loss or any parameter non-finite.  Returns a trained scorer
+    with arrays of its own (``clf`` is left unchanged) and the per-epoch
+    loss history.
+
+    The fit runs on the support block: the rows of the row-indexed
+    parameter at the positions some example sets (see the module doc).
     """
     if not examples:
         raise ConfigurationError(f"{clf.node_id}: no training examples")
     data = CsrBatch.from_examples(examples, clf.dimension, len(clf.child_ids), clf.node_id)
+    support, local = np.unique(data.positions, return_inverse=True)
+    data = CsrBatch(local.astype(np.int64, copy=False), data.offsets, data.targets,
+                    len(support))
+    full = getattr(clf, clf.ROW_PARAM)
+    # The rows outside the support never change: one check covers every epoch.
+    rest_finite = bool(np.isfinite(full).all())
 
-    work = replace(clf)
-    states = {name: AdamState.zeros_like(value) for name, value in clf.params().items()}
+    work = replace(clf, **{name: value[support] if name == clf.ROW_PARAM else value.copy()
+                           for name, value in clf.params().items()})
+    states = {name: AdamState.zeros_like(value) for name, value in work.params().items()}
     rng = np.random.default_rng(cfg.seed)
     n = data.size
     losses: list[float] = []
@@ -388,12 +438,11 @@ def train_node(
             loss, grads = work.loss_and_grads(batch)
             total += loss * batch.size
             for name, grad in grads.items():
-                value, states[name] = adam_step(getattr(work, name), grad, states[name], cfg)
-                setattr(work, name, value)
+                adam_step(getattr(work, name), grad, states[name], cfg)
         epoch_loss = total / n
-        if not math.isfinite(epoch_loss) or not all(
+        if not (math.isfinite(epoch_loss) and rest_finite and all(
             np.isfinite(value).all() for value in work.params().values()
-        ):
+        )):
             raise TrainingError(
                 f"{clf.node_id}: non-finite loss or weights after epoch {epoch} "
                 "(lower the learning rate)"
@@ -408,4 +457,6 @@ def train_node(
                 break
     if log_path is not None:
         _write_loss_log(log_path, losses)
-    return work, losses
+    trained = full.copy()
+    trained[support] = getattr(work, clf.ROW_PARAM)
+    return replace(work, **{clf.ROW_PARAM: trained}), losses

@@ -5,6 +5,13 @@ Term frequency uses the augmented form 0.5 + 0.5*f/max (absent terms score
 frequency is log10(M / (1 + df)) with a zero branch when a term appears in
 every document.  Initial weights for a decision node are the TF-IDF scores
 of each dictionary term against each child class document.
+
+A ``ClassDocument`` is integer arrays over dictionary positions: the
+sorted positions of the terms it contains, their occurrence counts, and
+their document frequency among the source texts folded into it.  Only the
+document's own terms are stored, so its size follows its vocabulary, not
+the dictionary.  Everything up to the TF and IDF formulas is integer
+arithmetic, so the weights do not depend on how the documents were summed.
 """
 
 from __future__ import annotations
@@ -22,43 +29,31 @@ from .features import Dictionary
 class ClassDocument:
     """Aggregate term statistics for one class at a decision node.
 
-    ``term_counts`` holds occurrence counts over the concatenated texts
-    forming the class (its CWE entry plus the training CVEs in its
-    subtree).  For document-frequency purposes the aggregate may expose its
-    constituent source documents: ``source_doc_count`` is how many texts
-    were folded in and ``source_term_df`` maps each term to the number of
-    those texts containing it.  A plain aggregate (the defaults) counts as
-    a single document, which reproduces the textbook formula.
+    ``counts[i]`` is how often the dictionary term at ``positions[i]``
+    occurs over the concatenated texts forming the class (its CWE entry
+    plus the training CVEs in its subtree), and ``df[i]`` is how many of
+    those ``source_doc_count`` texts contain it.  A plain aggregate counts
+    as a single document: ``source_doc_count`` 1 and every df 1, which
+    reproduces the textbook formula.
     """
 
     node_id: str
-    term_counts: dict[str, int]
-    max_count: int = field(init=False)
+    positions: np.ndarray  # (n,) sorted distinct int64 dictionary positions
+    counts: np.ndarray  # (n,) int64 occurrence counts, each >= 1
+    df: np.ndarray  # (n,) int64 source documents containing the term
     source_doc_count: int = 1
-    source_term_df: dict[str, int] | None = None
+    max_count: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "max_count", max(self.term_counts.values()) if self.term_counts else 0
-        )
+        for name in ("positions", "counts", "df"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+        if not self.positions.ndim == 1 or not (
+            self.positions.shape == self.counts.shape == self.df.shape
+        ):
+            raise ConfigurationError(f"{self.node_id}: positions, counts and df differ in shape")
         if self.source_doc_count < 1:
             raise ConfigurationError(f"{self.node_id}: source_doc_count must be >= 1")
-
-    def __contains__(self, term: str) -> bool:
-        return term in self.term_counts
-
-    def doc_frequency(self, term: str) -> int:
-        """Number of constituent source documents containing the term."""
-        if self.source_term_df is not None:
-            return self.source_term_df.get(term, 0)
-        return 1 if term in self.term_counts else 0
-
-
-def _dictionary_entries(values: dict[str, int], dictionary: Dictionary):
-    """Dictionary positions and values of the dictionary terms among ``values``."""
-    pairs = [(dictionary.index[t], v) for t, v in values.items() if t in dictionary.index]
-    positions = np.array([p for p, _ in pairs], dtype=np.intp)
-    return positions, np.array([v for _, v in pairs], dtype=np.int64)
+        object.__setattr__(self, "max_count", int(self.counts.max(initial=0)))
 
 
 def init_weights(
@@ -76,7 +71,7 @@ def init_weights(
     single-source class documents this reduces to the textbook TF-IDF over
     the child aggregates.
 
-    Only each document's own terms are visited.  The IDF comes from a table
+    Only each document's own positions are visited.  The IDF comes from a table
     indexed by integer df and built with math.log10, and the TF is computed
     as 0.5 + 0.5 * count / max_count, in that order, so every weight equals
     the scalar formula bit for bit.
@@ -90,11 +85,7 @@ def init_weights(
 
     df = np.zeros(dictionary.size, dtype=np.int64)
     for doc in docs:
-        source_df = doc.source_term_df
-        if source_df is None:
-            source_df = dict.fromkeys(doc.term_counts, 1)
-        positions, counts = _dictionary_entries(source_df, dictionary)
-        df[positions] += counts
+        df[doc.positions] += doc.df
     # idf = log10(M / (1 + df)), zero where df = 0 or the ratio is <= 1.
     idf_of = np.zeros(int(df.max(initial=0)) + 1, dtype=np.float64)
     for k in np.unique(df).tolist():
@@ -103,9 +94,6 @@ def init_weights(
     idf = idf_of[df]
 
     for g, doc in enumerate(docs):
-        positions, counts = _dictionary_entries(doc.term_counts, dictionary)
-        present = counts > 0
-        positions = positions[present]
-        tf = 0.5 + 0.5 * counts[present] / doc.max_count
-        weights[positions, g] = tf * idf[positions]
+        tf = 0.5 + 0.5 * doc.counts / doc.max_count
+        weights[doc.positions, g] = tf * idf[doc.positions]
     return weights

@@ -6,19 +6,29 @@
   flat baseline.
 * The per-example two-layer forward pass, the scalar TF-IDF formulas, and
   the per-prediction correctness rule of the evaluation.
+* The dense fit: ``train_node`` and an out-of-place ``adam_step`` over the
+  full ``D x C`` parameters, as they ran before the fit moved onto each
+  node's support rows and Adam updated in place.
+* The string class documents: ``build_class_documents`` rescanning each
+  source's term Counter once per ancestor and per parent, and
+  ``init_weights`` looking every term up in the dictionary.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from cwemap.errors import ConfigurationError, ValidationError
+from cwemap.errors import ConfigurationError, TrainingError, ValidationError
 from cwemap.evaluation import _label_correct
+from cwemap.features import count_terms
 from cwemap.hierarchy import Prediction, _maximal_paths, encode_text, threshold
-from cwemap.netcore import _bce_terms, sigmoid
+from cwemap.netcore import LOSS_PLATEAU_DELTA, AdamState, CsrBatch, _bce_terms, sigmoid
+from cwemap.textprep import preprocess
 
 logger = logging.getLogger(__name__)
 
@@ -146,3 +156,158 @@ def classify_one(model, text, mode=None, cve_id=""):
         mode=mode.label(),
         truncated=frozenset(truncated),
     )
+
+
+def adam_step(weights, grads, state, cfg):
+    """One bias-corrected Adam update; returns new weights and a new state."""
+    t = state.step_count + 1
+    m = cfg.adam_beta1 * state.first_moment + (1.0 - cfg.adam_beta1) * grads
+    v = cfg.adam_beta2 * state.second_moment + (1.0 - cfg.adam_beta2) * grads**2
+    m_hat = m / (1.0 - cfg.adam_beta1**t)
+    v_hat = v / (1.0 - cfg.adam_beta2**t)
+    new_weights = weights - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_epsilon)
+    return new_weights, AdamState(first_moment=m, second_moment=v, step_count=t)
+
+
+def train_node(clf, examples, cfg):
+    """Mini-batch Adam on the full parameters of ``clf``: the dense fit."""
+    if not examples:
+        raise ConfigurationError(f"{clf.node_id}: no training examples")
+    data = CsrBatch.from_examples(examples, clf.dimension, len(clf.child_ids), clf.node_id)
+    work = replace(clf)
+    states = {name: AdamState.zeros_like(value) for name, value in clf.params().items()}
+    rng = np.random.default_rng(cfg.seed)
+    n = data.size
+    losses = []
+    best = np.inf
+    stale = 0
+    for epoch in range(cfg.max_epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, cfg.batch_size):
+            batch = data.take(order[start : start + cfg.batch_size])
+            loss, grads = work.loss_and_grads(batch)
+            total += loss * batch.size
+            for name, grad in grads.items():
+                value, states[name] = adam_step(getattr(work, name), grad, states[name], cfg)
+                setattr(work, name, value)
+        epoch_loss = total / n
+        if not math.isfinite(epoch_loss) or not all(
+            np.isfinite(value).all() for value in work.params().values()
+        ):
+            raise TrainingError(f"{clf.node_id}: non-finite loss or weights after epoch {epoch}")
+        losses.append(epoch_loss)
+        if epoch_loss < best - LOSS_PLATEAU_DELTA:
+            best = epoch_loss
+            stale = 0
+        else:
+            stale += 1
+            if cfg.early_stop_patience > 0 and stale >= cfg.early_stop_patience:
+                break
+    return work, losses
+
+
+@dataclass(frozen=True)
+class ClassDocument:
+    """A class document as term strings: counts and per-term source df."""
+
+    node_id: str
+    term_counts: dict[str, int]
+    max_count: int = field(init=False)
+    source_doc_count: int = 1
+    source_term_df: dict[str, int] | None = None
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "max_count", max(self.term_counts.values()) if self.term_counts else 0
+        )
+
+    def __contains__(self, term):
+        return term in self.term_counts
+
+    def doc_frequency(self, term):
+        if self.source_term_df is not None:
+            return self.source_term_df.get(term, 0)
+        return 1 if term in self.term_counts else 0
+
+
+def build_class_documents(corpus, taxonomy, dictionary, assets):
+    """Per node, per child, the string class document of its subtree's texts."""
+
+    def tokens(text):
+        return preprocess(text, assets.stopwords, assets.synonyms)
+
+    node_sources = {n: [] for n in taxonomy.nodes}
+    for node_id, node in taxonomy.nodes.items():
+        if node_id != taxonomy.root_id and node.text():
+            node_sources[node_id].append(count_terms(tokens(node.text())))
+    for record in corpus:
+        labels = [label for label in record.cwe_labels if label in taxonomy]
+        if labels:
+            counts = count_terms(tokens(record.description))
+            for label in labels:
+                node_sources[label].append(counts)
+
+    docs = {}
+    for node_id, kids in taxonomy.children.items():
+        if not kids:
+            continue
+        per_child = {}
+        for child in kids:
+            term_counts, term_df, n_sources = Counter(), Counter(), 0
+            for member in {child, *taxonomy.descendants(child)}:
+                for source in node_sources[member]:
+                    n_sources += 1
+                    for term, count in source.items():
+                        if term in dictionary:
+                            term_counts[term] += count
+                            term_df[term] += 1
+            per_child[child] = ClassDocument(child, dict(term_counts),
+                                             source_doc_count=max(n_sources, 1),
+                                             source_term_df=dict(term_df))
+        docs[node_id] = per_child
+    return docs
+
+
+def _dictionary_entries(values, dictionary):
+    pairs = [(dictionary.index[t], v) for t, v in values.items() if t in dictionary.index]
+    positions = np.array([p for p, _ in pairs], dtype=np.intp)
+    return positions, np.array([v for _, v in pairs], dtype=np.int64)
+
+
+def init_weights(children, dictionary, class_docs):
+    """TF-IDF initial weights from string class documents."""
+    docs = [class_docs[c] for c in children]
+    m = sum(doc.source_doc_count for doc in docs)
+    weights = np.zeros((dictionary.size, len(children)), dtype=np.float64)
+    df = np.zeros(dictionary.size, dtype=np.int64)
+    for doc in docs:
+        source_df = doc.source_term_df
+        if source_df is None:
+            source_df = dict.fromkeys(doc.term_counts, 1)
+        positions, counts = _dictionary_entries(source_df, dictionary)
+        df[positions] += counts
+    idf_of = np.zeros(int(df.max(initial=0)) + 1, dtype=np.float64)
+    for k in np.unique(df).tolist():
+        if 0 < k < m:
+            idf_of[k] = max(math.log10(m / (1 + k)), 0.0)
+    idf = idf_of[df]
+    for g, doc in enumerate(docs):
+        positions, counts = _dictionary_entries(doc.term_counts, dictionary)
+        present = counts > 0
+        positions = positions[present]
+        tf = 0.5 + 0.5 * counts[present] / doc.max_count
+        weights[positions, g] = tf * idf[positions]
+    return weights
+
+
+def class_document_arrays(doc, dictionary):
+    """The (positions, counts, df) arrays of a string class document's
+    dictionary terms, in position order."""
+    entries = sorted(
+        (dictionary.index[t], count, doc.doc_frequency(t))
+        for t, count in doc.term_counts.items()
+        if t in dictionary.index and count > 0
+    )
+    table = np.array(entries, dtype=np.int64).reshape(len(entries), 3)
+    return table[:, 0], table[:, 1], table[:, 2]

@@ -9,6 +9,7 @@ in the seed.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from cwemap.ingest import CveRecord, CweNode, Taxonomy, build_taxonomy
 
@@ -133,3 +134,15 @@ def leaf_text(pools: dict[str, list[str]], leaf: str, n_tokens: int = 12, seed: 
 def two_level_taxonomy(pool_size: int = 20, seed: int = 5):
     """root -> {A, B}, A -> {A1, A2}, B -> {B1, B2} with disjoint pools."""
     return binary_taxonomy(depth=2, pool_size=pool_size, seed=seed)
+
+
+@st.composite
+def dag_parents(draw, max_nodes: int = 9):
+    """Parent lists of a random CWE DAG: each node's parents come before it."""
+    n = draw(st.integers(1, max_nodes))
+    ids = [f"CWE-{10 + i}" for i in range(n)]
+    parents = {}
+    for i, node in enumerate(ids):
+        parents[node] = draw(st.lists(st.sampled_from(ids[:i]), max_size=2, unique=True)
+                             if i else st.just([]))
+    return parents

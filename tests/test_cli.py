@@ -358,3 +358,31 @@ class TestClassifyAndEval:
     def test_empty_stdin_exits_2(self, model_dir, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("  \n"))
         assert cli.main(["classify", "--model", str(model_dir)]) == cli.EXIT_INPUT
+
+    @pytest.mark.parametrize("bad_line", ['{"id": "CVE-1", "candidates": [', "[1, 2]",
+                                          '{"candidates": 5}', '{"candidates": [{"score": 1}]}'])
+    def test_malformed_compare_line_exits_2_naming_the_line(
+            self, model_dir, inputs, tmp_path, capsys, bad_line):
+        corpus = str(inputs / "corpus.jsonl")
+        predictions = tmp_path / "p.jsonl"
+        assert cli.main(["classify", "--model", str(model_dir), "--corpus", corpus,
+                         "--out", str(predictions)]) == cli.EXIT_OK
+        with predictions.open("a", encoding="utf-8") as fh:
+            fh.write(bad_line + "\n")
+        n = len(predictions.read_text(encoding="utf-8").splitlines())
+        capsys.readouterr()
+        assert cli.main(["eval", "--model", str(model_dir), "--corpus", corpus,
+                         "--compare", str(predictions)]) == cli.EXIT_INPUT
+        assert f"p.jsonl:{n}:" in capsys.readouterr().err
+
+    def test_eval_out_naming_a_file_exits_2_before_loading(self, model_dir, inputs, tmp_path,
+                                                          monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("loaded the model before checking --out")
+
+        monkeypatch.setattr(modelstore, "load", refuse)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory", encoding="utf-8")
+        for out in (taken, taken / "below"):
+            assert cli.main(["eval", "--model", str(model_dir), "--corpus",
+                             str(inputs / "corpus.jsonl"), "--out", str(out)]) == cli.EXIT_INPUT

@@ -1,22 +1,30 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 import synthdata
 from cwemap import cli
 from cwemap.errors import ConfigurationError, ValidationError
+from cwemap.features import build_dictionary
 from cwemap.hierarchy import (
     PrepAssets,
     assemble_training_sets,
+    build_class_documents,
     classify,
     encode_text,
     threshold,
     top_k,
     train_hierarchy,
 )
-from cwemap.ingest import CveRecord, save_taxonomy, write_cve_corpus
+from cwemap.ingest import CveRecord, CweNode, build_taxonomy, save_taxonomy, write_cve_corpus
+from cwemap.scoring import init_weights
 from cwemap.modelstore import fingerprint, load
 from cwemap.netcore import TrainConfig, sigmoid
-from cwemap.textprep import SynonymTable
+from cwemap.textprep import SynonymTable, preprocess
 
 from conftest import make_record
 
@@ -97,7 +105,72 @@ def _dictionary_for(corpus, taxonomy):
     return build_dictionary(docs, 1)
 
 
+@st.composite
+def labeled_dags(draw):
+    """A random CWE DAG with node texts, a labeled corpus over it (some
+    labels missing from the taxonomy, some records unlabeled) and a
+    dictionary that keeps only part of the terms."""
+    parents = draw(synthdata.dag_parents(max_nodes=8))
+    (words,) = synthdata.make_pools(1, 12, draw(st.integers(0, 2**16)))
+    text = st.lists(st.sampled_from(words), min_size=1, max_size=8).map(" ".join)
+    taxonomy = build_taxonomy([
+        CweNode(id=n, name=draw(text), description=draw(st.one_of(st.just(""), text)),
+                parent_ids=frozenset(p))
+        for n, p in parents.items()
+    ])
+    labels = st.lists(st.sampled_from([*parents, "CWE-9999"]), max_size=3, unique=True)
+    corpus = [make_record(i, draw(text), draw(labels)) for i in range(draw(st.integers(0, 8)))]
+    docs = [preprocess(r.description, ASSETS.stopwords, ASSETS.synonyms) for r in corpus]
+    docs += [preprocess(n.text(), ASSETS.stopwords, ASSETS.synonyms)
+             for n in taxonomy.nodes.values() if n.text()]
+    return taxonomy, corpus, build_dictionary(docs, draw(st.integers(1, 3)))
+
+
+class TestClassDocuments:
+    @settings(max_examples=80, deadline=None)
+    @given(labeled_dags())
+    def test_arrays_and_init_weights_equal_string_oracle(self, case):
+        taxonomy, corpus, dictionary = case
+        docs = build_class_documents(corpus, taxonomy, dictionary, ASSETS)
+        expected = oracle.build_class_documents(corpus, taxonomy, dictionary, ASSETS)
+        assert docs.keys() == expected.keys()
+        for node_id, per_child in expected.items():
+            assert list(docs[node_id]) == list(per_child)
+            for child, want in per_child.items():
+                got = docs[node_id][child]
+                positions, counts, df = oracle.class_document_arrays(want, dictionary)
+                np.testing.assert_array_equal(got.positions, positions)
+                np.testing.assert_array_equal(got.counts, counts)
+                np.testing.assert_array_equal(got.df, df)
+                assert got.source_doc_count == want.source_doc_count
+            children = list(taxonomy.children[node_id])
+            weights = init_weights(children, dictionary, docs[node_id])
+            assert weights.tobytes() == oracle.init_weights(
+                children, dictionary, per_child).tobytes()
+
+    def test_child_document_built_once_for_all_parents(self, dag_taxonomy):
+        corpus = [make_record(1, "path traversal text", ["CWE-22"])]
+        dictionary = _dictionary_for(corpus, dag_taxonomy)
+        docs = build_class_documents(corpus, dag_taxonomy, dictionary, ASSETS)
+        assert docs["CWE-435"]["CWE-22"] is docs["CWE-664"]["CWE-22"]
+        assert docs["CWE-435"]["CWE-22"].source_doc_count == 2  # CWE text + the CVE
+
+
 class TestTrainHierarchy:
+    @pytest.mark.parametrize("kind", ["hierarchical", "flat", "two-layer"])
+    def test_missing_label_warned_once_per_record(self, chain_taxonomy, caplog, kind):
+        corpus = [make_record(1, "run os command", ["CWE-78", "CWE-9999"]),
+                  make_record(2, "inject command text", ["CWE-9998", "CWE-9999"]),
+                  make_record(3, "special elements", ["CWE-77"])]
+        with caplog.at_level(logging.WARNING, logger="cwemap.hierarchy"):
+            train_hierarchy(corpus, chain_taxonomy, ASSETS, quick_cfg(), kind=kind,
+                            hidden_size=2)
+        warned = sorted(r.getMessage() for r in caplog.records if "not in taxonomy" in r.message)
+        assert warned == [f"{record}: label {label} not in taxonomy, skipped"
+                          for record, label in [("CVE-1999-0001", "CWE-9999"),
+                                                ("CVE-1999-0002", "CWE-9998"),
+                                                ("CVE-1999-0002", "CWE-9999")]]
+
     def test_synthetic_two_level_has_three_classifiers(self, small_synth):
         taxonomy, leaves, pools, corpus = small_synth
         model = train_hierarchy(corpus, taxonomy, ASSETS, quick_cfg())

@@ -50,26 +50,14 @@ def make_model(kind, parents, seed, hidden=3):
                  assets=ASSETS, kind=kind)
 
 
-@st.composite
-def taxonomies(draw):
-    """Parent lists of a random CWE DAG: each node's parents come before it."""
-    n = draw(st.integers(1, 9))
-    ids = [f"CWE-{10 + i}" for i in range(n)]
-    parents = {}
-    for i, node in enumerate(ids):
-        parents[node] = draw(st.lists(st.sampled_from(ids[:i]), max_size=2, unique=True)
-                             if i else st.just([]))
-    return parents
-
-
 def files_of(directory: Path) -> dict[str, bytes]:
     return {str(p.relative_to(directory)): p.read_bytes()
             for p in sorted(directory.rglob("*")) if p.is_file()}
 
 
 @settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(KINDS), parents=taxonomies(), seed=st.integers(0, 2**16),
-       hidden=st.integers(1, 4))
+@given(kind=st.sampled_from(KINDS), parents=synthdata.dag_parents(),
+       seed=st.integers(0, 2**16), hidden=st.integers(1, 4))
 def test_save_load_fingerprint_is_identity(kind, parents, seed, hidden):
     model = make_model(kind, parents, seed, hidden)
     with tempfile.TemporaryDirectory() as tmp:

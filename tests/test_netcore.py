@@ -21,6 +21,7 @@ from cwemap.netcore import (
     sigmoid,
     train_node,
 )
+import oracle
 from oracle import bce_with_logits, two_layer_logits
 
 
@@ -269,8 +270,9 @@ class TestAdam:
 
     def test_zero_gradient_leaves_weights(self):
         w = np.array([[1.0, -2.0]])
+        before = w.copy()
         w2, state = adam_step(w, np.zeros_like(w), AdamState.zeros_like(w), self.cfg())
-        np.testing.assert_array_equal(w2, w)
+        np.testing.assert_array_equal(w2, before)
         assert state.step_count == 1
 
     def test_hand_computed_first_step(self):
@@ -283,11 +285,34 @@ class TestAdam:
         w = np.array([[0.0]])
         g = np.array([[1.0]])
         state = AdamState.zeros_like(w)
-        previous = 0.0
+        previous = w.copy()
         for _ in range(5):
             w, state = adam_step(w, g, state, self.cfg())
-            assert w[0, 0] < previous
-            previous = w[0, 0]
+            assert w[0, 0] < previous[0, 0]
+            previous = w.copy()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 4), st.integers(1, 6), st.integers(0, 2**16),
+           st.sampled_from([1e-3, 0.02, 0.5]))
+    def test_updates_in_place_as_the_dense_formula(self, d, c, steps, seed, lr):
+        rng = np.random.default_rng(seed)
+        cfg = self.cfg(learning_rate=lr)
+        w = rng.normal(size=(d, c))
+        state = AdamState.zeros_like(w)
+        ref_w, ref_state = w.copy(), AdamState.zeros_like(w)
+        for _ in range(steps):
+            g = rng.normal(size=(d, c)) * rng.integers(0, 2, size=(d, c))
+            g_before = g.copy()
+            m, v = state.first_moment, state.second_moment
+            out_w, out_state = adam_step(w, g, state, cfg)
+            ref_w, ref_state = oracle.adam_step(ref_w, g, ref_state, cfg)
+            assert out_w is w and out_state is state
+            assert state.first_moment is m and state.second_moment is v
+            assert w.tobytes() == ref_w.tobytes()
+            assert m.tobytes() == ref_state.first_moment.tobytes()
+            assert v.tobytes() == ref_state.second_moment.tobytes()
+            assert state.step_count == ref_state.step_count
+            np.testing.assert_array_equal(g, g_before)
 
 
 class TestTrainConfig:
@@ -384,6 +409,85 @@ class TestTrainNode:
         lines = log.read_text().strip().splitlines()
         assert lines[0] == "epoch,loss"
         assert len(lines) == 4
+
+
+@st.composite
+def fits(draw):
+    """A scorer, its examples and a config for one ``train_node`` call.
+
+    Covers both scorer kinds (hidden width 1-4), one-child nodes, random
+    and sparse (TF-IDF-like) initial weights, examples whose texts encode
+    to nothing at all, and plateau stops.
+    """
+    d = draw(st.integers(1, 12))
+    c = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    empty_support = draw(st.booleans())
+    n = draw(st.integers(1, 8))
+    examples = []
+    for _ in range(n):
+        on = () if empty_support else draw(st.sets(st.integers(0, d - 1), max_size=d))
+        targets = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=c, max_size=c)))
+        examples.append((fv(d, *on), targets))
+    children = tuple(f"CWE-{i + 10}" for i in range(c))
+    hidden = draw(st.sampled_from([None, 1, 2, 3, 4]))
+    if hidden is None:
+        weights = rng.normal(size=(d, c))
+        if draw(st.booleans()):  # zero rows, as a TF-IDF init leaves most of them
+            weights *= rng.integers(0, 2, size=(d, 1))
+        scorer = NodeClassifier("CWE-1", children, weights)
+    else:
+        scorer = TwoLayerClassifier("CWE-1", children, rng.normal(size=(d, hidden)),
+                                    rng.normal(size=(hidden, c)))
+    cfg = TrainConfig(
+        learning_rate=draw(st.sampled_from([1e-9, 0.02, 0.3])),
+        max_epochs=draw(st.integers(0, 6)),
+        batch_size=draw(st.integers(1, 4)),
+        early_stop_patience=draw(st.integers(0, 2)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    return scorer, examples, cfg
+
+
+class TestBlockFit:
+    """``train_node`` fits the support rows only, and matches the dense fit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(fits())
+    def test_block_fit_equals_dense_fit(self, case):
+        scorer, examples, cfg = case
+        trained, losses = train_node(scorer, examples, cfg)
+        expected, expected_losses = oracle.train_node(scorer, examples, cfg)
+        assert losses == expected_losses
+        assert trained.params().keys() == expected.params().keys()
+        for name, value in expected.params().items():
+            assert trained.params()[name].tobytes() == value.tobytes(), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(fits())
+    def test_input_scorer_is_left_unchanged(self, case):
+        scorer, examples, cfg = case
+        before = {name: value.copy() for name, value in scorer.params().items()}
+        trained, _ = train_node(scorer, examples, cfg)
+        for name, value in scorer.params().items():
+            assert value.tobytes() == before[name].tobytes()
+            assert not np.shares_memory(trained.params()[name], value)
+
+    def test_plateau_stop_matches_dense_fit(self):
+        # A learning rate too small to move the loss stops after the patience.
+        c, examples = separable_toy()
+        cfg = TrainConfig(learning_rate=1e-12, max_epochs=50, early_stop_patience=3)
+        trained, losses = train_node(c, examples, cfg)
+        expected, expected_losses = oracle.train_node(c, examples, cfg)
+        assert len(losses) == 4 and losses == expected_losses
+        assert trained.weights.tobytes() == expected.weights.tobytes()
+
+    def test_non_finite_weight_outside_the_support_raises(self):
+        weights = np.zeros((3, 2))
+        weights[2, 0] = np.inf
+        examples = [(fv(3, 0), np.array([1.0, 0.0])), (fv(3, 1), np.array([0.0, 1.0]))]
+        with pytest.raises(TrainingError):
+            train_node(clf(weights), examples, TrainConfig(max_epochs=1))
 
 
 def reference_two_layer(net, batch):

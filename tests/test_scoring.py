@@ -7,19 +7,32 @@ from hypothesis import strategies as st
 
 from cwemap.errors import ConfigurationError
 from cwemap.features import Dictionary
-from cwemap.scoring import ClassDocument, init_weights
-from oracle import inverse_document_frequency, term_frequency, tfidf
+from cwemap.scoring import ClassDocument
+from cwemap.scoring import init_weights as init_array_weights
+from oracle import ClassDocument as StringDocument
+from oracle import class_document_arrays, inverse_document_frequency, term_frequency, tfidf
 
 EXACT = 1e-12
 
 
 def doc(node_id, counts, sources=None, doc_count=1):
-    return ClassDocument(
+    """A class document as term strings, the form the scalar formulas read."""
+    return StringDocument(
         node_id=node_id,
         term_counts=counts,
         source_doc_count=doc_count,
         source_term_df=sources,
     )
+
+
+def init_weights(children, dictionary, class_docs):
+    """``scoring.init_weights`` on the array form of string class documents."""
+    arrays = {
+        c: ClassDocument(d.node_id, *class_document_arrays(d, dictionary),
+                         source_doc_count=d.source_doc_count)
+        for c, d in class_docs.items()
+    }
+    return init_array_weights(children, dictionary, arrays)
 
 
 def make_dict(terms):
@@ -194,12 +207,12 @@ def init_cases(draw):
     explicit_df = draw(st.booleans())
     class_docs = {}
     for g in range(n_children):
-        # Terms outside the dictionary and zero counts are both allowed.
-        counts = draw(st.dictionaries(st.sampled_from(VOCABULARY), st.integers(0, 9), max_size=10))
+        # A class document holds dictionary terms only, each occurring at
+        # least once, in at least one of its sources.
+        counts = draw(st.dictionaries(st.sampled_from(dict_terms), st.integers(1, 9), max_size=10))
         if explicit_df:
             doc_count = draw(st.integers(1, 12))
-            sources = draw(st.dictionaries(st.sampled_from(VOCABULARY),
-                                           st.integers(0, doc_count), max_size=10))
+            sources = {t: draw(st.integers(1, doc_count)) for t in counts}
         else:
             doc_count, sources = 1, None
         class_docs[f"CWE-{g}"] = doc(f"CWE-{g}", counts, sources=sources, doc_count=doc_count)
