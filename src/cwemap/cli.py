@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import evaluation, hierarchy, ingest, modelstore
@@ -233,6 +234,25 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _resolved_test_set(records: list[ingest.CveRecord], taxonomy: ingest.Taxonomy
+                       ) -> list[ingest.CveRecord]:
+    """The records with a label in ``taxonomy``, each keeping only those labels.
+
+    Each missing label and each skipped record is warned about here, once,
+    so the evaluations that follow have nothing left to warn about.
+    """
+    kept = []
+    for record, labels in zip(records, hierarchy.resolve_labels(records, taxonomy)):
+        if labels:
+            kept.append(record if labels == record.cwe_labels
+                        else replace(record, cwe_labels=labels))
+        else:
+            logger.warning("%s: no resolvable labels, record skipped", record.id)
+    if not kept:
+        raise ValidationError("no test records with resolvable labels")
+    return kept
+
+
 def _evaluate_both(predictions, test_set, taxonomy):
     return (evaluation.evaluate(predictions, test_set, taxonomy, "fine"),
             evaluation.evaluate(predictions, test_set, taxonomy, "coarse"))
@@ -253,6 +273,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         seed = args.seed if args.seed is not None else model.config.seed
         _, corpus = evaluation.split_corpus(corpus, args.split, seed)
         print(f"evaluating on seeded split: {len(corpus)} records")
+    corpus = _resolved_test_set(corpus, model.taxonomy)
     selection = _selection(args)
     fine, coarse = _eval_model(model, corpus, selection)
     print(evaluation.format_report_table(fine, coarse))

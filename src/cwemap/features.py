@@ -1,17 +1,22 @@
 """N-gram features: term dictionary construction and multi-hot encoding.
 
 The feature space is the set of unique 1/2/3-gram terms found in the
-training texts, filtered by a minimum total-occurrence threshold.  A
-document is encoded as a binary vector with ones at the positions of the
-dictionary terms it contains.
+training texts, filtered by a minimum total-occurrence threshold.
+``build_dictionary`` reads the per-text term Counters of ``count_terms``,
+so a training text is n-grammed once.  A document is a binary vector over
+the dictionary, kept as the ascending int64 positions of the dictionary
+terms it contains (``encode``).
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigurationError, ParseError
 from .textprep import TokenSequence
@@ -108,8 +113,9 @@ def count_terms(tokens: TokenSequence) -> Counter:
     return counter
 
 
-def build_dictionary(docs: list[TokenSequence], min_count: int = DEFAULT_MIN_COUNT) -> Dictionary:
-    """Build the term dictionary from training token sequences.
+def build_dictionary(term_counts: Iterable[Counter], min_count: int = DEFAULT_MIN_COUNT
+                     ) -> Dictionary:
+    """Build the term dictionary from the term Counters of the training texts.
 
     Counts every occurrence across the whole training set (not document
     frequency) and drops terms occurring fewer than ``min_count`` times.
@@ -117,8 +123,8 @@ def build_dictionary(docs: list[TokenSequence], min_count: int = DEFAULT_MIN_COU
     if min_count < 1:
         raise ConfigurationError(f"min_count must be >= 1, got {min_count}")
     totals: Counter = Counter()
-    for tokens in docs:
-        totals.update(count_terms(tokens))
+    for counts in term_counts:
+        totals.update(counts)
     kept = [(term, count) for term, count in totals.items() if count >= min_count]
     kept.sort(key=lambda item: (-item[1], item[0]))
     index = {term: pos for pos, (term, _) in enumerate(kept)}
@@ -126,20 +132,10 @@ def build_dictionary(docs: list[TokenSequence], min_count: int = DEFAULT_MIN_COU
     return Dictionary(index=index, counts=counts, min_count=min_count)
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Multi-hot encoding of a term set in dictionary space."""
-
-    dimension: int
-    on_positions: tuple[int, ...]
-
-    def __post_init__(self):
-        bad = [p for p in self.on_positions if p >= self.dimension or p < 0]
-        if bad:
-            raise ConfigurationError(f"on_positions out of range: {bad}")
-
-
-def encode(terms: set[str], dictionary: Dictionary) -> FeatureVector:
-    """Encode a term set; out-of-dictionary terms are ignored."""
-    positions = sorted(dictionary.index[t] for t in terms if t in dictionary.index)
-    return FeatureVector(dimension=dictionary.size, on_positions=tuple(positions))
+def encode(terms: set[str], dictionary: Dictionary) -> np.ndarray:
+    """The ascending int64 positions of the dictionary terms in ``terms``;
+    out-of-dictionary terms are ignored."""
+    index = dictionary.index
+    positions = np.fromiter((index[t] for t in terms if t in index), dtype=np.int64)
+    positions.sort()
+    return positions

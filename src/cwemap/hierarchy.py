@@ -10,14 +10,20 @@ three configurations of that design:
 * ``flat``: one random-init single-layer scorer at the root whose classes
   are every label and its ancestors (the one-shot ablation, node ``FLAT``).
 
-``train_hierarchy`` is the one front half for all three: each text is
-preprocessed once, the dictionary and the per-node training sets are built
-from it, and every scoring node is fitted by ``netcore.train_node``; only
-the initial scorer and the flat targets depend on the kind.
+``train_hierarchy`` is the one front half for all three, and every scoring
+node is fitted by ``netcore.train_node``; only the initial scorer and the
+flat targets depend on the kind.  The front half starts with
+``encode_corpus``: it resolves each record's labels once, preprocesses and
+counts the 1/2/3-grams of each labeled CVE text and each CWE text once,
+builds the dictionary from those counts, and keeps every text as ascending
+int64 (positions, counts) arrays over it.  The class documents, the
+per-node training sets and the flat training set read only those arrays.
 
 Training sets are assembled per node: a CVE labeled c yields, at every
 internal node on any root-to-c path, one example whose multi-hot target
-marks the children lying on such a path.  Inference descends from the
+marks the children lying on such a path.  A node's training set is one
+``CsrBatch``: its rows taken from the corpus batch, packed once, with the
+node's target matrix.  Inference descends from the
 virtual root, keeping children whose sigmoid score clears the decision
 rule, and reports all selected nodes plus the maximal root-to-deepest
 paths.  ``classify`` encodes each text once, then takes the records
@@ -37,9 +43,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import netcore
 from .errors import ConfigurationError, ValidationError
-from .features import Dictionary, FeatureVector, build_dictionary, count_terms, encode, ngram_set
+from .features import Dictionary, build_dictionary, count_terms, encode, ngram_set
 from .ingest import CveRecord, Taxonomy, _cwe_sort_key
 from .netcore import (
     CsrBatch,
@@ -197,19 +202,10 @@ def scoring_plan(model: Model) -> list[tuple[str, Scorer | None]]:
     return [(n, model.classifiers.get(n)) for n in nodes]
 
 
-def encode_text(model: Model, text: str) -> FeatureVector:
-    """Preprocess ``text`` with the model's assets and encode it in its dictionary."""
+def encode_text(model: Model, text: str) -> np.ndarray:
+    """Preprocess ``text`` with the model's assets; its ascending dictionary positions."""
     tokens = preprocess(text, model.assets.stopwords, model.assets.synonyms)
     return encode(ngram_set(tokens), model.dictionary)
-
-
-def _cached_tokens(
-    token_cache: dict[str, list[str]], key: str, text: str, assets: PrepAssets
-) -> list[str]:
-    """Preprocessed ``text``, computed once per ``key`` (``cve:<id>``/``cwe:<id>``)."""
-    if key not in token_cache:
-        token_cache[key] = preprocess(text, assets.stopwords, assets.synonyms)
-    return token_cache[key]
 
 
 def resolve_labels(corpus: list[CveRecord], taxonomy: Taxonomy) -> list[frozenset[str]]:
@@ -227,64 +223,105 @@ def resolve_labels(corpus: list[CveRecord], taxonomy: Taxonomy) -> list[frozense
     return resolved
 
 
-def _path_nodes(taxonomy: Taxonomy, label: str) -> frozenset[str]:
-    """Nodes lying on any root-to-label path: the label plus its ancestors."""
-    return taxonomy.ancestors(label) | {label}
+#: A text's dictionary terms: ascending int64 positions and their counts.
+TermArrays = tuple[np.ndarray, np.ndarray]
 
 
-def assemble_training_sets(
-    corpus: list[CveRecord],
-    taxonomy: Taxonomy,
-    dictionary: Dictionary,
-    assets: PrepAssets,
-    token_cache: dict[str, list[str]] | None = None,
-    labels: list[frozenset[str]] | None = None,
-) -> dict[str, list[netcore.Example]]:
-    """Per-node training examples with multi-hot child targets.
+@dataclass(frozen=True)
+class EncodedCorpus:
+    """The training texts, each preprocessed and counted once, over the dictionary.
 
-    Unlabeled records and labels missing from the taxonomy are skipped (the
-    latter with a warning, unless ``labels`` already holds each record's
-    resolved labels).  Nodes where a CVE marks no child are excluded
-    from that CVE's contributions, so no all-zero targets are produced.
-    Descriptions already preprocessed into ``token_cache`` (keyed
-    ``cve:<id>``) are not preprocessed again.
+    ``labels[r]`` and ``record_terms[r]`` are the resolved labels and the
+    description terms of the r-th labeled record, in corpus order;
+    ``node_terms`` holds the terms of each taxonomy node's own text.
     """
-    token_cache = token_cache if token_cache is not None else {}
-    labels = labels if labels is not None else resolve_labels(corpus, taxonomy)
-    sets: dict[str, list[netcore.Example]] = {}
-    child_index: dict[str, dict[str, int]] = {
-        n: {c: i for i, c in enumerate(kids)} for n, kids in taxonomy.children.items() if kids
-    }
-    for record, record_labels in zip(corpus, labels):
-        if not record_labels:
-            continue
-        on_path: set[str] = set()
-        for label in record_labels:
-            on_path.update(_path_nodes(taxonomy, label))
-        tokens = _cached_tokens(token_cache, f"cve:{record.id}", record.description, assets)
-        fv = encode(ngram_set(tokens), dictionary)
-        for node_id, index in child_index.items():
-            if node_id != taxonomy.root_id and node_id not in on_path:
-                continue
-            marked = [c for c in index if c in on_path]
-            if not marked:
-                continue
-            targets = np.zeros(len(index), dtype=np.float64)
-            for child in marked:
-                targets[index[child]] = 1.0
-            sets.setdefault(node_id, []).append((fv, targets))
-    return sets
+
+    dictionary: Dictionary
+    labels: list[frozenset[str]]
+    record_terms: list[TermArrays]
+    node_terms: dict[str, TermArrays]
+
+    def batch(self) -> CsrBatch:
+        """The labeled records packed one row each, without targets."""
+        return CsrBatch.pack([positions for positions, _ in self.record_terms],
+                             self.dictionary.size)
 
 
-def _term_arrays(counts: Counter, dictionary: Dictionary) -> tuple[np.ndarray, np.ndarray]:
-    """Dictionary positions of the dictionary terms in ``counts``, and their counts."""
+def _term_arrays(counts: Counter, dictionary: Dictionary) -> TermArrays:
+    """Ascending dictionary positions of the dictionary terms in ``counts``, and their counts."""
     index = dictionary.index
     hits = [(index[term], count) for term, count in counts.items() if term in index]
     table = np.array(hits, dtype=np.int64).reshape(len(hits), 2)
+    table = table[np.argsort(table[:, 0])]
     return table[:, 0], table[:, 1]
 
 
-def _aggregate(node_id: str, sources: list[tuple[np.ndarray, np.ndarray]]) -> ClassDocument:
+def encode_corpus(
+    corpus: list[CveRecord], taxonomy: Taxonomy, assets: PrepAssets, min_count: int
+) -> EncodedCorpus:
+    """Count each labeled record's description and each CWE text once, build
+    the dictionary from those counts, and encode every text over it.
+
+    Records without a label in the taxonomy are left out (each missing
+    label is warned about once).
+    """
+    labels = resolve_labels(corpus, taxonomy)
+    kept = [(record, found) for record, found in zip(corpus, labels) if found]
+    node_ids = [n for n, node in taxonomy.nodes.items() if n != taxonomy.root_id and node.text()]
+    texts = [record.description for record, _ in kept]
+    texts += [taxonomy.nodes[n].text() for n in node_ids]
+    if not texts:
+        raise ConfigurationError("no labeled records resolvable against the taxonomy")
+    # Every text is preprocessed before any is counted, so the stemmer's
+    # long-lived cache is not interleaved with the short-lived n-gram strings
+    # in memory, and their memory can be returned once the Counters go.
+    tokens = [preprocess(text, assets.stopwords, assets.synonyms) for text in texts]
+    counts = [count_terms(t) for t in tokens]
+    dictionary = build_dictionary(counts, min_count)
+    terms = [_term_arrays(c, dictionary) for c in counts]
+    return EncodedCorpus(
+        dictionary=dictionary,
+        labels=[found for _, found in kept],
+        record_terms=terms[: len(kept)],
+        node_terms=dict(zip(node_ids, terms[len(kept):])),
+    )
+
+
+def _on_path(taxonomy: Taxonomy, labels: frozenset[str]) -> set[str]:
+    """Nodes lying on any root-to-label path of ``labels``: the labels and their ancestors."""
+    return set(labels).union(*(taxonomy.ancestors(label) for label in labels))
+
+
+def assemble_training_sets(encoded: EncodedCorpus, taxonomy: Taxonomy) -> dict[str, CsrBatch]:
+    """Per internal node, its training set: one row per record with a label
+    below it, whose multi-hot targets mark the children on the record's paths.
+
+    Nodes where a record marks no child are excluded from that record's
+    contributions, so no all-zero targets are produced.  Rows keep corpus
+    order.
+    """
+    child_index: dict[str, dict[str, int]] = {
+        n: {c: i for i, c in enumerate(kids)} for n, kids in taxonomy.children.items() if kids
+    }
+    picked: dict[str, list[tuple[int, list[int]]]] = {}
+    for row, labels in enumerate(encoded.labels):
+        on_path = _on_path(taxonomy, labels)
+        for node_id in on_path | {taxonomy.root_id}:
+            marked = [i for c, i in child_index.get(node_id, {}).items() if c in on_path]
+            if marked:
+                picked.setdefault(node_id, []).append((row, marked))
+    corpus_batch = encoded.batch()
+    sets: dict[str, CsrBatch] = {}
+    for node_id, entries in picked.items():
+        targets = np.zeros((len(entries), len(child_index[node_id])))
+        for i, (_, marked) in enumerate(entries):
+            targets[i, marked] = 1.0
+        rows = np.array([row for row, _ in entries], dtype=np.int64)
+        sets[node_id] = replace(corpus_batch.take(rows), targets=targets)
+    return sets
+
+
+def _aggregate(node_id: str, sources: list[TermArrays]) -> ClassDocument:
     """The class document summing ``sources``: per position, the total count
     and the number of sources containing it."""
     if not sources:
@@ -304,12 +341,7 @@ def _aggregate(node_id: str, sources: list[tuple[np.ndarray, np.ndarray]]) -> Cl
 
 
 def build_class_documents(
-    corpus: list[CveRecord],
-    taxonomy: Taxonomy,
-    dictionary: Dictionary,
-    assets: PrepAssets,
-    token_cache: dict[str, list[str]] | None = None,
-    labels: list[frozenset[str]] | None = None,
+    encoded: EncodedCorpus, taxonomy: Taxonomy
 ) -> dict[str, dict[str, ClassDocument]]:
     """Per-node, per-child aggregate documents feeding weight initialization.
 
@@ -318,33 +350,16 @@ def build_class_documents(
     CVE labeled inside that subtree (a CVE with two labels there counts
     twice).  Counts are restricted to dictionary terms; each constituent
     text also reports per-term document frequency so initialization can
-    compute a non-degenerate IDF.
-
-    Each source text is counted once into (position, count) arrays, and
-    each child's document is built once and shared by all of its parents.
-    ``labels`` holds each record's resolved labels (see ``resolve_labels``).
+    compute a non-degenerate IDF.  Each child's document is built once and
+    shared by all of its parents.
     """
-    token_cache = token_cache if token_cache is not None else {}
-    labels = labels if labels is not None else resolve_labels(corpus, taxonomy)
-
-    # Source documents grouped by the taxonomy node they attach to.
-    node_sources: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {
-        n: [] for n in taxonomy.nodes
-    }
-    for node_id, node in taxonomy.nodes.items():
-        if node_id == taxonomy.root_id:
-            continue
-        text = node.text()
-        if text:
-            tokens = _cached_tokens(token_cache, f"cwe:{node_id}", text, assets)
-            node_sources[node_id].append(_term_arrays(count_terms(tokens), dictionary))
-    for record, record_labels in zip(corpus, labels):
-        if not record_labels:
-            continue
-        tokens = _cached_tokens(token_cache, f"cve:{record.id}", record.description, assets)
-        source = _term_arrays(count_terms(tokens), dictionary)
-        for label in record_labels:
-            node_sources[label].append(source)
+    # Source texts grouped by the taxonomy node they attach to.
+    node_sources: dict[str, list[TermArrays]] = {n: [] for n in taxonomy.nodes}
+    for node_id, terms in encoded.node_terms.items():
+        node_sources[node_id].append(terms)
+    for labels, terms in zip(encoded.labels, encoded.record_terms):
+        for label in labels:
+            node_sources[label].append(terms)
 
     child_docs: dict[str, ClassDocument] = {}
     docs: dict[str, dict[str, ClassDocument]] = {}
@@ -393,55 +408,21 @@ def _initial_scorer(
     return NodeClassifier(node_id, children, rng.normal(0.0, 0.01, size=(d, len(children))))
 
 
-def _corpus_documents(
-    corpus: list[CveRecord],
-    taxonomy: Taxonomy,
-    assets: PrepAssets,
-    token_cache: dict[str, list[str]],
-    labels: list[frozenset[str]],
-) -> list[list[str]]:
-    """Token sequences feeding the dictionary: labeled CVEs plus CWE texts."""
-    docs = []
-    for record, record_labels in zip(corpus, labels):
-        if not record_labels:
-            continue
-        docs.append(
-            _cached_tokens(token_cache, f"cve:{record.id}", record.description, assets)
-        )
-    for node_id, node in taxonomy.nodes.items():
-        if node_id == taxonomy.root_id or not node.text():
-            continue
-        docs.append(_cached_tokens(token_cache, f"cwe:{node_id}", node.text(), assets))
-    if not docs:
-        raise ConfigurationError("no labeled records resolvable against the taxonomy")
-    return docs
-
-
 def _flat_training_set(
-    corpus: list[CveRecord],
-    taxonomy: Taxonomy,
-    dictionary: Dictionary,
-    token_cache: dict[str, list[str]],
-    labels: list[frozenset[str]],
-) -> tuple[tuple[str, ...], list[netcore.Example]]:
+    encoded: EncodedCorpus, taxonomy: Taxonomy
+) -> tuple[tuple[str, ...], CsrBatch]:
     """The flat baseline's classes (every label and its ancestors, in taxonomy
-    order) and examples, each marking the labels of a record and their ancestors."""
-    marked = []
-    for record, record_labels in zip(corpus, labels):
-        if record_labels:
-            marked.append(
-                (record, set().union(*(_path_nodes(taxonomy, x) for x in record_labels)))
-            )
-    classes = tuple(sorted(set().union(*(on_path for _, on_path in marked)), key=_cwe_sort_key))
+    order) and training set, one row per labeled record marking its labels
+    and their ancestors."""
+    on_paths = [_on_path(taxonomy, labels) for labels in encoded.labels]
+    classes = tuple(sorted(set().union(*on_paths), key=_cwe_sort_key))
     if not classes:
         raise ConfigurationError("no trainable classes in the corpus")
     class_pos = {c: i for i, c in enumerate(classes)}
-    examples: list[netcore.Example] = []
-    for record, on_path in marked:
-        targets = np.zeros(len(classes), dtype=np.float64)
-        targets[[class_pos[c] for c in on_path]] = 1.0
-        examples.append((encode(ngram_set(token_cache[f"cve:{record.id}"]), dictionary), targets))
-    return classes, examples
+    targets = np.zeros((len(on_paths), len(classes)))
+    for row, on_path in enumerate(on_paths):
+        targets[row, [class_pos[c] for c in on_path]] = 1.0
+    return classes, replace(encoded.batch(), targets=targets)
 
 
 def train_hierarchy(
@@ -455,10 +436,10 @@ def train_hierarchy(
 ) -> Model:
     """Train a model of ``kind``: one scorer per scoring node.
 
-    Each text is preprocessed once and shared by the dictionary, the class
-    documents and the training sets.  Scorers are trained one after
-    another, each from its own seed; a node without a single training
-    example keeps its initial weights.  Hierarchical scorers start from
+    Each text is preprocessed and counted once (``encode_corpus``), and the
+    class documents and the training sets read those counts.  Scorers are
+    trained one after another, each from its own seed; a node without a
+    single training example keeps its initial weights.  Hierarchical scorers start from
     TF-IDF weights unless ``cfg.weight_init`` is "random"; two-layer scorers
     (``hidden_size`` wide) and the flat one always start from random
     weights.  With ``log_dir``, each trained scorer writes its epoch losses
@@ -470,21 +451,17 @@ def train_hierarchy(
         raise ConfigurationError("empty training corpus")
     if kind == "two-layer" and hidden_size < 1:
         raise ConfigurationError("hidden_size must be >= 1")
-    token_cache: dict[str, list[str]] = {}
-    labels = resolve_labels(corpus, taxonomy)
-    docs = _corpus_documents(corpus, taxonomy, assets, token_cache, labels)
-    dictionary = build_dictionary(docs, cfg.min_term_count)
+    encoded = encode_corpus(corpus, taxonomy, assets, cfg.min_term_count)
+    dictionary = encoded.dictionary
     class_docs = None
     if kind == "flat":
-        classes, examples = _flat_training_set(corpus, taxonomy, dictionary, token_cache, labels)
-        nodes, training_sets = {FLAT_NODE_ID: classes}, {FLAT_NODE_ID: examples}
+        classes, batch = _flat_training_set(encoded, taxonomy)
+        nodes, training_sets = {FLAT_NODE_ID: classes}, {FLAT_NODE_ID: batch}
     else:
         nodes = {n: kids for n, kids in taxonomy.children.items() if kids}
         if kind == "hierarchical" and cfg.weight_init == "tfidf":
-            class_docs = build_class_documents(corpus, taxonomy, dictionary, assets, token_cache,
-                                               labels)
-        training_sets = assemble_training_sets(corpus, taxonomy, dictionary, assets, token_cache,
-                                               labels)
+            class_docs = build_class_documents(encoded, taxonomy)
+        training_sets = assemble_training_sets(encoded, taxonomy)
 
     classifiers: dict[str, Scorer] = {}
     epochs_run: dict[str, int] = {}
@@ -493,7 +470,7 @@ def train_hierarchy(
                               hidden_size)
         epochs_run[node_id] = 0
         examples = training_sets.get(node_id)
-        if examples:
+        if examples is not None:
             node_cfg = replace(cfg, seed=_node_seed(cfg.seed, node_id))
             log_path = Path(log_dir) / f"{node_id}.csv" if log_dir is not None else None
             clf, losses = train_node(clf, examples, node_cfg, log_path)
@@ -572,7 +549,7 @@ def classify(
 def _classify_chunk(model, plan, texts: list[str], ids: list[str], mode: SelectionMode):
     """One pass of the walk over ``plan`` for a chunk of records."""
     n = len(texts)
-    batch = CsrBatch.from_features([encode_text(model, t) for t in texts], model.dictionary.size)
+    batch = CsrBatch.pack([encode_text(model, t) for t in texts], model.dictionary.size)
     scores: list[dict[str, float]] = [{} for _ in range(n)]
     selected: list[set[str]] = [set() for _ in range(n)]
     truncated: list[set[str]] = [set() for _ in range(n)]

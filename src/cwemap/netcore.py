@@ -17,9 +17,12 @@ parameter from one forward pass.  ``train_node`` is the only training
 loop: mini-batch Adam on every entry of ``params()``, with a loss-plateau
 stop and a non-finite check after every epoch.
 
-Training packs a node's examples once into a CSR batch (the on-positions of
-all rows back to back, row offsets, and a targets matrix), and each
-minibatch is a vectorized row gather from it.  Sums over a row's
+A ``CsrBatch`` holds records in compressed-sparse-row form: the ascending
+on-positions of all rows back to back, row offsets, and a targets matrix.
+``CsrBatch.pack`` builds one from per-record position arrays, for
+inference and for a training corpus alike.  ``train_node`` takes a node's
+training set as one such batch, checks its shape once, and each minibatch
+is a vectorized row gather (``take``) from it.  Sums over a row's
 on-positions use ``np.add.at`` in row order: the order in which
 ``weights[rows].sum(axis=0)`` adds the rows of one record for two or more
 columns, so the weights match per-example training bit for bit.  A BLAS
@@ -50,7 +53,6 @@ never touches the arrays of the scorer it is given.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -58,7 +60,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, TrainingError
-from .features import FeatureVector
 
 LOSS_PLATEAU_DELTA = 1e-5
 
@@ -139,16 +140,14 @@ def _bce_terms(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) - x * z + np.log1p(np.exp(-np.abs(x)))
 
 
-Example = tuple[FeatureVector, np.ndarray]
-
-
 @dataclass(frozen=True)
 class CsrBatch:
-    """Feature vectors of one dimension in compressed-sparse-row form.
+    """Binary feature vectors of one dimension in compressed-sparse-row form.
 
-    Row r's on-positions are ``positions[offsets[r]:offsets[r + 1]]`` and
-    its multi-hot targets are ``targets[r]``; a batch packed for inference
-    has no targets (``targets`` is ``(n, 0)``).
+    Row r's on-positions are ``positions[offsets[r]:offsets[r + 1]]``, in
+    ascending order, and its multi-hot targets are ``targets[r]``; a packed
+    batch has no targets (``targets`` is ``(n, 0)``) until a training set
+    gives it some.
     """
 
     positions: np.ndarray  # (nnz,) int64 feature positions, row after row
@@ -157,37 +156,12 @@ class CsrBatch:
     dimension: int  # length of every packed feature vector
 
     @classmethod
-    def from_features(
-        cls, features: list[FeatureVector], dimension: int, node_id: str = ""
-    ) -> "CsrBatch":
-        """Pack feature vectors without targets, checking their dimension."""
-        return cls.from_examples([(fv, ()) for fv in features], dimension, 0, node_id)
-
-    @classmethod
-    def from_examples(
-        cls, examples: list[Example], dimension: int, n_classes: int, node_id: str = ""
-    ) -> "CsrBatch":
-        """Pack (feature vector, targets) pairs, checking their sizes."""
-        for fv, targets in examples:
-            if fv.dimension != dimension:
-                raise ConfigurationError(
-                    f"{node_id}: feature dimension {fv.dimension} != weight rows {dimension}"
-                )
-            if len(targets) != n_classes:
-                raise ConfigurationError(
-                    f"{node_id}: target length {len(targets)} != {n_classes}"
-                )
-        n = len(examples)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        lengths = np.fromiter((len(fv.on_positions) for fv, _ in examples), np.int64, count=n)
-        np.cumsum(lengths, out=offsets[1:])
-        positions = np.fromiter(
-            itertools.chain.from_iterable(fv.on_positions for fv, _ in examples),
-            dtype=np.int64,
-            count=int(offsets[-1]),
-        )
-        targets = np.array([z for _, z in examples], dtype=np.float64).reshape(n, n_classes)
-        return cls(positions=positions, offsets=offsets, targets=targets, dimension=dimension)
+    def pack(cls, rows: list[np.ndarray], dimension: int) -> "CsrBatch":
+        """One row per array of ascending int64 positions, without targets."""
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, rows), np.int64, count=len(rows)), out=offsets[1:])
+        positions = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
+        return cls(positions, offsets, np.zeros((len(rows), 0)), dimension)
 
     @property
     def size(self) -> int:
@@ -339,17 +313,28 @@ def forward_scores(clf: Scorer, batch: CsrBatch) -> np.ndarray:
     return sigmoid(clf.logits(batch))
 
 
-def _pack(clf: NodeClassifier, batch: list[Example]) -> CsrBatch:
-    return CsrBatch.from_examples(batch, *clf.weights.shape, node_id=clf.node_id)
+def _check_fits(clf: Scorer, batch: CsrBatch) -> None:
+    """ConfigurationError unless ``batch`` has ``clf``'s dimension and one
+    target column per child."""
+    if batch.dimension != clf.dimension:
+        raise ConfigurationError(
+            f"{clf.node_id}: feature dimension {batch.dimension} != weight rows {clf.dimension}"
+        )
+    if batch.targets.shape[1] != len(clf.child_ids):
+        raise ConfigurationError(
+            f"{clf.node_id}: target length {batch.targets.shape[1]} != {len(clf.child_ids)}"
+        )
 
 
-def gradient(clf: NodeClassifier, batch: list[Example]) -> np.ndarray:
+def gradient(clf: NodeClassifier, batch: CsrBatch) -> np.ndarray:
     """Exact gradient of the batch-mean BCE loss with respect to the weights."""
-    return loss_and_gradient(clf.weights, _pack(clf, batch))[1]
+    _check_fits(clf, batch)
+    return loss_and_gradient(clf.weights, batch)[1]
 
 
-def batch_loss(clf: NodeClassifier, batch: list[Example]) -> float:
-    return loss_and_gradient(clf.weights, _pack(clf, batch))[0]
+def batch_loss(clf: NodeClassifier, batch: CsrBatch) -> float:
+    _check_fits(clf, batch)
+    return loss_and_gradient(clf.weights, batch)[0]
 
 
 def adam_step(
@@ -394,11 +379,12 @@ def _write_loss_log(log_path, losses: list[float]) -> None:
 
 def train_node(
     clf: Scorer,
-    examples: list[Example],
+    examples: CsrBatch,
     cfg: TrainConfig,
     log_path: str | Path | None = None,
 ) -> tuple[Scorer, list[float]]:
-    """Mini-batch Adam on every parameter of ``clf``, with a training-loss plateau stop.
+    """Mini-batch Adam on every parameter of ``clf`` over the rows of ``examples``,
+    with a training-loss plateau stop.
 
     Deterministic for a fixed (seed, data, config): shuffling is driven by a
     generator seeded from cfg.seed, and each parameter keeps its own Adam
@@ -412,11 +398,11 @@ def train_node(
     The fit runs on the support block: the rows of the row-indexed
     parameter at the positions some example sets (see the module doc).
     """
-    if not examples:
+    if examples.size == 0:
         raise ConfigurationError(f"{clf.node_id}: no training examples")
-    data = CsrBatch.from_examples(examples, clf.dimension, len(clf.child_ids), clf.node_id)
-    support, local = np.unique(data.positions, return_inverse=True)
-    data = CsrBatch(local.astype(np.int64, copy=False), data.offsets, data.targets,
+    _check_fits(clf, examples)
+    support, local = np.unique(examples.positions, return_inverse=True)
+    data = CsrBatch(local.astype(np.int64, copy=False), examples.offsets, examples.targets,
                     len(support))
     full = getattr(clf, clf.ROW_PARAM)
     # The rows outside the support never change: one check covers every epoch.

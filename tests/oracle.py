@@ -12,6 +12,10 @@
 * The string class documents: ``build_class_documents`` rescanning each
   source's term Counter once per ancestor and per parent, and
   ``init_weights`` looking every term up in the dictionary.
+* The string training sets: each labeled record preprocessed, n-grammed
+  and encoded on its own, giving one (positions, targets) example per
+  record at each node (and in the flat baseline), and the dictionary
+  totalled over the n-grams of every training text.
 """
 
 from __future__ import annotations
@@ -25,9 +29,10 @@ import numpy as np
 
 from cwemap.errors import ConfigurationError, TrainingError, ValidationError
 from cwemap.evaluation import _label_correct
-from cwemap.features import count_terms
+from cwemap.features import Dictionary, count_terms, encode, ngram_set, ngrams
 from cwemap.hierarchy import Prediction, _maximal_paths, encode_text, threshold
-from cwemap.netcore import LOSS_PLATEAU_DELTA, AdamState, CsrBatch, _bce_terms, sigmoid
+from cwemap.ingest import _cwe_sort_key
+from cwemap.netcore import LOSS_PLATEAU_DELTA, AdamState, _bce_terms, sigmoid
 from cwemap.textprep import preprocess
 
 logger = logging.getLogger(__name__)
@@ -38,10 +43,10 @@ def bce_with_logits(logits, targets):
     return float(_bce_terms(np.asarray(logits, float), np.asarray(targets, float)).mean())
 
 
-def two_layer_logits(clf, fv):
+def two_layer_logits(clf, positions):
     """One record through a two-layer scorer: sigmoid hidden layer, then ``w_out``."""
-    if fv.on_positions:
-        pre = clf.w_hidden[list(fv.on_positions)].sum(axis=0)
+    if len(positions):
+        pre = clf.w_hidden[positions].sum(axis=0)
     else:
         pre = np.zeros(clf.w_hidden.shape[1], dtype=np.float64)
     return sigmoid(pre) @ clf.w_out
@@ -81,11 +86,11 @@ def is_correct(pred, labels, taxonomy, mode):
     return any(_label_correct(pred, label, taxonomy, mode) for label in resolvable)
 
 
-def forward_logits(weights, fv):
+def forward_logits(weights, positions):
     """Sum of the weight rows selected by the on-bits."""
-    if not fv.on_positions:
+    if not len(positions):
         return np.zeros(weights.shape[1], dtype=np.float64)
-    return weights[list(fv.on_positions)].sum(axis=0)
+    return weights[positions].sum(axis=0)
 
 
 def node_scores(model, node_id, fv):
@@ -169,11 +174,11 @@ def adam_step(weights, grads, state, cfg):
     return new_weights, AdamState(first_moment=m, second_moment=v, step_count=t)
 
 
-def train_node(clf, examples, cfg):
-    """Mini-batch Adam on the full parameters of ``clf``: the dense fit."""
-    if not examples:
+def train_node(clf, data, cfg):
+    """Mini-batch Adam on the full parameters of ``clf`` over the rows of the
+    batch ``data``: the dense fit."""
+    if data.size == 0:
         raise ConfigurationError(f"{clf.node_id}: no training examples")
-    data = CsrBatch.from_examples(examples, clf.dimension, len(clf.child_ids), clf.node_id)
     work = replace(clf)
     states = {name: AdamState.zeros_like(value) for name, value in clf.params().items()}
     rng = np.random.default_rng(cfg.seed)
@@ -311,3 +316,64 @@ def class_document_arrays(doc, dictionary):
     )
     table = np.array(entries, dtype=np.int64).reshape(len(entries), 3)
     return table[:, 0], table[:, 1], table[:, 2]
+
+
+def build_dictionary(corpus, taxonomy, assets, min_count):
+    """The dictionary of the training texts, totalled n-gram by n-gram: the
+    descriptions of the records with a label in the taxonomy, and the CWE texts."""
+    texts = [r.description for r in corpus if any(label in taxonomy for label in r.cwe_labels)]
+    texts += [n.text() for n_id, n in taxonomy.nodes.items()
+              if n_id != taxonomy.root_id and n.text()]
+    totals = Counter()
+    for text in texts:
+        tokens = preprocess(text, assets.stopwords, assets.synonyms)
+        for n in (1, 2, 3):
+            for term in ngrams(tokens, n):
+                totals[term] += 1
+    kept = sorted(((t, c) for t, c in totals.items() if c >= min_count),
+                  key=lambda item: (-item[1], item[0]))
+    return Dictionary(index={t: i for i, (t, _) in enumerate(kept)}, counts=dict(kept),
+                      min_count=min_count)
+
+
+def _labeled(corpus, taxonomy):
+    """(record, labels on any of its root-to-label paths) per record with a resolvable label."""
+    out = []
+    for record in corpus:
+        labels = [label for label in record.cwe_labels if label in taxonomy]
+        if labels:
+            on_path = set(labels)
+            for label in labels:
+                on_path |= taxonomy.ancestors(label)
+            out.append((record, on_path))
+    return out
+
+
+def _positions(record, dictionary, assets):
+    tokens = preprocess(record.description, assets.stopwords, assets.synonyms)
+    return tuple(encode(ngram_set(tokens), dictionary).tolist())
+
+
+def assemble_training_sets(corpus, taxonomy, dictionary, assets):
+    """Per internal node, its (positions, targets) examples, one per record
+    marking a child of the node on its paths, in corpus order."""
+    sets = {}
+    for record, on_path in _labeled(corpus, taxonomy):
+        positions = _positions(record, dictionary, assets)
+        for node_id, kids in taxonomy.children.items():
+            if not kids or (node_id != taxonomy.root_id and node_id not in on_path):
+                continue
+            targets = [1.0 if c in on_path else 0.0 for c in kids]
+            if any(targets):
+                sets.setdefault(node_id, []).append((positions, targets))
+    return sets
+
+
+def flat_training_set(corpus, taxonomy, dictionary, assets):
+    """The flat baseline's classes and (positions, targets) examples."""
+    labeled = _labeled(corpus, taxonomy)
+    classes = sorted(set().union(*(on_path for _, on_path in labeled)), key=_cwe_sort_key)
+    examples = [(_positions(record, dictionary, assets),
+                 [1.0 if c in on_path else 0.0 for c in classes])
+                for record, on_path in labeled]
+    return tuple(classes), examples

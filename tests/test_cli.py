@@ -3,11 +3,17 @@ output contract the benchmark reads."""
 
 import io
 import json
+import logging
 import re
 import shutil
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import synthdata
 from cwemap import cli, evaluation, hierarchy, ingest, modelstore
@@ -254,6 +260,65 @@ class TestCorpusBoundary:
         assert cli.main(argv) == cli.EXIT_INPUT
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+@st.composite
+def corpus_lines(draw, good):
+    """A corpus file: lines of ``good`` records with generated lines among them.
+
+    A generated line is an object whose fields are each a valid value, any
+    JSON value or missing; a JSON value that is not an object; or raw bytes.
+    """
+    record = draw(st.sampled_from(good))
+    fields = {
+        "id": st.sampled_from(["CVE-2031-0001", "CVE-2031-0002", record.id]),
+        "description": st.sampled_from([record.description, "fresh words here"]),
+        "cwe_labels": st.sampled_from([sorted(record.cwe_labels), ["CWE-100"], ["CWE-9999"]]),
+    }
+    obj = {}
+    for name, valid in fields.items():
+        kind = draw(st.sampled_from(["valid"] * 3 + ["json", "missing"]))
+        if kind != "missing":
+            obj[name] = draw(valid if kind == "valid" else JSON_VALUES)
+    kind = draw(st.sampled_from(["object"] * 3 + ["json", "bytes"]))
+    if kind == "object":
+        line = json.dumps(obj).encode()
+    elif kind == "json":
+        line = json.dumps(draw(JSON_VALUES.filter(lambda v: not isinstance(v, dict)))).encode()
+    else:
+        line = draw(st.binary(max_size=24))
+    lines = [json.dumps({"id": r.id, "description": r.description,
+                         "cwe_labels": sorted(r.cwe_labels)}).encode() for r in good]
+    lines.insert(draw(st.integers(0, len(lines))), line)
+    return b"\n".join(lines) + b"\n"
+
+
+class TestCorpusFuzz:
+    """Whatever a corpus line holds, ``train`` and ``classify --corpus`` exit 0 or 2."""
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_generated_corpus_lines_exit_0_or_2(self, inputs, model_dir, data):
+        good = ingest.load_cve_corpus(inputs / "corpus.jsonl")[:4]
+        content = data.draw(corpus_lines(good))
+        with tempfile.TemporaryDirectory() as work:
+            corpus = Path(work) / "corpus.jsonl"
+            corpus.write_bytes(content)
+            train = ["train", "--corpus", str(corpus), "--taxonomy",
+                     str(inputs / "taxonomy.json"), "--max-epochs", "1", "--th", "1",
+                     "--model", str(Path(work) / "m")]
+            classify = ["classify", "--model", str(model_dir), "--corpus", str(corpus),
+                        "--out", str(Path(work) / "p.jsonl")]
+            assert cli.main(train) in (cli.EXIT_OK, cli.EXIT_INPUT)
+            assert cli.main(classify) in (cli.EXIT_OK, cli.EXIT_INPUT)
+
+
 class TestTrainFlags:
     def test_log_dir_created_with_parents(self, inputs, tmp_path):
         log_dir = tmp_path / "logs" / "nested"
@@ -374,6 +439,17 @@ class TestClassifyAndEval:
         assert cli.main(["eval", "--model", str(model_dir), "--corpus", corpus,
                          "--compare", str(predictions)]) == cli.EXIT_INPUT
         assert f"p.jsonl:{n}:" in capsys.readouterr().err
+
+    def test_missing_label_warned_once_per_eval(self, model_dir, inputs, tmp_path, caplog):
+        record = ingest.load_cve_corpus(inputs / "corpus.jsonl")[0]
+        corpus = tmp_path / "one.jsonl"
+        write_cve_corpus([replace(record, cwe_labels=record.cwe_labels | {"CWE-77"})], corpus)
+        argv = ["eval", "--model", str(model_dir), "--corpus", str(corpus),
+                "--compare", str(model_dir)]
+        with caplog.at_level(logging.WARNING):
+            assert cli.main(argv) == cli.EXIT_OK
+        warned = [r.getMessage() for r in caplog.records if "CWE-77" in r.getMessage()]
+        assert warned == [f"{record.id}: label CWE-77 not in taxonomy, skipped"]
 
     def test_eval_out_naming_a_file_exits_2_before_loading(self, model_dir, inputs, tmp_path,
                                                           monkeypatch):

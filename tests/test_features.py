@@ -1,5 +1,6 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,13 +8,17 @@ from hypothesis import strategies as st
 from cwemap.errors import ConfigurationError
 from cwemap.features import (
     Dictionary,
-    FeatureVector,
     build_dictionary,
     count_terms,
     encode,
     ngram_set,
     ngrams,
 )
+
+
+def counted(docs):
+    """The term Counter of each token sequence, as ``build_dictionary`` reads them."""
+    return [count_terms(tokens) for tokens in docs]
 
 
 class TestNgrams:
@@ -54,13 +59,13 @@ class TestNgramSet:
 class TestBuildDictionary:
     def test_counts_meeting_threshold_exactly(self):
         docs = [["buffer", "overflow"]] * 3
-        d = build_dictionary(docs, min_count=3)
+        d = build_dictionary(counted(docs), min_count=3)
         assert set(d.index) == {"buffer", "overflow", "buffer overflow"}
         assert all(d.counts[t] == 3 for t in d.index)
 
     def test_threshold_above_counts_empties_dictionary(self):
         docs = [["buffer", "overflow"]] * 3
-        assert build_dictionary(docs, min_count=4).size == 0
+        assert build_dictionary(counted(docs), min_count=4).size == 0
 
     def test_rare_terms_filtered(self):
         # brute-force oracle: total occurrences over the whole corpus
@@ -70,13 +75,13 @@ class TestBuildDictionary:
             totals.update(count_terms(doc))
         assert totals["sql inject"] == 5
         assert totals["libpam-pgsql"] == 1
-        d = build_dictionary(docs, min_count=3)
+        d = build_dictionary(counted(docs), min_count=3)
         assert "sql inject" in d
         assert "libpam-pgsql" not in d
 
     def test_positions_by_count_then_lexicographic(self):
         docs = [["b"], ["b"], ["b"], ["a"], ["a"], ["a"], ["c"], ["c"], ["c"], ["c"]]
-        d = build_dictionary(docs, min_count=3)
+        d = build_dictionary(counted(docs), min_count=3)
         assert d.terms() == ["c", "a", "b"]  # c:4, then a/b tie at 3
 
     def test_empty_docs_valid(self):
@@ -92,8 +97,8 @@ class TestBuildDictionary:
         st.integers(min_value=1, max_value=4),
     )
     def test_permutation_invariance(self, docs, th):
-        d1 = build_dictionary(docs, th)
-        d2 = build_dictionary(list(reversed(docs)), th)
+        d1 = build_dictionary(counted(docs), th)
+        d2 = build_dictionary(counted(reversed(docs)), th)
         assert d1.index == d2.index
         assert d1.counts == d2.counts
 
@@ -102,7 +107,7 @@ class TestBuildDictionary:
     def test_raising_threshold_never_adds_terms(self, docs):
         previous = None
         for th in (1, 2, 3, 4):
-            current = set(build_dictionary(docs, th).index)
+            current = set(build_dictionary(counted(docs), th).index)
             if previous is not None:
                 assert current <= previous
             previous = current
@@ -110,22 +115,19 @@ class TestBuildDictionary:
 
 class TestEncode:
     def test_empty_terms_give_zero_vector(self):
-        d = build_dictionary([["a"], ["a"], ["a"]], 1)
-        fv = encode(set(), d)
-        assert fv.on_positions == ()
-        assert fv.dimension == d.size
+        d = build_dictionary(counted([["a"], ["a"], ["a"]]), 1)
+        positions = encode(set(), d)
+        assert positions.dtype == np.int64 and positions.shape == (0,)
 
     def test_out_of_dictionary_terms_ignored(self):
         d = Dictionary(index={"sql": 0, "inject": 1}, counts={"sql": 3, "inject": 3}, min_count=1)
-        fv = encode({"sql", "xss"}, d)
-        assert fv.on_positions == (0,)
+        assert encode({"sql", "xss"}, d).tolist() == [0]
 
     def test_cardinality_matches_intersection(self):
         docs = [["a", "b", "c", "d"]] * 3
-        d = build_dictionary(docs, 1)
+        d = build_dictionary(counted(docs), 1)
         terms = ngram_set(["a", "c", "z"])
-        fv = encode(terms, d)
-        assert len(fv.on_positions) == len(terms & set(d.index))
+        assert len(encode(terms, d)) == len(terms & set(d.index))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -134,23 +136,17 @@ class TestEncode:
         st.lists(st.sampled_from("abcdef"), max_size=8),
     )
     def test_cardinality_oracle(self, docs, probe_tokens):
-        d = build_dictionary(docs, 1)
+        d = build_dictionary(counted(docs), 1)
         terms = ngram_set(probe_tokens)
-        fv = encode(terms, d)
-        # independent brute-force membership check
-        expected = sum(1 for t in terms if t in set(d.index))
-        assert len(fv.on_positions) == expected
-        assert len(set(fv.on_positions)) == len(fv.on_positions)
-
-    def test_feature_vector_bounds_enforced(self):
-        with pytest.raises(ConfigurationError):
-            FeatureVector(dimension=2, on_positions=(0, 5))
+        positions = encode(terms, d)
+        # independent brute-force membership check, in ascending position order
+        assert positions.tolist() == sorted(d.index[t] for t in terms if t in d.index)
 
 
 class TestTsvRoundTrip:
     def test_round_trip(self):
         docs = [["alpha", "beta", "alpha"]] * 4
-        d = build_dictionary(docs, 2)
+        d = build_dictionary(counted(docs), 2)
         again = Dictionary.from_tsv(d.to_tsv())
         assert again.index == d.index
         assert again.counts == d.counts

@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 
 import oracle
 import synthdata
-from cwemap import cli
+from cwemap import cli, features, hierarchy
 from cwemap.errors import ConfigurationError, ValidationError
-from cwemap.features import build_dictionary
 from cwemap.hierarchy import (
     PrepAssets,
+    _flat_training_set,
     assemble_training_sets,
     build_class_documents,
     classify,
+    encode_corpus,
     encode_text,
     threshold,
     top_k,
@@ -24,7 +25,7 @@ from cwemap.ingest import CveRecord, CweNode, build_taxonomy, save_taxonomy, wri
 from cwemap.scoring import init_weights
 from cwemap.modelstore import fingerprint, load
 from cwemap.netcore import TrainConfig, sigmoid
-from cwemap.textprep import SynonymTable, preprocess
+from cwemap.textprep import SynonymTable
 
 from conftest import make_record
 
@@ -50,11 +51,14 @@ def small_synth():
     return taxonomy, leaves, pools, corpus
 
 
+def training_sets(corpus, taxonomy):
+    return assemble_training_sets(encode_corpus(corpus, taxonomy, ASSETS, 1), taxonomy)
+
+
 class TestAssembleTrainingSets:
     def test_chain_contributions(self, chain_taxonomy):
         corpus = [make_record(1, "run os command", ["CWE-78"])]
-        dictionary = _dictionary_for(corpus, chain_taxonomy)
-        sets = assemble_training_sets(corpus, chain_taxonomy, dictionary, ASSETS)
+        sets = training_sets(corpus, chain_taxonomy)
         expected_bits = {
             chain_taxonomy.root_id: "CWE-707",
             "CWE-707": "CWE-74",
@@ -63,53 +67,38 @@ class TestAssembleTrainingSets:
         }
         assert set(sets) == set(expected_bits)
         for node_id, marked_child in expected_bits.items():
-            (fv, targets), = sets[node_id]
+            (targets,) = sets[node_id].targets
             children = chain_taxonomy.children[node_id]
             assert targets.tolist() == [1.0 if c == marked_child else 0.0 for c in children]
 
     def test_multi_parent_label_marks_both_parents(self, dag_taxonomy):
         corpus = [make_record(1, "path traversal text", ["CWE-22"])]
-        dictionary = _dictionary_for(corpus, dag_taxonomy)
-        sets = assemble_training_sets(corpus, dag_taxonomy, dictionary, ASSETS)
+        sets = training_sets(corpus, dag_taxonomy)
         root_children = dag_taxonomy.children[dag_taxonomy.root_id]
-        (_, root_targets), = sets[dag_taxonomy.root_id]
+        (root_targets,) = sets[dag_taxonomy.root_id].targets
         assert root_targets.tolist() == [1.0] * len(root_children)  # both 435 and 664
         for parent in ("CWE-435", "CWE-664"):
-            (_, targets), = sets[parent]
+            (targets,) = sets[parent].targets
             assert targets.tolist() == [1.0]
 
     def test_two_labels_sharing_parent_give_one_example_two_bits(self, small_synth):
         taxonomy, leaves, pools, _ = small_synth
         siblings = taxonomy.children["CWE-100"]  # two leaves under one parent
         corpus = [make_record(1, "words", list(siblings))]
-        dictionary = _dictionary_for(corpus, taxonomy)
-        sets = assemble_training_sets(corpus, taxonomy, dictionary, ASSETS)
-        examples = sets["CWE-100"]
-        assert len(examples) == 1
-        assert examples[0][1].tolist() == [1.0, 1.0]
+        examples = training_sets(corpus, taxonomy)["CWE-100"]
+        assert examples.size == 1
+        assert examples.targets[0].tolist() == [1.0, 1.0]
 
     def test_unresolvable_label_skipped(self, chain_taxonomy):
         corpus = [make_record(1, "text", ["CWE-9999"])]
-        dictionary = _dictionary_for(corpus, chain_taxonomy)
-        assert assemble_training_sets(corpus, chain_taxonomy, dictionary, ASSETS) == {}
-
-
-def _dictionary_for(corpus, taxonomy):
-    from cwemap.features import build_dictionary
-    from cwemap.textprep import preprocess
-
-    docs = [preprocess(r.description, frozenset(), SynonymTable.empty()) for r in corpus]
-    for node_id, node in taxonomy.nodes.items():
-        if node_id != taxonomy.root_id and node.text():
-            docs.append(preprocess(node.text(), frozenset(), SynonymTable.empty()))
-    return build_dictionary(docs, 1)
+        assert training_sets(corpus, chain_taxonomy) == {}
 
 
 @st.composite
 def labeled_dags(draw):
     """A random CWE DAG with node texts, a labeled corpus over it (some
-    labels missing from the taxonomy, some records unlabeled) and a
-    dictionary that keeps only part of the terms."""
+    labels missing from the taxonomy, some records unlabeled, some ids
+    shared) and a dictionary threshold that keeps only part of the terms."""
     parents = draw(synthdata.dag_parents(max_nodes=8))
     (words,) = synthdata.make_pools(1, 12, draw(st.integers(0, 2**16)))
     text = st.lists(st.sampled_from(words), min_size=1, max_size=8).map(" ".join)
@@ -119,19 +108,79 @@ def labeled_dags(draw):
         for n, p in parents.items()
     ])
     labels = st.lists(st.sampled_from([*parents, "CWE-9999"]), max_size=3, unique=True)
-    corpus = [make_record(i, draw(text), draw(labels)) for i in range(draw(st.integers(0, 8)))]
-    docs = [preprocess(r.description, ASSETS.stopwords, ASSETS.synonyms) for r in corpus]
-    docs += [preprocess(n.text(), ASSETS.stopwords, ASSETS.synonyms)
-             for n in taxonomy.nodes.values() if n.text()]
-    return taxonomy, corpus, build_dictionary(docs, draw(st.integers(1, 3)))
+    corpus = [make_record(draw(st.integers(0, 3)), draw(text), draw(labels))
+              for _ in range(draw(st.integers(0, 8)))]
+    return taxonomy, corpus, draw(st.integers(1, 3))
+
+
+def unpacked(batch):
+    """The rows of a batch as (positions, targets) lists."""
+    return [(tuple(batch.positions[batch.offsets[r]:batch.offsets[r + 1]].tolist()),
+             batch.targets[r].tolist()) for r in range(batch.size)]
+
+
+class TestTrainingSets:
+    """The encoded corpus gives the training sets of the string path."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(labeled_dags())
+    def test_dictionary_and_training_sets_equal_string_oracle(self, case):
+        taxonomy, corpus, min_count = case
+        encoded = encode_corpus(corpus, taxonomy, ASSETS, min_count)
+        dictionary = encoded.dictionary
+        assert dictionary == oracle.build_dictionary(corpus, taxonomy, ASSETS, min_count)
+        sets = assemble_training_sets(encoded, taxonomy)
+        expected = oracle.assemble_training_sets(corpus, taxonomy, dictionary, ASSETS)
+        assert sets.keys() == expected.keys()
+        for node_id, examples in expected.items():
+            batch = sets[node_id]
+            assert batch.dimension == dictionary.size
+            assert batch.positions.dtype == batch.offsets.dtype == np.int64
+            assert batch.offsets.tolist() == np.cumsum([0] + [len(p) for p, _ in examples]
+                                                      ).tolist()
+            assert unpacked(batch) == examples
+        if not encoded.labels:
+            return
+        classes, flat = _flat_training_set(encoded, taxonomy)
+        want_classes, want = oracle.flat_training_set(corpus, taxonomy, dictionary, ASSETS)
+        assert classes == want_classes
+        assert unpacked(flat) == want
+
+    @pytest.mark.parametrize("kind", ["hierarchical", "flat", "two-layer"])
+    def test_each_text_preprocessed_and_counted_once(self, small_synth, monkeypatch, kind):
+        taxonomy, leaves, pools, corpus = small_synth
+        corpus = corpus + [make_record(999, "an unlabeled text")]
+        calls = {"preprocess": [], "count_terms": [], "ngram_set": []}
+
+        def counted(name, function):
+            def wrapper(arg, *rest):
+                calls[name].append(arg)
+                return function(arg, *rest)
+            return wrapper
+
+        monkeypatch.setattr(hierarchy, "preprocess", counted("preprocess", hierarchy.preprocess))
+        for name in ("count_terms", "ngram_set"):
+            wrapper = counted(name, getattr(features, name))
+            monkeypatch.setattr(features, name, wrapper)
+            monkeypatch.setattr(hierarchy, name, wrapper)
+        train_hierarchy(corpus, taxonomy, ASSETS, quick_cfg(max_epochs=1), kind=kind,
+                        hidden_size=2)
+        texts = [r.description for r in corpus if r.cwe_labels]
+        texts += [n.text() for n in taxonomy.nodes.values()
+                  if n.id != taxonomy.root_id and n.text()]
+        assert sorted(calls["preprocess"]) == sorted(texts)
+        assert len(calls["count_terms"]) == len(texts)
+        assert calls["ngram_set"] == []
 
 
 class TestClassDocuments:
     @settings(max_examples=80, deadline=None)
     @given(labeled_dags())
     def test_arrays_and_init_weights_equal_string_oracle(self, case):
-        taxonomy, corpus, dictionary = case
-        docs = build_class_documents(corpus, taxonomy, dictionary, ASSETS)
+        taxonomy, corpus, min_count = case
+        encoded = encode_corpus(corpus, taxonomy, ASSETS, min_count)
+        dictionary = encoded.dictionary
+        docs = build_class_documents(encoded, taxonomy)
         expected = oracle.build_class_documents(corpus, taxonomy, dictionary, ASSETS)
         assert docs.keys() == expected.keys()
         for node_id, per_child in expected.items():
@@ -150,8 +199,7 @@ class TestClassDocuments:
 
     def test_child_document_built_once_for_all_parents(self, dag_taxonomy):
         corpus = [make_record(1, "path traversal text", ["CWE-22"])]
-        dictionary = _dictionary_for(corpus, dag_taxonomy)
-        docs = build_class_documents(corpus, dag_taxonomy, dictionary, ASSETS)
+        docs = build_class_documents(encode_corpus(corpus, dag_taxonomy, ASSETS, 1), dag_taxonomy)
         assert docs["CWE-435"]["CWE-22"] is docs["CWE-664"]["CWE-22"]
         assert docs["CWE-435"]["CWE-22"].source_doc_count == 2  # CWE text + the CVE
 
@@ -170,6 +218,15 @@ class TestTrainHierarchy:
                           for record, label in [("CVE-1999-0001", "CWE-9999"),
                                                 ("CVE-1999-0002", "CWE-9998"),
                                                 ("CVE-1999-0002", "CWE-9999")]]
+
+    @pytest.mark.parametrize("kind", ["hierarchical", "flat"])
+    def test_records_sharing_an_id_train_as_distinct_records(self, chain_taxonomy, kind):
+        texts = [("apple apple", "CWE-707"), ("banana banana", "CWE-74")]
+        shared = [CveRecord("CVE-2020-0001", t, frozenset({label})) for t, label in texts]
+        distinct = [make_record(n, t, [label]) for n, (t, label) in enumerate(texts)]
+        cfg = quick_cfg(max_epochs=3)
+        assert fingerprint(train_hierarchy(shared, chain_taxonomy, ASSETS, cfg, kind=kind)) == \
+            fingerprint(train_hierarchy(distinct, chain_taxonomy, ASSETS, cfg, kind=kind))
 
     def test_synthetic_two_level_has_three_classifiers(self, small_synth):
         taxonomy, leaves, pools, corpus = small_synth
@@ -337,9 +394,8 @@ class TestClassify:
 def _oracle_paths(model, text, mode):
     """Exhaustive reimplementation: dense scores + recursive selection."""
     taxonomy = model.taxonomy
-    fv = encode_text(model, text)
     dense = np.zeros(model.dictionary.size)
-    dense[list(fv.on_positions)] = 1.0
+    dense[encode_text(model, text)] = 1.0
 
     def node_scores(node_id):
         clf = model.classifiers[node_id]

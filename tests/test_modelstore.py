@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import synthdata
 from cwemap import modelstore
-from cwemap.features import build_dictionary
+from cwemap.features import build_dictionary, count_terms
 from cwemap.hierarchy import FLAT_NODE_ID, Model, PrepAssets
 from cwemap.ingest import CweNode, build_taxonomy
 from cwemap.netcore import NodeClassifier, TrainConfig, TwoLayerClassifier
@@ -26,8 +26,8 @@ def make_model(kind, parents, seed, hidden=3):
         [CweNode(id=n, name=n, parent_ids=frozenset(p)) for n, p in parents.items()]
     )
     (words,) = synthdata.make_pools(1, 30, seed)
-    dictionary = build_dictionary([preprocess(" ".join(words), frozenset(),
-                                              SynonymTable.empty())], 1)
+    dictionary = build_dictionary([count_terms(preprocess(" ".join(words), frozenset(),
+                                                          SynonymTable.empty()))], 1)
     rng = np.random.default_rng(seed)
     d = dictionary.size
     cfg = TrainConfig(seed=seed, max_epochs=seed % 7)

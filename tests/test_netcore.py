@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cwemap.errors import ConfigurationError, TrainingError
-from cwemap.features import FeatureVector
 from cwemap.netcore import (
     AdamState,
     CsrBatch,
@@ -25,8 +25,16 @@ import oracle
 from oracle import bce_with_logits, two_layer_logits
 
 
-def fv(dimension, *positions):
-    return FeatureVector(dimension=dimension, on_positions=tuple(sorted(positions)))
+def vec(*positions):
+    """One record's on-positions: an ascending int64 array."""
+    return np.array(sorted(positions), dtype=np.int64)
+
+
+def pack(examples, dimension, n_classes):
+    """A training batch of (on-positions, targets) pairs."""
+    targets = np.array([t for _, t in examples], dtype=np.float64)
+    return replace(CsrBatch.pack([p for p, _ in examples], dimension),
+                   targets=targets.reshape(len(examples), n_classes))
 
 
 def clf(weights, node_id="CWE-1"):
@@ -37,13 +45,13 @@ def clf(weights, node_id="CWE-1"):
 
 def dense_logits_oracle(weights, feature):
     dense = np.zeros(weights.shape[0])
-    dense[list(feature.on_positions)] = 1.0
+    dense[feature] = 1.0
     return dense @ weights
 
 
 def rows(dimension, *features):
     """A CsrBatch of one row per tuple of on-positions."""
-    return CsrBatch.from_features([fv(dimension, *f) for f in features], dimension)
+    return CsrBatch.pack([vec(*f) for f in features], dimension)
 
 
 class TestForward:
@@ -58,9 +66,9 @@ class TestForward:
     def test_matches_dense_oracle(self, rng):
         weights = rng.normal(size=(5, 3))
         c = clf(weights)
-        features = [fv(5, 0, 3), fv(5), fv(5, 1, 2, 4)]
+        features = [vec(0, 3), vec(), vec(1, 2, 4)]
         np.testing.assert_allclose(
-            c.logits(CsrBatch.from_features(features, 5)),
+            c.logits(CsrBatch.pack(features, 5)),
             [dense_logits_oracle(weights, f) for f in features],
             atol=1e-12,
         )
@@ -95,7 +103,7 @@ class TestForward:
 
 def bce(logits, targets):
     """The loss ``batch_loss`` charges one record whose logits are ``logits``."""
-    return batch_loss(clf([logits]), [(fv(1, 0), np.asarray(targets, dtype=np.float64))])
+    return batch_loss(clf([logits]), pack([(vec(0), targets)], 1, len(targets)))
 
 
 class TestBce:
@@ -127,29 +135,29 @@ class TestGradient:
     def test_zero_residual_gives_zero_gradient(self):
         # zero weights -> sigma = 0.5 everywhere; targets of 0.5 cancel exactly
         c = clf(np.zeros((3, 2)))
-        batch = [(fv(3, 0, 1), np.array([0.5, 0.5]))]
+        batch = pack([(vec(0, 1), np.array([0.5, 0.5]))], 3, 2)
         np.testing.assert_array_equal(gradient(c, batch), np.zeros((3, 2)))
 
     def test_gradient_localized_to_on_rows(self, rng):
         c = clf(rng.normal(size=(5, 2)))
-        batch = [(fv(5, 3), np.array([1.0, 0.0]))]
+        batch = pack([(vec(3), np.array([1.0, 0.0]))], 5, 2)
         g = gradient(c, batch)
         assert np.all(g[[0, 1, 2, 4]] == 0)
         assert np.any(g[3] != 0)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ConfigurationError):
-            gradient(clf(np.zeros((2, 1))), [])
+            gradient(clf(np.zeros((2, 1))), pack([], 2, 1))
 
     def test_matches_finite_differences(self, rng):
         d, c_out = 6, 2
         weights = rng.normal(size=(d, c_out))
         c = clf(weights)
-        batch = [
-            (fv(d, 0, 2), np.array([1.0, 0.0])),
-            (fv(d, 1, 3, 5), np.array([0.0, 1.0])),
-            (fv(d, 4), np.array([1.0, 1.0])),
-        ]
+        batch = pack([
+            (vec(0, 2), np.array([1.0, 0.0])),
+            (vec(1, 3, 5), np.array([0.0, 1.0])),
+            (vec(4), np.array([1.0, 1.0])),
+        ], d, c_out)
         analytic = gradient(c, batch)
         h = 1e-4
         numeric = np.zeros_like(weights)
@@ -179,12 +187,11 @@ def reference_loss_and_gradient(weights, batch):
     losses = []
     for feature, targets in batch:
         logits = np.zeros(c)
-        for position in feature.on_positions:
+        for position in feature:
             logits = logits + weights[position]
         losses.append(bce_with_logits(logits, targets))
         residual = (sigmoid(logits) - targets) * scale
-        if feature.on_positions:
-            grad[list(feature.on_positions)] += residual
+        grad[feature] += residual
     return float(np.mean(losses)), grad
 
 
@@ -205,7 +212,7 @@ def weights_and_batches(draw):
         )
     )
     picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=12))
-    batch = [(fv(d, *distinct[i][0]), np.array(distinct[i][1])) for i in picks]
+    batch = [(vec(*distinct[i][0]), np.array(distinct[i][1])) for i in picks]
     return weights, batch
 
 
@@ -215,7 +222,7 @@ class TestLossAndGradient:
     def test_matches_per_example_reference(self, case):
         weights, batch = case
         d, c = weights.shape
-        loss, grad = loss_and_gradient(weights, CsrBatch.from_examples(batch, d, c))
+        loss, grad = loss_and_gradient(weights, pack(batch, d, c))
         ref_loss, ref_grad = reference_loss_and_gradient(weights, batch)
         np.testing.assert_array_equal(grad, ref_grad)
         assert abs(loss - ref_loss) <= 1e-15 * max(1.0, abs(ref_loss))
@@ -227,10 +234,10 @@ class TestLossAndGradient:
         # any number of columns, exactly as the reference does.
         weights, batch = case
         d, c = weights.shape
-        batched = clf(weights).logits(CsrBatch.from_examples(batch, d, c))
+        batched = clf(weights).logits(pack(batch, d, c))
         for (feature, _), row in zip(batch, batched):
             logits = np.zeros(c)
-            for position in feature.on_positions:
+            for position in feature:
                 logits = logits + weights[position]
             np.testing.assert_array_equal(logits, row)
 
@@ -239,29 +246,35 @@ class TestLossAndGradient:
     def test_take_gathers_the_chosen_rows(self, case, data):
         weights, batch = case
         d, c = weights.shape
-        packed = CsrBatch.from_examples(batch, d, c)
+        packed = pack(batch, d, c)
         index = data.draw(st.lists(st.integers(0, len(batch) - 1), min_size=1, max_size=20))
         chosen = [batch[i] for i in index]
         taken = packed.take(np.array(index))
-        expected = CsrBatch.from_examples(chosen, d, c)
+        expected = pack(chosen, d, c)
         np.testing.assert_array_equal(taken.positions, expected.positions)
         np.testing.assert_array_equal(taken.offsets, expected.offsets)
         np.testing.assert_array_equal(taken.targets, expected.targets)
 
     def test_wrappers_agree_with_fused_pass(self, rng):
         weights = rng.normal(size=(6, 3))
-        batch = [(fv(6, 0, 4), np.array([1.0, 0.0, 1.0])), (fv(6), np.array([0.0, 1.0, 0.0]))]
-        loss, grad = loss_and_gradient(weights, CsrBatch.from_examples(batch, 6, 3))
-        assert batch_loss(clf(weights), batch) == loss
-        np.testing.assert_array_equal(gradient(clf(weights), batch), grad)
+        batch = [(vec(0, 4), np.array([1.0, 0.0, 1.0])), (vec(), np.array([0.0, 1.0, 0.0]))]
+        loss, grad = loss_and_gradient(weights, pack(batch, 6, 3))
+        assert batch_loss(clf(weights), pack(batch, 6, 3)) == loss
+        np.testing.assert_array_equal(gradient(clf(weights), pack(batch, 6, 3)), grad)
 
     def test_target_length_mismatch_rejected(self):
+        batch = pack([(vec(1), np.array([1.0, 0.0, 0.0]))], 3, 3)
         with pytest.raises(ConfigurationError):
-            gradient(clf(np.zeros((3, 2))), [(fv(3, 1), np.array([1.0, 0.0, 0.0]))])
+            gradient(clf(np.zeros((3, 2))), batch)
+        with pytest.raises(ConfigurationError):
+            train_node(clf(np.zeros((3, 2))), batch, TrainConfig())
 
     def test_dimension_mismatch_rejected(self):
+        batch = pack([(vec(1), np.array([1.0, 0.0]))], 4, 2)
         with pytest.raises(ConfigurationError):
-            CsrBatch.from_examples([(fv(4, 1), np.array([1.0, 0.0]))], 3, 2)
+            gradient(clf(np.zeros((3, 2))), batch)
+        with pytest.raises(ConfigurationError):
+            train_node(clf(np.zeros((3, 2))), batch, TrainConfig())
 
 
 class TestAdam:
@@ -346,12 +359,12 @@ def separable_toy():
     weights = np.array([[0.6, 0.0], [0.0, 0.6], [0.0, 0.0]])
     c = clf(weights)
     examples = [
-        (fv(3, 0), np.array([1.0, 0.0])),
-        (fv(3, 1), np.array([0.0, 1.0])),
-        (fv(3, 0, 2), np.array([1.0, 0.0])),
-        (fv(3, 1, 2), np.array([0.0, 1.0])),
+        (vec(0), np.array([1.0, 0.0])),
+        (vec(1), np.array([0.0, 1.0])),
+        (vec(0, 2), np.array([1.0, 0.0])),
+        (vec(1, 2), np.array([0.0, 1.0])),
     ]
-    return c, examples
+    return c, pack(examples, 3, 2)
 
 
 class TestTrainNode:
@@ -375,17 +388,16 @@ class TestTrainNode:
         trained, losses = train_node(c, examples, cfg)
         assert losses[0] <= math.log(2) + 1e-9
         # training accuracy: every positive class strictly clears every negative
-        batch = CsrBatch.from_examples(examples, *trained.weights.shape)
-        predicted = forward_scores(trained, batch) >= 0.5
-        np.testing.assert_array_equal(predicted, batch.targets.astype(bool))
+        predicted = forward_scores(trained, examples) >= 0.5
+        np.testing.assert_array_equal(predicted, examples.targets.astype(bool))
 
     def test_one_small_step_decreases_loss(self, rng):
         weights = rng.normal(size=(4, 2))
         c = clf(weights)
-        batch = [
-            (fv(4, 0, 1), np.array([1.0, 0.0])),
-            (fv(4, 2), np.array([0.0, 1.0])),
-        ]
+        batch = pack([
+            (vec(0, 1), np.array([1.0, 0.0])),
+            (vec(2), np.array([0.0, 1.0])),
+        ], 4, 2)
         before = batch_loss(c, batch)
         g = gradient(c, batch)
         after = batch_loss(clf(weights - 1e-3 * g), batch)
@@ -394,7 +406,7 @@ class TestTrainNode:
     def test_empty_examples_rejected(self):
         c, _ = separable_toy()
         with pytest.raises(ConfigurationError):
-            train_node(c, [], TrainConfig())
+            train_node(c, pack([], 3, 2), TrainConfig())
 
     def test_non_finite_weights_raise_training_error(self):
         c, examples = separable_toy()
@@ -428,7 +440,8 @@ def fits(draw):
     for _ in range(n):
         on = () if empty_support else draw(st.sets(st.integers(0, d - 1), max_size=d))
         targets = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=c, max_size=c)))
-        examples.append((fv(d, *on), targets))
+        examples.append((vec(*on), targets))
+    examples = pack(examples, d, c)
     children = tuple(f"CWE-{i + 10}" for i in range(c))
     hidden = draw(st.sampled_from([None, 1, 2, 3, 4]))
     if hidden is None:
@@ -485,7 +498,7 @@ class TestBlockFit:
     def test_non_finite_weight_outside_the_support_raises(self):
         weights = np.zeros((3, 2))
         weights[2, 0] = np.inf
-        examples = [(fv(3, 0), np.array([1.0, 0.0])), (fv(3, 1), np.array([0.0, 1.0]))]
+        examples = pack([(vec(0), np.array([1.0, 0.0])), (vec(1), np.array([0.0, 1.0]))], 3, 2)
         with pytest.raises(TrainingError):
             train_node(clf(weights), examples, TrainConfig(max_epochs=1))
 
@@ -497,14 +510,13 @@ def reference_two_layer(net, batch):
     scale = 1.0 / (net.w_out.shape[1] * len(batch))
     losses = []
     for feature, targets in batch:
-        hidden = sigmoid(net.w_hidden[list(feature.on_positions)].sum(axis=0))
+        hidden = sigmoid(net.w_hidden[feature].sum(axis=0))
         logits = hidden @ net.w_out
         losses.append(bce_with_logits(logits, targets))
         residual = (sigmoid(logits) - targets) * scale
         g_out += np.outer(hidden, residual)
         d_pre = (net.w_out @ residual) * hidden * (1.0 - hidden)
-        if feature.on_positions:
-            g_hidden[list(feature.on_positions)] += d_pre
+        g_hidden[feature] += d_pre
     return float(np.mean(losses)), g_hidden, g_out
 
 
@@ -519,9 +531,9 @@ class TestTwoLayer:
 
     def test_gradient_matches_finite_differences(self, rng):
         net = self.make(rng)
-        batch = CsrBatch.from_examples([
-            (fv(6, 0, 3), np.array([1.0, 0.0])),
-            (fv(6, 1, 2, 5), np.array([0.0, 1.0])),
+        batch = pack([
+            (vec(0, 3), np.array([1.0, 0.0])),
+            (vec(1, 2, 5), np.array([0.0, 1.0])),
         ], 6, 2)
         _, grads = net.loss_and_grads(batch)
         h = 1e-4
@@ -554,7 +566,7 @@ class TestTwoLayer:
         d, c = case[0].shape
         rng = np.random.default_rng(seed)
         net = self.make(rng, d=d, h=hidden, c_out=c)
-        loss, grads = net.loss_and_grads(CsrBatch.from_examples(batch, d, c))
+        loss, grads = net.loss_and_grads(pack(batch, d, c))
         ref_loss, ref_hidden, ref_out = reference_two_layer(net, batch)
         if hidden >= 2:
             assert loss == ref_loss
@@ -567,25 +579,25 @@ class TestTwoLayer:
 
     def test_training_reduces_loss(self, rng):
         net = self.make(rng)
-        examples = [
-            (fv(6, 0), np.array([1.0, 0.0])),
-            (fv(6, 5), np.array([0.0, 1.0])),
-        ]
+        examples = pack([
+            (vec(0), np.array([1.0, 0.0])),
+            (vec(5), np.array([0.0, 1.0])),
+        ], 6, 2)
         trained, losses = train_node(net, examples, TrainConfig(max_epochs=50, seed=1))
         assert losses[-1] < losses[0]
         assert set(trained.params()) == {"w_hidden", "w_out"}
 
     def test_non_finite_weights_raise_training_error(self, rng):
         net = self.make(rng)
-        examples = [(fv(6, 0), np.array([1.0, 0.0])), (fv(6, 5), np.array([0.0, 1.0]))]
+        examples = pack([(vec(0), np.array([1.0, 0.0])), (vec(5), np.array([0.0, 1.0]))], 6, 2)
         cfg = TrainConfig(learning_rate=1e308, max_epochs=5, batch_size=1)
         with np.errstate(all="ignore"), pytest.raises(TrainingError):
             train_node(net, examples, cfg)
 
     def test_batch_scores_equal_per_record_logits(self, rng):
         net = self.make(rng, d=8, h=5, c_out=3)
-        features = [fv(8, 0, 3, 7), fv(8), fv(8, 1, 2, 4, 5, 6), fv(8, 0, 3, 7)]
-        batched = forward_scores(net, CsrBatch.from_features(features, 8))
+        features = [vec(0, 3, 7), vec(), vec(1, 2, 4, 5, 6), vec(0, 3, 7)]
+        batched = forward_scores(net, CsrBatch.pack(features, 8))
         for feature, row in zip(features, batched):
             np.testing.assert_array_equal(row, sigmoid(two_layer_logits(net, feature)))
 
