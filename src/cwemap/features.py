@@ -5,7 +5,9 @@ training texts, filtered by a minimum total-occurrence threshold.
 ``build_dictionary`` reads the per-text term Counters of ``count_terms``,
 so a training text is n-grammed once.  A document is a binary vector over
 the dictionary, kept as the ascending int64 positions of the dictionary
-terms it contains (``encode``).
+terms it contains (``encode``).  ``encode`` builds only the n-grams whose
+tokens all occur, each at its place, in some dictionary term; no other
+n-gram can be a term.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import hashlib
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -32,14 +35,6 @@ def ngrams(tokens: TokenSequence, n: int) -> list[str]:
     if n == 1:
         return list(tokens)
     return [" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
-
-
-def ngram_set(tokens: TokenSequence) -> set[str]:
-    """Unique terms over all 1-, 2-, and 3-gram windows."""
-    terms: set[str] = set()
-    for n in NGRAM_SIZES:
-        terms.update(ngrams(tokens, n))
-    return terms
 
 
 @dataclass(frozen=True)
@@ -64,6 +59,17 @@ class Dictionary:
 
     def __len__(self) -> int:
         return self.size
+
+    @cached_property
+    def slot_tokens(self) -> dict[int, tuple[frozenset[str], ...]]:
+        """For n = 2 and 3, the tokens found at each position of the n-token
+        terms; built on first use (by ``encode``)."""
+        slots: dict[int, tuple[set[str], ...]] = {2: (set(), set()), 3: (set(), set(), set())}
+        for term in self.index:
+            tokens = term.split(" ")
+            for slot, token in zip(slots.get(len(tokens), ()), tokens):
+                slot.add(token)
+        return {n: tuple(map(frozenset, found)) for n, found in slots.items()}
 
     def terms(self) -> list[str]:
         """Terms in position order."""
@@ -132,10 +138,35 @@ def build_dictionary(term_counts: Iterable[Counter], min_count: int = DEFAULT_MI
     return Dictionary(index=index, counts=counts, min_count=min_count)
 
 
-def encode(terms: set[str], dictionary: Dictionary) -> np.ndarray:
-    """The ascending int64 positions of the dictionary terms in ``terms``;
-    out-of-dictionary terms are ignored."""
-    index = dictionary.index
-    positions = np.fromiter((index[t] for t in terms if t in index), dtype=np.int64)
+def encode(tokens: TokenSequence, dictionary: Dictionary) -> np.ndarray:
+    """The ascending int64 positions of the dictionary terms among the 1/2/3-grams
+    of ``tokens``.
+
+    A bigram or trigram is built and looked up only when each of its tokens
+    occurs at the same place in some dictionary term of its length
+    (``Dictionary.slot_tokens``).  No token holds a space, so an n-gram
+    equals a term only when it splits into the term's tokens; every n-gram
+    skipped is no term, and skipping it changes no position.
+    """
+    slots = dictionary.slot_tokens
+    first2, second2 = slots[2]
+    first3, second3, third3 = slots[3]
+    lookup = dictionary.index.get
+    found: set[int] = set()
+    before_last = last = None
+    for token in tokens:
+        position = lookup(token)
+        if position is not None:
+            found.add(position)
+        if last in first2 and token in second2:
+            position = lookup(last + " " + token)
+            if position is not None:
+                found.add(position)
+        if before_last in first3 and last in second3 and token in third3:
+            position = lookup(before_last + " " + last + " " + token)
+            if position is not None:
+                found.add(position)
+        before_last, last = last, token
+    positions = np.fromiter(found, dtype=np.int64, count=len(found))
     positions.sort()
     return positions

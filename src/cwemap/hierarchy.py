@@ -21,12 +21,13 @@ per-node training sets and the flat training set read only those arrays.
 
 Training sets are assembled per node: a CVE labeled c yields, at every
 internal node on any root-to-c path, one example whose multi-hot target
-marks the children lying on such a path.  A node's training set is one
-``CsrBatch``: its rows taken from the corpus batch, packed once, with the
-node's target matrix.  Inference descends from the
-virtual root, keeping children whose sigmoid score clears the decision
-rule, and reports all selected nodes plus the maximal root-to-deepest
-paths.  ``classify`` encodes each text once, then takes the records
+marks the children lying on such a path.  A node's training set is its
+rows of the corpus batch and its target matrix; the rows are taken from
+the corpus batch just before the node's fit, so one node's copy of them
+is alive at a time.  Inference descends from the virtual root, keeping
+children whose sigmoid score clears the decision rule, and reports all
+selected nodes plus the maximal root-to-deepest paths.  ``classify``
+encodes each text once (``encode_text``), then takes the records
 ``CHUNK_RECORDS`` at a time and walks the scoring plan, parents first.
 Each node is scored once per chunk, in one pass over the rows of the
 records that reached it (a record reaches a node when a parent selected
@@ -44,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .features import Dictionary, build_dictionary, count_terms, encode, ngram_set
+from .features import Dictionary, build_dictionary, count_terms, encode
 from .ingest import CveRecord, Taxonomy, _cwe_sort_key
 from .netcore import (
     CsrBatch,
@@ -203,9 +204,14 @@ def scoring_plan(model: Model) -> list[tuple[str, Scorer | None]]:
 
 
 def encode_text(model: Model, text: str) -> np.ndarray:
-    """Preprocess ``text`` with the model's assets; its ascending dictionary positions."""
+    """Preprocess ``text`` with the model's assets; its ascending dictionary positions.
+
+    ``encode`` builds only the n-grams whose tokens all occur, each at its
+    place, in some dictionary term (``Dictionary.slot_tokens``, built when
+    a model encodes its first text, never by ``modelstore.load``).
+    """
     tokens = preprocess(text, model.assets.stopwords, model.assets.synonyms)
-    return encode(ngram_set(tokens), model.dictionary)
+    return encode(tokens, model.dictionary)
 
 
 def resolve_labels(corpus: list[CveRecord], taxonomy: Taxonomy) -> list[frozenset[str]]:
@@ -292,13 +298,19 @@ def _on_path(taxonomy: Taxonomy, labels: frozenset[str]) -> set[str]:
     return set(labels).union(*(taxonomy.ancestors(label) for label in labels))
 
 
-def assemble_training_sets(encoded: EncodedCorpus, taxonomy: Taxonomy) -> dict[str, CsrBatch]:
+#: A node's training set: its rows of the corpus batch, ascending, and their
+#: multi-hot targets.
+NodeRows = tuple[np.ndarray, np.ndarray]
+
+
+def assemble_training_sets(encoded: EncodedCorpus, taxonomy: Taxonomy) -> dict[str, NodeRows]:
     """Per internal node, its training set: one row per record with a label
     below it, whose multi-hot targets mark the children on the record's paths.
 
     Nodes where a record marks no child are excluded from that record's
     contributions, so no all-zero targets are produced.  Rows keep corpus
-    order.
+    order.  No positions are copied here: ``train_hierarchy`` takes a node's
+    rows from the corpus batch just before that node's fit.
     """
     child_index: dict[str, dict[str, int]] = {
         n: {c: i for i, c in enumerate(kids)} for n, kids in taxonomy.children.items() if kids
@@ -310,14 +322,12 @@ def assemble_training_sets(encoded: EncodedCorpus, taxonomy: Taxonomy) -> dict[s
             marked = [i for c, i in child_index.get(node_id, {}).items() if c in on_path]
             if marked:
                 picked.setdefault(node_id, []).append((row, marked))
-    corpus_batch = encoded.batch()
-    sets: dict[str, CsrBatch] = {}
+    sets: dict[str, NodeRows] = {}
     for node_id, entries in picked.items():
         targets = np.zeros((len(entries), len(child_index[node_id])))
         for i, (_, marked) in enumerate(entries):
             targets[i, marked] = 1.0
-        rows = np.array([row for row, _ in entries], dtype=np.int64)
-        sets[node_id] = replace(corpus_batch.take(rows), targets=targets)
+        sets[node_id] = (np.array([row for row, _ in entries], dtype=np.int64), targets)
     return sets
 
 
@@ -408,12 +418,11 @@ def _initial_scorer(
     return NodeClassifier(node_id, children, rng.normal(0.0, 0.01, size=(d, len(children))))
 
 
-def _flat_training_set(
-    encoded: EncodedCorpus, taxonomy: Taxonomy
-) -> tuple[tuple[str, ...], CsrBatch]:
+def _flat_training_set(encoded: EncodedCorpus, taxonomy: Taxonomy
+                       ) -> tuple[tuple[str, ...], NodeRows]:
     """The flat baseline's classes (every label and its ancestors, in taxonomy
-    order) and training set, one row per labeled record marking its labels
-    and their ancestors."""
+    order) and training set, every labeled record marking its labels and
+    their ancestors."""
     on_paths = [_on_path(taxonomy, labels) for labels in encoded.labels]
     classes = tuple(sorted(set().union(*on_paths), key=_cwe_sort_key))
     if not classes:
@@ -422,7 +431,7 @@ def _flat_training_set(
     targets = np.zeros((len(on_paths), len(classes)))
     for row, on_path in enumerate(on_paths):
         targets[row, [class_pos[c] for c in on_path]] = 1.0
-    return classes, replace(encoded.batch(), targets=targets)
+    return classes, (np.arange(len(on_paths), dtype=np.int64), targets)
 
 
 def train_hierarchy(
@@ -455,22 +464,25 @@ def train_hierarchy(
     dictionary = encoded.dictionary
     class_docs = None
     if kind == "flat":
-        classes, batch = _flat_training_set(encoded, taxonomy)
-        nodes, training_sets = {FLAT_NODE_ID: classes}, {FLAT_NODE_ID: batch}
+        classes, node_rows = _flat_training_set(encoded, taxonomy)
+        nodes, training_sets = {FLAT_NODE_ID: classes}, {FLAT_NODE_ID: node_rows}
     else:
         nodes = {n: kids for n, kids in taxonomy.children.items() if kids}
         if kind == "hierarchical" and cfg.weight_init == "tfidf":
             class_docs = build_class_documents(encoded, taxonomy)
         training_sets = assemble_training_sets(encoded, taxonomy)
 
+    corpus_batch = encoded.batch()
     classifiers: dict[str, Scorer] = {}
     epochs_run: dict[str, int] = {}
     for node_id in sorted(nodes):
         clf = _initial_scorer(kind, node_id, nodes[node_id], dictionary, class_docs, cfg,
                               hidden_size)
         epochs_run[node_id] = 0
-        examples = training_sets.get(node_id)
-        if examples is not None:
+        if node_id in training_sets:
+            rows, targets = training_sets[node_id]
+            # Only this node's copy of its rows' positions is alive during its fit.
+            examples = replace(corpus_batch.take(rows), targets=targets)
             node_cfg = replace(cfg, seed=_node_seed(cfg.seed, node_id))
             log_path = Path(log_dir) / f"{node_id}.csv" if log_dir is not None else None
             clf, losses = train_node(clf, examples, node_cfg, log_path)

@@ -23,7 +23,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, CwemapError, IntegrityError, VersionError
+from .errors import (
+    ConfigurationError,
+    CwemapError,
+    IntegrityError,
+    ValidationError,
+    VersionError,
+)
 from .features import Dictionary
 from .hierarchy import SCORERS, Model, PrepAssets, scoring_node
 from .ingest import Taxonomy, load_taxonomy, save_taxonomy
@@ -243,7 +249,7 @@ def load(directory: str | Path) -> Model:
         return Model(taxonomy=taxonomy, dictionary=dictionary, classifiers=classifiers,
                      config=TrainConfig.from_dict(config), assets=assets,
                      kind=manifest.model_kind)
-    except ConfigurationError as exc:
+    except (ConfigurationError, ValidationError) as exc:
         raise IntegrityError(f"{manifest_path}: {exc}") from exc
 
 

@@ -5,16 +5,34 @@ Pure-Python, operates on single lowercase tokens.  Non-letter characters
 stem deterministically.  Uppercase "Y" is used internally to mark
 consonant-y and never appears in output.
 
+Steps 2, 3 and 4 dispatch on the word's ending, as Snowball's ``among``
+does: the longest suffix of the step's table that ends the word is looked
+up in a dict, and only that rule's region condition is then tested.  R1
+and R2 each come from one search for a vowel followed by a non-vowel, and
+the consonant-y marking runs only on a word that contains a "y".
+
+Every rule of every step needs the word to end in one of
+``s d g y l n i m r e t c`` or to contain an apostrophe (step 0).  So a
+word that does neither, and holds no "Y" (which the output would turn
+into "y"), comes back unchanged without running any step.
+
 ``stem`` is pure, so it is memoized in a bounded LRU cache: a corpus
 repeats a few thousand word types many times over, and a type stays in
 the cache while it is among the 65,536 most recently stemmed.
 """
 
 import functools
+import re
 
 _VOWELS = frozenset("aeiouy")
 _DOUBLES = ("bb", "dd", "ff", "gg", "mm", "nn", "pp", "rr", "tt")
 _LI_ENDINGS = frozenset("cdeghkmnrt")
+# The last characters some rule can match; see the module docstring.
+_RULE_ENDINGS = frozenset("sdgylnimretc")
+# A region starts after the first vowel followed by a non-vowel.
+_REGION_RE = re.compile(r"[aeiouy][^aeiouy]")
+# Exceptional prefixes that pin R1 right after them.
+_R1_PREFIXES = ("gener", "commun", "arsen")
 
 _EXCEPTIONS = {
     "skis": "ski",
@@ -42,87 +60,61 @@ _POST_1A_INVARIANT = frozenset(
     {"inning", "outing", "canning", "herring", "earring", "proceed", "exceed", "succeed"}
 )
 
-_STEP2_RULES = (
-    ("ational", "ate"),
-    ("fulness", "ful"),
-    ("iveness", "ive"),
-    ("ization", "ize"),
-    ("ousness", "ous"),
-    ("biliti", "ble"),
-    ("lessli", "less"),
-    ("tional", "tion"),
-    ("alism", "al"),
-    ("aliti", "al"),
-    ("ation", "ate"),
-    ("entli", "ent"),
-    ("fulli", "ful"),
-    ("iviti", "ive"),
-    ("ousli", "ous"),
-    ("abli", "able"),
-    ("alli", "al"),
-    ("anci", "ance"),
-    ("ator", "ate"),
-    ("enci", "ence"),
-    ("izer", "ize"),
-    ("bli", "ble"),
-)
+# Step 2: suffix -> replacement, in R1.  "ogi" and "li" also need the
+# character before them to be one of _STEP2_PRECEDED[suffix].
+_STEP2 = {
+    "ational": "ate", "fulness": "ful", "iveness": "ive", "ization": "ize",
+    "ousness": "ous", "biliti": "ble", "lessli": "less", "tional": "tion",
+    "alism": "al", "aliti": "al", "ation": "ate", "entli": "ent", "fulli": "ful",
+    "iviti": "ive", "ousli": "ous", "abli": "able", "alli": "al", "anci": "ance",
+    "ator": "ate", "enci": "ence", "izer": "ize", "bli": "ble", "ogi": "og", "li": "",
+}
+_STEP2_PRECEDED = {"ogi": frozenset("l"), "li": _LI_ENDINGS}
 
-_STEP3_RULES = (
-    ("ational", "ate"),
-    ("tional", "tion"),
-    ("alize", "al"),
-    ("icate", "ic"),
-    ("iciti", "ic"),
-    ("ical", "ic"),
-    ("ness", ""),
-    ("ful", ""),
-)
+# Step 3: suffix -> replacement, in R1 ("ative" in R2).
+_STEP3 = {
+    "ational": "ate", "tional": "tion", "alize": "al", "icate": "ic", "iciti": "ic",
+    "ical": "ic", "ness": "", "ful": "", "ative": "",
+}
 
-_STEP4_SUFFIXES = (
-    "ement",
-    "ance", "ence", "able", "ible", "ment",
-    "ant", "ent", "ism", "ate", "iti", "ous", "ive", "ize", "ion",
-    "al", "er", "ic",
-)
+# Step 4: suffixes deleted in R2 ("ion" only after "s" or "t").
+_STEP4 = frozenset({
+    "ement", "ance", "ence", "able", "ible", "ment", "ant", "ent", "ism", "ate",
+    "iti", "ous", "ive", "ize", "ion", "al", "er", "ic",
+})
 
 
-def _is_vowel(ch: str) -> bool:
-    return ch in _VOWELS
+def _lengths(table) -> dict[str, tuple[int, ...]]:
+    """Per last character, the distinct lengths of the step's suffixes
+    ending in it, longest first."""
+    lengths: dict[str, set[int]] = {}
+    for suffix in table:
+        lengths.setdefault(suffix[-1], set()).add(len(suffix))
+    return {last: tuple(sorted(found, reverse=True)) for last, found in lengths.items()}
 
 
-def _r1_start(word: str) -> int:
-    # Exceptional prefixes pin R1 right after them.
-    for prefix in ("gener", "commun", "arsen"):
-        if word.startswith(prefix):
-            return len(prefix)
-    for i in range(1, len(word)):
-        if not _is_vowel(word[i]) and _is_vowel(word[i - 1]):
-            return i + 1
-    return len(word)
+_STEP2_LENGTHS = _lengths(_STEP2)
+_STEP3_LENGTHS = _lengths(_STEP3)
+_STEP4_LENGTHS = _lengths(_STEP4)
 
 
 def _region_start(word: str, begin: int) -> int:
-    for i in range(begin + 1, len(word)):
-        if not _is_vowel(word[i]) and _is_vowel(word[i - 1]):
-            return i + 1
-    return len(word)
+    """End of the first vowel-then-non-vowel pair at or after ``begin``."""
+    found = _REGION_RE.search(word, begin)
+    return found.end() if found else len(word)
 
 
 def _ends_short_syllable(word: str) -> bool:
     if len(word) == 2:
-        return _is_vowel(word[0]) and not _is_vowel(word[1])
+        return word[0] in _VOWELS and word[1] not in _VOWELS
     if len(word) >= 3:
         return (
-            _is_vowel(word[-2])
-            and not _is_vowel(word[-1])
+            word[-2] in _VOWELS
+            and word[-1] not in _VOWELS
             and word[-1] not in "wxY"
-            and not _is_vowel(word[-3])
+            and word[-3] not in _VOWELS
         )
     return False
-
-
-def _is_short_word(word: str, r1: int) -> bool:
-    return r1 >= len(word) and _ends_short_syllable(word)
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -130,6 +122,8 @@ def stem(token: str) -> str:
     """Return the Porter2 English stem of a lowercase token."""
     word = token
     if len(word) <= 2:
+        return word
+    if word[-1] not in _RULE_ENDINGS and "'" not in word and "Y" not in word:
         return word
     if word in _EXCEPTIONS:
         return _EXCEPTIONS[word]
@@ -140,28 +134,27 @@ def stem(token: str) -> str:
             return word
 
     # Mark consonant-y: at the start, or following a vowel.
-    chars = list(word)
-    if chars[0] == "y":
-        chars[0] = "Y"
-    for i in range(1, len(chars)):
-        if chars[i] == "y" and chars[i - 1] in _VOWELS:
-            chars[i] = "Y"
-    word = "".join(chars)
+    if "y" in word:
+        chars = list(word)
+        if chars[0] == "y":
+            chars[0] = "Y"
+        for i in range(1, len(chars)):
+            if chars[i] == "y" and chars[i - 1] in _VOWELS:
+                chars[i] = "Y"
+        word = "".join(chars)
 
-    r1 = _r1_start(word)
+    if word.startswith(_R1_PREFIXES):
+        r1 = next(len(p) for p in _R1_PREFIXES if word.startswith(p))
+    else:
+        r1 = _region_start(word, 0)
     r2 = _region_start(word, r1)
 
-    def in_r1(suffix: str) -> bool:
-        return len(word) - len(suffix) >= r1
-
-    def in_r2(suffix: str) -> bool:
-        return len(word) - len(suffix) >= r2
-
     # Step 0: possessive endings.
-    for suffix in ("'s'", "'s", "'"):
-        if word.endswith(suffix):
-            word = word[: -len(suffix)]
-            break
+    if "'" in word:
+        for suffix in ("'s'", "'s", "'"):
+            if word.endswith(suffix):
+                word = word[: -len(suffix)]
+                break
 
     # Step 1a.
     if word.endswith("sses"):
@@ -171,72 +164,62 @@ def stem(token: str) -> str:
     elif word.endswith(("us", "ss")):
         pass
     elif word.endswith("s"):
-        if any(_is_vowel(ch) for ch in word[:-2]):
+        if not _VOWELS.isdisjoint(word[:-2]):
             word = word[:-1]
 
     if word in _POST_1A_INVARIANT:
         return word
 
     # Step 1b.
-    step1b_done = False
-    for suffix in ("eedly", "eed"):
-        if word.endswith(suffix):
-            if in_r1(suffix):
-                word = word[: -len(suffix)] + "ee"
-            step1b_done = True
-            break
-    if not step1b_done:
+    if word.endswith(("eedly", "eed")):
+        cut = len(word) - (5 if word.endswith("eedly") else 3)
+        if cut >= r1:
+            word = word[:cut] + "ee"
+    else:
         for suffix in ("ingly", "edly", "ing", "ed"):
             if word.endswith(suffix):
                 stemv = word[: -len(suffix)]
-                if any(_is_vowel(ch) for ch in stemv):
+                if not _VOWELS.isdisjoint(stemv):
                     word = stemv
                     if word.endswith(("at", "bl", "iz")):
                         word += "e"
                     elif word.endswith(_DOUBLES):
                         word = word[:-1]
-                    elif _is_short_word(word, r1):
+                    elif r1 >= len(word) and _ends_short_syllable(word):
                         word += "e"
                 break
 
     # Step 1c: y -> i after a non-vowel that is not word-initial.
-    if len(word) > 2 and word[-1] in "yY" and not _is_vowel(word[-2]):
+    if len(word) > 2 and word[-1] in "yY" and word[-2] not in _VOWELS:
         word = word[:-1] + "i"
 
-    # Step 2.
-    for suffix, repl in _STEP2_RULES:
-        if word.endswith(suffix):
-            if in_r1(suffix):
-                word = word[: -len(suffix)] + repl
+    # Steps 2-4: the longest suffix in the step's table that ends the word
+    # decides (a slice shorter than the length asked for is the whole word).
+    for n in _STEP2_LENGTHS.get(word[-1:], ()):
+        suffix = word[-n:]
+        repl = _STEP2.get(suffix)
+        if repl is not None:
+            cut = len(word) - len(suffix)
+            preceded = _STEP2_PRECEDED.get(suffix)
+            if cut >= r1 and (preceded is None or word[cut - 1] in preceded):
+                word = word[:cut] + repl
             break
-    else:
-        if word.endswith("ogi"):
-            if in_r1("ogi") and len(word) >= 4 and word[-4] == "l":
-                word = word[:-1]
-        elif word.endswith("li"):
-            if in_r1("li") and len(word) >= 3 and word[-3] in _LI_ENDINGS:
-                word = word[:-2]
 
-    # Step 3.
-    for suffix, repl in _STEP3_RULES:
-        if word.endswith(suffix):
-            if in_r1(suffix):
-                word = word[: -len(suffix)] + repl
+    for n in _STEP3_LENGTHS.get(word[-1:], ()):
+        suffix = word[-n:]
+        repl = _STEP3.get(suffix)
+        if repl is not None:
+            cut = len(word) - len(suffix)
+            if cut >= (r2 if suffix == "ative" else r1):
+                word = word[:cut] + repl
             break
-    else:
-        if word.endswith("ative"):
-            if in_r1("ative") and in_r2("ative"):
-                word = word[:-5]
 
-    # Step 4.
-    for suffix in _STEP4_SUFFIXES:
-        if word.endswith(suffix):
-            if in_r2(suffix):
-                if suffix == "ion":
-                    if len(word) >= 4 and word[-4] in "st":
-                        word = word[:-3]
-                else:
-                    word = word[: -len(suffix)]
+    for n in _STEP4_LENGTHS.get(word[-1:], ()):
+        suffix = word[-n:]
+        if suffix in _STEP4:
+            cut = len(word) - len(suffix)
+            if cut >= r2 and (suffix != "ion" or word[cut - 1] in "st"):
+                word = word[:cut]
             break
 
     # Step 5.

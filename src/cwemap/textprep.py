@@ -18,8 +18,10 @@ __all__ = ["SynonymTable", "TokenSequence", "apply_synonyms", "preprocess", "ste
 # A processed description is just an ordered list of normalized tokens.
 TokenSequence = list[str]
 
-_SPLIT_RE = re.compile(r"[^a-z0-9-]+")
-_HAS_LETTER_RE = re.compile(r"[a-z]")
+# A maximal run of letters, digits and hyphens that holds a letter.  The
+# lookbehind lets a match start only where a run starts, so a long run
+# without a letter is scanned once, not once per character.
+_TOKEN_RE = re.compile(r"(?<![a-z0-9-])[a-z0-9-]*[a-z][a-z0-9-]*")
 
 MAX_PHRASE_TOKENS = 4
 
@@ -29,14 +31,12 @@ def tokenize(text: str) -> TokenSequence:
 
     Splits on any character that is not a letter, digit, or hyphen;
     leading/trailing hyphens are stripped and tokens without a letter
-    (bare numbers, version strings) are dropped.
+    (bare numbers, version strings) are dropped.  One regex search finds
+    exactly the runs that hold a letter: from the start of such a run the
+    greedy pattern takes the whole run, and a run without a letter never
+    matches.  A token therefore never contains a space.
     """
-    tokens = []
-    for raw in _SPLIT_RE.split(text.lower()):
-        tok = raw.strip("-")
-        if tok and _HAS_LETTER_RE.search(tok):
-            tokens.append(tok)
-    return tokens
+    return [run.strip("-") for run in _TOKEN_RE.findall(text.lower())]
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,8 @@ class SynonymTable:
     Codes and member phrases are stored stemmed and lowercased; members are
     phrases of 1..4 tokens.  A code may belong to exactly one group and no
     phrase may appear in two groups (codes count as phrases of their own
-    group), which keeps synonym coding idempotent.
+    group), which keeps synonym coding idempotent.  A code is one token:
+    non-empty and without whitespace, like every token ``tokenize`` makes.
     """
 
     groups: tuple[tuple[str, tuple[tuple[str, ...], ...]], ...]
@@ -58,6 +59,8 @@ class SynonymTable:
         seen_phrases: set[tuple[str, ...]] = set()
         lookup: dict[str, list[tuple[tuple[str, ...], str, int]]] = {}
         for order, (code, members) in enumerate(self.groups):
+            if code.split() != [code]:
+                raise ValidationError(f"synonym code {code!r} is not one token")
             if code in seen_codes:
                 raise ValidationError(f"synonym code {code!r} defined twice")
             seen_codes.add(code)

@@ -1,9 +1,17 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cwemap.hierarchy import PrepAssets
 from cwemap.ingest import CveRecord, CweNode, build_taxonomy
 from cwemap.textprep import SynonymTable
+
+# CI runs with HYPOTHESIS_PROFILE=ci: a failing property prints the blob that
+# reproduces it (``@reproduce_failure``), and no example is timed.
+settings.register_profile("ci", print_blob=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,7 @@
 * The record-at-a-time descent ``cwemap.hierarchy.classify`` ran before it
   scored a batch of records per node: one breadth-first walk per text, one
   forward pass per (record, node) pair, and one-shot selection for the
-  flat baseline.
+  flat baseline; each text is encoded by ``encode`` below.
 * The per-example two-layer forward pass, the scalar TF-IDF formulas, and
   the per-prediction correctness rule of the evaluation.
 * The dense fit: ``train_node`` and an out-of-place ``adam_step`` over the
@@ -16,12 +16,17 @@
   and encoded on its own, giving one (positions, targets) example per
   record at each node (and in the flat baseline), and the dictionary
   totalled over the n-grams of every training text.
+* The text preparation before it was made fast: the Porter2 stemmer with
+  its ordered ``endswith`` chains, the split-strip-search tokenizer, and
+  ``encode`` building every 1/2/3-gram of a text (``ngram_set``) and
+  looking each one up.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -29,10 +34,11 @@ import numpy as np
 
 from cwemap.errors import ConfigurationError, TrainingError, ValidationError
 from cwemap.evaluation import _label_correct
-from cwemap.features import Dictionary, count_terms, encode, ngram_set, ngrams
-from cwemap.hierarchy import Prediction, _maximal_paths, encode_text, threshold
+from cwemap.features import NGRAM_SIZES, Dictionary, count_terms, ngrams
+from cwemap.hierarchy import Prediction, _maximal_paths, threshold
 from cwemap.ingest import _cwe_sort_key
 from cwemap.netcore import LOSS_PLATEAU_DELTA, AdamState, _bce_terms, sigmoid
+from cwemap.stemmer import _DOUBLES, _EXCEPTIONS, _LI_ENDINGS, _POST_1A_INVARIANT, _VOWELS
 from cwemap.textprep import preprocess
 
 logger = logging.getLogger(__name__)
@@ -143,7 +149,7 @@ def classify_one(model, text, mode=None, cve_id=""):
         raise ValidationError("empty description")
     if mode is None:
         mode = threshold(model.config.decision_threshold)
-    fv = encode_text(model, text)
+    fv = encode(preprocess(text, model.assets.stopwords, model.assets.synonyms), model.dictionary)
     if model.kind == "flat":
         flat = model.classifiers[model.taxonomy.root_id]
         raw = sigmoid(forward_logits(flat.weights, fv))
@@ -351,7 +357,7 @@ def _labeled(corpus, taxonomy):
 
 def _positions(record, dictionary, assets):
     tokens = preprocess(record.description, assets.stopwords, assets.synonyms)
-    return tuple(encode(ngram_set(tokens), dictionary).tolist())
+    return tuple(encode(tokens, dictionary).tolist())
 
 
 def assemble_training_sets(corpus, taxonomy, dictionary, assets):
@@ -377,3 +383,206 @@ def flat_training_set(corpus, taxonomy, dictionary, assets):
                  [1.0 if c in on_path else 0.0 for c in classes])
                 for record, on_path in labeled]
     return tuple(classes), examples
+
+
+_SPLIT_RE = re.compile(r"[^a-z0-9-]+")
+_HAS_LETTER_RE = re.compile(r"[a-z]")
+
+
+def tokenize(text):
+    """Split on runs of characters other than letters, digits and hyphens,
+    strip edge hyphens, and drop the tokens without a letter."""
+    tokens = []
+    for raw in _SPLIT_RE.split(text.lower()):
+        tok = raw.strip("-")
+        if tok and _HAS_LETTER_RE.search(tok):
+            tokens.append(tok)
+    return tokens
+
+
+def ngram_set(tokens):
+    """Unique terms over all 1-, 2-, and 3-gram windows."""
+    terms = set()
+    for n in NGRAM_SIZES:
+        terms.update(ngrams(tokens, n))
+    return terms
+
+
+def encode(tokens, dictionary):
+    """Ascending positions of the dictionary terms among every n-gram of ``tokens``."""
+    index = dictionary.index
+    positions = np.fromiter((index[t] for t in ngram_set(tokens) if t in index),
+                            dtype=np.int64)
+    positions.sort()
+    return positions
+
+
+STEP2_RULES = (
+    ("ational", "ate"), ("fulness", "ful"), ("iveness", "ive"), ("ization", "ize"),
+    ("ousness", "ous"), ("biliti", "ble"), ("lessli", "less"), ("tional", "tion"),
+    ("alism", "al"), ("aliti", "al"), ("ation", "ate"), ("entli", "ent"),
+    ("fulli", "ful"), ("iviti", "ive"), ("ousli", "ous"), ("abli", "able"),
+    ("alli", "al"), ("anci", "ance"), ("ator", "ate"), ("enci", "ence"),
+    ("izer", "ize"), ("bli", "ble"),
+)
+STEP3_RULES = (
+    ("ational", "ate"), ("tional", "tion"), ("alize", "al"), ("icate", "ic"),
+    ("iciti", "ic"), ("ical", "ic"), ("ness", ""), ("ful", ""),
+)
+STEP4_SUFFIXES = (
+    "ement", "ance", "ence", "able", "ible", "ment", "ant", "ent", "ism", "ate",
+    "iti", "ous", "ive", "ize", "ion", "al", "er", "ic",
+)
+# Every ending a step of the stemmer matches, for building test words.
+STEM_SUFFIXES = tuple(sorted(
+    {suffix for suffix, _ in STEP2_RULES + STEP3_RULES} | set(STEP4_SUFFIXES)
+    | {repl for _, repl in STEP2_RULES + STEP3_RULES if repl}
+    | {"'s'", "'s", "'", "sses", "ied", "ies", "us", "ss", "s", "eedly", "eed", "ingly",
+       "edly", "ing", "ed", "y", "ogi", "li", "ative", "e", "l", "ll", "at", "bl", "iz"}
+    | set(_DOUBLES)
+))
+
+
+def _is_vowel(ch):
+    return ch in _VOWELS
+
+
+def _r1_start(word):
+    for prefix in ("gener", "commun", "arsen"):
+        if word.startswith(prefix):
+            return len(prefix)
+    for i in range(1, len(word)):
+        if not _is_vowel(word[i]) and _is_vowel(word[i - 1]):
+            return i + 1
+    return len(word)
+
+
+def _region_start(word, begin):
+    for i in range(begin + 1, len(word)):
+        if not _is_vowel(word[i]) and _is_vowel(word[i - 1]):
+            return i + 1
+    return len(word)
+
+
+def _ends_short_syllable(word):
+    if len(word) == 2:
+        return _is_vowel(word[0]) and not _is_vowel(word[1])
+    if len(word) >= 3:
+        return (_is_vowel(word[-2]) and not _is_vowel(word[-1]) and word[-1] not in "wxY"
+                and not _is_vowel(word[-3]))
+    return False
+
+
+def stem(token):
+    """Porter2 with each step an ordered chain of ``endswith`` tests."""
+    word = token
+    if len(word) <= 2:
+        return word
+    if word in _EXCEPTIONS:
+        return _EXCEPTIONS[word]
+    if word.startswith("'"):
+        word = word[1:]
+        if len(word) <= 2:
+            return word
+
+    chars = list(word)
+    if chars[0] == "y":
+        chars[0] = "Y"
+    for i in range(1, len(chars)):
+        if chars[i] == "y" and chars[i - 1] in _VOWELS:
+            chars[i] = "Y"
+    word = "".join(chars)
+
+    r1 = _r1_start(word)
+    r2 = _region_start(word, r1)
+
+    def in_r1(suffix):
+        return len(word) - len(suffix) >= r1
+
+    def in_r2(suffix):
+        return len(word) - len(suffix) >= r2
+
+    for suffix in ("'s'", "'s", "'"):
+        if word.endswith(suffix):
+            word = word[: -len(suffix)]
+            break
+
+    if word.endswith("sses"):
+        word = word[:-2]
+    elif word.endswith(("ied", "ies")):
+        word = word[:-3] + ("i" if len(word) > 4 else "ie")
+    elif word.endswith(("us", "ss")):
+        pass
+    elif word.endswith("s"):
+        if any(_is_vowel(ch) for ch in word[:-2]):
+            word = word[:-1]
+
+    if word in _POST_1A_INVARIANT:
+        return word
+
+    step1b_done = False
+    for suffix in ("eedly", "eed"):
+        if word.endswith(suffix):
+            if in_r1(suffix):
+                word = word[: -len(suffix)] + "ee"
+            step1b_done = True
+            break
+    if not step1b_done:
+        for suffix in ("ingly", "edly", "ing", "ed"):
+            if word.endswith(suffix):
+                stemv = word[: -len(suffix)]
+                if any(_is_vowel(ch) for ch in stemv):
+                    word = stemv
+                    if word.endswith(("at", "bl", "iz")):
+                        word += "e"
+                    elif word.endswith(_DOUBLES):
+                        word = word[:-1]
+                    elif r1 >= len(word) and _ends_short_syllable(word):
+                        word += "e"
+                break
+
+    if len(word) > 2 and word[-1] in "yY" and not _is_vowel(word[-2]):
+        word = word[:-1] + "i"
+
+    for suffix, repl in STEP2_RULES:
+        if word.endswith(suffix):
+            if in_r1(suffix):
+                word = word[: -len(suffix)] + repl
+            break
+    else:
+        if word.endswith("ogi"):
+            if in_r1("ogi") and len(word) >= 4 and word[-4] == "l":
+                word = word[:-1]
+        elif word.endswith("li"):
+            if in_r1("li") and len(word) >= 3 and word[-3] in _LI_ENDINGS:
+                word = word[:-2]
+
+    for suffix, repl in STEP3_RULES:
+        if word.endswith(suffix):
+            if in_r1(suffix):
+                word = word[: -len(suffix)] + repl
+            break
+    else:
+        if word.endswith("ative"):
+            if in_r1("ative") and in_r2("ative"):
+                word = word[:-5]
+
+    for suffix in STEP4_SUFFIXES:
+        if word.endswith(suffix):
+            if in_r2(suffix):
+                if suffix == "ion":
+                    if len(word) >= 4 and word[-4] in "st":
+                        word = word[:-3]
+                else:
+                    word = word[: -len(suffix)]
+            break
+
+    if word.endswith("e"):
+        pos = len(word) - 1
+        if pos >= r2 or (pos >= r1 and not _ends_short_syllable(word[:-1])):
+            word = word[:-1]
+    elif word.endswith("l"):
+        if len(word) - 1 >= r2 and len(word) >= 2 and word[-2] == "l":
+            word = word[:-1]
+
+    return word.replace("Y", "y")

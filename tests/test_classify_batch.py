@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracle
 import synthdata
-from cwemap import hierarchy
+from cwemap import hierarchy, textprep
 from cwemap.errors import ValidationError
 from cwemap.features import build_dictionary, count_terms
 from cwemap.hierarchy import (
@@ -22,7 +22,7 @@ from cwemap.hierarchy import (
 )
 from cwemap.ingest import CveRecord, CweNode, build_taxonomy
 from cwemap.netcore import NodeClassifier, TrainConfig, TwoLayerClassifier
-from cwemap.textprep import SynonymTable, preprocess
+from cwemap.textprep import SynonymTable, preprocess, tokenize
 
 ASSETS = PrepAssets(stopwords=frozenset(), synonyms=SynonymTable.empty())
 CFG = TrainConfig(max_epochs=15, batch_size=8, seed=4, min_term_count=1, early_stop_patience=0)
@@ -158,6 +158,32 @@ class TestOneChildNodes:
         for got, want in zip(classify(model, batch), [oracle.classify_one(model, t) for t in batch]):
             assert (got.paths, got.candidates) == (want.paths, want.candidates)
             assert max(abs(s - want.scores[c]) for c, s in got.scores.items()) <= 1e-12
+
+
+class TestCallCounts:
+    """What the traced bench counts on classify: one ``preprocess`` and one
+    ``encode`` per text, and one ``stem`` call per token left after the
+    stopwords."""
+
+    def test_preprocess_and_encode_once_per_text_stem_once_per_token(self, models,
+                                                                      monkeypatch):
+        model, words = models["dag"]
+        model = replace(model, assets=PrepAssets(frozenset({"the"}), SynonymTable.empty()))
+        batch = [" ".join(words[i:i + 7]) + " the qqxv" for i in range(0, 35, 5)] * 2
+        calls = {"preprocess": 0, "encode": 0, "stem": 0}
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+            return wrapper
+
+        monkeypatch.setattr(hierarchy, "preprocess", counted("preprocess", hierarchy.preprocess))
+        monkeypatch.setattr(hierarchy, "encode", counted("encode", hierarchy.encode))
+        monkeypatch.setattr(textprep, "stem", counted("stem", textprep.stem))
+        classify(model, batch)
+        tokens = [t for text in batch for t in tokenize(text) if t != "the"]
+        assert calls == {"preprocess": len(batch), "encode": len(batch), "stem": len(tokens)}
 
 
 class TestInputChecks:

@@ -191,6 +191,22 @@ class TestModelIntegrity:
         (damaged / MANIFEST).write_text(json.dumps(doc), encoding="utf-8")
         assert classify(damaged, inputs) == cli.EXIT_INTEGRITY
 
+    @pytest.mark.parametrize("code", ["sql inject", "", "sql\tinject"],
+                             ids=["space", "empty", "tab"])
+    def test_synonym_code_not_one_token_exits_4(self, damaged, inputs, code):
+        # Encoding assumes no token holds a space; a code is a token.
+        doc = json.loads((damaged / MANIFEST).read_text(encoding="utf-8"))
+        doc["config"]["assets"]["synonym_groups"][0]["code"] = code
+        (damaged / MANIFEST).write_text(json.dumps(doc), encoding="utf-8")
+        assert classify(damaged, inputs) == cli.EXIT_INTEGRITY
+
+    def test_synonym_code_defined_twice_exits_4(self, damaged, inputs):
+        doc = json.loads((damaged / MANIFEST).read_text(encoding="utf-8"))
+        groups = doc["config"]["assets"]["synonym_groups"]
+        groups[1]["code"] = groups[0]["code"]
+        (damaged / MANIFEST).write_text(json.dumps(doc), encoding="utf-8")
+        assert classify(damaged, inputs) == cli.EXIT_INTEGRITY
+
     def test_dictionary_position_out_of_range_exits_4(self, damaged, inputs):
         lines = (damaged / DICTIONARY).read_text(encoding="utf-8").splitlines()
         _, term, count = lines[1].split("\t")

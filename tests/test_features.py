@@ -6,14 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cwemap.errors import ConfigurationError
-from cwemap.features import (
-    Dictionary,
-    build_dictionary,
-    count_terms,
-    encode,
-    ngram_set,
-    ngrams,
-)
+import oracle
+from cwemap.features import Dictionary, build_dictionary, count_terms, encode, ngrams
+from oracle import ngram_set
 
 
 def counted(docs):
@@ -116,18 +111,18 @@ class TestBuildDictionary:
 class TestEncode:
     def test_empty_terms_give_zero_vector(self):
         d = build_dictionary(counted([["a"], ["a"], ["a"]]), 1)
-        positions = encode(set(), d)
+        positions = encode([], d)
         assert positions.dtype == np.int64 and positions.shape == (0,)
 
     def test_out_of_dictionary_terms_ignored(self):
         d = Dictionary(index={"sql": 0, "inject": 1}, counts={"sql": 3, "inject": 3}, min_count=1)
-        assert encode({"sql", "xss"}, d).tolist() == [0]
+        assert encode(["sql", "xss"], d).tolist() == [0]
 
     def test_cardinality_matches_intersection(self):
         docs = [["a", "b", "c", "d"]] * 3
         d = build_dictionary(counted(docs), 1)
         terms = ngram_set(["a", "c", "z"])
-        assert len(encode(terms, d)) == len(terms & set(d.index))
+        assert len(encode(["a", "c", "z"], d)) == len(terms & set(d.index))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -138,9 +133,67 @@ class TestEncode:
     def test_cardinality_oracle(self, docs, probe_tokens):
         d = build_dictionary(counted(docs), 1)
         terms = ngram_set(probe_tokens)
-        positions = encode(terms, d)
+        positions = encode(probe_tokens, d)
         # independent brute-force membership check, in ascending position order
         assert positions.tolist() == sorted(d.index[t] for t in terms if t in d.index)
+
+    def test_slot_tokens_are_the_tokens_at_each_place_of_the_terms(self):
+        d = Dictionary(index={"sql inject": 0, "xss": 1, "a b c": 2, "b a": 3, "p q r s": 4},
+                       counts={}, min_count=1)
+        assert d.slot_tokens == {2: ({"sql", "b"}, {"inject", "a"}), 3: ({"a"}, {"b"}, {"c"})}
+
+    def test_ngrams_with_a_token_out_of_place_are_skipped(self):
+        # Only "a c" has the tokens of a bigram term at their places.
+        index = LookupLog({"a": 0, "c": 1, "a c": 2, "c a": 3})
+        d = Dictionary(index=index, counts=dict.fromkeys(index, 3), min_count=1)
+        assert encode(["a", "c", "z", "a"], d).tolist() == [0, 1, 2]
+        assert index.looked_up == ["a", "c", "a c", "z", "a"]
+
+
+class LookupLog(dict):
+    """A term index that records the terms ``encode`` looks up."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.looked_up = []
+
+    def get(self, term, default=None):
+        self.looked_up.append(term)
+        return super().get(term, default)
+
+
+# Small dictionaries drawn over a few tokens, with terms whose tokens never
+# occur in the probe texts ("q", "r") and repeated tokens.
+TOKENS = st.sampled_from(["a", "b", "c", "d", "q", "r"])
+TERMS = st.lists(TOKENS, min_size=1, max_size=3).map(" ".join)
+
+
+@st.composite
+def dictionaries(draw):
+    terms = draw(st.lists(TERMS, max_size=12, unique=True))
+    return Dictionary(index={t: i for i, t in enumerate(terms)},
+                      counts=dict.fromkeys(terms, 1), min_count=1)
+
+
+class TestEncodeOracle:
+    """The pruned encoder equals building and looking up every n-gram."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(["a", "b", "c", "d", "e", "x"]), max_size=12),
+           dictionaries())
+    def test_equals_every_ngram_looked_up(self, tokens, dictionary):
+        positions = encode(tokens, dictionary)
+        assert positions.dtype == np.int64
+        assert positions.tolist() == oracle.encode(tokens, dictionary).tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=10),
+                    min_size=1, max_size=6),
+           st.integers(1, 3),
+           st.lists(st.sampled_from("abcdefghij"), max_size=15))
+    def test_equals_oracle_on_built_dictionaries(self, docs, min_count, tokens):
+        dictionary = build_dictionary(counted(docs), min_count)
+        assert encode(tokens, dictionary).tolist() == oracle.encode(tokens, dictionary).tolist()
 
 
 class TestTsvRoundTrip:

@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import synthdata
 from cwemap import cli, features, hierarchy
 from cwemap.errors import ConfigurationError, ValidationError
 from cwemap.hierarchy import (
+    FLAT_NODE_ID,
     PrepAssets,
     _flat_training_set,
     assemble_training_sets,
@@ -51,8 +53,17 @@ def small_synth():
     return taxonomy, leaves, pools, corpus
 
 
+def node_batches(encoded, sets):
+    """Each node's training set as a batch: its rows of the corpus batch, with
+    its targets, as ``train_hierarchy`` takes them before the node's fit."""
+    batch = encoded.batch()
+    return {node_id: replace(batch.take(rows), targets=targets)
+            for node_id, (rows, targets) in sets.items()}
+
+
 def training_sets(corpus, taxonomy):
-    return assemble_training_sets(encode_corpus(corpus, taxonomy, ASSETS, 1), taxonomy)
+    encoded = encode_corpus(corpus, taxonomy, ASSETS, 1)
+    return node_batches(encoded, assemble_training_sets(encoded, taxonomy))
 
 
 class TestAssembleTrainingSets:
@@ -129,7 +140,7 @@ class TestTrainingSets:
         encoded = encode_corpus(corpus, taxonomy, ASSETS, min_count)
         dictionary = encoded.dictionary
         assert dictionary == oracle.build_dictionary(corpus, taxonomy, ASSETS, min_count)
-        sets = assemble_training_sets(encoded, taxonomy)
+        sets = node_batches(encoded, assemble_training_sets(encoded, taxonomy))
         expected = oracle.assemble_training_sets(corpus, taxonomy, dictionary, ASSETS)
         assert sets.keys() == expected.keys()
         for node_id, examples in expected.items():
@@ -141,7 +152,8 @@ class TestTrainingSets:
             assert unpacked(batch) == examples
         if not encoded.labels:
             return
-        classes, flat = _flat_training_set(encoded, taxonomy)
+        classes, flat_rows = _flat_training_set(encoded, taxonomy)
+        flat = node_batches(encoded, {FLAT_NODE_ID: flat_rows})[FLAT_NODE_ID]
         want_classes, want = oracle.flat_training_set(corpus, taxonomy, dictionary, ASSETS)
         assert classes == want_classes
         assert unpacked(flat) == want
@@ -150,7 +162,7 @@ class TestTrainingSets:
     def test_each_text_preprocessed_and_counted_once(self, small_synth, monkeypatch, kind):
         taxonomy, leaves, pools, corpus = small_synth
         corpus = corpus + [make_record(999, "an unlabeled text")]
-        calls = {"preprocess": [], "count_terms": [], "ngram_set": []}
+        calls = {"preprocess": [], "count_terms": [], "encode": []}
 
         def counted(name, function):
             def wrapper(arg, *rest):
@@ -159,7 +171,8 @@ class TestTrainingSets:
             return wrapper
 
         monkeypatch.setattr(hierarchy, "preprocess", counted("preprocess", hierarchy.preprocess))
-        for name in ("count_terms", "ngram_set"):
+        # Training n-grams a text only through count_terms; encode is inference's.
+        for name in ("count_terms", "encode"):
             wrapper = counted(name, getattr(features, name))
             monkeypatch.setattr(features, name, wrapper)
             monkeypatch.setattr(hierarchy, name, wrapper)
@@ -170,7 +183,7 @@ class TestTrainingSets:
                   if n.id != taxonomy.root_id and n.text()]
         assert sorted(calls["preprocess"]) == sorted(texts)
         assert len(calls["count_terms"]) == len(texts)
-        assert calls["ngram_set"] == []
+        assert calls["encode"] == []
 
 
 class TestClassDocuments:

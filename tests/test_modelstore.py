@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import synthdata
 from cwemap import modelstore
 from cwemap.features import build_dictionary, count_terms
-from cwemap.hierarchy import FLAT_NODE_ID, Model, PrepAssets
+from cwemap.hierarchy import FLAT_NODE_ID, Model, PrepAssets, classify
 from cwemap.ingest import CweNode, build_taxonomy
 from cwemap.netcore import NodeClassifier, TrainConfig, TwoLayerClassifier
 from cwemap.textprep import SynonymTable, preprocess
@@ -70,3 +70,12 @@ def test_save_load_fingerprint_is_identity(kind, parents, seed, hidden):
         # Saving the loaded model again writes the same bytes.
         modelstore.save(loaded, second)
         assert files_of(second) == files_of(first)
+
+
+def test_load_leaves_the_slot_tokens_to_the_first_encode(tmp_path):
+    model = make_model("hierarchical", {"CWE-1": [], "CWE-2": [], "CWE-3": ["CWE-1"]}, seed=3)
+    modelstore.save(model, tmp_path / "model")
+    loaded = modelstore.load(tmp_path / "model")
+    assert "slot_tokens" not in vars(loaded.dictionary)
+    classify(loaded, ["some description"])
+    assert "slot_tokens" in vars(loaded.dictionary)

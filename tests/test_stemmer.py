@@ -6,7 +6,10 @@ the special-case word lists, and security-domain vocabulary.
 """
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracle
 from cwemap.stemmer import stem
 
 REFERENCE_STEMS = {
@@ -154,3 +157,30 @@ def test_output_never_longer_than_input_plus_e():
 
 def test_hyphenated_token_is_deterministic():
     assert stem("cross-site") == stem("cross-site")
+
+
+class TestAgainstChainOracle:
+    """The ending-dispatch stemmer equals the ordered ``endswith`` chains."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789'-Y", max_size=16))
+    @example("''s'")  # step 0 leaves an empty word
+    @example("aed")  # step 1b leaves one letter
+    @example("overflow")  # no rule matches: returned before any step
+    @example("aYb")  # the output lowers an input "Y" even when no rule matches
+    def test_random_words(self, word):
+        assert stem(word) == oracle.stem(word)
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.text(alphabet="aeiouybcdlnrstY'", max_size=6),
+           st.lists(st.sampled_from(oracle.STEM_SUFFIXES), min_size=1, max_size=3))
+    def test_words_built_from_step_suffixes(self, head, suffixes):
+        word = head + "".join(suffixes)
+        assert stem(word) == oracle.stem(word)
+
+    def test_every_suffix_after_each_r1_prefix(self):
+        words = [prefix + head + suffix
+                 for prefix in ("gener", "commun", "arsen", "")
+                 for head in ("", "b", "ab", "bab", "abab", "y", "ay", "l", "al")
+                 for suffix in oracle.STEM_SUFFIXES]
+        assert [w for w in words if stem(w) != oracle.stem(w)] == []

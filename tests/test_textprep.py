@@ -1,9 +1,11 @@
 import string
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from cwemap.errors import ValidationError
 from cwemap.ingest import load_stopwords, load_synonyms
 from cwemap.textprep import SynonymTable, apply_synonyms, preprocess, stem, tokenize
@@ -24,6 +26,24 @@ class TestTokenize:
 
     def test_empty(self):
         assert tokenize("") == []
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text())
+    def test_equals_split_strip_search_oracle(self, text):
+        tokens = tokenize(text)
+        assert tokens == oracle.tokenize(text)
+        assert not any(ch.isspace() for tok in tokens for ch in tok)  # encode relies on it
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet="aZ09-_ .,'\t\n\u0130\u212a\u00df", max_size=40))
+    def test_equals_oracle_on_run_edges(self, text):
+        assert tokenize(text) == oracle.tokenize(text)
+
+    def test_long_run_without_a_letter_takes_linear_time(self):
+        # A search that restarted inside the run would take minutes here.
+        start = time.perf_counter()
+        assert tokenize("7" * 100_000 + " word -" + "-" * 100_000) == ["word"]
+        assert time.perf_counter() - start < 2.0
 
 
 class TestPreprocess:
@@ -126,6 +146,11 @@ class TestSynonymTableInvariants:
     def test_overlong_phrase_rejected(self):
         with pytest.raises(ValidationError):
             SynonymTable(groups=(("c", (("a", "b", "c", "d", "e"),)),))
+
+    @pytest.mark.parametrize("code", ["", "sql inject", " sql", "sql\n"])
+    def test_code_that_is_not_one_token_rejected(self, code):
+        with pytest.raises(ValidationError):
+            SynonymTable(groups=((code, (("a",),)),))
 
 
 class TestDefaultAssets:
