@@ -4,6 +4,9 @@ Subcommands: ``ingest`` (NVD feed to corpus JSONL), ``train`` (full
 pipeline to a model directory), ``classify`` (corpus or stdin to
 predictions JSONL), ``eval`` (metric reports, optional model comparison).
 Options may come from a JSON config file (--config); explicit flags win.
+``classify`` and ``eval`` keep, at each node, the children scoring at least
+the model's threshold, or ``--tau``; ``--k N`` keeps the N best-scoring
+children instead (giving both exits 2).
 
 Exit codes: 0 success, 2 input/config problem, 3 training failure,
 4 model integrity failure.
@@ -84,22 +87,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--model", required=True, help="model directory")
     p_classify.add_argument("--corpus", help="corpus JSONL; omitted reads one text from stdin")
     p_classify.add_argument("--out", help="predictions JSONL (default: stdout)")
-    p_classify.add_argument("--mode", choices=["threshold", "topk"], default=None)
-    p_classify.add_argument("--tau", type=float, default=None)
-    p_classify.add_argument("--k", type=int, default=None)
 
     p_eval = sub.add_parser("eval", help="classify a labeled corpus once and report "
                             "fine- and coarse-grain metrics")
     p_eval.add_argument("--model", required=True, help="model directory")
     p_eval.add_argument("--corpus", required=True, help="labeled corpus JSONL")
     p_eval.add_argument("--out", help="directory for report.json / report.txt")
-    p_eval.add_argument("--mode", choices=["threshold", "topk"], default=None)
-    p_eval.add_argument("--tau", type=float, default=None)
-    p_eval.add_argument("--k", type=int, default=None)
     p_eval.add_argument("--split", type=float, default=None,
                         help="evaluate on the held-out part of this seeded split")
     p_eval.add_argument("--seed", type=int, default=None)
     p_eval.add_argument("--compare", help="second model dir or predictions JSONL to compare")
+    for p_descend in (p_classify, p_eval):
+        p_descend.add_argument("--tau", type=float, default=None,
+                               help="keep the children scoring at least this "
+                               "(default: the model's)")
+        p_descend.add_argument("--k", type=int, default=None,
+                               help="keep the k best-scoring children instead")
     return parser
 
 
@@ -159,11 +162,13 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
 
 
 def _selection(args: argparse.Namespace):
-    if args.mode == "topk":
-        return hierarchy.top_k(args.k if args.k is not None else 1)
-    if args.mode == "threshold" or args.tau is not None:
-        return hierarchy.threshold(args.tau) if args.tau is not None else None
-    return None
+    """The descent rule: top-k with ``--k``, threshold with ``--tau``, and the
+    model's own threshold (None) with neither."""
+    if args.k is not None and args.tau is not None:
+        raise ConfigurationError("--k and --tau pick different rules; give one of them")
+    if args.k is not None:
+        return hierarchy.top_k(args.k)
+    return None if args.tau is None else hierarchy.threshold(args.tau)
 
 
 def _load_assets(args: argparse.Namespace) -> hierarchy.PrepAssets:

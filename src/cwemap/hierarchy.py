@@ -24,15 +24,18 @@ internal node on any root-to-c path, one example whose multi-hot target
 marks the children lying on such a path.  A node's training set is its
 rows of the corpus batch and its target matrix; the rows are taken from
 the corpus batch just before the node's fit, so one node's copy of them
-is alive at a time.  Inference descends from the virtual root, keeping
-children whose sigmoid score clears the decision rule, and reports all
-selected nodes plus the maximal root-to-deepest paths.  ``classify``
-encodes each text once (``encode_text``), then takes the records
-``CHUNK_RECORDS`` at a time and walks the scoring plan, parents first.
-Each node is scored once per chunk, in one pass over the rows of the
-records that reached it (a record reaches a node when a parent selected
-it), so the descent makes one pass per node, not one per (record, node)
-pair.  The flat baseline is the one-node case of the same walk.
+is alive at a time.
+
+Inference descends from the virtual root, keeping children whose sigmoid
+score clears the decision rule, and reports all selected nodes plus the
+maximal root-to-deepest paths.  ``classify`` encodes each text once
+(``encode_text``), then takes the records ``CHUNK_RECORDS`` at a time and
+walks the scoring plan in ``Taxonomy.order``, parents first.  A chunk's
+state is two (records x nodes) arrays: each node's best score so far and
+whether a parent selected it.  A node's selected rows are the records
+that reached it; it scores them in one pass, so the descent makes one
+pass per node, not one per (record, node) pair.  The flat baseline is the
+one-node case of the same walk.
 """
 
 from __future__ import annotations
@@ -128,7 +131,6 @@ class Prediction:
     paths: tuple[tuple[str, ...], ...]
     scores: dict[str, float]
     mode: str
-    truncated: frozenset[str] = frozenset()
 
     def deepest_candidate(self) -> str | None:
         """Terminal of the longest path (ties: lexicographically first)."""
@@ -171,7 +173,10 @@ class Model:
     """One scorer per scoring node, sharing one dictionary.
 
     ``classifiers`` maps a taxonomy node to the scorer of its children; the
-    flat baseline's one scorer sits at the root.
+    flat baseline's one scorer sits at the root.  Building a model with a
+    scorer missing, extra, over other children (in order; for ``flat``,
+    other than distinct non-root nodes) or of another dimension than the
+    dictionary's raises ConfigurationError naming the node.
     """
 
     taxonomy: Taxonomy
@@ -182,10 +187,26 @@ class Model:
     kind: str = "hierarchical"
     epochs_run: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def hidden_size(self) -> int | None:
-        """Hidden width of the two-layer scorers, read off their weights; else None."""
-        return next((clf.hidden_size for clf in self.classifiers.values()), None)
+    def __post_init__(self):
+        if self.kind not in SCORERS:
+            raise ConfigurationError(f"unknown model kind {self.kind!r}")
+        taxonomy, root = self.taxonomy, self.taxonomy.root_id
+        scoring = [root] if self.kind == "flat" else taxonomy.internal_nodes()
+        wrong = sorted(set(scoring).symmetric_difference(self.classifiers), key=_cwe_sort_key)
+        if wrong:
+            state = "has no scorer" if wrong[0] in scoring else "is not a scoring node"
+            raise ConfigurationError(f"node {wrong[0]} {state} of a {self.kind} model")
+        for node_id, clf in self.classifiers.items():
+            kids = clf.child_ids
+            if self.kind == "flat":
+                valid = len(set(kids)) == len(kids) and set(kids) <= taxonomy.nodes.keys() - {root}
+            else:
+                valid = kids == taxonomy.children[node_id]
+            if not valid:
+                raise ConfigurationError(f"{node_id}: scorer child ids do not match the taxonomy")
+            if clf.dimension != self.dictionary.size:
+                raise ConfigurationError(f"{node_id}: weight rows {clf.dimension} != "
+                                         f"dictionary size {self.dictionary.size}")
 
 
 def scoring_node(taxonomy: Taxonomy, node_id: str) -> str:
@@ -193,14 +214,10 @@ def scoring_node(taxonomy: Taxonomy, node_id: str) -> str:
     return taxonomy.root_id if node_id == FLAT_NODE_ID else node_id
 
 
-def scoring_plan(model: Model) -> list[tuple[str, Scorer | None]]:
-    """(node, its scorer or None) in walk order, parents before children.
-
-    Every internal node takes part, except in the flat baseline, whose one
-    scorer at the root already scores every class.
-    """
-    nodes = [model.taxonomy.root_id] if model.kind == "flat" else model.taxonomy.internal_nodes()
-    return [(n, model.classifiers.get(n)) for n in nodes]
+def scoring_plan(model: Model) -> list[tuple[str, Scorer]]:
+    """(node, its scorer) for the internal nodes that have one, parents first."""
+    return [(n, model.classifiers[n]) for n in model.taxonomy.internal_nodes()
+            if n in model.classifiers]
 
 
 def encode_text(model: Model, text: str) -> np.ndarray:
@@ -529,15 +546,11 @@ def classify(
 
     Every text is checked before any is classified: a bare string or an
     empty description raises ValidationError.  The records are then taken
-    ``CHUNK_RECORDS`` at a time.  Within a chunk, the internal nodes are
-    walked in topological order from the virtual root, and each node
-    scores all records that reached it in one batch; the records whose
-    scores pass ``mode`` reach the selected children.  A child's score is
-    the maximum over the parents that scored it.  A reached internal node
-    without a classifier is reported in ``truncated``.  The flat baseline
-    is the one-node case: its classifier at the root selects every class
-    at once.  Candidates are the nodes on the maximal paths of selected
-    nodes from a root child, so every model gives path-consistent output.
+    ``CHUNK_RECORDS`` at a time, and each chunk makes one walk of the
+    scoring plan (``_classify_chunk``).  The flat baseline is the one-node
+    case: its classifier at the root selects every class at once.
+    Candidates are the nodes on the maximal paths of selected nodes from a
+    root child, so every model gives path-consistent output.
     """
     if isinstance(texts, str):
         raise ValidationError("classify takes a list of descriptions, not one string")
@@ -550,7 +563,9 @@ def classify(
             raise ValidationError(f"{cve_id}: empty description" if cve_id else "empty description")
     if mode is None:
         mode = threshold(model.config.decision_threshold)
-    plan = scoring_plan(model)
+    column = {node_id: j for j, node_id in enumerate(model.taxonomy.order)}
+    plan = [(column[node_id], clf, [column[c] for c in clf.child_ids])
+            for node_id, clf in scoring_plan(model)]
     predictions: list[Prediction] = []
     for start in range(0, len(texts), CHUNK_RECORDS):
         stop = start + CHUNK_RECORDS
@@ -559,50 +574,41 @@ def classify(
 
 
 def _classify_chunk(model, plan, texts: list[str], ids: list[str], mode: SelectionMode):
-    """One pass of the walk over ``plan`` for a chunk of records."""
+    """One walk of ``plan`` (node, scorer, children; parents first, nodes as
+    columns of ``taxonomy.order``) over a chunk of records.
+
+    ``best[r, j]`` is the highest score a parent gave node j for record r
+    (NaN: none) and ``selected[r, j]`` whether one selected it, so node j's
+    selected rows are exactly the records that reached it.
+    """
     n = len(texts)
     batch = CsrBatch.pack([encode_text(model, t) for t in texts], model.dictionary.size)
-    scores: list[dict[str, float]] = [{} for _ in range(n)]
-    selected: list[set[str]] = [set() for _ in range(n)]
-    truncated: list[set[str]] = [set() for _ in range(n)]
-    in_plan = {node_id for node_id, _ in plan}
-    # Per node, the row-index arrays of the records its parents sent to it.
-    reached: dict[str, list[np.ndarray]] = {model.taxonomy.root_id: [np.arange(n)]}
-    for node_id, clf in plan:
-        parts = reached.pop(node_id, None)
-        if parts is None:
-            continue
-        rows = parts[0] if len(parts) == 1 else np.unique(np.concatenate(parts))
-        if clf is None:
-            for r in rows.tolist():
-                truncated[r].add(node_id)
+    order = model.taxonomy.order
+    best = np.full((n, len(order)), np.nan)
+    selected = np.zeros((n, len(order)), dtype=bool)
+    selected[:, order.index(model.taxonomy.root_id)] = True
+    for node, clf, kids in plan:
+        rows = np.flatnonzero(selected[:, node])
+        if not rows.size:
             continue
         node_scores = forward_scores(clf, batch.take(rows))
-        keep = mode.select(clf.child_ids, node_scores)
-        for r, values in zip(rows.tolist(), node_scores.tolist()):
-            record_scores = scores[r]
-            for child, value in zip(clf.child_ids, values):
-                record_scores[child] = max(record_scores.get(child, 0.0), value)
-        for j in np.flatnonzero(keep.any(axis=0)).tolist():
-            child = clf.child_ids[j]
-            picked = rows[keep[:, j]]
-            for r in picked.tolist():
-                selected[r].add(child)
-            if child in in_plan:
-                reached.setdefault(child, []).append(picked)
+        block = np.ix_(rows, kids)
+        best[block] = np.fmax(best[block], node_scores)
+        selected[block] |= mode.select(clf.child_ids, node_scores)
 
+    names = np.array(order, dtype=object)
     label = mode.label()
     predictions = []
     for i in range(n):
-        paths = _maximal_paths(model.taxonomy, selected[i])
+        scored = ~np.isnan(best[i])
+        paths = _maximal_paths(model.taxonomy, set(names[selected[i]].tolist()))
         predictions.append(
             Prediction(
                 cve_id=ids[i],
                 candidates=frozenset(node for path in paths for node in path),
                 paths=paths,
-                scores=scores[i],
+                scores=dict(zip(names[scored].tolist(), best[i, scored].tolist())),
                 mode=label,
-                truncated=frozenset(truncated[i]),
             )
         )
     return predictions

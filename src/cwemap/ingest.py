@@ -19,6 +19,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -88,20 +89,17 @@ class Taxonomy:
     """The CWE DAG under a synthetic virtual root.
 
     ``children`` is a derived adjacency map ordered by ascending numeric
-    CWE id, so iteration order is deterministic across runs.
+    CWE id, so iteration order is deterministic across runs.  ``order``
+    lists every node once, the virtual root first and each parent before
+    its children.  The ancestor and descendant closures and the paths from
+    the root are built from it in one pass each, on first use, so loading a
+    model pays nothing for them.
     """
 
     nodes: dict[str, CweNode]
     root_id: str = VIRTUAL_ROOT
     children: dict[str, tuple[str, ...]] = field(default_factory=dict)
-
-    def parents(self, node_id: str) -> frozenset[str]:
-        node = self._get(node_id)
-        if node_id == self.root_id:
-            return frozenset()
-        if not node.parent_ids:
-            return frozenset({self.root_id})
-        return node.parent_ids
+    order: tuple[str, ...] = ()
 
     def _get(self, node_id: str) -> CweNode:
         try:
@@ -113,49 +111,35 @@ class Taxonomy:
         return node_id in self.nodes
 
     def internal_nodes(self) -> list[str]:
-        """Node ids that have children, in topological order from the virtual root.
-
-        Every parent comes before each of its children.
-        """
-        waiting = {n: 0 for n in self.children}
-        for kids in self.children.values():
-            for kid in kids:
-                waiting[kid] += 1
-        order, ready = [], [self.root_id]
-        while ready:
-            node_id = ready.pop()
-            order.append(node_id)
-            for kid in self.children.get(node_id, ()):
-                waiting[kid] -= 1
-                if waiting[kid] == 0:
-                    ready.append(kid)
-        return [n for n in order if self.children.get(n)]
+        """Node ids that have children, parents first: a filter of ``order``."""
+        return [n for n in self.order if self.children[n]]
 
     def ancestors(self, node_id: str) -> frozenset[str]:
         """All proper ancestors excluding the virtual root."""
         self._get(node_id)
-        seen: set[str] = set()
-        stack = [p for p in self.parents(node_id) if p != self.root_id]
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(p for p in self.parents(cur) if p != self.root_id)
-        return frozenset(seen)
+        return self._ancestor_sets[node_id]
 
     def descendants(self, node_id: str) -> frozenset[str]:
         """All proper descendants."""
         self._get(node_id)
-        seen: set[str] = set()
-        stack = list(self.children.get(node_id, ()))
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(self.children.get(cur, ()))
-        return frozenset(seen)
+        return self._descendant_sets[node_id]
+
+    @cached_property
+    def _ancestor_sets(self) -> dict[str, frozenset[str]]:
+        return _closure(self.order, lambda n: self.nodes[n].parent_ids)
+
+    @cached_property
+    def _descendant_sets(self) -> dict[str, frozenset[str]]:
+        return _closure(self.order[::-1], self.children.__getitem__)
+
+    @cached_property
+    def _root_paths(self) -> dict[str, frozenset[tuple[str, ...]]]:
+        paths: dict[str, frozenset[tuple[str, ...]]] = {}
+        for node_id in self.order:
+            parents = self.nodes[node_id].parent_ids
+            prefixes = [path for p in parents for path in paths[p]] if parents else [()]
+            paths[node_id] = frozenset(prefix + (node_id,) for prefix in prefixes)
+        return paths
 
     def to_node_list(self) -> list[dict]:
         """Serializable node list (round-trips through load_taxonomy)."""
@@ -174,6 +158,16 @@ class Taxonomy:
                 }
             )
         return out
+
+
+def _closure(order, edges) -> dict[str, frozenset[str]]:
+    """Per node, every node reachable from it over ``edges``; ``order`` puts
+    each node after all the nodes its edges lead to."""
+    closure: dict[str, frozenset[str]] = {}
+    for node_id in order:
+        near = edges(node_id)
+        closure[node_id] = frozenset(near).union(*(closure[n] for n in near))
+    return closure
 
 
 def _cwe_sort_key(node_id: str):
@@ -289,8 +283,6 @@ def build_taxonomy(nodes: list[CweNode]) -> Taxonomy:
             if parent not in by_id:
                 raise ValidationError(f"{node.id}: dangling parent id {parent}")
 
-    _reject_cycles(by_id)
-
     root = CweNode(id=VIRTUAL_ROOT, name="virtual root")
     all_nodes = dict(by_id)
     all_nodes[VIRTUAL_ROOT] = root
@@ -303,37 +295,39 @@ def build_taxonomy(nodes: list[CweNode]) -> Taxonomy:
     ordered = {
         node_id: tuple(sorted(kids, key=_cwe_sort_key)) for node_id, kids in children.items()
     }
-    return Taxonomy(nodes=all_nodes, root_id=VIRTUAL_ROOT, children=ordered)
+    return Taxonomy(nodes=all_nodes, root_id=VIRTUAL_ROOT, children=ordered,
+                    order=_topological_order(all_nodes, ordered))
 
 
-def _reject_cycles(by_id: dict[str, CweNode]) -> None:
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {node_id: WHITE for node_id in by_id}
+def _topological_order(nodes: dict[str, CweNode], children: dict[str, tuple[str, ...]]
+                       ) -> tuple[str, ...]:
+    """Every node, parents before children (Kahn's algorithm from the virtual root).
 
-    def visit(start: str) -> None:
-        # Iterative DFS over parent edges; a gray node on the stack is a cycle.
-        stack: list[tuple[str, list[str]]] = [(start, list(by_id[start].parent_ids))]
-        color[start] = GRAY
-        trail = [start]
-        while stack:
-            node_id, pending = stack[-1]
-            if pending:
-                nxt = pending.pop()
-                if color[nxt] == GRAY:
-                    cycle = trail[trail.index(nxt):] + [nxt]
-                    raise ValidationError("cycle detected: " + " -> ".join(cycle))
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    trail.append(nxt)
-                    stack.append((nxt, list(by_id[nxt].parent_ids)))
-            else:
-                stack.pop()
-                trail.pop()
-                color[node_id] = BLACK
-
-    for node_id in by_id:
-        if color[node_id] == WHITE:
-            visit(node_id)
+    A node left unordered lies on or below a cycle, and so does one of its
+    parents; following such parents until one repeats names a cycle, which
+    raises ValidationError.
+    """
+    waiting = dict.fromkeys(children, 0)
+    for kids in children.values():
+        for kid in kids:
+            waiting[kid] += 1
+    order, ready = [], [VIRTUAL_ROOT]
+    while ready:
+        node_id = ready.pop()
+        order.append(node_id)
+        for kid in children[node_id]:
+            waiting[kid] -= 1
+            if waiting[kid] == 0:
+                ready.append(kid)
+    unordered = {node_id for node_id, count in waiting.items() if count}
+    if unordered:
+        node_id, trail = min(unordered, key=_cwe_sort_key), []
+        while node_id not in trail:
+            trail.append(node_id)
+            node_id = min(unordered & nodes[node_id].parent_ids, key=_cwe_sort_key)
+        cycle = trail[trail.index(node_id):] + [node_id]
+        raise ValidationError("cycle detected: " + " -> ".join(cycle))
+    return tuple(order)
 
 
 def load_taxonomy(path: str | Path) -> Taxonomy:
@@ -372,21 +366,7 @@ def paths_to_root(taxonomy: Taxonomy, node_id: str) -> set[tuple[str, ...]]:
     """Every distinct root-to-node path, excluding the virtual root itself."""
     if node_id not in taxonomy.nodes or node_id == taxonomy.root_id:
         raise ValidationError(f"unknown taxonomy node: {node_id!r}")
-
-    memo: dict[str, list[tuple[str, ...]]] = {}
-
-    def walk(cur: str) -> list[tuple[str, ...]]:
-        if cur in memo:
-            return memo[cur]
-        parents = [p for p in sorted(taxonomy.parents(cur), key=_cwe_sort_key)
-                   if p != taxonomy.root_id]
-        if not parents:
-            memo[cur] = [(cur,)]
-        else:
-            memo[cur] = [prefix + (cur,) for p in parents for prefix in walk(p)]
-        return memo[cur]
-
-    return set(walk(node_id))
+    return set(taxonomy._root_paths[node_id])
 
 
 def import_nvd_feed(path: str | Path) -> list[CveRecord]:

@@ -7,11 +7,15 @@ weights, ``<node>.hidden.f64le`` and ``<node>.out.f64le`` for the two
 layers of the two-layer baseline; the flat baseline's one scorer is node
 ``FLAT``.  The manifest records the model kind, content fingerprints of
 the dictionary and taxonomy, the full config snapshot (including the
-preprocessing assets and, for a model with a hidden layer, its width) and
+preprocessing assets; a hidden layer's width is read off its weights) and
 the child ids and weight shapes of every scorer, so a model can never be
 applied against drifted inputs.  Saving the same model twice produces
 byte-identical files.  Anything malformed in a model directory raises
-IntegrityError (or VersionError for an unknown format or kind).
+IntegrityError (or VersionError for an unknown format or kind), at load:
+besides unreadable files, sizes and fingerprints, a manifest that lists a
+node twice, or whose scorers are not exactly one per scoring node, over
+that node's taxonomy children in order and the dictionary's dimension
+(``hierarchy.Model``), names the offending node.
 """
 
 from __future__ import annotations
@@ -162,8 +166,6 @@ def save(model: Model, directory: str | Path) -> ModelManifest:
     save_taxonomy(model.taxonomy, directory / TAXONOMY)
 
     config = _config_dict(model)
-    if model.hidden_size is not None:
-        config["hidden_size"] = model.hidden_size
 
     nodes = []
     for clf, files in _weight_files(model):
@@ -238,14 +240,15 @@ def load(directory: str | Path) -> Model:
     try:
         config = dict(manifest.config)
         assets = _assets_from_dict(config.pop("assets", {}))
-        config.pop("hidden_size", None)  # read off the weights instead
         classifiers = {}
         for entry in manifest.nodes:
             node_id = entry["node_id"]
+            scored = scoring_node(taxonomy, node_id)
+            if scored in classifiers:
+                raise IntegrityError(f"{manifest_path}: node {node_id} is listed twice")
             params = {name: _read_weights(directory, entry, _weight_file(node_id, name))
                       for name in scorer.PARAMS}
-            clf = scorer(node_id, tuple(entry["child_ids"]), **params)
-            classifiers[scoring_node(taxonomy, node_id)] = clf
+            classifiers[scored] = scorer(node_id, tuple(entry["child_ids"]), **params)
         return Model(taxonomy=taxonomy, dictionary=dictionary, classifiers=classifiers,
                      config=TrainConfig.from_dict(config), assets=assets,
                      kind=manifest.model_kind)

@@ -225,7 +225,6 @@ class NodeClassifier:
 
     PARAMS = ("weights",)
     ROW_PARAM = "weights"
-    hidden_size = None
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)

@@ -1,5 +1,9 @@
 """Reference implementations the tests compare the program against.
 
+* The taxonomy walks before ``build_taxonomy`` ordered the DAG once: a
+  depth-first cycle check, Kahn's algorithm run on every
+  ``internal_nodes()`` call, and a depth-first search per ``ancestors`` and
+  ``descendants`` call.
 * The record-at-a-time descent ``cwemap.hierarchy.classify`` ran before it
   scored a batch of records per node: one breadth-first walk per text, one
   forward pass per (record, node) pair, and one-shot selection for the
@@ -100,9 +104,7 @@ def forward_logits(weights, positions):
 
 
 def node_scores(model, node_id, fv):
-    clf = model.classifiers.get(node_id)
-    if clf is None:
-        return None
+    clf = model.classifiers[node_id]
     if model.kind == "two-layer":
         return clf.child_ids, sigmoid(two_layer_logits(clf, fv))
     return clf.child_ids, sigmoid(forward_logits(clf.weights, fv))
@@ -120,7 +122,6 @@ def descend(model, fv, mode):
     taxonomy = model.taxonomy
     selected: set[str] = set()
     scores: dict[str, float] = {}
-    truncated: set[str] = set()
     queue = [taxonomy.root_id]
     visited: set[str] = set()
     while queue:
@@ -130,17 +131,13 @@ def descend(model, fv, mode):
         visited.add(node_id)
         if not taxonomy.children.get(node_id, ()):
             continue
-        result = node_scores(model, node_id, fv)
-        if result is None:
-            truncated.add(node_id)
-            continue
-        child_ids, child_scores = result
+        child_ids, child_scores = node_scores(model, node_id, fv)
         for child, score in zip(child_ids, child_scores):
             scores[child] = max(scores.get(child, 0.0), float(score))
         for child in select(mode, child_ids, child_scores):
             selected.add(child)
             queue.append(child)
-    return selected, scores, truncated
+    return selected, scores
 
 
 def classify_one(model, text, mode=None, cve_id=""):
@@ -155,9 +152,8 @@ def classify_one(model, text, mode=None, cve_id=""):
         raw = sigmoid(forward_logits(flat.weights, fv))
         selected = set(select(mode, flat.child_ids, raw))
         scores = {c: float(s) for c, s in zip(flat.child_ids, raw)}
-        truncated: set[str] = set()
     else:
-        selected, scores, truncated = descend(model, fv, mode)
+        selected, scores = descend(model, fv, mode)
     paths = _maximal_paths(model.taxonomy, selected)
     return Prediction(
         cve_id=cve_id,
@@ -165,8 +161,82 @@ def classify_one(model, text, mode=None, cve_id=""):
         paths=paths,
         scores=scores,
         mode=mode.label(),
-        truncated=frozenset(truncated),
     )
+
+
+def reject_cycles(nodes):
+    """ValidationError naming a cycle of parent edges among ``nodes``
+    (``CweNode``s by id): a depth-first search over parent edges, where a
+    node still on the stack is a cycle."""
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {node_id: WHITE for node_id in nodes}
+
+    def visit(start):
+        stack = [(start, list(nodes[start].parent_ids))]
+        color[start] = GRAY
+        trail = [start]
+        while stack:
+            node_id, pending = stack[-1]
+            if pending:
+                nxt = pending.pop()
+                if color[nxt] == GRAY:
+                    cycle = trail[trail.index(nxt):] + [nxt]
+                    raise ValidationError("cycle detected: " + " -> ".join(cycle))
+                if color[nxt] == WHITE:
+                    color[nxt] = GRAY
+                    trail.append(nxt)
+                    stack.append((nxt, list(nodes[nxt].parent_ids)))
+            else:
+                stack.pop()
+                trail.pop()
+                color[node_id] = BLACK
+
+    for node_id in nodes:
+        if color[node_id] == WHITE:
+            visit(node_id)
+
+
+def internal_nodes(taxonomy):
+    """Node ids that have children, by Kahn's algorithm from the virtual root."""
+    waiting = {n: 0 for n in taxonomy.children}
+    for kids in taxonomy.children.values():
+        for kid in kids:
+            waiting[kid] += 1
+    order, ready = [], [taxonomy.root_id]
+    while ready:
+        node_id = ready.pop()
+        order.append(node_id)
+        for kid in taxonomy.children.get(node_id, ()):
+            waiting[kid] -= 1
+            if waiting[kid] == 0:
+                ready.append(kid)
+    return [n for n in order if taxonomy.children.get(n)]
+
+
+def ancestors(taxonomy, node_id):
+    """All proper ancestors but the virtual root, by a depth-first search."""
+    seen = set()
+    stack = list(taxonomy.nodes[node_id].parent_ids)
+    while stack:
+        cur = stack.pop()
+        if cur in seen:
+            continue
+        seen.add(cur)
+        stack.extend(taxonomy.nodes[cur].parent_ids)
+    return frozenset(seen)
+
+
+def descendants(taxonomy, node_id):
+    """All proper descendants, by a depth-first search."""
+    seen = set()
+    stack = list(taxonomy.children.get(node_id, ()))
+    while stack:
+        cur = stack.pop()
+        if cur in seen:
+            continue
+        seen.add(cur)
+        stack.extend(taxonomy.children.get(cur, ()))
+    return frozenset(seen)
 
 
 def adam_step(weights, grads, state, cfg):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oracle
 import synthdata
 from cwemap import hierarchy, textprep
-from cwemap.errors import ValidationError
+from cwemap.errors import ConfigurationError, ValidationError
 from cwemap.features import build_dictionary, count_terms
 from cwemap.hierarchy import (
     Model,
@@ -71,15 +71,12 @@ def models():
     synth_words = sorted({w for pool in pools.values() for w in pool})
     dag, dag_words = random_model(DAG_PARENTS, seed=1)
     dag_two_layer, _ = random_model(DAG_PARENTS, seed=1, two_layer=True)
-    truncated = replace(dag, classifiers={k: v for k, v in dag.classifiers.items()
-                                          if k not in ("CWE-12", "CWE-3")})
     return {
         "trained": (train_hierarchy(corpus, taxonomy, ASSETS, CFG), synth_words),
         "two-layer": (train_hierarchy(corpus, taxonomy, ASSETS, CFG, kind="two-layer",
                                       hidden_size=8), synth_words),
         "flat": (train_hierarchy(corpus, taxonomy, ASSETS, CFG, kind="flat"), synth_words),
         "dag": (dag, dag_words),
-        "dag-truncated": (truncated, dag_words),
         "dag-two-layer": (dag_two_layer, dag_words),
     }
 
@@ -101,7 +98,7 @@ def texts(draw, words):
 
 
 @pytest.mark.parametrize(
-    "kind", ["trained", "two-layer", "flat", "dag", "dag-truncated", "dag-two-layer"]
+    "kind", ["trained", "two-layer", "flat", "dag", "dag-two-layer"]
 )
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), mode=modes, chunk=st.sampled_from([1, 2, 3, 512]))
@@ -124,10 +121,39 @@ def test_corpus_longer_than_one_chunk(models):
     assert got == [oracle.classify_one(model, t, top_k(2)) for t in batch]
 
 
-def test_truncated_nodes_are_reported(models):
-    model, words = models["dag-truncated"]
-    preds = classify(model, [" ".join(words)] * 3, top_k(3))
-    assert all(p.truncated == {"CWE-3", "CWE-12"} for p in preds)
+def test_model_missing_a_scorer_is_rejected(models):
+    dag = models["dag"][0]
+    with pytest.raises(ConfigurationError, match="node CWE-12 has no scorer"):
+        replace(dag, classifiers={k: v for k, v in dag.classifiers.items() if k != "CWE-12"})
+
+
+def _flat_scorer(model, classes):
+    return NodeClassifier("FLAT", classes, np.zeros((model.dictionary.size, len(classes))))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: {**m.classifiers, "CWE-20": _flat_scorer(m, ("CWE-1",))},
+     "node CWE-20 is not a scoring node"),
+    (lambda m: {**m.classifiers, "CWE-13": _flat_scorer(m, ("CWE-23", "CWE-22"))},
+     "CWE-13: scorer child ids"),
+    (lambda m: {**m.classifiers, "CWE-13": NodeClassifier("CWE-13", ("CWE-22", "CWE-23"),
+                                                         np.zeros((3, 2)))},
+     "CWE-13: weight rows 3 != dictionary size"),
+], ids=["not-a-scoring-node", "children-out-of-order", "dimension"])
+def test_model_with_mismatched_scorers_is_rejected(models, edit, message):
+    dag = models["dag"][0]
+    with pytest.raises(ConfigurationError, match=message):
+        replace(dag, classifiers=edit(dag))
+
+
+@pytest.mark.parametrize("classes", [("CWE-100", "CWE-100"), ("CWE-100", "ROOT"),
+                                     ("CWE-100", "CWE-99")],
+                         ids=["duplicate", "root", "unknown"])
+def test_flat_scorer_over_other_than_distinct_nodes_is_rejected(models, classes):
+    flat = models["flat"][0]
+    replace(flat, classifiers={"ROOT": _flat_scorer(flat, ("CWE-100", "CWE-102"))})
+    with pytest.raises(ConfigurationError, match="ROOT: scorer child ids"):
+        replace(flat, classifiers={"ROOT": _flat_scorer(flat, classes)})
 
 
 class TestOneChildNodes:
@@ -144,7 +170,6 @@ class TestOneChildNodes:
                                  [oracle.classify_one(model, t, mode) for t in batch]):
                 assert got.paths == want.paths
                 assert got.candidates == want.candidates
-                assert got.truncated == want.truncated
                 assert got.scores.keys() == want.scores.keys()
                 for node, score in got.scores.items():
                     assert abs(score - want.scores[node]) <= 1e-12

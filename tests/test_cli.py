@@ -225,6 +225,53 @@ class TestModelIntegrity:
         assert classify(damaged, inputs) == cli.EXIT_INTEGRITY
 
 
+def _drop_entry(node_id):
+    def edit(doc, model):
+        doc["nodes"] = [e for e in doc["nodes"] if e["node_id"] != node_id]
+    return edit
+
+
+def _set_child_ids(node_id, child_ids):
+    def edit(doc, model):
+        next(e for e in doc["nodes"] if e["node_id"] == node_id)["child_ids"] = child_ids
+    return edit
+
+
+def _duplicate_entry(doc, model):
+    doc["nodes"].append(next(e for e in doc["nodes"] if e["node_id"] == "CWE-100"))
+
+
+def _five_weight_rows(doc, model):
+    entry = next(e for e in doc["nodes"] if e["node_id"] == "CWE-100")
+    entry["files"]["CWE-100.f64le"] = [5, 2]
+    (model / "weights" / "CWE-100.f64le").write_bytes(np.zeros((5, 2), dtype="<f8").tobytes())
+
+
+# Scorer sets that do not match the saved taxonomy and dictionary: the
+# taxonomy is ROOT -> CWE-100 -> (CWE-102, CWE-103) and ROOT -> CWE-101.
+SCORER_PROBES = {
+    "no-root-entry": (_drop_entry("ROOT"), "ROOT"),
+    "no-inner-entry": (_drop_entry("CWE-100"), "CWE-100"),
+    "child-ids-reversed": (_set_child_ids("CWE-100", ["CWE-103", "CWE-102"]), "CWE-100"),
+    "child-id-not-a-child": (_set_child_ids("CWE-100", ["CWE-102", "CWE-104"]), "CWE-100"),
+    "weight-rows-not-dictionary-size": (_five_weight_rows, "CWE-100"),
+    "duplicate-entry": (_duplicate_entry, "CWE-100"),
+}
+
+
+class TestModelScorers:
+    @pytest.mark.parametrize("probe", list(SCORER_PROBES))
+    def test_scorers_not_matching_the_taxonomy_exit_4_naming_the_node(
+            self, damaged, inputs, capsys, probe):
+        edit, node = SCORER_PROBES[probe]
+        doc = json.loads((damaged / MANIFEST).read_text(encoding="utf-8"))
+        edit(doc, damaged)
+        (damaged / MANIFEST).write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert classify(damaged, inputs) == cli.EXIT_INTEGRITY
+        assert node in capsys.readouterr().err
+
+
 GOOD_LINE = '{"id": "CVE-2020-0001", "description": "some text", "cwe_labels": ["CWE-100"]}'
 BAD_LINES = {
     "description-number": '{"id": "CVE-2020-0002", "description": 42, "cwe_labels": []}',
@@ -354,7 +401,7 @@ class TestTrainFlags:
         argv = ["--config", str(config)] + train_argv(inputs, tmp_path / "m",
                                                       "--baseline", "two-layer")
         assert cli.main(argv) == cli.EXIT_OK
-        assert modelstore.load(tmp_path / "m").hidden_size == 3
+        assert modelstore.load(tmp_path / "m").classifiers["ROOT"].hidden_size == 3
 
     def test_flag_overrides_config_hidden(self, inputs, tmp_path):
         config = tmp_path / "config.json"
@@ -362,7 +409,7 @@ class TestTrainFlags:
         argv = ["--config", str(config)] + train_argv(inputs, tmp_path / "m",
                                                       "--baseline", "two-layer", "--hidden", "5")
         assert cli.main(argv) == cli.EXIT_OK
-        assert modelstore.load(tmp_path / "m").hidden_size == 5
+        assert modelstore.load(tmp_path / "m").classifiers["ROOT"].hidden_size == 5
 
 
 class TestBenchContract:
@@ -429,6 +476,25 @@ class TestClassifyAndEval:
                          "--compare", str(predictions)]) == cli.EXIT_OK
         coarse = re.search(r"coarse-grain\s+([0-9.]+)\s+([0-9.]+)", capsys.readouterr().out)
         assert coarse.group(1) == coarse.group(2)
+
+    def test_k_selects_top_k(self, model_dir, inputs, tmp_path):
+        predictions = tmp_path / "p.jsonl"
+        assert cli.main(["classify", "--model", str(model_dir), "--corpus",
+                         str(inputs / "corpus.jsonl"), "--k", "3", "--out",
+                         str(predictions)]) == cli.EXIT_OK
+        records = ingest.load_cve_corpus(inputs / "corpus.jsonl")
+        expected = hierarchy.classify(modelstore.load(model_dir),
+                                      [r.description for r in records], hierarchy.top_k(3),
+                                      ids=[r.id for r in records])
+        rows = [json.loads(line) for line in predictions.read_text(encoding="utf-8").splitlines()]
+        assert rows == [p.to_json_dict() for p in expected]
+        assert {row["mode"] for row in rows} == {"topk:3"}
+
+    @pytest.mark.parametrize("command", ["classify", "eval"])
+    def test_k_and_tau_together_exit_2(self, model_dir, inputs, command):
+        assert cli.main([command, "--model", str(model_dir), "--corpus",
+                         str(inputs / "corpus.jsonl"), "--k", "1", "--tau", "0.5"]
+                        ) == cli.EXIT_INPUT
 
     def test_stdin_text_gives_one_prediction(self, model_dir, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO("some description text"))

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
+import synthdata
 from cwemap.errors import FormatError, ParseError, ValidationError
 from cwemap.ingest import (
     CveRecord,
@@ -179,7 +181,7 @@ class TestTaxonomy:
         assert sorted(order) == sorted(n for n, kids in t.children.items() if kids)
         assert order[0] == t.root_id
         for node_id in order:
-            for parent in t.parents(node_id) - {t.root_id}:
+            for parent in t.nodes[node_id].parent_ids:
                 assert order.index(parent) < order.index(node_id)
 
     def test_load_save_round_trip(self, tmp_path, dag_taxonomy):
@@ -279,7 +281,7 @@ class TestPathsToRoot:
 
         # independent oracle: path count is the sum over parents' counts
         def count(node_id, seen=()):
-            parents = [p for p in taxonomy.parents(node_id) if p != taxonomy.root_id]
+            parents = taxonomy.nodes[node_id].parent_ids
             if not parents:
                 return 1
             return sum(count(p) for p in parents)
@@ -292,6 +294,51 @@ class TestPathsToRoot:
             assert path[-1] == node_id
             for parent, child in zip(path, path[1:]):
                 assert child in taxonomy.children[parent]
+
+
+def taxonomy_of(parents):
+    return build_taxonomy([CweNode(id=n, parent_ids=frozenset(p)) for n, p in parents.items()])
+
+
+class TestTaxonomyWalks:
+    """The order and closures ``build_taxonomy`` computes once, against the
+    per-call walks kept in ``oracle``."""
+
+    @given(parents=synthdata.dag_parents())
+    def test_closures_equal_reference_walks(self, parents):
+        t = taxonomy_of(parents)
+        for node_id in t.nodes:
+            assert t.ancestors(node_id) == oracle.ancestors(t, node_id)
+            assert t.descendants(node_id) == oracle.descendants(t, node_id)
+        assert t.internal_nodes() == oracle.internal_nodes(t)
+
+    @given(parents=synthdata.dag_parents())
+    def test_internal_nodes_put_parents_first(self, parents):
+        t = taxonomy_of(parents)
+        assert sorted(t.order) == sorted(t.nodes)
+        order = t.internal_nodes()
+        assert set(order) == {n for n, kids in t.children.items() if kids}
+        position = {n: i for i, n in enumerate(order)}
+        for node_id in order:
+            for parent in t.nodes[node_id].parent_ids:
+                assert position[parent] < position[node_id]
+
+    @given(data=st.data())
+    def test_back_edge_raises_naming_a_cycle_of_parent_edges(self, data):
+        parents = data.draw(synthdata.dag_parents())
+        node_id = data.draw(st.sampled_from(sorted(parents)))
+        below = {node_id} | taxonomy_of(parents).descendants(node_id)
+        parents[node_id] = parents[node_id] + [data.draw(st.sampled_from(sorted(below)))]
+        with pytest.raises(ValidationError):
+            oracle.reject_cycles({n: CweNode(id=n, parent_ids=frozenset(p))
+                                  for n, p in parents.items()})
+        with pytest.raises(ValidationError) as raised:
+            taxonomy_of(parents)
+        prefix, _, named = str(raised.value).partition("cycle detected: ")
+        cycle = named.split(" -> ")
+        assert prefix == "" and len(cycle) >= 2 and cycle[0] == cycle[-1]
+        for child, parent in zip(cycle, cycle[1:]):
+            assert parent in parents[child]
 
 
 class TestNvdFeed:

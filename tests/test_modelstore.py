@@ -1,5 +1,6 @@
 """Model persistence: save -> load keeps every model kind exactly."""
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -79,3 +80,18 @@ def test_load_leaves_the_slot_tokens_to_the_first_encode(tmp_path):
     assert "slot_tokens" not in vars(loaded.dictionary)
     classify(loaded, ["some description"])
     assert "slot_tokens" in vars(loaded.dictionary)
+
+
+def test_manifest_listing_a_hidden_size_still_loads(tmp_path):
+    """Directories saved before the width was read only off the weights
+    list it in the config; the key is ignored."""
+    model = make_model("two-layer", {"CWE-1": [], "CWE-2": [], "CWE-3": ["CWE-1"]}, seed=3)
+    modelstore.save(model, tmp_path / "model")
+    manifest = tmp_path / "model" / modelstore.MANIFEST
+    doc = json.loads(manifest.read_text(encoding="utf-8"))
+    assert "hidden_size" not in doc["config"]
+    doc["config"]["hidden_size"] = 3
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    loaded = modelstore.load(tmp_path / "model")
+    assert {clf.hidden_size for clf in loaded.classifiers.values()} == {3}
+    assert modelstore.fingerprint(loaded) == modelstore.fingerprint(model)
