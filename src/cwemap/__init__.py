@@ -16,7 +16,7 @@ from .errors import (
     ValidationError,
     VersionError,
 )
-from .features import Dictionary, build_dictionary, encode, ngrams
+from .features import Dictionary, build_dictionary, encode
 from .hierarchy import (
     Model,
     Prediction,

@@ -106,12 +106,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Flags that pick rival settings: an explicit one drops the config's other.
+_RIVAL_FLAGS = {"k": "tau", "tau": "k"}
+
+
 def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
                        ) -> argparse.Namespace:
     """Fill the flags left unset from --config; explicit flags win.
 
-    Every value must have its flag's type (an integer passes for a float, a
-    boolean for nothing) and be one of its choices; else ConfigurationError.
+    An explicit ``--k`` or ``--tau`` also drops the config's value of the
+    other, since the two pick different descent rules.  Every value must
+    have its flag's type (an integer passes for a float, a boolean for
+    nothing) and be one of its choices; else ConfigurationError.
     """
     if not args.config:
         return args
@@ -125,6 +131,7 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     actions = {a.dest: a for a in subparsers.choices[args.command]._actions
                if hasattr(args, a.dest)}
+    explicit = {dest for dest in actions if getattr(args, dest) is not None}
     for key, value in overrides.items():
         action = actions.get(key.replace("-", "_"))
         if action is None:
@@ -137,7 +144,7 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
         ):
             expected = f"one of {list(action.choices)}" if action.choices else f"a {kind.__name__}"
             raise ConfigurationError(f"{path}: {key} must be {expected}, not {value!r}")
-        if getattr(args, action.dest) is None:
+        if action.dest not in explicit and _RIVAL_FLAGS.get(action.dest) not in explicit:
             setattr(args, action.dest, value)
     return args
 

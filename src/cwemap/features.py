@@ -2,21 +2,29 @@
 
 The feature space is the set of unique 1/2/3-gram terms found in the
 training texts, filtered by a minimum total-occurrence threshold.
-``build_dictionary`` reads the per-text term Counters of ``count_terms``,
-so a training text is n-grammed once.  A document is a binary vector over
-the dictionary, kept as the ascending int64 positions of the dictionary
-terms it contains (``encode``).  ``encode`` builds only the n-grams whose
-tokens all occur, each at its place, in some dictionary term; no other
-n-gram can be a term.
+
+``build_dictionary`` counts the training n-grams as packed int64 keys, not
+strings.  Each distinct token gets an id below ``V``, the number of
+distinct tokens, and each n-gram one key in a range of its own: ``a`` for
+a unigram, ``V + a*V + b`` for a bigram and ``V + V**2 + (a*V + b)*V + c``
+for a trigram.  One ``np.unique`` counts every key of every text; term
+strings are built for the kept keys only.  The keys are exact, not hashed,
+so the dictionary is the one that counting the n-gram strings gives.  The
+same pass returns each text's (positions, counts) over the dictionary.
+
+A document is a binary vector over the dictionary, kept as the ascending
+int64 positions of the dictionary terms it contains (``encode``).  At
+inference ``encode`` builds only the n-grams whose tokens all occur, each
+at its place, in some dictionary term; no other n-gram can be a term.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -25,16 +33,9 @@ from .errors import ConfigurationError, ParseError
 from .textprep import TokenSequence
 
 DEFAULT_MIN_COUNT = 3
-NGRAM_SIZES = (1, 2, 3)
-
-
-def ngrams(tokens: TokenSequence, n: int) -> list[str]:
-    """Contiguous n-token windows joined with single spaces, in order."""
-    if n not in NGRAM_SIZES:
-        raise ConfigurationError(f"n must be one of {NGRAM_SIZES}, got {n}")
-    if n == 1:
-        return list(tokens)
-    return [" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
+#: The smallest token count ``V`` with ``V + V**2 + V**3 >= 2**63``: from it
+#: on, a packed trigram key could overflow int64.
+MAX_VOCABULARY = 2_097_152
 
 
 @dataclass(frozen=True)
@@ -111,31 +112,81 @@ class Dictionary:
         return hashlib.sha256(self.to_tsv().encode("utf-8")).hexdigest()
 
 
-def count_terms(tokens: TokenSequence) -> Counter:
-    """Occurrence counts of every 1/2/3-gram term in one token sequence."""
-    counter: Counter = Counter()
-    for n in NGRAM_SIZES:
-        counter.update(ngrams(tokens, n))
-    return counter
+#: A text's dictionary terms: ascending int64 positions and their counts.
+TermArrays = tuple[np.ndarray, np.ndarray]
 
 
-def build_dictionary(term_counts: Iterable[Counter], min_count: int = DEFAULT_MIN_COUNT
-                     ) -> Dictionary:
-    """Build the term dictionary from the term Counters of the training texts.
+def _key_terms(keys: np.ndarray, tokens: list[str]) -> list[str]:
+    """The term string of each packed n-gram key over the token list ``tokens``."""
+    v = len(tokens)
+    terms = []
+    for key in keys.tolist():
+        if key < v:
+            terms.append(tokens[key])
+        elif key < v + v * v:
+            a, b = divmod(key - v, v)
+            terms.append(f"{tokens[a]} {tokens[b]}")
+        else:
+            ab, c = divmod(key - v - v * v, v)
+            a, b = divmod(ab, v)
+            terms.append(f"{tokens[a]} {tokens[b]} {tokens[c]}")
+    return terms
+
+
+def build_dictionary(token_lists: Sequence[TokenSequence], min_count: int = DEFAULT_MIN_COUNT
+                     ) -> tuple[Dictionary, list[TermArrays]]:
+    """The term dictionary of the training texts, and each text's terms over it.
 
     Counts every occurrence across the whole training set (not document
     frequency) and drops terms occurring fewer than ``min_count`` times.
+    The n-grams are counted as packed int64 keys (see the module doc);
+    ConfigurationError when there are ``MAX_VOCABULARY`` distinct tokens or
+    more, which could overflow a trigram key.  The i-th ``TermArrays`` holds
+    the ascending positions of the dictionary terms among the 1/2/3-grams of
+    ``token_lists[i]`` and how often each occurs there.
     """
     if min_count < 1:
         raise ConfigurationError(f"min_count must be >= 1, got {min_count}")
-    totals: Counter = Counter()
-    for counts in term_counts:
-        totals.update(counts)
-    kept = [(term, count) for term, count in totals.items() if count >= min_count]
-    kept.sort(key=lambda item: (-item[1], item[0]))
-    index = {term: pos for pos, (term, _) in enumerate(kept)}
-    counts = dict(kept)
-    return Dictionary(index=index, counts=counts, min_count=min_count)
+    tokens = list(dict.fromkeys(chain.from_iterable(token_lists)))
+    v = len(tokens)
+    if v >= MAX_VOCABULARY:
+        raise ConfigurationError(f"{v} distinct tokens; n-gram keys need fewer than "
+                                 f"{MAX_VOCABULARY}")
+    token_id = {token: i for i, token in enumerate(tokens)}
+    lengths = np.fromiter(map(len, token_lists), np.int64, count=len(token_lists))
+    ids = np.fromiter(map(token_id.__getitem__, chain.from_iterable(token_lists)), np.int64,
+                      count=int(lengths.sum()))
+    text = np.repeat(np.arange(len(token_lists), dtype=np.int64), lengths)
+    # A bigram (trigram) starts at i when tokens i and i + 1 (i + 2) share a text.
+    bigram = text[1:] == text[:-1]
+    trigram = text[2:] == text[:-2]
+    keys = np.concatenate([
+        ids,
+        (v + ids[:-1] * v + ids[1:])[bigram],
+        (v + v * v + (ids[:-2] * v + ids[1:-1]) * v + ids[2:])[trigram],
+    ])
+    key_text = np.concatenate([text, text[:-1][bigram], text[:-2][trigram]])
+    unique, key_slot, totals = np.unique(keys, return_inverse=True, return_counts=True)
+    kept = np.flatnonzero(totals >= min_count)
+    kept_totals = totals[kept].tolist()
+    terms = _key_terms(unique[kept], tokens)
+    order = sorted(range(len(kept)), key=lambda i: (-kept_totals[i], terms[i]))
+    dictionary = Dictionary(index={terms[i]: pos for pos, i in enumerate(order)},
+                            counts={terms[i]: kept_totals[i] for i in order},
+                            min_count=min_count)
+
+    # Each occurrence of a kept key as (text, position), counted per text.
+    unique_position = np.full(len(unique), -1, dtype=np.int64)
+    unique_position[kept[order]] = np.arange(len(kept))
+    position = unique_position[key_slot]
+    hit = position >= 0
+    k = max(len(kept), 1)
+    pairs, counts = np.unique(key_text[hit] * k + position[hit], return_counts=True)
+    owner = pairs // k
+    bounds = np.searchsorted(owner, np.arange(len(token_lists) + 1))
+    positions, counts = pairs - owner * k, counts.astype(np.int64, copy=False)
+    return dictionary, [(positions[start:stop], counts[start:stop])
+                        for start, stop in zip(bounds[:-1], bounds[1:])]
 
 
 def encode(tokens: TokenSequence, dictionary: Dictionary) -> np.ndarray:

@@ -13,11 +13,13 @@ three configurations of that design:
 ``train_hierarchy`` is the one front half for all three, and every scoring
 node is fitted by ``netcore.train_node``; only the initial scorer and the
 flat targets depend on the kind.  The front half starts with
-``encode_corpus``: it resolves each record's labels once, preprocesses and
-counts the 1/2/3-grams of each labeled CVE text and each CWE text once,
-builds the dictionary from those counts, and keeps every text as ascending
-int64 (positions, counts) arrays over it.  The class documents, the
-per-node training sets and the flat training set read only those arrays.
+``encode_corpus``: it resolves each record's labels once (a corpus where no
+record keeps a label is refused), preprocesses each labeled CVE text and
+each CWE text once, and makes one ``build_dictionary`` call on all their
+token lists.  That call counts the 1/2/3-grams as packed integer keys and
+returns the dictionary with every text's ascending int64 (positions,
+counts) arrays over it.  The class documents, the per-node training sets
+and the flat training set read only those arrays.
 
 Training sets are assembled per node: a CVE labeled c yields, at every
 internal node on any root-to-c path, one example whose multi-hot target
@@ -41,14 +43,13 @@ one-node case of the same walk.
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .features import Dictionary, build_dictionary, count_terms, encode
+from .features import Dictionary, TermArrays, build_dictionary, encode
 from .ingest import CveRecord, Taxonomy, _cwe_sort_key
 from .netcore import (
     CsrBatch,
@@ -246,10 +247,6 @@ def resolve_labels(corpus: list[CveRecord], taxonomy: Taxonomy) -> list[frozense
     return resolved
 
 
-#: A text's dictionary terms: ascending int64 positions and their counts.
-TermArrays = tuple[np.ndarray, np.ndarray]
-
-
 @dataclass(frozen=True)
 class EncodedCorpus:
     """The training texts, each preprocessed and counted once, over the dictionary.
@@ -270,38 +267,24 @@ class EncodedCorpus:
                              self.dictionary.size)
 
 
-def _term_arrays(counts: Counter, dictionary: Dictionary) -> TermArrays:
-    """Ascending dictionary positions of the dictionary terms in ``counts``, and their counts."""
-    index = dictionary.index
-    hits = [(index[term], count) for term, count in counts.items() if term in index]
-    table = np.array(hits, dtype=np.int64).reshape(len(hits), 2)
-    table = table[np.argsort(table[:, 0])]
-    return table[:, 0], table[:, 1]
-
-
 def encode_corpus(
     corpus: list[CveRecord], taxonomy: Taxonomy, assets: PrepAssets, min_count: int
 ) -> EncodedCorpus:
-    """Count each labeled record's description and each CWE text once, build
-    the dictionary from those counts, and encode every text over it.
+    """Preprocess each labeled record's description and each CWE text once,
+    build the dictionary from them, and encode every text over it.
 
     Records without a label in the taxonomy are left out (each missing
-    label is warned about once).
+    label is warned about once); ConfigurationError when no record is left.
     """
     labels = resolve_labels(corpus, taxonomy)
     kept = [(record, found) for record, found in zip(corpus, labels) if found]
+    if not kept:
+        raise ConfigurationError("no training record has a label in the taxonomy")
     node_ids = [n for n, node in taxonomy.nodes.items() if n != taxonomy.root_id and node.text()]
     texts = [record.description for record, _ in kept]
     texts += [taxonomy.nodes[n].text() for n in node_ids]
-    if not texts:
-        raise ConfigurationError("no labeled records resolvable against the taxonomy")
-    # Every text is preprocessed before any is counted, so the stemmer's
-    # long-lived cache is not interleaved with the short-lived n-gram strings
-    # in memory, and their memory can be returned once the Counters go.
     tokens = [preprocess(text, assets.stopwords, assets.synonyms) for text in texts]
-    counts = [count_terms(t) for t in tokens]
-    dictionary = build_dictionary(counts, min_count)
-    terms = [_term_arrays(c, dictionary) for c in counts]
+    dictionary, terms = build_dictionary(tokens, min_count)
     return EncodedCorpus(
         dictionary=dictionary,
         labels=[found for _, found in kept],
@@ -442,8 +425,6 @@ def _flat_training_set(encoded: EncodedCorpus, taxonomy: Taxonomy
     their ancestors."""
     on_paths = [_on_path(taxonomy, labels) for labels in encoded.labels]
     classes = tuple(sorted(set().union(*on_paths), key=_cwe_sort_key))
-    if not classes:
-        raise ConfigurationError("no trainable classes in the corpus")
     class_pos = {c: i for i, c in enumerate(classes)}
     targets = np.zeros((len(on_paths), len(classes)))
     for row, on_path in enumerate(on_paths):
@@ -463,13 +444,15 @@ def train_hierarchy(
     """Train a model of ``kind``: one scorer per scoring node.
 
     Each text is preprocessed and counted once (``encode_corpus``), and the
-    class documents and the training sets read those counts.  Scorers are
-    trained one after another, each from its own seed; a node without a
-    single training example keeps its initial weights.  Hierarchical scorers start from
-    TF-IDF weights unless ``cfg.weight_init`` is "random"; two-layer scorers
-    (``hidden_size`` wide) and the flat one always start from random
-    weights.  With ``log_dir``, each trained scorer writes its epoch losses
-    to ``<log_dir>/<node id>.csv``.
+    class documents and the training sets read those counts; a corpus where
+    no record has a label in the taxonomy raises ConfigurationError.
+    Scorers are trained one after another, each from its own seed; a node
+    without a single training example keeps its initial weights.
+    Hierarchical scorers start from TF-IDF weights unless
+    ``cfg.weight_init`` is "random"; two-layer scorers (``hidden_size``
+    wide) and the flat one always start from random weights.  With
+    ``log_dir``, each trained scorer writes its epoch losses to
+    ``<log_dir>/<node id>.csv``.
     """
     if kind not in SCORERS:
         raise ConfigurationError(f"unknown model kind {kind!r}")

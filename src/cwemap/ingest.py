@@ -369,12 +369,39 @@ def paths_to_root(taxonomy: Taxonomy, node_id: str) -> set[tuple[str, ...]]:
     return set(taxonomy._root_paths[node_id])
 
 
+_JSON_TYPES = {dict: "object", list: "array", str: "string"}
+
+
+def _field(obj: dict, key: str, kind: type, where: str = ""):
+    """``obj[key]``, or an empty ``kind`` when absent; FormatError naming the
+    field (``where.key``) when it is not a ``kind``."""
+    value = obj.get(key, kind())
+    if not isinstance(value, kind):
+        raise FormatError(f"{where}.{key} is not a JSON {_JSON_TYPES[kind]}".lstrip("."))
+    return value
+
+
+def _objects(obj: dict, key: str, where: str = "") -> list[tuple[str, dict]]:
+    """(location, entry) of each entry of the array ``obj[key]`` (none when
+    absent); FormatError naming the first entry that is not an object."""
+    entries = _field(obj, key, list, where)
+    where = f"{where}.{key}".lstrip(".")
+    entries = [(f"{where}[{i}]", entry) for i, entry in enumerate(entries)]
+    for at, entry in entries:
+        if not isinstance(entry, dict):
+            raise FormatError(f"{at} is not a JSON object")
+    return entries
+
+
 def import_nvd_feed(path: str | Path) -> list[CveRecord]:
     """Adapt an NVD 1.1 JSON data feed into CveRecords.
 
     Items carrying only ``NVD-CWE-Other``/``NVD-CWE-noinfo`` pseudo-labels
     (or no problemtype at all) come back with empty ``cwe_labels``.  Items
-    without an English description are skipped with a warning.
+    without an English description are skipped with a warning.  A field
+    read here that holds another JSON type than the schema's raises
+    FormatError naming the item and the field, such as
+    ``CVE_Items[3].cve.description.description_data[0].value``.
     """
     path = Path(path)
     try:
@@ -384,29 +411,44 @@ def import_nvd_feed(path: str | Path) -> list[CveRecord]:
     if not isinstance(doc, dict) or "CVE_Items" not in doc:
         raise FormatError(f"{path}: missing CVE_Items key")
     records: list[CveRecord] = []
-    for item in doc["CVE_Items"]:
-        cve = item.get("cve", {})
-        cve_id = cve.get("CVE_data_meta", {}).get("ID", "")
-        description = ""
-        for entry in cve.get("description", {}).get("description_data", ()):
-            if entry.get("lang") == "en" and entry.get("value"):
-                description = entry["value"]
-                break
-        if not description.strip():
-            logger.warning("skipping %s: no English description", cve_id or "<no id>")
-            continue
-        labels: set[str] = set()
-        for ptype in cve.get("problemtype", {}).get("problemtype_data", ()):
-            for entry in ptype.get("description", ()):
-                value = str(entry.get("value", "")).strip()
-                if not value or value.upper() in _NVD_UNLABELED:
-                    continue
-                try:
-                    labels.add(normalize_cwe_id(value))
-                except ValidationError:
-                    logger.warning("%s: ignoring non-CWE problemtype %r", cve_id, value)
-        records.append(CveRecord(id=cve_id, description=description, cwe_labels=frozenset(labels)))
+    try:
+        for where, item in _objects(doc, "CVE_Items"):
+            record = _nvd_record(item, where)
+            if record is not None:
+                records.append(record)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     return records
+
+
+def _nvd_record(item: dict, where: str) -> CveRecord | None:
+    """The record of one feed item at ``where``; None without an English description."""
+    cve = _field(item, "cve", dict, where)
+    where += ".cve"
+    cve_id = _field(_field(cve, "CVE_data_meta", dict, where), "ID", str,
+                    where + ".CVE_data_meta")
+    description = ""
+    for at, entry in _objects(_field(cve, "description", dict, where), "description_data",
+                              where + ".description"):
+        value = _field(entry, "value", str, at)
+        if entry.get("lang") == "en" and value:
+            description = value
+            break
+    if not description.strip():
+        logger.warning("skipping %s: no English description", cve_id or "<no id>")
+        return None
+    labels: set[str] = set()
+    problems = _field(cve, "problemtype", dict, where)
+    for at, ptype in _objects(problems, "problemtype_data", where + ".problemtype"):
+        for entry_at, entry in _objects(ptype, "description", at):
+            value = _field(entry, "value", str, entry_at).strip()
+            if not value or value.upper() in _NVD_UNLABELED:
+                continue
+            try:
+                labels.add(normalize_cwe_id(value))
+            except ValidationError:
+                logger.warning("%s: ignoring non-CWE problemtype %r", cve_id, value)
+    return CveRecord(id=cve_id, description=description, cwe_labels=frozenset(labels))
 
 
 def load_stopwords(path: str | Path | None = None) -> frozenset[str]:

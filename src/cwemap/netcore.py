@@ -23,12 +23,13 @@ on-positions of all rows back to back, row offsets, and a targets matrix.
 inference and for a training corpus alike.  ``train_node`` takes a node's
 training set as one such batch, checks its shape once, and each minibatch
 is a vectorized row gather (``take``) from it.  Sums over a row's
-on-positions use ``np.add.at`` in row order: the order in which
-``weights[rows].sum(axis=0)`` adds the rows of one record for two or more
-columns, so the weights match per-example training bit for bit.  A BLAS
-product would reorder the sums and move the weights by ulps.  (NumPy sums
-a one-column slice pairwise, so a record-at-a-time sum there can differ
-from the batch in the last bit.)  The two-layer output layer is one
+on-positions run in row order (``np.add.at``, or in the single layer's
+training pass one ``np.bincount`` per column, which adds in the same
+order): the order in which ``weights[rows].sum(axis=0)`` adds the rows of
+one record for two or more columns, so the weights match per-example
+training bit for bit.  A BLAS product would reorder the sums and move the
+weights by ulps.  (NumPy sums a one-column slice pairwise, so a
+record-at-a-time sum there can differ from the batch in the last bit.)  The two-layer output layer is one
 vector-matrix product per row (a stacked ``matmul``) for the same reason.
 
 **Block fit.**  ``train_node`` fits each node on its support S, the
@@ -40,8 +41,8 @@ on any other parameter whole), and scatters the block back into a copy of
 the full matrix.  This is exact, not an approximation: a row outside S
 gets a zero gradient at every step, so its Adam moments stay exactly 0 and
 its update is ``lr * 0 / (sqrt(0) + eps) = 0``; the rows in S see the same
-values in the same ``np.add.at`` order as in the full matrix.  Those rows
-never change, so their finiteness is checked once, before the fit.
+values in the same order as in the full matrix.  Those rows never change,
+so their finiteness is checked once, before the fit.
 
 **Adam in place.**  ``adam_step`` overwrites the weights and the state's
 moments it is given, with ``out=`` arguments and two work arrays, and
@@ -185,6 +186,9 @@ def _row_sums(matrix: np.ndarray, batch: CsrBatch, node_id: str) -> np.ndarray:
     """Per row of ``batch``, the sum of the rows of ``matrix`` at its on-positions.
 
     Each row's sum runs over its positions in order (``np.add.at``).
+    ``_bin_sums`` gives the same sums, but slowed ``classify`` on the
+    short texts of the deep-short bench workload, so this forward pass
+    keeps ``np.add.at``.
     """
     if batch.dimension != matrix.shape[0]:
         raise ConfigurationError(
@@ -204,15 +208,25 @@ def _loss_and_residual(logits: np.ndarray, targets: np.ndarray) -> tuple[float, 
     return loss, (sigmoid(logits) - targets) * (1.0 / (c * n))
 
 
+def _bin_sums(index: np.ndarray, values: np.ndarray, bins: int) -> np.ndarray:
+    """``(bins, C)``: per bin, the sum of the rows of ``values`` whose ``index`` is
+    that bin, one ``np.bincount`` per column.
+
+    ``np.bincount`` adds into each bin in input order from 0.0, as
+    ``np.add.at`` does, so the sums are the same to the bit.
+    """
+    sums = np.empty((bins, values.shape[1]), dtype=np.float64)
+    for j in range(values.shape[1]):
+        sums[:, j] = np.bincount(index, weights=values[:, j], minlength=bins)
+    return sums
+
+
 def loss_and_gradient(weights: np.ndarray, batch: CsrBatch) -> tuple[float, np.ndarray]:
     """Batch-mean BCE loss of a single layer and its exact gradient, one forward pass."""
     rows = batch.rows()
-    logits = np.zeros((batch.size, weights.shape[1]), dtype=np.float64)
-    np.add.at(logits, rows, weights[batch.positions])
+    logits = _bin_sums(rows, weights[batch.positions], batch.size)
     loss, residual = _loss_and_residual(logits, batch.targets)
-    grad = np.zeros_like(weights)
-    np.add.at(grad, batch.positions, residual[rows])
-    return loss, grad
+    return loss, _bin_sums(batch.positions, residual[rows], weights.shape[0])
 
 
 @dataclass

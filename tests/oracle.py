@@ -24,6 +24,14 @@
   its ordered ``endswith`` chains, the split-strip-search tokenizer, and
   ``encode`` building every 1/2/3-gram of a text (``ngram_set``) and
   looking each one up.
+* The string n-gram dictionary ``features.build_dictionary`` replaced with
+  packed integer keys: one string per n-gram occurrence (``ngrams``,
+  ``count_terms``), Counters merged into the dictionary
+  (``count_dictionary``), and each text's terms looked up again
+  (``term_arrays``); ``string_dictionary`` chains the three.
+* The single-layer loss and gradient summed with ``np.add.at``
+  (``add_at_sums``, ``loss_and_gradient``), before each column became one
+  ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -38,14 +46,77 @@ import numpy as np
 
 from cwemap.errors import ConfigurationError, TrainingError, ValidationError
 from cwemap.evaluation import _label_correct
-from cwemap.features import NGRAM_SIZES, Dictionary, count_terms, ngrams
+from cwemap.features import Dictionary
 from cwemap.hierarchy import Prediction, _maximal_paths, threshold
 from cwemap.ingest import _cwe_sort_key
-from cwemap.netcore import LOSS_PLATEAU_DELTA, AdamState, _bce_terms, sigmoid
+from cwemap.netcore import LOSS_PLATEAU_DELTA, AdamState, _bce_terms, _loss_and_residual, sigmoid
 from cwemap.stemmer import _DOUBLES, _EXCEPTIONS, _LI_ENDINGS, _POST_1A_INVARIANT, _VOWELS
 from cwemap.textprep import preprocess
 
 logger = logging.getLogger(__name__)
+
+
+NGRAM_SIZES = (1, 2, 3)
+
+
+def ngrams(tokens, n):
+    """Contiguous n-token windows joined with single spaces, in order."""
+    if n not in NGRAM_SIZES:
+        raise ConfigurationError(f"n must be one of {NGRAM_SIZES}, got {n}")
+    if n == 1:
+        return list(tokens)
+    return [" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
+
+
+def count_terms(tokens):
+    """Occurrence counts of every 1/2/3-gram term in one token sequence."""
+    counter = Counter()
+    for n in NGRAM_SIZES:
+        counter.update(ngrams(tokens, n))
+    return counter
+
+
+def count_dictionary(term_counts, min_count=3):
+    """The dictionary of the summed term Counters: terms occurring at least
+    ``min_count`` times, ranked by (-count, term)."""
+    if min_count < 1:
+        raise ConfigurationError(f"min_count must be >= 1, got {min_count}")
+    totals = Counter()
+    for counts in term_counts:
+        totals.update(counts)
+    kept = sorted(((t, c) for t, c in totals.items() if c >= min_count),
+                  key=lambda item: (-item[1], item[0]))
+    return Dictionary(index={t: i for i, (t, _) in enumerate(kept)}, counts=dict(kept),
+                      min_count=min_count)
+
+
+def term_arrays(counts, dictionary):
+    """Ascending dictionary positions of the dictionary terms in ``counts``, and their counts."""
+    hits = sorted((dictionary.index[t], c) for t, c in counts.items() if t in dictionary.index)
+    table = np.array(hits, dtype=np.int64).reshape(len(hits), 2)
+    return table[:, 0], table[:, 1]
+
+
+def string_dictionary(token_lists, min_count=3):
+    """``features.build_dictionary`` on strings: the dictionary and each text's terms."""
+    counts = [count_terms(tokens) for tokens in token_lists]
+    dictionary = count_dictionary(counts, min_count)
+    return dictionary, [term_arrays(c, dictionary) for c in counts]
+
+
+def add_at_sums(index, values, bins):
+    """Per bin, the sum of the rows of ``values`` at that ``index``: ``np.add.at`` into zeros."""
+    sums = np.zeros((bins, values.shape[1]), dtype=np.float64)
+    np.add.at(sums, index, values)
+    return sums
+
+
+def loss_and_gradient(weights, batch):
+    """Single-layer batch loss and gradient, each sum an ``np.add.at`` in row order."""
+    rows = batch.rows()
+    logits = add_at_sums(rows, weights[batch.positions], batch.size)
+    loss, residual = _loss_and_residual(logits, batch.targets)
+    return loss, add_at_sums(batch.positions, residual[rows], weights.shape[0])
 
 
 def bce_with_logits(logits, targets):

@@ -11,7 +11,7 @@ import oracle
 import synthdata
 from cwemap import hierarchy, textprep
 from cwemap.errors import ConfigurationError, ValidationError
-from cwemap.features import build_dictionary, count_terms
+from cwemap.features import build_dictionary
 from cwemap.hierarchy import (
     Model,
     PrepAssets,
@@ -47,8 +47,8 @@ def random_model(parents, seed, two_layer=False, scale=1.5):
         [CweNode(id=n, name=n, parent_ids=frozenset(p)) for n, p in parents.items()]
     )
     (words,) = synthdata.make_pools(1, 40, seed)
-    dictionary = build_dictionary([count_terms(preprocess(" ".join(words), frozenset(),
-                                                          SynonymTable.empty()))], 1)
+    dictionary, _ = build_dictionary([preprocess(" ".join(words), frozenset(),
+                                                 SynonymTable.empty())], 1)
     rng = np.random.default_rng(seed)
     d = dictionary.size
     classifiers = {}

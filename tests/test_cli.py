@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import synthdata
 from cwemap import cli, evaluation, hierarchy, ingest, modelstore
-from cwemap.ingest import save_taxonomy, write_cve_corpus
+from cwemap.ingest import CveRecord, save_taxonomy, write_cve_corpus
 from cwemap.modelstore import DICTIONARY, MANIFEST, TAXONOMY
 
 
@@ -79,6 +79,18 @@ class TestTrain:
         assert not (tmp_path / "m").exists()
 
 
+    def test_corpus_without_a_taxonomy_label_exits_2(self, inputs, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        write_cve_corpus([CveRecord(id=f"CVE-2020-{i:04d}", description="a buffer overflow",
+                                    cwe_labels=frozenset({"CWE-9999"})) for i in range(5)],
+                         corpus)
+        argv = ["train", "--corpus", str(corpus), "--taxonomy", str(inputs / "taxonomy.json"),
+                "--th", "1", "--model", str(tmp_path / "m")]
+        assert cli.main(argv) == cli.EXIT_INPUT
+        assert "no training record has a label in the taxonomy" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+
 class TestModelOutputPath:
     """``train --model`` is checked before any work is done."""
 
@@ -131,6 +143,51 @@ class TestConfigValues:
         loaded = modelstore.load(tmp_path / "m").config
         assert (loaded.learning_rate, loaded.decision_threshold) == (1.0, 0.5)
         assert loaded.weight_init == "random"
+
+
+    @pytest.mark.parametrize("doc, mode", [
+        ({"k": 2}, ["--tau", "0.5"]), ({"tau": 0.5}, ["--k", "2"]),
+    ], ids=["tau-flag-drops-config-k", "k-flag-drops-config-tau"])
+    def test_explicit_rule_flag_drops_the_configs_other_rule(self, model_dir, inputs, tmp_path,
+                                                             doc, mode):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        predictions = tmp_path / "p.jsonl"
+        argv = ["--config", str(config), "classify", "--model", str(model_dir), "--corpus",
+                str(inputs / "corpus.jsonl"), "--out", str(predictions), *mode]
+        assert cli.main(argv) == cli.EXIT_OK
+        rows = [json.loads(line) for line in predictions.read_text(encoding="utf-8").splitlines()]
+        want = "threshold:0.5" if "--tau" in mode else "topk:2"
+        assert {row["mode"] for row in rows} == {want}
+
+    def test_config_rule_applies_without_a_flag(self, model_dir, inputs, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"k": 2}', encoding="utf-8")
+        predictions = tmp_path / "p.jsonl"
+        argv = ["--config", str(config), "classify", "--model", str(model_dir), "--corpus",
+                str(inputs / "corpus.jsonl"), "--out", str(predictions)]
+        assert cli.main(argv) == cli.EXIT_OK
+        rows = [json.loads(line) for line in predictions.read_text(encoding="utf-8").splitlines()]
+        assert {row["mode"] for row in rows} == {"topk:2"}
+
+
+class TestNvdFeedBoundary:
+    """``ingest --feed`` exits 2 naming the item and field of a mistyped feed."""
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"CVE_Items": 5}, "CVE_Items is not a JSON array"),
+        ({"CVE_Items": [1]}, "CVE_Items[0] is not a JSON object"),
+        ({"CVE_Items": [{"cve": {"description": {"description_data": [
+            {"lang": "en", "value": 5}]}}}]},
+         "CVE_Items[0].cve.description.description_data[0].value is not a JSON string"),
+    ], ids=["items-number", "item-number", "description-value-number"])
+    def test_mistyped_feed_exits_2(self, tmp_path, capsys, doc, field):
+        feed = tmp_path / "feed.json"
+        feed.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "corpus.jsonl"
+        assert cli.main(["ingest", "--feed", str(feed), "--out", str(out)]) == cli.EXIT_INPUT
+        assert f"{feed}: {field}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestModelIntegrity:

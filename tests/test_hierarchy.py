@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracle
 import synthdata
-from cwemap import cli, features, hierarchy
+from cwemap import cli, hierarchy
 from cwemap.errors import ConfigurationError, ValidationError
 from cwemap.hierarchy import (
     FLAT_NODE_ID,
@@ -101,8 +101,18 @@ class TestAssembleTrainingSets:
         assert examples.targets[0].tolist() == [1.0, 1.0]
 
     def test_unresolvable_label_skipped(self, chain_taxonomy):
-        corpus = [make_record(1, "text", ["CWE-9999"])]
-        assert training_sets(corpus, chain_taxonomy) == {}
+        corpus = [make_record(1, "text", ["CWE-9999"]), make_record(2, "run os", ["CWE-77"])]
+        encoded = encode_corpus(corpus, chain_taxonomy, ASSETS, 1)
+        assert encoded.labels == [frozenset({"CWE-77"})]
+        sets = training_sets(corpus, chain_taxonomy)
+        assert sets and all(examples.size == 1 for examples in sets.values())
+
+    def test_corpus_without_resolvable_label_rejected(self, chain_taxonomy):
+        # The CWE node texts alone do not make a training set.
+        assert any(node.text() for node in chain_taxonomy.nodes.values())
+        corpus = [make_record(i, "run os command", ["CWE-9999"]) for i in range(3)]
+        with pytest.raises(ConfigurationError, match="no training record has a label"):
+            encode_corpus(corpus, chain_taxonomy, ASSETS, 1)
 
 
 @st.composite
@@ -124,6 +134,11 @@ def labeled_dags(draw):
     return taxonomy, corpus, draw(st.integers(1, 3))
 
 
+def resolvable(corpus, taxonomy):
+    """Whether some record of ``corpus`` has a label in ``taxonomy``."""
+    return any(label in taxonomy for record in corpus for label in record.cwe_labels)
+
+
 def unpacked(batch):
     """The rows of a batch as (positions, targets) lists."""
     return [(tuple(batch.positions[batch.offsets[r]:batch.offsets[r + 1]].tolist()),
@@ -137,9 +152,15 @@ class TestTrainingSets:
     @given(labeled_dags())
     def test_dictionary_and_training_sets_equal_string_oracle(self, case):
         taxonomy, corpus, min_count = case
+        if not resolvable(corpus, taxonomy):
+            with pytest.raises(ConfigurationError):
+                encode_corpus(corpus, taxonomy, ASSETS, min_count)
+            return
         encoded = encode_corpus(corpus, taxonomy, ASSETS, min_count)
         dictionary = encoded.dictionary
-        assert dictionary == oracle.build_dictionary(corpus, taxonomy, ASSETS, min_count)
+        want = oracle.build_dictionary(corpus, taxonomy, ASSETS, min_count)
+        assert dictionary == want
+        assert dictionary.to_tsv() == want.to_tsv()
         sets = node_batches(encoded, assemble_training_sets(encoded, taxonomy))
         expected = oracle.assemble_training_sets(corpus, taxonomy, dictionary, ASSETS)
         assert sets.keys() == expected.keys()
@@ -150,8 +171,6 @@ class TestTrainingSets:
             assert batch.offsets.tolist() == np.cumsum([0] + [len(p) for p, _ in examples]
                                                       ).tolist()
             assert unpacked(batch) == examples
-        if not encoded.labels:
-            return
         classes, flat_rows = _flat_training_set(encoded, taxonomy)
         flat = node_batches(encoded, {FLAT_NODE_ID: flat_rows})[FLAT_NODE_ID]
         want_classes, want = oracle.flat_training_set(corpus, taxonomy, dictionary, ASSETS)
@@ -162,7 +181,7 @@ class TestTrainingSets:
     def test_each_text_preprocessed_and_counted_once(self, small_synth, monkeypatch, kind):
         taxonomy, leaves, pools, corpus = small_synth
         corpus = corpus + [make_record(999, "an unlabeled text")]
-        calls = {"preprocess": [], "count_terms": [], "encode": []}
+        calls = {"preprocess": [], "build_dictionary": [], "encode": []}
 
         def counted(name, function):
             def wrapper(arg, *rest):
@@ -170,19 +189,18 @@ class TestTrainingSets:
                 return function(arg, *rest)
             return wrapper
 
-        monkeypatch.setattr(hierarchy, "preprocess", counted("preprocess", hierarchy.preprocess))
-        # Training n-grams a text only through count_terms; encode is inference's.
-        for name in ("count_terms", "encode"):
-            wrapper = counted(name, getattr(features, name))
-            monkeypatch.setattr(features, name, wrapper)
-            monkeypatch.setattr(hierarchy, name, wrapper)
+        # Training counts every text's n-grams in one build_dictionary call,
+        # through the hierarchy global; encode is inference's.
+        for name in calls:
+            monkeypatch.setattr(hierarchy, name, counted(name, getattr(hierarchy, name)))
         train_hierarchy(corpus, taxonomy, ASSETS, quick_cfg(max_epochs=1), kind=kind,
                         hidden_size=2)
         texts = [r.description for r in corpus if r.cwe_labels]
         texts += [n.text() for n in taxonomy.nodes.values()
                   if n.id != taxonomy.root_id and n.text()]
         assert sorted(calls["preprocess"]) == sorted(texts)
-        assert len(calls["count_terms"]) == len(texts)
+        (token_lists,) = calls["build_dictionary"]
+        assert len(token_lists) == len(texts)
         assert calls["encode"] == []
 
 
@@ -191,6 +209,8 @@ class TestClassDocuments:
     @given(labeled_dags())
     def test_arrays_and_init_weights_equal_string_oracle(self, case):
         taxonomy, corpus, min_count = case
+        if not resolvable(corpus, taxonomy):
+            return
         encoded = encode_corpus(corpus, taxonomy, ASSETS, min_count)
         dictionary = encoded.dictionary
         docs = build_class_documents(encoded, taxonomy)

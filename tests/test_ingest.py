@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -383,6 +384,20 @@ class TestNvdFeed:
         path = tmp_path / "feed.json"
         path.write_text("{}")
         with pytest.raises(FormatError, match="CVE_Items"):
+            import_nvd_feed(path)
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda cve: cve["problemtype"]["problemtype_data"][0]["description"][0].update(
+            value=79), "problemtype.problemtype_data[0].description[0].value"),
+        (lambda cve: cve["CVE_data_meta"].update(ID=["CVE-2020-0001"]), "CVE_data_meta.ID"),
+        (lambda cve: cve.update(problemtype=[]), "problemtype"),
+    ], ids=["problemtype-value", "id", "problemtype"])
+    def test_mistyped_field_named(self, tmp_path, edit, field):
+        item = self.item("CVE-2020-0001", "text", ["CWE-89"])
+        edit(item["cve"])
+        path = tmp_path / "feed.json"
+        path.write_text(json.dumps(self.feed([self.item("CVE-2020-0002", "text"), item])))
+        with pytest.raises(FormatError, match=re.escape(f"CVE_Items[1].cve.{field} is not")):
             import_nvd_feed(path)
 
     def test_item_without_english_description_skipped(self, tmp_path):

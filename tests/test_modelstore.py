@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import synthdata
 from cwemap import modelstore
-from cwemap.features import build_dictionary, count_terms
+from cwemap.features import build_dictionary
 from cwemap.hierarchy import FLAT_NODE_ID, Model, PrepAssets, classify
 from cwemap.ingest import CweNode, build_taxonomy
 from cwemap.netcore import NodeClassifier, TrainConfig, TwoLayerClassifier
@@ -27,8 +27,8 @@ def make_model(kind, parents, seed, hidden=3):
         [CweNode(id=n, name=n, parent_ids=frozenset(p)) for n, p in parents.items()]
     )
     (words,) = synthdata.make_pools(1, 30, seed)
-    dictionary = build_dictionary([count_terms(preprocess(" ".join(words), frozenset(),
-                                                          SynonymTable.empty()))], 1)
+    dictionary, _ = build_dictionary([preprocess(" ".join(words), frozenset(),
+                                                 SynonymTable.empty())], 1)
     rng = np.random.default_rng(seed)
     d = dictionary.size
     cfg = TrainConfig(seed=seed, max_epochs=seed % 7)

@@ -13,6 +13,7 @@ from cwemap.netcore import (
     NodeClassifier,
     TrainConfig,
     TwoLayerClassifier,
+    _bin_sums,
     adam_step,
     batch_loss,
     forward_scores,
@@ -196,10 +197,10 @@ def reference_loss_and_gradient(weights, batch):
 
 
 @st.composite
-def weights_and_batches(draw):
+def weights_and_batches(draw, entries=st.floats(-60.0, 60.0)):
     d = draw(st.integers(1, 12))
     c = draw(st.integers(1, 5))
-    values = draw(st.lists(st.floats(-60.0, 60.0), min_size=d * c, max_size=d * c))
+    values = draw(st.lists(entries, min_size=d * c, max_size=d * c))
     weights = np.array(values, dtype=np.float64).reshape(d, c)
     distinct = draw(
         st.lists(
@@ -275,6 +276,58 @@ class TestLossAndGradient:
             gradient(clf(np.zeros((3, 2))), batch)
         with pytest.raises(ConfigurationError):
             train_node(clf(np.zeros((3, 2))), batch, TrainConfig())
+
+
+def same_bits(a, b):
+    """Equal shapes and float64 bit patterns: ``-0.0`` and ``0.0`` differ."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# Values whose sums include signed zeros: -0.0 + -0.0 is -0.0, and 0.0 + -0.0 is 0.0.
+SIGNED_ZEROS = st.one_of(st.sampled_from([0.0, -0.0, 1.5, -1.5]), st.floats(-60.0, 60.0))
+
+
+@st.composite
+def bin_sum_cases(draw):
+    """Row bins (some left empty, some hit repeatedly) and the value rows added into them."""
+    bins = draw(st.integers(1, 8))
+    columns = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 20))
+    index = draw(st.lists(st.integers(0, bins - 1), min_size=n, max_size=n))
+    values = draw(st.lists(SIGNED_ZEROS, min_size=n * columns, max_size=n * columns))
+    return (np.array(index, dtype=np.int64),
+            np.array(values, dtype=np.float64).reshape(n, columns), bins)
+
+
+class TestBincountKernel:
+    """The training pass's ``np.bincount`` sums equal the ``np.add.at`` form bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(bin_sum_cases())
+    def test_bin_sums_equal_add_at(self, case):
+        index, values, bins = case
+        assert same_bits(_bin_sums(index, values, bins), oracle.add_at_sums(index, values, bins))
+
+    @pytest.mark.parametrize("index, values", [
+        ([], np.zeros((0, 2))),  # every bin empty
+        ([1, 1], [[-0.0], [-0.0]]),  # one column; a bin of negative zeros sums to 0.0
+        ([0, 2, 0], [[1e16, 1.0], [2.0, -0.0], [1.0, 1e-16]]),  # repeated bin, in order
+    ])
+    def test_edge_cases(self, index, values):
+        index, values = np.array(index, dtype=np.int64), np.array(values, dtype=np.float64)
+        sums = _bin_sums(index, values, 3)
+        assert same_bits(sums, oracle.add_at_sums(index, values, 3))
+        assert not np.signbit(sums).any()
+
+    @settings(max_examples=200, deadline=None)
+    @given(weights_and_batches(entries=SIGNED_ZEROS))
+    def test_loss_and_gradient_equal_add_at_form(self, case):
+        weights, batch = case
+        packed = pack(batch, *weights.shape)
+        loss, grad = loss_and_gradient(weights, packed)
+        ref_loss, ref_grad = oracle.loss_and_gradient(weights, packed)
+        assert loss == ref_loss
+        assert same_bits(grad, ref_grad)
 
 
 class TestAdam:
