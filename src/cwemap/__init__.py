@@ -43,6 +43,7 @@ from .netcore import (
     AdamState,
     CsrBatch,
     NodeClassifier,
+    RowBlock,
     TrainConfig,
     TwoLayerClassifier,
     adam_step,

@@ -216,10 +216,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         )
     except MemoryError as exc:
         raise TrainingError("out of memory") from exc
-    modelstore.save(model, args.model)
+    manifest = modelstore.save(model, args.model)
     for node_id in sorted(model.epochs_run):
         print(f"{node_id}: {model.epochs_run[node_id]} epochs")
-    print(f"model saved to {args.model} (fingerprint {modelstore.fingerprint(model)[:12]})")
+    print(f"model saved to {args.model} (fingerprint {manifest.fingerprint[:12]})")
     return EXIT_OK
 
 

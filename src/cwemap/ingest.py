@@ -331,10 +331,22 @@ def _topological_order(nodes: dict[str, CweNode], children: dict[str, tuple[str,
 
 
 def load_taxonomy(path: str | Path) -> Taxonomy:
-    """Load a taxonomy JSON document and validate the DAG."""
+    """Load a taxonomy JSON document and validate the DAG (see ``read_taxonomy``)."""
     path = Path(path)
+    return read_taxonomy(read_input_text(path), path)
+
+
+def read_taxonomy(text: str, path: str | Path) -> Taxonomy:
+    """The taxonomy in ``text``, a JSON document read from ``path``.
+
+    Each node is an object whose ``id`` is a string.  Its ``name``,
+    ``description`` and ``extended_description`` are strings and its
+    ``parent_ids`` an array of strings; each may be null or absent.
+    Malformed JSON raises ParseError, and a field of another JSON type
+    FormatError naming the path, the node and the field.
+    """
     try:
-        doc = json.loads(read_input_text(path))
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON ({exc.msg})", path=path, line=exc.lineno) from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
@@ -343,23 +355,34 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
     for i, raw in enumerate(doc["nodes"]):
         if not isinstance(raw, dict) or "id" not in raw:
             raise FormatError(f"{path}: node #{i} is not an object with an 'id'")
-        nodes.append(
-            CweNode(
-                id=str(raw["id"]),
-                name=str(raw.get("name") or ""),
-                description=str(raw.get("description") or ""),
-                extended_description=raw.get("extended_description"),
-                parent_ids=frozenset(str(p) for p in raw.get("parent_ids") or ()),
-            )
-        )
+        where = f"nodes[{i}]"
+        given = {key: value for key, value in raw.items() if value is not None}
+        try:
+            node_id = _field(raw, "id", str, where)
+            parents = _field(given, "parent_ids", list, where)
+            for j, parent in enumerate(parents):
+                if not isinstance(parent, str):
+                    raise FormatError(f"{where}.parent_ids[{j}] is not a JSON string")
+            nodes.append(CweNode(
+                id=node_id,
+                name=_field(given, "name", str, where),
+                description=_field(given, "description", str, where),
+                extended_description=_field(given, "extended_description", str, where)
+                if "extended_description" in given else None,
+                parent_ids=frozenset(parents),
+            ))
+        except FormatError as exc:
+            raise FormatError(f"{path}: node {raw['id']}: {exc}") from None
     return build_taxonomy(nodes)
 
 
+def taxonomy_json(taxonomy: Taxonomy) -> str:
+    """The saved form of ``taxonomy``, which ``read_taxonomy`` reads back."""
+    return json.dumps({"nodes": taxonomy.to_node_list()}, indent=2, sort_keys=True) + "\n"
+
+
 def save_taxonomy(taxonomy: Taxonomy, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps({"nodes": taxonomy.to_node_list()}, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    Path(path).write_text(taxonomy_json(taxonomy), encoding="utf-8")
 
 
 def paths_to_root(taxonomy: Taxonomy, node_id: str) -> set[tuple[str, ...]]:

@@ -1,20 +1,47 @@
 """Deterministic model persistence: one save, load and fingerprint for every kind.
 
-Directory layout: ``manifest.json``, ``dictionary.tsv``, ``taxonomy.json``
-and, under ``weights/``, one raw file (row-major float64, little-endian)
-per entry of each scorer's ``params()``: ``<node>.f64le`` for single-layer
-weights, ``<node>.hidden.f64le`` and ``<node>.out.f64le`` for the two
-layers of the two-layer baseline; the flat baseline's one scorer is node
-``FLAT``.  The manifest records the model kind, content fingerprints of
-the dictionary and taxonomy, the full config snapshot (including the
-preprocessing assets; a hidden layer's width is read off its weights) and
-the child ids and weight shapes of every scorer, so a model can never be
-applied against drifted inputs.  Saving the same model twice produces
-byte-identical files.  Anything malformed in a model directory raises
-IntegrityError (or VersionError for an unknown format or kind), at load:
-besides unreadable files, sizes and fingerprints, a manifest that lists a
-node twice, or whose scorers are not exactly one per scoring node, over
-that node's taxonomy children in order and the dictionary's dimension
+Directory layout (format 2): ``manifest.json`` and three data files, each
+named by the first 12 hex digits of the sha256 of its bytes:
+``dictionary-<sha12>.tsv``, ``taxonomy-<sha12>.json`` and
+``weights-<sha12>.bin``.  The weights file is one blob of raw little-endian
+arrays, back to back, for every scorer in node-id order (a JSON header
+plus raw arrays, as in the safetensors format): the scorer's ``rows``
+(int64), then each entry of its ``params()`` (float64, row-major).  The
+row-indexed parameter (``ROW_PARAM``) is the block of a ``RowBlock`` and
+is followed in the blob by its all-zero sentinel row, so ``load`` makes no
+copy of any array.  The flat baseline's one scorer is node ``FLAT``.
+
+The manifest records the model kind, the fingerprint, the full config
+snapshot (including the preprocessing assets; a hidden layer's width is
+read off its weights), the name and sha256 of each data file, and per
+scorer its child ids and the offset, dtype and shape of each of its
+arrays.  ``load`` checks the raw bytes of every data file against its
+sha256, so a model can never be applied against changed files.  Saving
+the same model twice produces byte-identical files.
+
+**Commit point.**  ``save`` writes each data file through a temporary file
+and ``os.replace``, then replaces ``manifest.json`` the same way: until
+that rename the directory still holds the previous model, whole.  It then
+deletes the data files and temporary files of this store that the new
+manifest does not name.  (No file is synced to disk: the renames guard
+against an interrupted process, and the sha256 checks catch what a lost
+write would leave.)
+
+**Format 1** (``dictionary.tsv``, ``taxonomy.json`` and one dense
+``weights/<node>.f64le`` file per parameter) is not read: its manifest
+raises VersionError, and the model must be trained again.  ``save`` leaves
+format-1 files in a reused directory alone; nothing reads them.
+
+``fingerprint`` still hashes the byte stream of format 1, so it does not
+depend on the storage: per scorer, its node id, its child ids, and per
+parameter its format-1 file name and its dense row-major float64 bytes,
+built one node at a time.
+
+Anything malformed in a model directory raises IntegrityError (or
+VersionError for an unknown format or kind), at load: besides unreadable
+files, checksums and array extents, a manifest that lists a node twice, or
+whose scorers are not exactly one per scoring node, over that node's
+taxonomy children in order and the dictionary's dimension
 (``hierarchy.Model``), names the offending node.
 """
 
@@ -22,6 +49,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,26 +65,27 @@ from .errors import (
 )
 from .features import Dictionary
 from .hierarchy import SCORERS, Model, PrepAssets, scoring_node
-from .ingest import Taxonomy, load_taxonomy, save_taxonomy
-from .netcore import Scorer, TrainConfig
+from .ingest import Taxonomy, read_taxonomy, taxonomy_json
+from .netcore import RowBlock, Scorer, TrainConfig
 from .textprep import SynonymTable
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 MANIFEST = "manifest.json"
-DICTIONARY = "dictionary.tsv"
-TAXONOMY = "taxonomy.json"
-WEIGHTS_DIR = "weights"
-#: Weight file name of each scorer parameter: ``<node><infix>.f64le``.
-_FILE_INFIX = {"weights": "", "w_hidden": ".hidden", "w_out": ".out"}
+#: Suffix of each data file; its name is ``<key>-<sha12><suffix>``.
+DATA_FILES = {"dictionary": ".tsv", "taxonomy": ".json", "weights": ".bin"}
+#: Dtype of the row positions and of every parameter in the weights file.
+ROWS_DTYPE, PARAM_DTYPE = "<i8", "<f8"
+#: Format-1 file name suffix of each parameter, which the fingerprint hashes.
+_V1_INFIX = {"weights": "", "w_hidden": ".hidden", "w_out": ".out"}
 
 # Every manifest field and its JSON type.
 _MANIFEST_FIELDS = {
     "format_version": int,
     "model_kind": str,
-    "dictionary_fingerprint": str,
-    "taxonomy_fingerprint": str,
+    "fingerprint": str,
     "config": dict,
+    "files": dict,
     "nodes": list,
 }
 
@@ -64,14 +94,18 @@ def _str_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
+def _count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 @dataclass(frozen=True)
 class ModelManifest:
     format_version: int
     model_kind: str  # "hierarchical" | "flat" | "two-layer"
-    dictionary_fingerprint: str
-    taxonomy_fingerprint: str
+    fingerprint: str
     config: dict
-    nodes: list[dict]  # {"node_id", "child_ids", "files": {name: [rows, cols]}}
+    files: dict  # {"dictionary" | "taxonomy" | "weights": {"name", "sha256"}}
+    nodes: list[dict]  # {"node_id", "child_ids", "arrays": {name: {"offset", "dtype", "shape"}}}
 
     def to_json(self) -> str:
         doc = {key: getattr(self, key) for key in _MANIFEST_FIELDS}
@@ -79,13 +113,20 @@ class ModelManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "ModelManifest":
-        """Parse a manifest; IntegrityError unless it has every field, well typed."""
+        """Parse a manifest; VersionError for another format version, else
+        IntegrityError unless it has every field, well typed."""
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise IntegrityError(f"malformed manifest JSON ({exc.msg})") from exc
         if not isinstance(doc, dict):
             raise IntegrityError("manifest is not a JSON object")
+        version = doc.get("format_version")
+        if isinstance(version, int) and not isinstance(version, bool) and (
+            version != FORMAT_VERSION
+        ):
+            raise VersionError(f"model format version {version} is not supported (this "
+                               f"version reads {FORMAT_VERSION}); retrain the model")
         missing = sorted(set(_MANIFEST_FIELDS) - set(doc))
         if missing:
             raise IntegrityError(f"manifest lacks {', '.join(missing)}")
@@ -97,9 +138,9 @@ class ModelManifest:
                 isinstance(entry, dict)
                 and isinstance(entry.get("node_id"), str)
                 and _str_list(entry.get("child_ids"))
-                and isinstance(entry.get("files"), dict)
+                and isinstance(entry.get("arrays"), dict)
             ):
-                raise IntegrityError("manifest node entry lacks node_id, child_ids or files")
+                raise IntegrityError("manifest node entry lacks node_id, child_ids or arrays")
         return cls(**{key: doc[key] for key in _MANIFEST_FIELDS})
 
 
@@ -141,72 +182,126 @@ def _config_dict(model: Model) -> dict:
     return config
 
 
-def _weight_files(model: Model) -> list[tuple[Scorer, dict[str, np.ndarray]]]:
-    """(scorer, {weight file name: matrix}) per scorer, sorted by node id."""
-    return [
-        (clf, {_weight_file(clf.node_id, name): value for name, value in clf.params().items()})
-        for clf in sorted(model.classifiers.values(), key=lambda clf: clf.node_id)
-    ]
+def _scorers(model: Model) -> list[Scorer]:
+    return sorted(model.classifiers.values(), key=lambda clf: clf.node_id)
 
 
-def _weight_file(node_id: str, param: str) -> str:
-    return f"{node_id}{_FILE_INFIX[param]}.f64le"
+def _weights_blob(model: Model) -> tuple[bytes, list[dict]]:
+    """The weights file and the manifest's node entries that describe it.
+
+    The row-indexed parameter is written with its sentinel row, which its
+    listed shape leaves out.
+    """
+    chunks, nodes, offset = [], [], 0
+    for clf in _scorers(model):
+        matrix = getattr(clf, clf.ROW_PARAM)
+        stored = {"rows": (matrix.rows, ROWS_DTYPE, matrix.rows.shape)}
+        for name, value in clf.params().items():
+            held = matrix.padded if name == clf.ROW_PARAM else value
+            stored[name] = (held, PARAM_DTYPE, value.shape)
+        arrays = {}
+        for name, (held, dtype, shape) in stored.items():
+            data = np.ascontiguousarray(held, dtype=dtype).tobytes()
+            arrays[name] = {"offset": offset, "dtype": dtype, "shape": list(shape)}
+            chunks.append(data)
+            offset += len(data)
+        nodes.append({"node_id": clf.node_id, "child_ids": list(clf.child_ids),
+                      "arrays": arrays})
+    return b"".join(chunks), nodes
 
 
-def _le_bytes(matrix: np.ndarray) -> bytes:
-    return np.ascontiguousarray(matrix, dtype="<f8").tobytes()
+def _replace_with(path: Path, data: bytes) -> None:
+    """Make ``data`` the contents of ``path`` with one rename: a reader sees
+    the old file or the new one, never a part."""
+    temporary = path.with_name(path.name + ".tmp")
+    try:
+        temporary.write_bytes(data)
+        os.replace(temporary, path)
+    finally:
+        temporary.unlink(missing_ok=True)
 
 
 def save(model: Model, directory: str | Path) -> ModelManifest:
-    """Persist a model; returns the manifest that was written."""
+    """Persist a model; returns the manifest that was written.
+
+    The rename of ``manifest.json`` commits the save; the files of this
+    store that the manifest does not name are deleted after it.
+    """
     directory = Path(directory)
-    (directory / WEIGHTS_DIR).mkdir(parents=True, exist_ok=True)
-
-    model.dictionary.save_tsv(directory / DICTIONARY)
-    save_taxonomy(model.taxonomy, directory / TAXONOMY)
-
-    config = _config_dict(model)
-
-    nodes = []
-    for clf, files in _weight_files(model):
-        for name, matrix in files.items():
-            (directory / WEIGHTS_DIR / name).write_bytes(_le_bytes(matrix))
-        nodes.append({"node_id": clf.node_id, "child_ids": list(clf.child_ids),
-                      "files": {name: list(matrix.shape) for name, matrix in files.items()}})
-
+    directory.mkdir(parents=True, exist_ok=True)
+    blob, nodes = _weights_blob(model)
+    contents = {
+        "dictionary": model.dictionary.to_tsv().encode("utf-8"),
+        "taxonomy": taxonomy_json(model.taxonomy).encode("utf-8"),
+        "weights": blob,
+    }
+    files = {}
+    for key, data in contents.items():
+        digest = hashlib.sha256(data).hexdigest()
+        files[key] = {"name": f"{key}-{digest[:12]}{DATA_FILES[key]}", "sha256": digest}
+        _replace_with(directory / files[key]["name"], data)
     manifest = ModelManifest(
         format_version=FORMAT_VERSION,
         model_kind=model.kind,
-        dictionary_fingerprint=model.dictionary.fingerprint(),
-        taxonomy_fingerprint=taxonomy_fingerprint(model.taxonomy),
-        config=config,
+        fingerprint=fingerprint(model),
+        config=_config_dict(model),
+        files=files,
         nodes=nodes,
     )
-    (directory / MANIFEST).write_text(manifest.to_json(), encoding="utf-8")
+    _replace_with(directory / MANIFEST, manifest.to_json().encode("utf-8"))
+    named = {entry["name"] for entry in files.values()}
+    for key in DATA_FILES:
+        for path in directory.glob(f"{key}-*"):
+            if path.name not in named and path.is_file():
+                path.unlink()
     return manifest
 
 
-def _read_weights(directory: Path, entry: dict, name: str) -> np.ndarray:
-    """The matrix in weight file ``name``, shaped as the manifest entry lists it."""
-    dims = entry["files"].get(name)
-    if not (isinstance(dims, list) and len(dims) == 2
-            and all(isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in dims)):
-        raise IntegrityError(f"manifest entry {entry['node_id']} lists no shape for {name}")
-    rows, cols = dims
-    path = directory / WEIGHTS_DIR / name
+def _read_data_file(directory: Path, manifest: ModelManifest, key: str) -> bytes:
+    """The bytes of the data file ``key``; IntegrityError unless the manifest
+    names a file of this directory whose sha256 it records."""
+    entry = manifest.files.get(key)
+    name = entry.get("name") if isinstance(entry, dict) else None
+    if not (isinstance(name, str) and isinstance(entry.get("sha256"), str)
+            and name == Path(name).name and name not in ("", ".", "..")):
+        raise IntegrityError(f"manifest names no {key} file")
+    path = directory / name
     if not path.is_file():
-        raise IntegrityError(f"missing weight file: {path}")
+        raise IntegrityError(f"missing model file: {path}")
     data = path.read_bytes()
-    expected = rows * cols * 8
-    if len(data) != expected:
-        raise IntegrityError(
-            f"{path}: expected {expected} bytes for a {rows}x{cols} matrix, got {len(data)}"
-        )
-    return np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
+    if hashlib.sha256(data).hexdigest() != entry["sha256"]:
+        raise IntegrityError(f"{path}: sha256 does not match the manifest")
+    return data
+
+
+def _view(blob: bytes, spec, dtype: str, ndim: int, extra_rows: int) -> np.ndarray:
+    """The read-only array ``spec`` (offset, dtype, shape) places in ``blob``,
+    with ``extra_rows`` more rows than its shape lists."""
+    shape = spec.get("shape") if isinstance(spec, dict) else None
+    if not (isinstance(shape, list) and len(shape) == ndim and all(map(_count, shape))
+            and spec.get("dtype") == dtype and _count(spec.get("offset"))):
+        raise IntegrityError(f"no {ndim}-D {dtype} array entry")
+    shape = [shape[0] + extra_rows, *shape[1:]]
+    count, offset = math.prod(shape), spec["offset"]
+    if offset % 8 or offset + 8 * count > len(blob):
+        raise IntegrityError(f"an array at byte {offset} overruns the weights file")
+    return np.frombuffer(blob, dtype=dtype, count=count, offset=offset).reshape(shape)
+
+
+def _scorer(kind, entry: dict, blob: bytes, dimension: int) -> Scorer:
+    """The scorer a manifest node entry describes, its arrays viewing ``blob``."""
+    arrays = entry["arrays"]
+    if set(arrays) != {"rows", *kind.PARAMS}:
+        raise IntegrityError(f"arrays {sorted(arrays)} are not rows and {', '.join(kind.PARAMS)}")
+    params = {name: _view(blob, arrays[name], PARAM_DTYPE, 2, int(name == kind.ROW_PARAM))
+              for name in kind.PARAMS}
+    rows = _view(blob, arrays["rows"], ROWS_DTYPE, 1, 0)
+    params[kind.ROW_PARAM] = RowBlock(rows, params[kind.ROW_PARAM], dimension)
+    return kind(entry["node_id"], tuple(entry["child_ids"]), **params)
 
 
 def load(directory: str | Path) -> Model:
-    """Restore a model, verifying fingerprints and weight-file integrity."""
+    """Restore a model, verifying the checksum of every data file."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST
     if not manifest_path.is_file():
@@ -215,27 +310,17 @@ def load(directory: str | Path) -> Model:
         manifest = ModelManifest.from_json(manifest_path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise IntegrityError(f"{manifest_path}: not UTF-8 text") from exc
-    if manifest.format_version != FORMAT_VERSION:
-        raise VersionError(
-            f"unsupported model format version {manifest.format_version} "
-            f"(supported: {FORMAT_VERSION})"
-        )
-    scorer = SCORERS.get(manifest.model_kind)
-    if scorer is None:
+    kind = SCORERS.get(manifest.model_kind)
+    if kind is None:
         raise VersionError(f"unknown model kind {manifest.model_kind!r}")
 
-    for name in (DICTIONARY, TAXONOMY):
-        if not (directory / name).is_file():
-            raise IntegrityError(f"missing model file: {directory / name}")
+    data = {key: _read_data_file(directory, manifest, key) for key in DATA_FILES}
     try:
-        dictionary = Dictionary.from_tsv((directory / DICTIONARY).read_text(encoding="utf-8"))
-        taxonomy = load_taxonomy(directory / TAXONOMY)
+        dictionary = Dictionary.from_tsv(data["dictionary"].decode("utf-8"))
+        taxonomy = read_taxonomy(data["taxonomy"].decode("utf-8"),
+                                 directory / manifest.files["taxonomy"]["name"])
     except (CwemapError, ValueError) as exc:
         raise IntegrityError(f"unreadable model file: {exc}") from exc
-    if dictionary.fingerprint() != manifest.dictionary_fingerprint:
-        raise IntegrityError("dictionary fingerprint mismatch")
-    if taxonomy_fingerprint(taxonomy) != manifest.taxonomy_fingerprint:
-        raise IntegrityError("taxonomy fingerprint mismatch")
 
     try:
         config = dict(manifest.config)
@@ -246,9 +331,10 @@ def load(directory: str | Path) -> Model:
             scored = scoring_node(taxonomy, node_id)
             if scored in classifiers:
                 raise IntegrityError(f"{manifest_path}: node {node_id} is listed twice")
-            params = {name: _read_weights(directory, entry, _weight_file(node_id, name))
-                      for name in scorer.PARAMS}
-            classifiers[scored] = scorer(node_id, tuple(entry["child_ids"]), **params)
+            try:
+                classifiers[scored] = _scorer(kind, entry, data["weights"], dictionary.size)
+            except (ConfigurationError, IntegrityError) as exc:
+                raise IntegrityError(f"{manifest_path}: node {node_id}: {exc}") from exc
         return Model(taxonomy=taxonomy, dictionary=dictionary, classifiers=classifiers,
                      config=TrainConfig.from_dict(config), assets=assets,
                      kind=manifest.model_kind)
@@ -256,16 +342,27 @@ def load(directory: str | Path) -> Model:
         raise IntegrityError(f"{manifest_path}: {exc}") from exc
 
 
+def _dense_le(clf: Scorer, name: str) -> np.ndarray:
+    """Parameter ``name`` of ``clf`` as a dense little-endian float64 matrix."""
+    value = getattr(clf, name)
+    return np.ascontiguousarray(value.to_dense() if isinstance(value, RowBlock) else value,
+                                dtype=PARAM_DTYPE)
+
+
 def fingerprint(model: Model) -> str:
-    """Content hash covering dictionary, taxonomy, config, and all weights."""
+    """Content hash covering dictionary, taxonomy, config, and all weights.
+
+    The weights enter as the format-1 byte stream, one dense matrix at a time.
+    """
     h = hashlib.sha256()
     h.update(model.dictionary.fingerprint().encode())
     h.update(taxonomy_fingerprint(model.taxonomy).encode())
     h.update(json.dumps(_config_dict(model), sort_keys=True, separators=(",", ":")).encode())
-    for clf, files in _weight_files(model):
+    for clf in _scorers(model):
         h.update(clf.node_id.encode())
         h.update(",".join(clf.child_ids).encode())
-        for name in sorted(files):
-            h.update(name.encode())
-            h.update(_le_bytes(files[name]))
+        names = {f"{clf.node_id}{_V1_INFIX[name]}.f64le": name for name in clf.PARAMS}
+        for file_name in sorted(names):
+            h.update(file_name.encode())
+            h.update(_dense_le(clf, names[file_name]))
     return h.hexdigest()

@@ -10,7 +10,7 @@ exclusive).  Two scorers share one protocol:
 * ``TwoLayerClassifier``: one bias-free sigmoid hidden layer before the
   output layer (the over-fitting baseline).
 
-Each has ``child_ids``, ``params()`` (its named weight matrices), batched
+Each has ``child_ids``, ``params()`` (its named fitted arrays), batched
 ``logits`` and a fused ``loss_and_grads`` on a ``CsrBatch``, the
 mean binary cross-entropy (in the stable logit form) and its gradient per
 parameter from one forward pass.  ``train_node`` is the only training
@@ -23,26 +23,39 @@ on-positions of all rows back to back, row offsets, and a targets matrix.
 inference and for a training corpus alike.  ``train_node`` takes a node's
 training set as one such batch, checks its shape once, and each minibatch
 is a vectorized row gather (``take``) from it.  Sums over a row's
-on-positions run in row order (``np.add.at``, or in the single layer's
-training pass one ``np.bincount`` per column, which adds in the same
-order): the order in which ``weights[rows].sum(axis=0)`` adds the rows of
+on-positions run in row order (``np.add.at`` in the forward pass, and in
+the training gradients one ``np.bincount`` per column, which adds in the
+same order): the order in which ``weights[rows].sum(axis=0)`` adds the rows of
 one record for two or more columns, so the weights match per-example
 training bit for bit.  A BLAS product would reorder the sums and move the
 weights by ulps.  (NumPy sums a one-column slice pairwise, so a
 record-at-a-time sum there can differ from the batch in the last bit.)  The two-layer output layer is one
 vector-matrix product per row (a stacked ``matmul``) for the same reason.
 
+**Row-sparse weights.**  The row-indexed parameter (``ROW_PARAM``: the
+single layer's ``weights``, the hidden layer's ``w_hidden``) is a
+``RowBlock``: the ascending positions ``rows`` it stores and their
+``(len(rows), C)`` block, every other row being exactly +0.0.  A TF-IDF
+node stores the terms of its children's class documents
+(``scoring.init_weights``); random init, the flat baseline and the hidden
+layer store every row.  Scoring gathers rows through a lookup that sends
+each position outside ``rows`` to one all-zero sentinel row kept after
+the block, so every sum adds the same +0.0s in the same order as over the
+dense matrix, and the logits are the dense ones to the bit.
+
 **Block fit.**  ``train_node`` fits each node on its support S, the
-feature positions set in at least one of its examples.  It takes the rows
-S of the row-indexed parameter (``ROW_PARAM``: the single layer's
-``weights``, the hidden layer's ``w_hidden``), renumbers the examples'
-positions to rows of that block, runs Adam on the ``|S| x C`` block (and
-on any other parameter whole), and scatters the block back into a copy of
-the full matrix.  This is exact, not an approximation: a row outside S
-gets a zero gradient at every step, so its Adam moments stay exactly 0 and
-its update is ``lr * 0 / (sqrt(0) + eps) = 0``; the rows in S see the same
-values in the same order as in the full matrix.  Those rows never change,
-so their finiteness is checked once, before the fit.
+feature positions set in at least one of its examples.  S lies in the
+stored rows of a TF-IDF node, because a record reaches a node only
+through a child whose class document holds the record's terms (rows that
+are missing are added as zeros).  The fit gathers the S rows of the block,
+renumbers the examples' positions to rows of that work block, runs Adam
+on the ``|S| x C`` work block (and on any other parameter whole), and
+writes it back into a copy of the block.  This is exact, not an
+approximation: a row outside S gets a zero gradient at every step, so its
+Adam moments stay exactly 0 and its update is
+``lr * 0 / (sqrt(0) + eps) = 0``; the rows in S see the same values in
+the same order as in the dense matrix.  The block's other rows never
+change, so their finiteness is checked once, before the fit.
 
 **Adam in place.**  ``adam_step`` overwrites the weights and the state's
 moments it is given, with ``out=`` arguments and two work arrays, and
@@ -182,20 +195,106 @@ class CsrBatch:
         return CsrBatch(self.positions[gather], offsets, self.targets[index], self.dimension)
 
 
-def _row_sums(matrix: np.ndarray, batch: CsrBatch, node_id: str) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class RowBlock:
+    """A ``dimension x C`` matrix whose rows outside ``rows`` are exactly +0.0.
+
+    ``rows`` holds the ascending, distinct positions of the stored rows and
+    ``padded`` their values, ``(len(rows) + 1, C)``: the block, then one
+    all-zero sentinel row.  ``gather`` sends every position outside ``rows``
+    to the sentinel, so a sum over any positions adds the same +0.0s in the
+    same order as over the dense matrix.  A TF-IDF node stores the terms of
+    its children's class documents; every other scorer stores every row.
+    """
+
+    rows: np.ndarray  # (R,) ascending distinct int64 positions below dimension
+    padded: np.ndarray  # (R + 1, C) float64; row R is the +0.0 sentinel
+    dimension: int
+
+    def __post_init__(self):
+        rows, padded = self.rows, self.padded
+        if rows.ndim != 1 or rows.dtype.kind != "i" or (
+            rows.size and (rows[0] < 0 or rows[-1] >= self.dimension or (np.diff(rows) <= 0).any())
+        ):
+            raise ConfigurationError(
+                f"rows are not ascending distinct positions below {self.dimension}")
+        if padded.ndim != 2 or padded.dtype.kind != "f" or padded.shape[0] != rows.size + 1:
+            raise ConfigurationError(f"a block of {rows.size} rows cannot have shape "
+                                     f"{padded.shape} with its sentinel row")
+        if padded[-1].view(np.uint64).any():
+            raise ConfigurationError("the sentinel row is not all +0.0")
+
+    @classmethod
+    def of(cls, rows: np.ndarray, block: np.ndarray, dimension: int) -> "RowBlock":
+        """The matrix holding ``block`` at ``rows`` (a copy) and +0.0 elsewhere."""
+        padded = np.zeros((len(rows) + 1, block.shape[1]), dtype=np.float64)
+        padded[:-1] = block
+        return cls(np.asarray(rows, dtype=np.int64), padded, dimension)
+
+    @classmethod
+    def full(cls, matrix: np.ndarray) -> "RowBlock":
+        """The 2-D ``matrix`` (a copy), every row stored."""
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.ndim != 2:
+            raise ConfigurationError(f"weights of shape {matrix.shape} are not a matrix")
+        return cls.of(np.arange(matrix.shape[0], dtype=np.int64), matrix, matrix.shape[0])
+
+    @property
+    def block(self) -> np.ndarray:
+        """The stored rows, ``(R, C)``: a view of ``padded``."""
+        return self.padded[:-1]
+
+    @property
+    def columns(self) -> int:
+        return self.padded.shape[1]
+
+    def to_dense(self) -> np.ndarray:
+        dense = np.zeros((self.dimension, self.columns), dtype=np.float64)
+        dense[self.rows] = self.block
+        return dense
+
+    def including(self, positions: np.ndarray) -> "RowBlock":
+        """The same matrix storing the rows ``rows`` and ``positions`` (ascending,
+        distinct); itself when it stores them already."""
+        missing = np.setdiff1d(positions, self.rows, assume_unique=True)
+        if not missing.size:
+            return self
+        rows = np.union1d(self.rows, missing)
+        padded = np.zeros((len(rows) + 1, self.columns), dtype=np.float64)
+        padded[np.searchsorted(rows, self.rows)] = self.block
+        return RowBlock(rows, padded, self.dimension)
+
+    def gather(self, positions: np.ndarray) -> np.ndarray:
+        """The matrix's rows at ``positions``, ``(len(positions), C)``.
+
+        A lookup of length ``dimension``, built per call, sends each
+        position to its stored row or to the sentinel; keeping one per
+        scorer would hold four bytes per dictionary term for every node.
+        """
+        if self.rows.size == self.dimension:
+            return self.padded[positions]
+        lookup = np.full(self.dimension, self.rows.size, dtype=np.int32)
+        lookup[self.rows] = np.arange(self.rows.size, dtype=np.int32)
+        return self.padded[lookup[positions]]
+
+
+def _row_sums(matrix: RowBlock, batch: CsrBatch, node_id: str) -> np.ndarray:
     """Per row of ``batch``, the sum of the rows of ``matrix`` at its on-positions.
 
-    Each row's sum runs over its positions in order (``np.add.at``).
-    ``_bin_sums`` gives the same sums, but slowed ``classify`` on the
-    short texts of the deep-short bench workload, so this forward pass
+    Each row's sum runs over its positions in order (``np.add.at``), the
+    rows gathered through ``RowBlock.gather``: a position outside the
+    stored rows adds the sentinel's +0.0, as the dense matrix's zero row
+    would, so the sums equal the dense ones to the bit, signed zeros
+    included.  ``_bin_sums`` gives the same sums, but slowed ``classify`` on
+    the short texts of the deep-short bench workload, so this forward pass
     keeps ``np.add.at``.
     """
-    if batch.dimension != matrix.shape[0]:
+    if batch.dimension != matrix.dimension:
         raise ConfigurationError(
-            f"{node_id}: feature dimension {batch.dimension} != weight rows {matrix.shape[0]}"
+            f"{node_id}: feature dimension {batch.dimension} != weight rows {matrix.dimension}"
         )
-    sums = np.zeros((batch.size, matrix.shape[1]), dtype=np.float64)
-    np.add.at(sums, batch.rows(), matrix[batch.positions])
+    sums = np.zeros((batch.size, matrix.columns), dtype=np.float64)
+    np.add.at(sums, batch.rows(), matrix.gather(batch.positions))
     return sums
 
 
@@ -229,73 +328,94 @@ def loss_and_gradient(weights: np.ndarray, batch: CsrBatch) -> tuple[float, np.n
     return loss, _bin_sums(batch.positions, residual[rows], weights.shape[0])
 
 
+def _fitted_block(matrix: RowBlock, batch: CsrBatch, node_id: str) -> np.ndarray:
+    """The block of ``matrix``, whose rows ``batch``'s positions index.
+
+    ``loss_and_grads`` runs on a matrix that stores every row, as
+    ``train_node``'s work block does, so block rows and positions agree.
+    """
+    if matrix.rows.size != matrix.dimension or batch.dimension != matrix.dimension:
+        raise ConfigurationError(f"{node_id}: loss_and_grads needs all {matrix.dimension} "
+                                 f"rows stored and a batch over them, not {batch.dimension}")
+    return matrix.block
+
+
 @dataclass
 class NodeClassifier:
-    """Single-layer, bias-free scorer over one node's children."""
+    """Single-layer, bias-free scorer over one node's children.
+
+    ``weights`` may be given as a dense ``(D, C)`` array, which stores every row.
+    """
 
     node_id: str
     child_ids: tuple[str, ...]
-    weights: np.ndarray  # shape (D, C), float64
+    weights: RowBlock  # (D, C)
 
     PARAMS = ("weights",)
     ROW_PARAM = "weights"
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.ndim != 2 or self.weights.shape[1] != len(self.child_ids):
+        if not isinstance(self.weights, RowBlock):
+            self.weights = RowBlock.full(self.weights)
+        if self.weights.columns != len(self.child_ids):
             raise ConfigurationError(
-                f"{self.node_id}: weights shape {self.weights.shape} does not match "
+                f"{self.node_id}: weights of {self.weights.columns} columns do not match "
                 f"{len(self.child_ids)} children"
             )
 
     @property
     def dimension(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.dimension
 
     def params(self) -> dict[str, np.ndarray]:
-        return {"weights": self.weights}
+        """The fitted arrays by name: ``weights``' block."""
+        return {"weights": self.weights.block}
 
     def logits(self, batch: CsrBatch) -> np.ndarray:
         """Pre-sigmoid outputs, ``(n, C)``: per row, the weight rows its on-bits select."""
         return _row_sums(self.weights, batch, self.node_id)
 
     def loss_and_grads(self, batch: CsrBatch) -> tuple[float, dict[str, np.ndarray]]:
-        loss, grad = loss_and_gradient(self.weights, batch)
+        """Loss and gradient per entry of ``params()``; every row must be stored."""
+        loss, grad = loss_and_gradient(_fitted_block(self.weights, batch, self.node_id), batch)
         return loss, {"weights": grad}
 
 
 @dataclass
 class TwoLayerClassifier:
-    """Scorer with one sigmoid hidden layer, no biases (over-fitting baseline)."""
+    """Scorer with one sigmoid hidden layer, no biases (over-fitting baseline).
+
+    ``w_hidden`` may be given as a dense ``(D, H)`` array, which stores every row.
+    """
 
     node_id: str
     child_ids: tuple[str, ...]
-    w_hidden: np.ndarray  # shape (D, H)
+    w_hidden: RowBlock  # (D, H)
     w_out: np.ndarray  # shape (H, C)
 
     PARAMS = ("w_hidden", "w_out")
     ROW_PARAM = "w_hidden"
 
     def __post_init__(self):
-        self.w_hidden = np.asarray(self.w_hidden, dtype=np.float64)
+        if not isinstance(self.w_hidden, RowBlock):
+            self.w_hidden = RowBlock.full(self.w_hidden)
         self.w_out = np.asarray(self.w_out, dtype=np.float64)
-        if self.w_hidden.ndim != 2 or self.w_out.ndim != 2 or (
-            self.w_hidden.shape[1] != self.w_out.shape[0]
-        ):
+        if self.w_out.ndim != 2 or self.w_hidden.columns != self.w_out.shape[0]:
             raise ConfigurationError(f"{self.node_id}: hidden width mismatch")
         if self.w_out.shape[1] != len(self.child_ids):
             raise ConfigurationError(f"{self.node_id}: output width != number of children")
 
     @property
     def dimension(self) -> int:
-        return self.w_hidden.shape[0]
+        return self.w_hidden.dimension
 
     @property
     def hidden_size(self) -> int:
-        return self.w_hidden.shape[1]
+        return self.w_hidden.columns
 
     def params(self) -> dict[str, np.ndarray]:
-        return {"w_hidden": self.w_hidden, "w_out": self.w_out}
+        """The fitted arrays by name: ``w_hidden``'s block and ``w_out``."""
+        return {"w_hidden": self.w_hidden.block, "w_out": self.w_out}
 
     def _forward(self, batch: CsrBatch) -> tuple[np.ndarray, np.ndarray]:
         hidden = sigmoid(_row_sums(self.w_hidden, batch, self.node_id))
@@ -307,14 +427,15 @@ class TwoLayerClassifier:
 
     def loss_and_grads(self, batch: CsrBatch) -> tuple[float, dict[str, np.ndarray]]:
         """Backpropagated gradients of both layers; every product runs per row,
-        in the order a record-at-a-time pass would take."""
+        in the order a record-at-a-time pass would take.  Every row of
+        ``w_hidden`` must be stored."""
+        block = _fitted_block(self.w_hidden, batch, self.node_id)
         hidden, logits = self._forward(batch)
         loss, residual = _loss_and_residual(logits, batch.targets)
         g_out = (hidden[:, :, np.newaxis] * residual[:, np.newaxis, :]).sum(axis=0)
         d_out = np.matmul(self.w_out, residual[:, :, np.newaxis])[:, :, 0]
         d_pre = d_out * hidden * (1.0 - hidden)
-        g_hidden = np.zeros_like(self.w_hidden)
-        np.add.at(g_hidden, batch.positions, d_pre[batch.rows()])
+        g_hidden = _bin_sums(batch.positions, d_pre[batch.rows()], block.shape[0])
         return loss, {"w_hidden": g_hidden, "w_out": g_out}
 
 
@@ -340,14 +461,14 @@ def _check_fits(clf: Scorer, batch: CsrBatch) -> None:
 
 
 def gradient(clf: NodeClassifier, batch: CsrBatch) -> np.ndarray:
-    """Exact gradient of the batch-mean BCE loss with respect to the weights."""
+    """Exact ``(D, C)`` gradient of the batch-mean BCE loss with respect to the weights."""
     _check_fits(clf, batch)
-    return loss_and_gradient(clf.weights, batch)[1]
+    return loss_and_gradient(clf.weights.to_dense(), batch)[1]
 
 
 def batch_loss(clf: NodeClassifier, batch: CsrBatch) -> float:
     _check_fits(clf, batch)
-    return loss_and_gradient(clf.weights, batch)[0]
+    return loss_and_gradient(clf.weights.to_dense(), batch)[0]
 
 
 def adam_step(
@@ -417,13 +538,18 @@ def train_node(
     support, local = np.unique(examples.positions, return_inverse=True)
     data = CsrBatch(local.astype(np.int64, copy=False), examples.offsets, examples.targets,
                     len(support))
-    full = getattr(clf, clf.ROW_PARAM)
-    # The rows outside the support never change: one check covers every epoch.
-    rest_finite = bool(np.isfinite(full).all())
+    matrix = getattr(clf, clf.ROW_PARAM).including(support)
+    at = np.searchsorted(matrix.rows, support)
+    # The block's rows outside the support never change: one check covers every epoch.
+    rest_finite = bool(np.isfinite(matrix.block).all())
 
-    work = replace(clf, **{name: value[support] if name == clf.ROW_PARAM else value.copy()
+    # The work block gathers the support rows and, last, the sentinel row.
+    work_rows = RowBlock(np.arange(len(support), dtype=np.int64),
+                         matrix.padded[np.append(at, matrix.rows.size)], len(support))
+    work = replace(clf, **{name: work_rows if name == clf.ROW_PARAM else value.copy()
                            for name, value in clf.params().items()})
-    states = {name: AdamState.zeros_like(value) for name, value in work.params().items()}
+    fitted = work.params()  # views: Adam updates ``work`` in place
+    states = {name: AdamState.zeros_like(value) for name, value in fitted.items()}
     rng = np.random.default_rng(cfg.seed)
     n = data.size
     losses: list[float] = []
@@ -437,10 +563,10 @@ def train_node(
             loss, grads = work.loss_and_grads(batch)
             total += loss * batch.size
             for name, grad in grads.items():
-                adam_step(getattr(work, name), grad, states[name], cfg)
+                adam_step(fitted[name], grad, states[name], cfg)
         epoch_loss = total / n
         if not (math.isfinite(epoch_loss) and rest_finite and all(
-            np.isfinite(value).all() for value in work.params().values()
+            np.isfinite(value).all() for value in fitted.values()
         )):
             raise TrainingError(
                 f"{clf.node_id}: non-finite loss or weights after epoch {epoch} "
@@ -456,6 +582,7 @@ def train_node(
                 break
     if log_path is not None:
         _write_loss_log(log_path, losses)
-    trained = full.copy()
-    trained[support] = getattr(work, clf.ROW_PARAM)
+    trained = matrix.padded.copy()
+    trained[at] = fitted[clf.ROW_PARAM]
+    trained = RowBlock(matrix.rows, trained, matrix.dimension)
     return replace(work, **{clf.ROW_PARAM: trained}), losses

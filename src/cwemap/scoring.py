@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .features import Dictionary
+from .netcore import RowBlock
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,8 @@ def init_weights(
     children: list[str],
     dictionary: Dictionary,
     class_docs: dict[str, ClassDocument],
-) -> np.ndarray:
-    """Initial D x C weight matrix for a decision node.
+) -> RowBlock:
+    """Initial D x C weight matrix for a decision node, stored on its nonzero rows.
 
     Column g holds the TF-IDF score of every dictionary term against child
     g's class document.  Document frequency is taken over the constituent
@@ -71,21 +72,25 @@ def init_weights(
     single-source class documents this reduces to the textbook TF-IDF over
     the child aggregates.
 
-    Only each document's own positions are visited.  The IDF comes from a table
-    indexed by integer df and built with math.log10, and the TF is computed
-    as 0.5 + 0.5 * count / max_count, in that order, so every weight equals
-    the scalar formula bit for bit.
+    A term in no child's document scores 0 in every column, so the matrix
+    stores only the rows of the union of the documents' positions, and
+    nothing of size D is allocated.  The IDF comes from a table indexed by
+    integer df and built with math.log10, and the TF is computed as
+    0.5 + 0.5 * count / max_count, in that order, so every weight equals the
+    scalar formula bit for bit.
     """
     missing = [c for c in children if c not in class_docs]
     if missing:
         raise ConfigurationError(f"no class document for children: {missing}")
     docs = [class_docs[c] for c in children]
     m = sum(doc.source_doc_count for doc in docs)
-    weights = np.zeros((dictionary.size, len(children)), dtype=np.float64)
+    rows = np.unique(np.concatenate([np.empty(0, dtype=np.int64)]
+                                    + [doc.positions for doc in docs]))
+    local = [np.searchsorted(rows, doc.positions) for doc in docs]
 
-    df = np.zeros(dictionary.size, dtype=np.int64)
-    for doc in docs:
-        df[doc.positions] += doc.df
+    df = np.zeros(rows.size, dtype=np.int64)
+    for doc, at in zip(docs, local):
+        df[at] += doc.df
     # idf = log10(M / (1 + df)), zero where df = 0 or the ratio is <= 1.
     idf_of = np.zeros(int(df.max(initial=0)) + 1, dtype=np.float64)
     for k in np.unique(df).tolist():
@@ -93,7 +98,8 @@ def init_weights(
             idf_of[k] = max(math.log10(m / (1 + k)), 0.0)
     idf = idf_of[df]
 
-    for g, doc in enumerate(docs):
+    block = np.zeros((rows.size, len(children)), dtype=np.float64)
+    for g, (doc, at) in enumerate(zip(docs, local)):
         tf = 0.5 + 0.5 * doc.counts / doc.max_count
-        weights[doc.positions, g] = tf * idf[doc.positions]
-    return weights
+        block[at, g] = tf * idf[at]
+    return RowBlock.of(rows, block, dictionary.size)

@@ -30,8 +30,12 @@
   (``count_dictionary``), and each text's terms looked up again
   (``term_arrays``); ``string_dictionary`` chains the three.
 * The single-layer loss and gradient summed with ``np.add.at``
-  (``add_at_sums``, ``loss_and_gradient``), before each column became one
+  (``add_at_sums``, ``loss_and_gradient``), and the two-layer gradients
+  with their ``np.add.at`` hidden-layer scatter
+  (``two_layer_loss_and_grads``), before each column became one
   ``np.bincount``.
+* Dense parameters: ``dense_params`` expands each stored ``RowBlock``,
+  and the forward passes and the dense fit run on those ``D x C`` arrays.
 """
 
 from __future__ import annotations
@@ -119,6 +123,28 @@ def loss_and_gradient(weights, batch):
     return loss, add_at_sums(batch.positions, residual[rows], weights.shape[0])
 
 
+def two_layer_loss_and_grads(net, batch):
+    """A two-layer scorer's batch loss and gradients, the hidden layer's
+    gradient scattered with ``np.add.at``."""
+    w_hidden = net.w_hidden.to_dense()
+    rows = batch.rows()
+    hidden = sigmoid(add_at_sums(rows, w_hidden[batch.positions], batch.size))
+    logits = np.matmul(hidden[:, np.newaxis, :], net.w_out)[:, 0, :]
+    loss, residual = _loss_and_residual(logits, batch.targets)
+    g_out = (hidden[:, :, np.newaxis] * residual[:, np.newaxis, :]).sum(axis=0)
+    d_out = np.matmul(net.w_out, residual[:, :, np.newaxis])[:, :, 0]
+    d_pre = d_out * hidden * (1.0 - hidden)
+    return loss, {"w_hidden": add_at_sums(batch.positions, d_pre[rows], w_hidden.shape[0]),
+                  "w_out": g_out}
+
+
+def dense_params(clf):
+    """Every parameter of ``clf`` as a dense array, by name: the row-indexed
+    one expanded to ``D x C``."""
+    return {name: getattr(clf, name).to_dense() if name == clf.ROW_PARAM else getattr(clf, name)
+            for name in clf.PARAMS}
+
+
 def bce_with_logits(logits, targets):
     """Mean binary cross-entropy over classes, stable for large |logit|."""
     return float(_bce_terms(np.asarray(logits, float), np.asarray(targets, float)).mean())
@@ -126,10 +152,11 @@ def bce_with_logits(logits, targets):
 
 def two_layer_logits(clf, positions):
     """One record through a two-layer scorer: sigmoid hidden layer, then ``w_out``."""
+    w_hidden = clf.w_hidden.to_dense()
     if len(positions):
-        pre = clf.w_hidden[positions].sum(axis=0)
+        pre = w_hidden[positions].sum(axis=0)
     else:
-        pre = np.zeros(clf.w_hidden.shape[1], dtype=np.float64)
+        pre = np.zeros(w_hidden.shape[1], dtype=np.float64)
     return sigmoid(pre) @ clf.w_out
 
 
@@ -178,7 +205,7 @@ def node_scores(model, node_id, fv):
     clf = model.classifiers[node_id]
     if model.kind == "two-layer":
         return clf.child_ids, sigmoid(two_layer_logits(clf, fv))
-    return clf.child_ids, sigmoid(forward_logits(clf.weights, fv))
+    return clf.child_ids, sigmoid(forward_logits(clf.weights.to_dense(), fv))
 
 
 def select(mode, child_ids, scores):
@@ -220,7 +247,7 @@ def classify_one(model, text, mode=None, cve_id=""):
     fv = encode(preprocess(text, model.assets.stopwords, model.assets.synonyms), model.dictionary)
     if model.kind == "flat":
         flat = model.classifiers[model.taxonomy.root_id]
-        raw = sigmoid(forward_logits(flat.weights, fv))
+        raw = sigmoid(forward_logits(flat.weights.to_dense(), fv))
         selected = set(select(mode, flat.child_ids, raw))
         scores = {c: float(s) for c, s in zip(flat.child_ids, raw)}
     else:
@@ -323,11 +350,11 @@ def adam_step(weights, grads, state, cfg):
 
 def train_node(clf, data, cfg):
     """Mini-batch Adam on the full parameters of ``clf`` over the rows of the
-    batch ``data``: the dense fit."""
+    batch ``data``: the dense fit.  Returns a scorer storing every row."""
     if data.size == 0:
         raise ConfigurationError(f"{clf.node_id}: no training examples")
-    work = replace(clf)
-    states = {name: AdamState.zeros_like(value) for name, value in clf.params().items()}
+    params = dense_params(clf)
+    states = {name: AdamState.zeros_like(value) for name, value in params.items()}
     rng = np.random.default_rng(cfg.seed)
     n = data.size
     losses = []
@@ -338,14 +365,13 @@ def train_node(clf, data, cfg):
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = data.take(order[start : start + cfg.batch_size])
-            loss, grads = work.loss_and_grads(batch)
+            loss, grads = replace(clf, **params).loss_and_grads(batch)
             total += loss * batch.size
             for name, grad in grads.items():
-                value, states[name] = adam_step(getattr(work, name), grad, states[name], cfg)
-                setattr(work, name, value)
+                params[name], states[name] = adam_step(params[name], grad, states[name], cfg)
         epoch_loss = total / n
         if not math.isfinite(epoch_loss) or not all(
-            np.isfinite(value).all() for value in work.params().values()
+            np.isfinite(value).all() for value in params.values()
         ):
             raise TrainingError(f"{clf.node_id}: non-finite loss or weights after epoch {epoch}")
         losses.append(epoch_loss)
@@ -356,7 +382,7 @@ def train_node(clf, data, cfg):
             stale += 1
             if cfg.early_stop_patience > 0 and stale >= cfg.early_stop_patience:
                 break
-    return work, losses
+    return replace(clf, **params), losses
 
 
 @dataclass(frozen=True)

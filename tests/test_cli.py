@@ -1,6 +1,7 @@
 """Exit codes of the command-line interface at its input boundaries, and the
 output contract the benchmark reads."""
 
+import hashlib
 import io
 import json
 import logging
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 import synthdata
 from cwemap import cli, evaluation, hierarchy, ingest, modelstore
 from cwemap.ingest import CveRecord, save_taxonomy, write_cve_corpus
-from cwemap.modelstore import DICTIONARY, MANIFEST, TAXONOMY
+from cwemap.modelstore import MANIFEST
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +50,24 @@ def damaged(model_dir, tmp_path):
     copy = tmp_path / "model"
     shutil.copytree(model_dir, copy)
     return copy
+
+
+def model_file(model, name):
+    """The path of ``name`` in a saved model: the manifest, or the data file the
+    manifest names for it (``dictionary.tsv`` is ``dictionary-<sha12>.tsv``)."""
+    if name == MANIFEST:
+        return model / MANIFEST
+    doc = json.loads((model / MANIFEST).read_text(encoding="utf-8"))
+    return model / doc["files"][name.split(".")[0]]["name"]
+
+
+def rewrite(model, name, data: bytes):
+    """Replace the bytes of the data file ``name`` and record their sha256 in
+    the manifest, so the load fails only on what the bytes say."""
+    model_file(model, name).write_bytes(data)
+    doc = json.loads((model / MANIFEST).read_text(encoding="utf-8"))
+    doc["files"][name.split(".")[0]]["sha256"] = hashlib.sha256(data).hexdigest()
+    (model / MANIFEST).write_text(json.dumps(doc), encoding="utf-8")
 
 
 def classify(model, inputs):
@@ -190,9 +209,45 @@ class TestNvdFeedBoundary:
         assert not out.exists()
 
 
+# One-node taxonomies whose node has a field of another JSON type.
+TAXONOMY_PROBES = {
+    "parent-ids-number": ({"parent_ids": 5}, "nodes[0].parent_ids is not a JSON array"),
+    "extended-description-number": ({"extended_description": 5},
+                                    "nodes[0].extended_description is not a JSON string"),
+    "extended-description-list": ({"extended_description": ["a", "b"]},
+                                  "nodes[0].extended_description is not a JSON string"),
+    "name-number": ({"name": 5}, "nodes[0].name is not a JSON string"),
+}
+
+
+class TestTaxonomyBoundary:
+    @pytest.mark.parametrize("probe", list(TAXONOMY_PROBES))
+    def test_mistyped_node_field_exits_2_naming_node_and_field(self, tmp_path, capsys, probe):
+        fields, message = TAXONOMY_PROBES[probe]
+        taxonomy = tmp_path / "taxonomy.json"
+        taxonomy.write_text(json.dumps({"nodes": [{"id": "CWE-1", **fields}]}), encoding="utf-8")
+        corpus = tmp_path / "corpus.jsonl"
+        write_cve_corpus([CveRecord(f"CVE-2000-{n:04d}", f"buffer overflow text {n}",
+                                    frozenset({"CWE-1"})) for n in range(3)], corpus)
+        argv = ["train", "--corpus", str(corpus), "--taxonomy", str(taxonomy), "--th", "1",
+                "--max-epochs", "1", "--model", str(tmp_path / "m")]
+        assert cli.main(argv) == cli.EXIT_INPUT
+        assert f"{taxonomy}: node CWE-1: {message}" in capsys.readouterr().err
+
+
 class TestModelIntegrity:
     def test_intact_model_classifies(self, model_dir, inputs):
         assert classify(model_dir, inputs) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("probe", list(TAXONOMY_PROBES))
+    def test_mistyped_taxonomy_node_exits_4(self, damaged, inputs, capsys, probe):
+        fields, message = TAXONOMY_PROBES[probe]
+        doc = json.loads(model_file(damaged, "taxonomy.json").read_text(encoding="utf-8"))
+        doc["nodes"][0].update(fields)
+        rewrite(damaged, "taxonomy.json", json.dumps(doc).encode("utf-8"))
+        capsys.readouterr()
+        assert classify(damaged, inputs) == cli.EXIT_INTEGRITY
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text",
@@ -205,7 +260,7 @@ class TestModelIntegrity:
 
     def test_manifest_with_bad_node_entry_exits_4(self, damaged, inputs):
         manifest = (damaged / MANIFEST).read_text(encoding="utf-8")
-        (damaged / MANIFEST).write_text(manifest.replace('"files"', '"filez"'),
+        (damaged / MANIFEST).write_text(manifest.replace('"arrays"', '"arrayz"'),
                                         encoding="utf-8")
         assert classify(damaged, inputs) == cli.EXIT_INTEGRITY
 
@@ -214,12 +269,12 @@ class TestModelIntegrity:
         argv = train_argv(inputs, model, "--baseline", "two-layer", "--hidden", "4")
         assert cli.main(argv) == cli.EXIT_OK
         manifest = (model / MANIFEST).read_text(encoding="utf-8")
-        (model / MANIFEST).write_text(manifest.replace(".out.f64le", ".output.f64le"),
+        (model / MANIFEST).write_text(manifest.replace('"w_out"', '"w_output"'),
                                       encoding="utf-8")
         assert classify(model, inputs) == cli.EXIT_INTEGRITY
 
     def test_weight_file_that_is_a_directory_exits_4(self, damaged, inputs):
-        weight = damaged / "weights" / "ROOT.f64le"
+        weight = model_file(damaged, "weights.bin")
         weight.unlink()
         weight.mkdir()
         assert classify(damaged, inputs) == cli.EXIT_INTEGRITY
@@ -240,8 +295,13 @@ class TestModelIntegrity:
         lambda doc: doc.update(format_version=True),
         lambda doc: doc["config"].update(assets=[]),
         lambda doc: doc["nodes"][0].update(child_ids=["CWE-1"]),
+        lambda doc: doc["nodes"][0]["arrays"]["rows"].update(shape=[2**62]),
+        lambda doc: doc["nodes"][0]["arrays"]["weights"].update(offset=4),
+        lambda doc: doc["nodes"][0]["arrays"]["weights"].update(dtype="<f4"),
+        lambda doc: doc["files"]["weights"].update(name="../weights.bin"),
     ], ids=["stopwords-number", "max-epochs-string", "format-version-bool", "assets-list",
-            "child-count"])
+            "child-count", "rows-past-the-file", "offset-unaligned", "dtype-float32",
+            "file-outside-the-directory"])
     def test_mistyped_manifest_value_exits_4(self, damaged, inputs, edit):
         doc = json.loads((damaged / MANIFEST).read_text(encoding="utf-8"))
         edit(doc)
@@ -265,20 +325,23 @@ class TestModelIntegrity:
         assert classify(damaged, inputs) == cli.EXIT_INTEGRITY
 
     def test_dictionary_position_out_of_range_exits_4(self, damaged, inputs):
-        lines = (damaged / DICTIONARY).read_text(encoding="utf-8").splitlines()
+        lines = model_file(damaged, "dictionary.tsv").read_text(encoding="utf-8").splitlines()
         _, term, count = lines[1].split("\t")
         lines[1] = f"999999\t{term}\t{count}"
-        (damaged / DICTIONARY).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rewrite(damaged, "dictionary.tsv", ("\n".join(lines) + "\n").encode("utf-8"))
         assert classify(damaged, inputs) == cli.EXIT_INTEGRITY
 
-    @pytest.mark.parametrize("name", [DICTIONARY, TAXONOMY, MANIFEST])
+    @pytest.mark.parametrize("name", ["dictionary.tsv", "taxonomy.json", MANIFEST])
     def test_missing_file_exits_4(self, damaged, inputs, name):
-        (damaged / name).unlink()
+        model_file(damaged, name).unlink()
         assert classify(damaged, inputs) == cli.EXIT_INTEGRITY
 
-    @pytest.mark.parametrize("name", [DICTIONARY, TAXONOMY])
+    @pytest.mark.parametrize("name", ["dictionary.tsv", "taxonomy.json"])
     def test_corrupt_file_exits_4(self, damaged, inputs, name):
-        (damaged / name).write_text("0\tonly two", encoding="utf-8")
+        # Caught by the checksum; with the checksum updated, by the parser.
+        model_file(damaged, name).write_text("0\tonly two", encoding="utf-8")
+        assert classify(damaged, inputs) == cli.EXIT_INTEGRITY
+        rewrite(damaged, name, b"0\tonly two")
         assert classify(damaged, inputs) == cli.EXIT_INTEGRITY
 
 
@@ -298,10 +361,14 @@ def _duplicate_entry(doc, model):
     doc["nodes"].append(next(e for e in doc["nodes"] if e["node_id"] == "CWE-100"))
 
 
-def _five_weight_rows(doc, model):
-    entry = next(e for e in doc["nodes"] if e["node_id"] == "CWE-100")
-    entry["files"]["CWE-100.f64le"] = [5, 2]
-    (model / "weights" / "CWE-100.f64le").write_bytes(np.zeros((5, 2), dtype="<f8").tobytes())
+def _row_past_the_dictionary(doc, model):
+    """Store CWE-100's last row at a position the dictionary does not have."""
+    rows = next(e for e in doc["nodes"] if e["node_id"] == "CWE-100")["arrays"]["rows"]
+    blob = bytearray(model_file(model, "weights.bin").read_bytes())
+    end = rows["offset"] + 8 * rows["shape"][0]
+    blob[end - 8:end] = np.array([10**6], dtype="<i8").tobytes()
+    model_file(model, "weights.bin").write_bytes(blob)
+    doc["files"]["weights"]["sha256"] = hashlib.sha256(blob).hexdigest()
 
 
 # Scorer sets that do not match the saved taxonomy and dictionary: the
@@ -311,7 +378,7 @@ SCORER_PROBES = {
     "no-inner-entry": (_drop_entry("CWE-100"), "CWE-100"),
     "child-ids-reversed": (_set_child_ids("CWE-100", ["CWE-103", "CWE-102"]), "CWE-100"),
     "child-id-not-a-child": (_set_child_ids("CWE-100", ["CWE-102", "CWE-104"]), "CWE-100"),
-    "weight-rows-not-dictionary-size": (_five_weight_rows, "CWE-100"),
+    "weight-rows-not-dictionary-size": (_row_past_the_dictionary, "CWE-100"),
     "duplicate-entry": (_duplicate_entry, "CWE-100"),
 }
 

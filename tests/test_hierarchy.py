@@ -226,7 +226,7 @@ class TestClassDocuments:
                 np.testing.assert_array_equal(got.df, df)
                 assert got.source_doc_count == want.source_doc_count
             children = list(taxonomy.children[node_id])
-            weights = init_weights(children, dictionary, docs[node_id])
+            weights = init_weights(children, dictionary, docs[node_id]).to_dense()
             assert weights.tobytes() == oracle.init_weights(
                 children, dictionary, per_child).tobytes()
 
@@ -235,6 +235,48 @@ class TestClassDocuments:
         docs = build_class_documents(encode_corpus(corpus, dag_taxonomy, ASSETS, 1), dag_taxonomy)
         assert docs["CWE-435"]["CWE-22"] is docs["CWE-664"]["CWE-22"]
         assert docs["CWE-435"]["CWE-22"].source_doc_count == 2  # CWE text + the CVE
+
+
+class TestRowSparseWeights:
+    """A TF-IDF node stores the rows of its children's class documents, and
+    its training touches no other row."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(labeled_dags())
+    def test_training_support_lies_in_the_stored_rows(self, case):
+        # A record reaches a node through a child whose class document holds
+        # every term of the record.
+        taxonomy, corpus, min_count = case
+        if not resolvable(corpus, taxonomy):
+            return
+        encoded = encode_corpus(corpus, taxonomy, ASSETS, min_count)
+        docs = build_class_documents(encoded, taxonomy)
+        sets = node_batches(encoded, assemble_training_sets(encoded, taxonomy))
+        for node_id, examples in sets.items():
+            stored = init_weights(list(taxonomy.children[node_id]), encoded.dictionary,
+                                  docs[node_id]).rows
+            assert np.isin(np.unique(examples.positions), stored).all(), node_id
+
+    @settings(max_examples=40, deadline=None)
+    @given(labeled_dags(), st.sampled_from(["tfidf", "random"]))
+    def test_trained_scorers_equal_the_dense_fit(self, case, init):
+        taxonomy, corpus, min_count = case
+        if not resolvable(corpus, taxonomy):
+            return
+        cfg = quick_cfg(max_epochs=3, batch_size=2, min_term_count=min_count, weight_init=init)
+        model = train_hierarchy(corpus, taxonomy, ASSETS, cfg)
+        encoded = encode_corpus(corpus, taxonomy, ASSETS, min_count)
+        docs = build_class_documents(encoded, taxonomy) if init == "tfidf" else None
+        sets = node_batches(encoded, assemble_training_sets(encoded, taxonomy))
+        for node_id, clf in model.classifiers.items():
+            expected = hierarchy._initial_scorer("hierarchical", node_id,
+                                                 taxonomy.children[node_id],
+                                                 encoded.dictionary, docs, cfg, 1)
+            if node_id in sets:
+                node_cfg = replace(cfg, seed=hierarchy._node_seed(cfg.seed, node_id))
+                expected, _ = oracle.train_node(expected, sets[node_id], node_cfg)
+            want = oracle.dense_params(expected)["weights"]
+            assert clf.weights.to_dense().tobytes() == want.tobytes(), node_id
 
 
 class TestTrainHierarchy:
@@ -268,7 +310,8 @@ class TestTrainHierarchy:
         for node_id, clf in model.classifiers.items():
             assert clf.node_id == node_id
             assert clf.child_ids == taxonomy.children[node_id]
-            assert clf.weights.shape == (model.dictionary.size, len(clf.child_ids))
+            assert clf.weights.dimension == model.dictionary.size
+            assert clf.weights.columns == len(clf.child_ids)
 
     def test_untouched_subtree_keeps_init_weights(self, small_synth):
         taxonomy, leaves, pools, _ = small_synth
@@ -432,7 +475,7 @@ def _oracle_paths(model, text, mode):
 
     def node_scores(node_id):
         clf = model.classifiers[node_id]
-        return dict(zip(clf.child_ids, sigmoid(dense @ clf.weights)))
+        return dict(zip(clf.child_ids, sigmoid(dense @ clf.weights.to_dense())))
 
     paths = []
 

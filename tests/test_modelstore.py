@@ -1,19 +1,24 @@
-"""Model persistence: save -> load keeps every model kind exactly."""
+"""Model persistence: save -> load keeps every model kind exactly; the
+checksums, the commit point and the format version guard the directory."""
 
 import json
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 import synthdata
-from cwemap import modelstore
+from conftest import make_record
+from cwemap import cli, modelstore
+from cwemap.errors import IntegrityError
 from cwemap.features import build_dictionary
 from cwemap.hierarchy import FLAT_NODE_ID, Model, PrepAssets, classify
-from cwemap.ingest import CweNode, build_taxonomy
-from cwemap.netcore import NodeClassifier, TrainConfig, TwoLayerClassifier
+from cwemap.ingest import CweNode, build_taxonomy, save_taxonomy, write_cve_corpus
+from cwemap.netcore import NodeClassifier, RowBlock, TrainConfig, TwoLayerClassifier
 from cwemap.textprep import SynonymTable, preprocess
 
 ASSETS = PrepAssets(stopwords=frozenset({"the", "a"}),
@@ -22,7 +27,9 @@ KINDS = ("hierarchical", "two-layer", "flat")
 
 
 def make_model(kind, parents, seed, hidden=3):
-    """A model of ``kind`` over the taxonomy ``parents`` with random weights."""
+    """A model of ``kind`` over the taxonomy ``parents`` with random weights;
+    a hierarchical scorer stores a random subset of the rows, as a TF-IDF
+    node does."""
     taxonomy = build_taxonomy(
         [CweNode(id=n, name=n, parent_ids=frozenset(p)) for n, p in parents.items()]
     )
@@ -45,8 +52,9 @@ def make_model(kind, parents, seed, hidden=3):
                     node_id, kids, rng.normal(size=(d, hidden)),
                     rng.normal(size=(hidden, len(kids))))
             else:
-                classifiers[node_id] = NodeClassifier(node_id, kids,
-                                                      rng.normal(size=(d, len(kids))))
+                rows = np.flatnonzero(rng.integers(0, 2, size=d))
+                classifiers[node_id] = NodeClassifier(node_id, kids, RowBlock.of(
+                    rows, rng.normal(size=(rows.size, len(kids))), d))
     return Model(taxonomy=taxonomy, dictionary=dictionary, classifiers=classifiers, config=cfg,
                  assets=ASSETS, kind=kind)
 
@@ -84,14 +92,114 @@ def test_load_leaves_the_slot_tokens_to_the_first_encode(tmp_path):
 
 def test_manifest_listing_a_hidden_size_still_loads(tmp_path):
     """Directories saved before the width was read only off the weights
-    list it in the config; the key is ignored."""
+    list it in the config; the key is ignored, and the width is the one of
+    the hidden block the manifest lists."""
     model = make_model("two-layer", {"CWE-1": [], "CWE-2": [], "CWE-3": ["CWE-1"]}, seed=3)
     modelstore.save(model, tmp_path / "model")
     manifest = tmp_path / "model" / modelstore.MANIFEST
     doc = json.loads(manifest.read_text(encoding="utf-8"))
+    assert doc["format_version"] == modelstore.FORMAT_VERSION == 2
+    assert {tuple(e["arrays"]["w_hidden"]["shape"][1:]) for e in doc["nodes"]} == {(3,)}
     assert "hidden_size" not in doc["config"]
     doc["config"]["hidden_size"] = 3
     manifest.write_text(json.dumps(doc), encoding="utf-8")
     loaded = modelstore.load(tmp_path / "model")
     assert {clf.hidden_size for clf in loaded.classifiers.values()} == {3}
     assert modelstore.fingerprint(loaded) == modelstore.fingerprint(model)
+
+
+def model_files(directory: Path) -> set[str]:
+    return {p.name for p in directory.iterdir()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(KINDS), parents=synthdata.dag_parents(),
+       seed=st.integers(0, 2**16), key=st.sampled_from(sorted(modelstore.DATA_FILES)),
+       where=st.floats(0.0, 1.0, exclude_max=True), flip=st.integers(1, 255))
+def test_one_flipped_byte_in_a_data_file_fails_the_load(kind, parents, seed, key, where, flip):
+    model = make_model(kind, parents, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = modelstore.save(model, tmp)
+        path = Path(tmp) / manifest.files[key]["name"]
+        data = bytearray(path.read_bytes())
+        data[int(where * len(data))] ^= flip
+        path.write_bytes(data)
+        with pytest.raises(IntegrityError):
+            modelstore.load(tmp)
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2, 3],
+                         ids=["dictionary", "taxonomy", "weights", "manifest"])
+def test_interrupted_save_leaves_the_previous_model(tmp_path, monkeypatch, failing):
+    parents = {"CWE-1": [], "CWE-2": [], "CWE-3": ["CWE-1"]}
+    previous = make_model("hierarchical", parents, seed=3)
+    modelstore.save(previous, tmp_path)
+    before = model_files(tmp_path)
+    writes = []
+    write_bytes = Path.write_bytes
+
+    def crash_midway(path, data):
+        """The ``failing``-th write stops after half of its bytes."""
+        writes.append(path)
+        if len(writes) - 1 == failing:
+            write_bytes(path, bytes(data)[: len(data) // 2])
+            raise OSError("disk full")
+        return write_bytes(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", crash_midway)
+    with pytest.raises(OSError):
+        modelstore.save(make_model("hierarchical", {**parents, "CWE-4": ["CWE-3"]}, seed=4),
+                        tmp_path)
+    monkeypatch.undo()
+    assert len(writes) == failing + 1
+    assert modelstore.fingerprint(modelstore.load(tmp_path)) == modelstore.fingerprint(previous)
+    assert not any(name.endswith(".tmp") for name in model_files(tmp_path))
+    assert before <= model_files(tmp_path)
+
+
+def test_resave_of_another_model_leaves_no_stale_file(tmp_path):
+    first = make_model("two-layer", {"CWE-1": [], "CWE-2": [], "CWE-3": ["CWE-1"]}, seed=3)
+    second = make_model("hierarchical", {"CWE-1": [], "CWE-2": ["CWE-1"]}, seed=5)
+    modelstore.save(first, tmp_path)
+    manifest = modelstore.save(second, tmp_path)
+    named = {entry["name"] for entry in manifest.files.values()}
+    assert model_files(tmp_path) == {modelstore.MANIFEST, *named} and len(named) == 3
+    assert modelstore.fingerprint(modelstore.load(tmp_path)) == modelstore.fingerprint(second)
+
+
+#: Format-1 file name suffix of each parameter.
+FORMAT_1_INFIX = {"weights": "", "w_hidden": ".hidden", "w_out": ".out"}
+
+
+def save_format_1(model, directory: Path) -> None:
+    """``model`` in the format-1 layout: ``dictionary.tsv``, ``taxonomy.json``
+    and one dense little-endian file per parameter under ``weights/``."""
+    (directory / "weights").mkdir(parents=True)
+    model.dictionary.save_tsv(directory / "dictionary.tsv")
+    save_taxonomy(model.taxonomy, directory / "taxonomy.json")
+    nodes = []
+    for clf in sorted(model.classifiers.values(), key=lambda clf: clf.node_id):
+        files = {}
+        for name, value in oracle.dense_params(clf).items():
+            file_name = f"{clf.node_id}{FORMAT_1_INFIX[name]}.f64le"
+            (directory / "weights" / file_name).write_bytes(value.astype("<f8").tobytes())
+            files[file_name] = list(value.shape)
+        nodes.append({"node_id": clf.node_id, "child_ids": list(clf.child_ids), "files": files})
+    config = model.config.to_dict()
+    config["assets"] = {"stopwords": sorted(model.assets.stopwords), "synonym_groups": []}
+    manifest = {"format_version": 1, "model_kind": model.kind,
+                "dictionary_fingerprint": model.dictionary.fingerprint(),
+                "taxonomy_fingerprint": modelstore.taxonomy_fingerprint(model.taxonomy),
+                "config": config, "nodes": nodes}
+    (directory / modelstore.MANIFEST).write_text(json.dumps(manifest, indent=2, sort_keys=True)
+                                                 + "\n", encoding="utf-8")
+
+
+def test_format_1_directory_exits_4_asking_to_retrain(tmp_path, capsys):
+    model = make_model("hierarchical", {"CWE-1": [], "CWE-2": [], "CWE-3": ["CWE-1"]}, seed=3)
+    save_format_1(model, tmp_path / "model")
+    write_cve_corpus([make_record(1, "some description", ["CWE-3"])], tmp_path / "c.jsonl")
+    argv = ["classify", "--model", str(tmp_path / "model"), "--corpus", str(tmp_path / "c.jsonl")]
+    assert cli.main(argv) == cli.EXIT_INTEGRITY
+    err = capsys.readouterr().err
+    assert "format version 1" in err and "retrain" in err

@@ -11,6 +11,7 @@ from cwemap.netcore import (
     AdamState,
     CsrBatch,
     NodeClassifier,
+    RowBlock,
     TrainConfig,
     TwoLayerClassifier,
     _bin_sums,
@@ -329,6 +330,71 @@ class TestBincountKernel:
         assert loss == ref_loss
         assert same_bits(grad, ref_grad)
 
+    @settings(max_examples=150, deadline=None)
+    @given(weights_and_batches(entries=SIGNED_ZEROS), st.integers(0, 2**16))
+    def test_two_layer_gradients_equal_add_at_form(self, case, seed):
+        # The drawn weights are the hidden layer, one hidden unit per column.
+        w_hidden, batch = case
+        d, c = w_hidden.shape
+        out = np.random.default_rng(seed).normal(size=(c, c))
+        net = TwoLayerClassifier("CWE-1", tuple(f"CWE-{i + 10}" for i in range(c)), w_hidden, out)
+        packed = pack(batch, d, c)
+        loss, grads = net.loss_and_grads(packed)
+        ref_loss, ref_grads = oracle.two_layer_loss_and_grads(net, packed)
+        assert loss == ref_loss
+        assert grads.keys() == ref_grads.keys()
+        for name, grad in grads.items():
+            assert same_bits(grad, ref_grads[name]), name
+
+
+@st.composite
+def row_blocks(draw, entries=SIGNED_ZEROS):
+    """A matrix stored on a random subset of its rows, and its dense form."""
+    weights, batch = draw(weights_and_batches(entries=entries))
+    d, c = weights.shape
+    rows = np.array(sorted(draw(st.sets(st.integers(0, d - 1)))), dtype=np.int64)
+    dense = np.zeros((d, c))
+    dense[rows] = weights[rows]
+    return RowBlock.of(rows, weights[rows], d), dense, pack(batch, d, c)
+
+
+class TestRowBlock:
+    """A matrix stored as (rows, block) scores and expands as its dense form."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(row_blocks())
+    def test_sums_equal_the_dense_matrix_to_the_bit(self, case):
+        matrix, dense, batch = case
+        assert same_bits(matrix.to_dense(), dense)
+        scorer = NodeClassifier("CWE-1", tuple(f"CWE-{i + 10}" for i in range(dense.shape[1])),
+                                matrix)
+        expected = oracle.add_at_sums(batch.rows(), dense[batch.positions], batch.size)
+        assert same_bits(scorer.logits(batch), expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(row_blocks(), st.data())
+    def test_including_more_rows_keeps_the_matrix(self, case, data):
+        matrix, dense, _ = case
+        extra = data.draw(st.sets(st.integers(0, matrix.dimension - 1)))
+        wider = matrix.including(np.array(sorted(extra), dtype=np.int64))
+        assert set(wider.rows.tolist()) == set(matrix.rows.tolist()) | extra
+        assert same_bits(wider.to_dense(), dense)
+        assert (wider is matrix) == extra.issubset(matrix.rows.tolist())
+
+    @pytest.mark.parametrize("rows, padded, dimension", [
+        ([1, 0], np.zeros((3, 2)), 4),  # not ascending
+        ([0, 0], np.zeros((3, 2)), 4),  # repeated
+        ([0, 4], np.zeros((3, 2)), 4),  # past the dimension
+        ([-1, 2], np.zeros((3, 2)), 4),  # negative
+        ([0, 1], np.zeros((2, 2)), 4),  # no sentinel row
+        ([0, 1], np.array([[1.0], [2.0], [-0.0]]), 4),  # sentinel not +0.0
+        ([0.0, 1.0], np.zeros((3, 2)), 4),  # float positions
+    ], ids=["descending", "repeated", "past-dimension", "negative", "no-sentinel",
+            "negative-zero-sentinel", "float-rows"])
+    def test_malformed_block_rejected(self, rows, padded, dimension):
+        with pytest.raises(ConfigurationError):
+            RowBlock(np.array(rows), padded, dimension)
+
 
 class TestAdam:
     def cfg(self, **overrides):
@@ -424,7 +490,7 @@ class TestTrainNode:
     def test_zero_epoch_budget_returns_weights_unchanged(self):
         c, examples = separable_toy()
         trained, losses = train_node(c, examples, TrainConfig(max_epochs=0))
-        np.testing.assert_array_equal(trained.weights, c.weights)
+        np.testing.assert_array_equal(trained.weights.to_dense(), c.weights.to_dense())
         assert losses == []
 
     def test_determinism(self):
@@ -432,7 +498,7 @@ class TestTrainNode:
         cfg = TrainConfig(max_epochs=30, seed=123, batch_size=2)
         t1, l1 = train_node(c, examples, cfg)
         t2, l2 = train_node(c, examples, cfg)
-        np.testing.assert_array_equal(t1.weights, t2.weights)
+        np.testing.assert_array_equal(t1.weights.to_dense(), t2.weights.to_dense())
         assert l1 == l2
 
     def test_separable_toy_converges_fast(self):
@@ -481,7 +547,8 @@ def fits(draw):
     """A scorer, its examples and a config for one ``train_node`` call.
 
     Covers both scorer kinds (hidden width 1-4), one-child nodes, random
-    and sparse (TF-IDF-like) initial weights, examples whose texts encode
+    and sparse (TF-IDF-like) initial weights, weights stored on a subset of
+    the rows (which the examples may leave), examples whose texts encode
     to nothing at all, and plateau stops.
     """
     d = draw(st.integers(1, 12))
@@ -501,6 +568,9 @@ def fits(draw):
         weights = rng.normal(size=(d, c))
         if draw(st.booleans()):  # zero rows, as a TF-IDF init leaves most of them
             weights *= rng.integers(0, 2, size=(d, 1))
+        if draw(st.booleans()):  # only some rows stored
+            rows = np.flatnonzero(rng.integers(0, 2, size=d))
+            weights = RowBlock.of(rows, weights[rows], d)
         scorer = NodeClassifier("CWE-1", children, weights)
     else:
         scorer = TwoLayerClassifier("CWE-1", children, rng.normal(size=(d, hidden)),
@@ -525,9 +595,14 @@ class TestBlockFit:
         trained, losses = train_node(scorer, examples, cfg)
         expected, expected_losses = oracle.train_node(scorer, examples, cfg)
         assert losses == expected_losses
-        assert trained.params().keys() == expected.params().keys()
-        for name, value in expected.params().items():
-            assert trained.params()[name].tobytes() == value.tobytes(), name
+        dense = oracle.dense_params(expected)
+        assert oracle.dense_params(trained).keys() == dense.keys()
+        for name, value in oracle.dense_params(trained).items():
+            assert value.tobytes() == dense[name].tobytes(), name
+        # The rows the scorer stored stay stored, and so do the support rows.
+        matrix = getattr(trained, trained.ROW_PARAM)
+        assert set(getattr(scorer, scorer.ROW_PARAM).rows.tolist()) <= set(matrix.rows.tolist())
+        assert set(examples.positions.tolist()) <= set(matrix.rows.tolist())
 
     @settings(max_examples=60, deadline=None)
     @given(fits())
@@ -546,7 +621,7 @@ class TestBlockFit:
         trained, losses = train_node(c, examples, cfg)
         expected, expected_losses = oracle.train_node(c, examples, cfg)
         assert len(losses) == 4 and losses == expected_losses
-        assert trained.weights.tobytes() == expected.weights.tobytes()
+        assert trained.weights.to_dense().tobytes() == expected.weights.to_dense().tobytes()
 
     def test_non_finite_weight_outside_the_support_raises(self):
         weights = np.zeros((3, 2))
@@ -558,12 +633,13 @@ class TestBlockFit:
 
 def reference_two_layer(net, batch):
     """Per-example loss and backpropagated gradients of a two-layer scorer."""
-    g_hidden = np.zeros_like(net.w_hidden)
+    w_hidden = net.w_hidden.to_dense()
+    g_hidden = np.zeros_like(w_hidden)
     g_out = np.zeros_like(net.w_out)
     scale = 1.0 / (net.w_out.shape[1] * len(batch))
     losses = []
     for feature, targets in batch:
-        hidden = sigmoid(net.w_hidden[feature].sum(axis=0))
+        hidden = sigmoid(w_hidden[feature].sum(axis=0))
         logits = hidden @ net.w_out
         losses.append(bce_with_logits(logits, targets))
         residual = (sigmoid(logits) - targets) * scale

@@ -26,13 +26,13 @@ def doc(node_id, counts, sources=None, doc_count=1):
 
 
 def init_weights(children, dictionary, class_docs):
-    """``scoring.init_weights`` on the array form of string class documents."""
+    """``scoring.init_weights`` on the array form of string class documents, dense."""
     arrays = {
         c: ClassDocument(d.node_id, *class_document_arrays(d, dictionary),
                          source_doc_count=d.source_doc_count)
         for c, d in class_docs.items()
     }
-    return init_array_weights(children, dictionary, arrays)
+    return init_array_weights(children, dictionary, arrays).to_dense()
 
 
 def make_dict(terms):
