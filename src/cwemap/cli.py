@@ -28,11 +28,11 @@ from .errors import (
     CwemapError,
     FormatError,
     IntegrityError,
-    ParseError,
     TrainingError,
     ValidationError,
     VersionError,
 )
+from .jsonread import Optional, parse
 from .netcore import TrainConfig
 
 logger = logging.getLogger(__name__)
@@ -42,7 +42,7 @@ EXIT_INPUT = 2
 EXIT_TRAINING = 3
 EXIT_INTEGRITY = 4
 
-_INPUT_ERRORS = (ParseError, ValidationError, FormatError, ConfigurationError,
+_INPUT_ERRORS = (ValidationError, FormatError, ConfigurationError,
                  FileNotFoundError, NotADirectoryError)
 
 
@@ -115,35 +115,28 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
     """Fill the flags left unset from --config; explicit flags win.
 
     An explicit ``--k`` or ``--tau`` also drops the config's value of the
-    other, since the two pick different descent rules.  Every value must
-    have its flag's type (an integer passes for a float, a boolean for
-    nothing) and be one of its choices; else ConfigurationError.
+    other, since the two pick different descent rules.  The config is an
+    object whose values (null for unset) have their flags' JSON types, and
+    which a flag's key may spell with ``-`` or ``_``: else ParseError.  A
+    value that is not one of its flag's choices raises ConfigurationError.
     """
     if not args.config:
         return args
     path = Path(args.config)
-    try:
-        overrides = json.loads(ingest.read_input_text(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON ({exc.msg})", path=path, line=exc.lineno) from exc
-    if not isinstance(overrides, dict):
-        raise FormatError(f"{path}: config must be a JSON object")
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     actions = {a.dest: a for a in subparsers.choices[args.command]._actions
                if hasattr(args, a.dest)}
+    spec = {key: Optional(action.type or str) for dest, action in actions.items()
+            for key in (dest, dest.replace("_", "-"))}
+    overrides = parse(ingest.read_input_text(path), spec, path)
     explicit = {dest for dest in actions if getattr(args, dest) is not None}
     for key, value in overrides.items():
-        action = actions.get(key.replace("-", "_"))
-        if action is None:
+        if value is None:
             continue
-        kind = action.type or str
-        if kind is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
-        if isinstance(value, bool) or not isinstance(value, kind) or (
-            action.choices is not None and value not in action.choices
-        ):
-            expected = f"one of {list(action.choices)}" if action.choices else f"a {kind.__name__}"
-            raise ConfigurationError(f"{path}: {key} must be {expected}, not {value!r}")
+        action = actions[key.replace("-", "_")]
+        if action.choices is not None and value not in action.choices:
+            raise ConfigurationError(f"{path}: {key} must be one of {list(action.choices)}, "
+                                     f"not {value!r}")
         if action.dest not in explicit and _RIVAL_FLAGS.get(action.dest) not in explicit:
             setattr(args, action.dest, value)
     return args

@@ -9,8 +9,16 @@ class CwemapError(Exception):
     """Base class for all package errors."""
 
 
-class ParseError(CwemapError):
-    """A file could not be parsed; carries the offending location."""
+class ValidationError(CwemapError):
+    """Input data violates a documented invariant."""
+
+
+class FormatError(CwemapError):
+    """A document is not in the expected external format."""
+
+
+class ParseError(FormatError):
+    """A file could not be read as its format; carries the offending location."""
 
     def __init__(self, message: str, path=None, line: int | None = None):
         loc = ""
@@ -21,14 +29,6 @@ class ParseError(CwemapError):
         super().__init__(f"{loc}: {message}" if loc else message)
         self.path = path
         self.line = line
-
-
-class ValidationError(CwemapError):
-    """Input data violates a documented invariant."""
-
-
-class FormatError(CwemapError):
-    """A document is not in the expected external format."""
 
 
 class ConfigurationError(CwemapError):

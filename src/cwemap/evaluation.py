@@ -18,9 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 from .hierarchy import Prediction
 from .ingest import CveRecord, Taxonomy, _corpus_lines, paths_to_root
+from .jsonread import Optional, parse
 
 logger = logging.getLogger(__name__)
 
@@ -179,6 +180,8 @@ def split_corpus(
     """Deterministic seeded train/test partition."""
     if not 0.0 < train_fraction < 1.0:
         raise ValidationError("train_fraction must lie in (0, 1)")
+    if seed < 0:
+        raise ValidationError("the split seed must be non-negative")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(records))
     n_train = int(round(len(records) * train_fraction))
@@ -212,27 +215,30 @@ def write_report(fine: EvalReport, coarse: EvalReport, json_path: str | Path,
         Path(text_path).write_text(format_report_table(fine, coarse) + "\n", encoding="utf-8")
 
 
+#: One line of the classify output (``Prediction.to_json_dict``).
+PREDICTION = {
+    "id": Optional(str, ""),
+    "candidates": Optional([{"cwe": str, "score": Optional(float, 0.0)}], []),
+    "paths": Optional([[str]], []),
+    "mode": Optional(str, ""),
+}
+
+
 def load_predictions(path: str | Path) -> list[Prediction]:
     """Read a predictions JSONL file written by the CLI classify command.
 
-    A line that is not a JSON object in the classify output format raises
-    ParseError naming the path and line.
+    A line that is not a ``PREDICTION`` raises ParseError naming the path
+    and line.
     """
     path = Path(path)
     out = []
     for lineno, line in _corpus_lines(path):
         if not line.strip():
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed JSON ({exc.msg})", path=path, line=lineno) from exc
-        if not isinstance(obj, dict):
-            raise ParseError("expected a JSON object", path=path, line=lineno)
-        try:
-            out.append(Prediction.from_json_dict(obj))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"not a prediction ({exc!r})", path=path, line=lineno) from exc
+        row = parse(line, PREDICTION, path, lineno)
+        scores = {c["cwe"]: c["score"] for c in row["candidates"]}
+        out.append(Prediction(row["id"], frozenset(scores), tuple(map(tuple, row["paths"])),
+                              scores, row["mode"]))
     return out
 
 

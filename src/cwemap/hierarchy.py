@@ -151,18 +151,6 @@ class Prediction:
             "mode": self.mode,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Prediction":
-        candidates = frozenset(entry["cwe"] for entry in data.get("candidates", ()))
-        scores = {entry["cwe"]: float(entry.get("score", 0.0)) for entry in data.get("candidates", ())}
-        return cls(
-            cve_id=data.get("id", ""),
-            candidates=candidates,
-            paths=tuple(tuple(p) for p in data.get("paths", ())),
-            scores=scores,
-            mode=data.get("mode", ""),
-        )
-
 
 #: The scorer class of each model kind.
 SCORERS = {"hierarchical": NodeClassifier, "two-layer": TwoLayerClassifier,

@@ -1,16 +1,16 @@
 """Corpus, taxonomy, and preprocessing-asset loaders.
 
 All loaders are pure read-only functions returning immutable values.
-On-disk formats:
+On-disk formats (each JSON one is defined by its ``jsonread`` spec below,
+which is all the checking of its types):
 
-* CVE corpus -- UTF-8 JSONL, one object per line:
-  ``{"id": str, "description": str, "cwe_labels": [str]}``
-* Taxonomy -- UTF-8 JSON: ``{"nodes": [{"id", "name", "description",
-  "extended_description", "parent_ids"}]}``
-* NVD feed -- the public NVD 1.1 JSON data-feed schema (read-only subset).
+* CVE corpus -- UTF-8 JSONL, one ``CVE_RECORD`` object per line.
+* Taxonomy -- UTF-8 JSON ``TAXONOMY``, each node a ``TAXONOMY_NODE``.
+* NVD feed -- ``NVD_FEED``, the subset of the public NVD 1.1 JSON data-feed
+  schema that is read.
 * Stopwords -- one token per line, ``#`` comments allowed.
-* Synonyms -- ``{"groups": [{"code": str, "members": [str]}]}`` with raw
-  phrases; the loader normalizes them to stemmed form.
+* Synonyms -- ``SYNONYM_TABLE``, raw phrases; the loader normalizes them to
+  stemmed form.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from pathlib import Path
 
 from . import textprep
 from .errors import FormatError, ParseError, ValidationError
+from .jsonread import Optional, parse, read
 
 logger = logging.getLogger(__name__)
 
@@ -37,6 +38,20 @@ VIRTUAL_ROOT = "ROOT"
 # NVD pseudo-labels that mean "no usable weakness class".
 _NVD_UNLABELED = {"NVD-CWE-OTHER", "NVD-CWE-NOINFO"}
 
+CVE_RECORD = {"id": str, "description": str, "cwe_labels": Optional([str], [])}
+TAXONOMY_NODE = {"id": str, "name": Optional(str, ""), "description": Optional(str, ""),
+                 "extended_description": Optional(str), "parent_ids": Optional([str], [])}
+TAXONOMY = {"nodes": [dict]}  # each node is read by TAXONOMY_NODE
+_NVD_TEXT = {"lang": Optional(object), "value": Optional(str, "")}
+NVD_FEED = {"CVE_Items": [{"cve": Optional({
+    "CVE_data_meta": Optional({"ID": Optional(str, "")}, {}),
+    "description": Optional({"description_data": Optional([_NVD_TEXT], [])}, {}),
+    "problemtype": Optional({"problemtype_data": Optional(
+        [{"description": Optional([_NVD_TEXT], [])}], [])}, {}),
+}, {})}]}
+SYNONYM_GROUP = {"code": str, "members": [str]}
+SYNONYM_TABLE = {"groups": [SYNONYM_GROUP]}
+
 
 def normalize_cwe_id(raw: str) -> str:
     """Canonicalize a CWE label to ``CWE-<integer>`` or raise."""
@@ -48,21 +63,17 @@ def normalize_cwe_id(raw: str) -> str:
 
 @dataclass(frozen=True)
 class CveRecord:
-    """One vulnerability report: id, free-text description, CWE labels."""
+    """One vulnerability report; its values are checked here, its types on input."""
 
     id: str
     description: str
     cwe_labels: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        if not isinstance(self.id, str) or not CVE_ID_RE.match(self.id):
+        if not CVE_ID_RE.match(self.id):
             raise ValidationError(f"not a CVE identifier: {self.id!r}")
-        if not isinstance(self.description, str):
-            raise ValidationError(f"{self.id}: description must be a string")
         if not self.description.strip():
             raise ValidationError(f"{self.id}: description is empty")
-        if isinstance(self.cwe_labels, str):
-            raise ValidationError(f"{self.id}: cwe_labels must be a collection of strings")
         object.__setattr__(
             self, "cwe_labels", frozenset(normalize_cwe_id(l) for l in self.cwe_labels)
         )
@@ -208,9 +219,8 @@ def _corpus_lines(path: Path):
 def load_cve_corpus(path: str | Path) -> list[CveRecord]:
     """Load a JSONL corpus in file order; duplicate ids are rejected.
 
-    A line that is not a JSON object with a string ``id``, a string
-    ``description`` and an optional list of strings ``cwe_labels`` raises
-    ParseError naming the path and line.
+    A line that is not a ``CVE_RECORD``, or whose record is not valid,
+    raises ParseError naming the path and line.
     """
     path = Path(path)
     records: list[CveRecord] = []
@@ -218,23 +228,9 @@ def load_cve_corpus(path: str | Path) -> list[CveRecord]:
     for lineno, line in _corpus_lines(path):
         if not line.strip():
             continue
+        fields = parse(line, CVE_RECORD, path, lineno)
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed JSON ({exc.msg})", path=path, line=lineno) from exc
-        if not isinstance(obj, dict):
-            raise ParseError("expected a JSON object", path=path, line=lineno)
-        labels = obj.get("cwe_labels")
-        if labels is None:
-            labels = []
-        if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
-            raise ParseError("cwe_labels must be a list of strings", path=path, line=lineno)
-        try:
-            record = CveRecord(
-                id=obj.get("id", ""),
-                description=obj.get("description", ""),
-                cwe_labels=frozenset(labels),
-            )
+            record = CveRecord(**fields)
         except ValidationError as exc:
             raise ParseError(str(exc), path=path, line=lineno) from exc
         if record.id in seen:
@@ -337,42 +333,18 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
 
 
 def read_taxonomy(text: str, path: str | Path) -> Taxonomy:
-    """The taxonomy in ``text``, a JSON document read from ``path``.
+    """The taxonomy in ``text``, a ``TAXONOMY`` document read from ``path``.
 
-    Each node is an object whose ``id`` is a string.  Its ``name``,
-    ``description`` and ``extended_description`` are strings and its
-    ``parent_ids`` an array of strings; each may be null or absent.
-    Malformed JSON raises ParseError, and a field of another JSON type
-    FormatError naming the path, the node and the field.
+    Malformed JSON raises ParseError, and a node that is not a
+    ``TAXONOMY_NODE`` FormatError naming the path, the node and the field.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON ({exc.msg})", path=path, line=exc.lineno) from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
-        raise FormatError(f"{path}: expected an object with a 'nodes' list")
     nodes = []
-    for i, raw in enumerate(doc["nodes"]):
-        if not isinstance(raw, dict) or "id" not in raw:
-            raise FormatError(f"{path}: node #{i} is not an object with an 'id'")
-        where = f"nodes[{i}]"
-        given = {key: value for key, value in raw.items() if value is not None}
+    for i, raw in enumerate(parse(text, TAXONOMY, path)["nodes"]):
         try:
-            node_id = _field(raw, "id", str, where)
-            parents = _field(given, "parent_ids", list, where)
-            for j, parent in enumerate(parents):
-                if not isinstance(parent, str):
-                    raise FormatError(f"{where}.parent_ids[{j}] is not a JSON string")
-            nodes.append(CweNode(
-                id=node_id,
-                name=_field(given, "name", str, where),
-                description=_field(given, "description", str, where),
-                extended_description=_field(given, "extended_description", str, where)
-                if "extended_description" in given else None,
-                parent_ids=frozenset(parents),
-            ))
+            node = read(raw, TAXONOMY_NODE, f"nodes[{i}]")
         except FormatError as exc:
-            raise FormatError(f"{path}: node {raw['id']}: {exc}") from None
+            raise FormatError(f"{path}: node {raw.get('id', f'#{i}')}: {exc}") from None
+        nodes.append(CweNode(**{**node, "parent_ids": frozenset(node["parent_ids"])}))
     return build_taxonomy(nodes)
 
 
@@ -392,79 +364,33 @@ def paths_to_root(taxonomy: Taxonomy, node_id: str) -> set[tuple[str, ...]]:
     return set(taxonomy._root_paths[node_id])
 
 
-_JSON_TYPES = {dict: "object", list: "array", str: "string"}
-
-
-def _field(obj: dict, key: str, kind: type, where: str = ""):
-    """``obj[key]``, or an empty ``kind`` when absent; FormatError naming the
-    field (``where.key``) when it is not a ``kind``."""
-    value = obj.get(key, kind())
-    if not isinstance(value, kind):
-        raise FormatError(f"{where}.{key} is not a JSON {_JSON_TYPES[kind]}".lstrip("."))
-    return value
-
-
-def _objects(obj: dict, key: str, where: str = "") -> list[tuple[str, dict]]:
-    """(location, entry) of each entry of the array ``obj[key]`` (none when
-    absent); FormatError naming the first entry that is not an object."""
-    entries = _field(obj, key, list, where)
-    where = f"{where}.{key}".lstrip(".")
-    entries = [(f"{where}[{i}]", entry) for i, entry in enumerate(entries)]
-    for at, entry in entries:
-        if not isinstance(entry, dict):
-            raise FormatError(f"{at} is not a JSON object")
-    return entries
-
-
 def import_nvd_feed(path: str | Path) -> list[CveRecord]:
     """Adapt an NVD 1.1 JSON data feed into CveRecords.
 
     Items carrying only ``NVD-CWE-Other``/``NVD-CWE-noinfo`` pseudo-labels
     (or no problemtype at all) come back with empty ``cwe_labels``.  Items
-    without an English description are skipped with a warning.  A field
-    read here that holds another JSON type than the schema's raises
-    FormatError naming the item and the field, such as
-    ``CVE_Items[3].cve.description.description_data[0].value``.
+    without an English description are skipped with a warning.  A feed
+    that is not an ``NVD_FEED`` raises FormatError naming the item and the
+    field, such as ``CVE_Items[3].cve.description.description_data[0].value``.
     """
     path = Path(path)
-    try:
-        doc = json.loads(read_input_text(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON ({exc.msg})", path=path, line=exc.lineno) from exc
-    if not isinstance(doc, dict) or "CVE_Items" not in doc:
-        raise FormatError(f"{path}: missing CVE_Items key")
-    records: list[CveRecord] = []
-    try:
-        for where, item in _objects(doc, "CVE_Items"):
-            record = _nvd_record(item, where)
-            if record is not None:
-                records.append(record)
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from None
-    return records
+    items = parse(read_input_text(path), NVD_FEED, path)["CVE_Items"]
+    return [record for record in map(_nvd_record, items) if record is not None]
 
 
-def _nvd_record(item: dict, where: str) -> CveRecord | None:
-    """The record of one feed item at ``where``; None without an English description."""
-    cve = _field(item, "cve", dict, where)
-    where += ".cve"
-    cve_id = _field(_field(cve, "CVE_data_meta", dict, where), "ID", str,
-                    where + ".CVE_data_meta")
-    description = ""
-    for at, entry in _objects(_field(cve, "description", dict, where), "description_data",
-                              where + ".description"):
-        value = _field(entry, "value", str, at)
-        if entry.get("lang") == "en" and value:
-            description = value
-            break
+def _nvd_record(item: dict) -> CveRecord | None:
+    """The record of one feed item; None without an English description."""
+    cve = item["cve"]
+    cve_id = cve["CVE_data_meta"]["ID"]
+    description = next((entry["value"] for entry in cve["description"]["description_data"]
+                        if entry["lang"] == "en" and entry["value"]), "")
     if not description.strip():
         logger.warning("skipping %s: no English description", cve_id or "<no id>")
         return None
     labels: set[str] = set()
-    problems = _field(cve, "problemtype", dict, where)
-    for at, ptype in _objects(problems, "problemtype_data", where + ".problemtype"):
-        for entry_at, entry in _objects(ptype, "description", at):
-            value = _field(entry, "value", str, entry_at).strip()
+    for ptype in cve["problemtype"]["problemtype_data"]:
+        for entry in ptype["description"]:
+            value = entry["value"].strip()
             if not value or value.upper() in _NVD_UNLABELED:
                 continue
             try:
@@ -498,22 +424,16 @@ def load_synonyms(
     else:
         text = read_input_text(path)
         source = str(path)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON ({exc.msg})", path=source, line=exc.lineno) from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("groups"), list):
-        raise FormatError(f"{source}: expected an object with a 'groups' list")
     groups = []
-    for raw in doc["groups"]:
-        code_phrase = textprep.normalize_phrase(str(raw.get("code", "")), stopwords)
+    for raw in parse(text, SYNONYM_TABLE, source)["groups"]:
+        code_phrase = textprep.normalize_phrase(raw["code"], stopwords)
         if len(code_phrase) != 1:
-            raise ValidationError(f"{source}: group code {raw.get('code')!r} must normalize "
+            raise ValidationError(f"{source}: group code {raw['code']!r} must normalize "
                                   "to a single token")
         code = code_phrase[0]
         members = []
-        for member in raw.get("members", ()):
-            phrase = textprep.normalize_phrase(str(member), stopwords)
+        for member in raw["members"]:
+            phrase = textprep.normalize_phrase(member, stopwords)
             if phrase and phrase != (code,) and phrase not in members:
                 members.append(phrase)
         groups.append((code, tuple(members)))

@@ -59,13 +59,15 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     CwemapError,
+    FormatError,
     IntegrityError,
     ValidationError,
     VersionError,
 )
 from .features import Dictionary
 from .hierarchy import SCORERS, Model, PrepAssets, scoring_node
-from .ingest import Taxonomy, read_taxonomy, taxonomy_json
+from .ingest import SYNONYM_GROUP, Taxonomy, read_taxonomy, taxonomy_json
+from .jsonread import Optional, parse, read
 from .netcore import RowBlock, Scorer, TrainConfig
 from .textprep import SynonymTable
 
@@ -79,23 +81,19 @@ ROWS_DTYPE, PARAM_DTYPE = "<i8", "<f8"
 #: Format-1 file name suffix of each parameter, which the fingerprint hashes.
 _V1_INFIX = {"weights": "", "w_hidden": ".hidden", "w_out": ".out"}
 
-# Every manifest field and its JSON type.
-_MANIFEST_FIELDS = {
+# The manifest's fields; ``config`` is read by ``TrainConfig.from_dict`` and
+# ``_ASSETS``, and each entry of a node's ``arrays`` by ``_ARRAY``.
+_MANIFEST = {
     "format_version": int,
     "model_kind": str,
     "fingerprint": str,
     "config": dict,
-    "files": dict,
-    "nodes": list,
+    "files": {key: {"name": str, "sha256": str} for key in DATA_FILES},
+    "nodes": [{"node_id": str, "child_ids": [str], "arrays": dict}],
 }
-
-
-def _str_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-def _count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+_ASSETS = {"assets": Optional({"stopwords": Optional([str], []),
+                               "synonym_groups": Optional([SYNONYM_GROUP], [])}, {})}
+_ARRAY = {"offset": int, "dtype": str, "shape": [int]}
 
 
 @dataclass(frozen=True)
@@ -108,7 +106,7 @@ class ModelManifest:
     nodes: list[dict]  # {"node_id", "child_ids", "arrays": {name: {"offset", "dtype", "shape"}}}
 
     def to_json(self) -> str:
-        doc = {key: getattr(self, key) for key in _MANIFEST_FIELDS}
+        doc = {key: getattr(self, key) for key in _MANIFEST}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     @classmethod
@@ -116,32 +114,14 @@ class ModelManifest:
         """Parse a manifest; VersionError for another format version, else
         IntegrityError unless it has every field, well typed."""
         try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise IntegrityError(f"malformed manifest JSON ({exc.msg})") from exc
-        if not isinstance(doc, dict):
-            raise IntegrityError("manifest is not a JSON object")
-        version = doc.get("format_version")
-        if isinstance(version, int) and not isinstance(version, bool) and (
-            version != FORMAT_VERSION
-        ):
-            raise VersionError(f"model format version {version} is not supported (this "
-                               f"version reads {FORMAT_VERSION}); retrain the model")
-        missing = sorted(set(_MANIFEST_FIELDS) - set(doc))
-        if missing:
-            raise IntegrityError(f"manifest lacks {', '.join(missing)}")
-        for key, kind in _MANIFEST_FIELDS.items():
-            if isinstance(doc[key], bool) or not isinstance(doc[key], kind):
-                raise IntegrityError(f"manifest field {key} is not a {kind.__name__}")
-        for entry in doc["nodes"]:
-            if not (
-                isinstance(entry, dict)
-                and isinstance(entry.get("node_id"), str)
-                and _str_list(entry.get("child_ids"))
-                and isinstance(entry.get("arrays"), dict)
-            ):
-                raise IntegrityError("manifest node entry lacks node_id, child_ids or arrays")
-        return cls(**{key: doc[key] for key in _MANIFEST_FIELDS})
+            doc = parse(text, dict, MANIFEST)
+            version = read(doc, {"format_version": int}, "manifest")["format_version"]
+            if version != FORMAT_VERSION:
+                raise VersionError(f"model format version {version} is not supported (this "
+                                   f"version reads {FORMAT_VERSION}); retrain the model")
+            return cls(**read(doc, _MANIFEST, "manifest"))
+        except FormatError as exc:
+            raise IntegrityError(str(exc)) from exc
 
 
 def taxonomy_fingerprint(taxonomy: Taxonomy) -> str:
@@ -160,18 +140,14 @@ def _assets_dict(assets: PrepAssets) -> dict:
     }
 
 
-def _assets_from_dict(data) -> PrepAssets:
-    groups = data.get("synonym_groups", []) if isinstance(data, dict) else None
-    stopwords = data.get("stopwords", []) if isinstance(data, dict) else None
-    if not (_str_list(stopwords) and isinstance(groups, list) and all(
-        isinstance(g, dict) and isinstance(g.get("code"), str) and _str_list(g.get("members"))
-        for g in groups
-    )):
-        raise ConfigurationError("malformed preprocessing assets")
+def _assets_from_dict(config: dict) -> PrepAssets:
+    """The preprocessing assets in a manifest's ``config`` (see ``_assets_dict``)."""
+    assets = read(config, _ASSETS, "config")["assets"]
     return PrepAssets(
-        stopwords=frozenset(stopwords),
+        stopwords=frozenset(assets["stopwords"]),
         synonyms=SynonymTable(groups=tuple(
-            (g["code"], tuple(tuple(m.split(" ")) for m in g["members"])) for g in groups
+            (g["code"], tuple(tuple(m.split(" ")) for m in g["members"]))
+            for g in assets["synonym_groups"]
         )),
     )
 
@@ -260,10 +236,9 @@ def save(model: Model, directory: str | Path) -> ModelManifest:
 def _read_data_file(directory: Path, manifest: ModelManifest, key: str) -> bytes:
     """The bytes of the data file ``key``; IntegrityError unless the manifest
     names a file of this directory whose sha256 it records."""
-    entry = manifest.files.get(key)
-    name = entry.get("name") if isinstance(entry, dict) else None
-    if not (isinstance(name, str) and isinstance(entry.get("sha256"), str)
-            and name == Path(name).name and name not in ("", ".", "..")):
+    entry = manifest.files[key]
+    name = entry["name"]
+    if name != Path(name).name or name in ("", ".", ".."):
         raise IntegrityError(f"manifest names no {key} file")
     path = directory / name
     if not path.is_file():
@@ -274,15 +249,14 @@ def _read_data_file(directory: Path, manifest: ModelManifest, key: str) -> bytes
     return data
 
 
-def _view(blob: bytes, spec, dtype: str, ndim: int, extra_rows: int) -> np.ndarray:
-    """The read-only array ``spec`` (offset, dtype, shape) places in ``blob``,
-    with ``extra_rows`` more rows than its shape lists."""
-    shape = spec.get("shape") if isinstance(spec, dict) else None
-    if not (isinstance(shape, list) and len(shape) == ndim and all(map(_count, shape))
-            and spec.get("dtype") == dtype and _count(spec.get("offset"))):
+def _view(blob: bytes, spec: dict, dtype: str, ndim: int, extra_rows: int) -> np.ndarray:
+    """The read-only array an ``_ARRAY`` entry places in ``blob``, with
+    ``extra_rows`` more rows than its shape lists."""
+    shape, offset = spec["shape"], spec["offset"]
+    if len(shape) != ndim or min(shape) < 0 or spec["dtype"] != dtype or offset < 0:
         raise IntegrityError(f"no {ndim}-D {dtype} array entry")
     shape = [shape[0] + extra_rows, *shape[1:]]
-    count, offset = math.prod(shape), spec["offset"]
+    count = math.prod(shape)
     if offset % 8 or offset + 8 * count > len(blob):
         raise IntegrityError(f"an array at byte {offset} overruns the weights file")
     return np.frombuffer(blob, dtype=dtype, count=count, offset=offset).reshape(shape)
@@ -293,6 +267,7 @@ def _scorer(kind, entry: dict, blob: bytes, dimension: int) -> Scorer:
     arrays = entry["arrays"]
     if set(arrays) != {"rows", *kind.PARAMS}:
         raise IntegrityError(f"arrays {sorted(arrays)} are not rows and {', '.join(kind.PARAMS)}")
+    arrays = read(arrays, dict.fromkeys(arrays, _ARRAY), "arrays")
     params = {name: _view(blob, arrays[name], PARAM_DTYPE, 2, int(name == kind.ROW_PARAM))
               for name in kind.PARAMS}
     rows = _view(blob, arrays["rows"], ROWS_DTYPE, 1, 0)
@@ -323,8 +298,8 @@ def load(directory: str | Path) -> Model:
         raise IntegrityError(f"unreadable model file: {exc}") from exc
 
     try:
-        config = dict(manifest.config)
-        assets = _assets_from_dict(config.pop("assets", {}))
+        config = TrainConfig.from_dict(manifest.config)
+        assets = _assets_from_dict(manifest.config)
         classifiers = {}
         for entry in manifest.nodes:
             node_id = entry["node_id"]
@@ -333,12 +308,11 @@ def load(directory: str | Path) -> Model:
                 raise IntegrityError(f"{manifest_path}: node {node_id} is listed twice")
             try:
                 classifiers[scored] = _scorer(kind, entry, data["weights"], dictionary.size)
-            except (ConfigurationError, IntegrityError) as exc:
+            except (ConfigurationError, FormatError, IntegrityError) as exc:
                 raise IntegrityError(f"{manifest_path}: node {node_id}: {exc}") from exc
         return Model(taxonomy=taxonomy, dictionary=dictionary, classifiers=classifiers,
-                     config=TrainConfig.from_dict(config), assets=assets,
-                     kind=manifest.model_kind)
-    except (ConfigurationError, ValidationError) as exc:
+                     config=config, assets=assets, kind=manifest.model_kind)
+    except (ConfigurationError, FormatError, ValidationError) as exc:
         raise IntegrityError(f"{manifest_path}: {exc}") from exc
 
 

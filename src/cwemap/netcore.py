@@ -74,6 +74,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, TrainingError
+from .jsonread import Optional, read
 
 LOSS_PLATEAU_DELTA = 1e-5
 
@@ -105,6 +106,8 @@ class TrainConfig:
             raise ConfigurationError("adam_epsilon must be positive and finite")
         if self.max_epochs < 0 or self.batch_size < 1:
             raise ConfigurationError("bad epoch/batch settings")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be non-negative")
         if self.weight_init not in ("tfidf", "random"):
             raise ConfigurationError(f"unknown weight_init {self.weight_init!r}")
 
@@ -113,20 +116,11 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        """The settings in ``data``, unknown keys ignored.
-
-        ConfigurationError when a value's JSON type differs from its
-        default's (an integer passes for a float; a boolean for nothing).
-        """
-        kwargs = {}
-        for f in fields(cls):
-            if f.name in data:
-                value, kind = data[f.name], type(f.default)
-                allowed = (int, float) if kind is float else kind
-                if isinstance(value, bool) or not isinstance(value, allowed):
-                    raise ConfigurationError(f"config {f.name} is not a {kind.__name__}")
-                kwargs[f.name] = value
-        return cls(**kwargs)
+        """The settings in the JSON object ``data``: an unknown key is ignored,
+        and an absent or null one takes its default.  FormatError names a
+        value of another JSON type than its default's."""
+        spec = {f.name: Optional(type(f.default), f.default) for f in fields(cls)}
+        return cls(**read(data, spec, "config"))
 
 
 @dataclass

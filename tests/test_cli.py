@@ -142,8 +142,10 @@ class TestConfigValues:
     @pytest.mark.parametrize("doc", [
         {"hidden": "3"}, {"lr": "x"}, {"tau": [1]}, {"max_epochs": 2.5},
         {"baseline": "deep"}, {"seed": True}, {"init": 1},
+        {"lr": 10**400}, {"tau": 10**400}, {"seed": -1},
     ], ids=["hidden-string", "lr-string", "tau-list", "max-epochs-float",
-            "baseline-choice", "seed-bool", "init-number"])
+            "baseline-choice", "seed-bool", "init-number",
+            "lr-past-float", "tau-past-float", "seed-negative"])
     def test_mistyped_value_exits_2(self, inputs, tmp_path, doc):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(doc), encoding="utf-8")
@@ -235,6 +237,45 @@ class TestTaxonomyBoundary:
         assert f"{taxonomy}: node CWE-1: {message}" in capsys.readouterr().err
 
 
+# One-group synonym tables holding a value of another JSON type.
+SYNONYM_PROBES = {
+    "group-number": ({"groups": [5]}, "groups[0] is not a JSON object"),
+    "group-bool": ({"groups": [True]}, "groups[0] is not a JSON object"),
+    "members-null": ({"groups": [{"code": "xss", "members": None}]},
+                     "groups[0].members is not a JSON array"),
+    "members-number": ({"groups": [{"code": "xss", "members": 5}]},
+                       "groups[0].members is not a JSON array"),
+    "code-list": ({"groups": [{"code": [1], "members": ["xss"]}]},
+                  "groups[0].code is not a JSON string"),
+    "member-list": ({"groups": [{"code": "xss", "members": [["a"]]}]},
+                    "groups[0].members[0] is not a JSON string"),
+}
+
+
+class TestSynonymBoundary:
+    @pytest.mark.parametrize("probe", list(SYNONYM_PROBES))
+    def test_mistyped_synonym_table_exits_2_naming_the_field(self, inputs, tmp_path, capsys,
+                                                             probe):
+        doc, message = SYNONYM_PROBES[probe]
+        synonyms = tmp_path / "synonyms.json"
+        synonyms.write_text(json.dumps(doc), encoding="utf-8")
+        argv = train_argv(inputs, tmp_path / "m", "--synonyms", str(synonyms))
+        assert cli.main(argv) == cli.EXIT_INPUT
+        assert f"{synonyms}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+
+class TestNegativeSeed:
+    def test_train_seed_flag_exits_2(self, inputs, tmp_path):
+        assert cli.main(train_argv(inputs, tmp_path / "m", "--seed", "-1")) == cli.EXIT_INPUT
+        assert not (tmp_path / "m").exists()
+
+    def test_eval_split_seed_flag_exits_2(self, model_dir, inputs):
+        argv = ["eval", "--model", str(model_dir), "--corpus", str(inputs / "corpus.jsonl"),
+                "--split", "0.5", "--seed", "-1"]
+        assert cli.main(argv) == cli.EXIT_INPUT
+
+
 class TestModelIntegrity:
     def test_intact_model_classifies(self, model_dir, inputs):
         assert classify(model_dir, inputs) == cli.EXIT_OK
@@ -299,9 +340,12 @@ class TestModelIntegrity:
         lambda doc: doc["nodes"][0]["arrays"]["weights"].update(offset=4),
         lambda doc: doc["nodes"][0]["arrays"]["weights"].update(dtype="<f4"),
         lambda doc: doc["files"]["weights"].update(name="../weights.bin"),
+        lambda doc: doc["config"].update(learning_rate=10**400),
+        lambda doc: doc["config"].update(adam_epsilon=10**400),
     ], ids=["stopwords-number", "max-epochs-string", "format-version-bool", "assets-list",
             "child-count", "rows-past-the-file", "offset-unaligned", "dtype-float32",
-            "file-outside-the-directory"])
+            "file-outside-the-directory", "learning-rate-past-float",
+            "adam-epsilon-past-float"])
     def test_mistyped_manifest_value_exits_4(self, damaged, inputs, edit):
         doc = json.loads((damaged / MANIFEST).read_text(encoding="utf-8"))
         edit(doc)
@@ -506,6 +550,139 @@ class TestCorpusFuzz:
             assert cli.main(classify) in (cli.EXIT_OK, cli.EXIT_INPUT)
 
 
+def field_paths(doc, path=()):
+    """The path of every object member in the JSON value ``doc``."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield path + (key,)
+            yield from field_paths(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from field_paths(value, path + (i,))
+
+
+@st.composite
+def mutated(draw, doc):
+    """A copy of the JSON document ``doc`` in which one to three fields, each
+    at a depth drawn first, are set to any JSON value or dropped."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(field_paths(doc))
+        if not paths:
+            break
+        depth = draw(st.sampled_from(sorted({len(p) for p in paths})))
+        *steps, key = draw(st.sampled_from([p for p in paths if len(p) == depth]))
+        parent = doc
+        for step in steps:
+            parent = parent[step]
+        if draw(st.booleans()):
+            parent[key] = draw(JSON_VALUES)
+        else:
+            del parent[key]
+    return doc
+
+
+def _nvd_item(cve_id, descriptions, labels):
+    return {"cve": {
+        "CVE_data_meta": {"ID": cve_id},
+        "description": {"description_data": [{"lang": lang, "value": text}
+                                             for lang, text in descriptions]},
+        "problemtype": {"problemtype_data": [
+            {"description": [{"lang": "en", "value": label} for label in labels]}]},
+    }}
+
+
+VALID_FEED = {"CVE_Items": [
+    _nvd_item("CVE-2020-0001", [("es", "desbordamiento"), ("en", "a buffer overflow")],
+              ["CWE-120", "NVD-CWE-Other"]),
+    _nvd_item("CVE-2020-0002", [("en", "an sql injection")], []),
+]}
+VALID_SYNONYMS = {"groups": [{"code": "xss", "members": ["cross site scripting", "xss"]},
+                             {"code": "sqli", "members": ["sql injection"]}]}
+# Every train setting of ``--config``; the argv of the fuzz gives max-epochs,
+# th, lr and hidden as flags too, so a generated value of one of them is
+# type-checked but cannot make a run long, large or diverge.
+VALID_CONFIG = {"lr": 0.5, "tau": 0.5, "seed": 3, "batch_size": 8, "init": "random",
+                "split": 0.9, "max_epochs": 1, "th": 1, "hidden": 2, "baseline": "two-layer"}
+
+
+@pytest.fixture(scope="module")
+def kind_models(inputs, model_dir, tmp_path_factory):
+    """A trained model directory of each kind."""
+    models = {"hierarchical": model_dir}
+    for kind, extra in [("two-layer", ["--hidden", "2"]), ("flat", [])]:
+        models[kind] = tmp_path_factory.mktemp(kind) / "model"
+        argv = train_argv(inputs, models[kind], "--baseline", kind, *extra)
+        assert cli.main(argv) == cli.EXIT_OK
+    return models
+
+
+fuzz = settings(max_examples=60, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestJsonBoundaryFuzz:
+    """Whatever any field of a valid JSON input holds, the command reading it
+    exits only with 0 or the input's documented error code."""
+
+    @fuzz
+    @given(data=st.data())
+    def test_nvd_feed_exits_0_or_2(self, data):
+        doc = data.draw(mutated(VALID_FEED))
+        with tempfile.TemporaryDirectory() as work:
+            feed = Path(work) / "feed.json"
+            feed.write_text(json.dumps(doc), encoding="utf-8")
+            argv = ["ingest", "--feed", str(feed), "--out", str(Path(work) / "c.jsonl")]
+            assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_INPUT)
+
+    @fuzz
+    @given(data=st.data())
+    def test_taxonomy_exits_0_or_2(self, inputs, data):
+        valid = json.loads((inputs / "taxonomy.json").read_text(encoding="utf-8"))
+        doc = data.draw(mutated(valid))
+        with tempfile.TemporaryDirectory() as work:
+            taxonomy = Path(work) / "taxonomy.json"
+            taxonomy.write_text(json.dumps(doc), encoding="utf-8")
+            argv = ["train", "--corpus", str(inputs / "corpus.jsonl"), "--taxonomy",
+                    str(taxonomy), "--max-epochs", "1", "--th", "1",
+                    "--model", str(Path(work) / "m")]
+            assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_INPUT)
+
+    @fuzz
+    @given(data=st.data())
+    def test_synonym_table_exits_0_or_2(self, inputs, data):
+        doc = data.draw(mutated(VALID_SYNONYMS))
+        with tempfile.TemporaryDirectory() as work:
+            synonyms = Path(work) / "synonyms.json"
+            synonyms.write_text(json.dumps(doc), encoding="utf-8")
+            argv = train_argv(inputs, Path(work) / "m", "--max-epochs", "1",
+                              "--synonyms", str(synonyms))
+            assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_INPUT)
+
+    @fuzz
+    @given(data=st.data())
+    def test_config_exits_0_or_2(self, inputs, data):
+        doc = data.draw(mutated(VALID_CONFIG))
+        with tempfile.TemporaryDirectory() as work:
+            config = Path(work) / "config.json"
+            config.write_text(json.dumps(doc), encoding="utf-8")
+            argv = ["--config", str(config)] + train_argv(
+                inputs, Path(work) / "m", "--max-epochs", "1", "--lr", "0.05", "--hidden", "2")
+            assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_INPUT)
+
+    @pytest.mark.parametrize("kind", ["hierarchical", "two-layer", "flat"])
+    @fuzz
+    @given(data=st.data())
+    def test_manifest_exits_0_or_4(self, kind_models, inputs, kind, data):
+        valid = json.loads((kind_models[kind] / MANIFEST).read_text(encoding="utf-8"))
+        doc = data.draw(mutated(valid))
+        with tempfile.TemporaryDirectory() as work:
+            model = Path(work) / "model"
+            shutil.copytree(kind_models[kind], model)
+            (model / MANIFEST).write_text(json.dumps(doc), encoding="utf-8")
+            assert classify(model, inputs) in (cli.EXIT_OK, cli.EXIT_INTEGRITY)
+
+
 class TestTrainFlags:
     def test_log_dir_created_with_parents(self, inputs, tmp_path):
         log_dir = tmp_path / "logs" / "nested"
@@ -645,6 +822,27 @@ class TestClassifyAndEval:
         assert cli.main(["eval", "--model", str(model_dir), "--corpus", corpus,
                          "--compare", str(predictions)]) == cli.EXIT_INPUT
         assert f"p.jsonl:{n}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda row: row["candidates"][0].update(cwe=5), "candidates[0].cwe is not a JSON string"),
+        (lambda row: row["candidates"][0].update(score="0.9"),
+         "candidates[0].score is not a JSON number"),
+        (lambda row: row.update(mode=3), "mode is not a JSON string"),
+        (lambda row: row.update(paths=["CWE-100"]), "paths[0] is not a JSON array"),
+    ], ids=["cwe-number", "score-string", "mode-number", "paths-strings"])
+    def test_mistyped_compare_field_exits_2_naming_the_line_and_field(
+            self, model_dir, inputs, tmp_path, capsys, edit, field):
+        corpus = str(inputs / "corpus.jsonl")
+        predictions = tmp_path / "p.jsonl"
+        assert cli.main(["classify", "--model", str(model_dir), "--corpus", corpus,
+                         "--k", "1", "--out", str(predictions)]) == cli.EXIT_OK
+        rows = [json.loads(line) for line in predictions.read_text(encoding="utf-8").splitlines()]
+        edit(rows[1])
+        predictions.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["eval", "--model", str(model_dir), "--corpus", corpus,
+                         "--compare", str(predictions)]) == cli.EXIT_INPUT
+        assert f"p.jsonl:2: {field}" in capsys.readouterr().err
 
     def test_missing_label_warned_once_per_eval(self, model_dir, inputs, tmp_path, caplog):
         record = ingest.load_cve_corpus(inputs / "corpus.jsonl")[0]
