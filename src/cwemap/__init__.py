@@ -11,7 +11,6 @@ from .errors import (
     CwemapError,
     FormatError,
     IntegrityError,
-    ParseError,
     TrainingError,
     ValidationError,
     VersionError,

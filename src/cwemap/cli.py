@@ -117,7 +117,7 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
     An explicit ``--k`` or ``--tau`` also drops the config's value of the
     other, since the two pick different descent rules.  The config is an
     object whose values (null for unset) have their flags' JSON types, and
-    which a flag's key may spell with ``-`` or ``_``: else ParseError.  A
+    which a flag's key may spell with ``-`` or ``_``: else FormatError.  A
     value that is not one of its flag's choices raises ConfigurationError.
     """
     if not args.config:

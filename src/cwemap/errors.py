@@ -14,11 +14,8 @@ class ValidationError(CwemapError):
 
 
 class FormatError(CwemapError):
-    """A document is not in the expected external format."""
-
-
-class ParseError(FormatError):
-    """A file could not be read as its format; carries the offending location."""
+    """A document is not in the expected external format; the message is
+    prefixed with the offending location (``path``, ``path:line``) when given."""
 
     def __init__(self, message: str, path=None, line: int | None = None):
         loc = ""

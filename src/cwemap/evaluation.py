@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .hierarchy import Prediction
-from .ingest import CveRecord, Taxonomy, _corpus_lines, paths_to_root
+from .ingest import CveRecord, Taxonomy, paths_to_root, read_input_lines
 from .jsonread import Optional, parse
 
 logger = logging.getLogger(__name__)
@@ -227,12 +227,12 @@ PREDICTION = {
 def load_predictions(path: str | Path) -> list[Prediction]:
     """Read a predictions JSONL file written by the CLI classify command.
 
-    A line that is not a ``PREDICTION`` raises ParseError naming the path
+    A line that is not a ``PREDICTION`` raises FormatError naming the path
     and line.
     """
     path = Path(path)
     out = []
-    for lineno, line in _corpus_lines(path):
+    for lineno, line in read_input_lines(path):
         if not line.strip():
             continue
         row = parse(line, PREDICTION, path, lineno)

@@ -20,16 +20,14 @@ at its place, in some dictionary term; no other n-gram can be a term.
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError
+from .errors import ConfigurationError, FormatError
 from .textprep import TokenSequence
 
 DEFAULT_MIN_COUNT = 3
@@ -97,19 +95,13 @@ class Dictionary:
                 continue
             parts = line.split("\t")
             if len(parts) != 3:
-                raise ParseError("expected 'position<TAB>term<TAB>count'", line=lineno)
+                raise FormatError("expected 'position<TAB>term<TAB>count'", line=lineno)
             pos, term, count = int(parts[0]), parts[1], int(parts[2])
             index[term] = pos
             counts[term] = count
         if set(index.values()) != set(range(len(index))):
-            raise ParseError("positions are not 0..n-1, one term each")
+            raise FormatError("positions are not 0..n-1, one term each")
         return cls(index=index, counts=counts, min_count=min_count)
-
-    def save_tsv(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_tsv(), encoding="utf-8")
-
-    def fingerprint(self) -> str:
-        return hashlib.sha256(self.to_tsv().encode("utf-8")).hexdigest()
 
 
 #: A text's dictionary terms: ascending int64 positions and their counts.

@@ -24,7 +24,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import textprep
-from .errors import FormatError, ParseError, ValidationError
+from .errors import FormatError, ValidationError
 from .jsonread import Optional, parse, read
 
 logger = logging.getLogger(__name__)
@@ -186,53 +186,49 @@ def _cwe_sort_key(node_id: str):
     return (0, int(m.group(1)), "") if m else (1, 0, node_id)
 
 
-def read_input_text(path: str | Path) -> str:
-    """The text of a UTF-8 input file.
+def read_input_lines(path: str | Path):
+    """(line number, text) of each line of a UTF-8 input file, decoded line
+    by line: the one decode path of every input file.
 
-    A directory or undecodable bytes raise ParseError naming the path; a
-    missing file raises FileNotFoundError.
+    A directory or undecodable bytes raise FormatError naming the path (and
+    the line); a missing file raises FileNotFoundError.
     """
     path = Path(path)
     try:
-        return path.read_text(encoding="utf-8")
-    except IsADirectoryError:
-        raise ParseError("is a directory, not a file", path=path) from None
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text (byte {exc.start})", path=path) from None
-
-
-def _corpus_lines(path: Path):
-    """(line number, text) of each line of a UTF-8 file, decoded line by line."""
-    try:
         fh = path.open("rb")
     except IsADirectoryError:
-        raise ParseError("is a directory, not a file", path=path) from None
+        raise FormatError("is a directory, not a file", path=path) from None
     with fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 yield lineno, raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise ParseError(f"not UTF-8 text (byte {exc.start})", path=path,
-                                 line=lineno) from None
+                raise FormatError(f"not UTF-8 text (byte {exc.start})", path=path,
+                                  line=lineno) from None
+
+
+def read_input_text(path: str | Path) -> str:
+    """The text of a UTF-8 input file, read by ``read_input_lines``."""
+    return "".join(line for _, line in read_input_lines(path))
 
 
 def load_cve_corpus(path: str | Path) -> list[CveRecord]:
     """Load a JSONL corpus in file order; duplicate ids are rejected.
 
     A line that is not a ``CVE_RECORD``, or whose record is not valid,
-    raises ParseError naming the path and line.
+    raises FormatError naming the path and line.
     """
     path = Path(path)
     records: list[CveRecord] = []
     seen: set[str] = set()
-    for lineno, line in _corpus_lines(path):
+    for lineno, line in read_input_lines(path):
         if not line.strip():
             continue
         fields = parse(line, CVE_RECORD, path, lineno)
         try:
             record = CveRecord(**fields)
         except ValidationError as exc:
-            raise ParseError(str(exc), path=path, line=lineno) from exc
+            raise FormatError(str(exc), path=path, line=lineno) from exc
         if record.id in seen:
             raise ValidationError(f"{path}:{lineno}: duplicate CVE id {record.id}")
         seen.add(record.id)
@@ -335,15 +331,15 @@ def load_taxonomy(path: str | Path) -> Taxonomy:
 def read_taxonomy(text: str, path: str | Path) -> Taxonomy:
     """The taxonomy in ``text``, a ``TAXONOMY`` document read from ``path``.
 
-    Malformed JSON raises ParseError, and a node that is not a
-    ``TAXONOMY_NODE`` FormatError naming the path, the node and the field.
+    Malformed JSON raises FormatError naming the path, and a node that is
+    not a ``TAXONOMY_NODE`` one naming the path, the node and the field.
     """
     nodes = []
     for i, raw in enumerate(parse(text, TAXONOMY, path)["nodes"]):
         try:
             node = read(raw, TAXONOMY_NODE, f"nodes[{i}]")
         except FormatError as exc:
-            raise FormatError(f"{path}: node {raw.get('id', f'#{i}')}: {exc}") from None
+            raise FormatError(f"node {raw.get('id', f'#{i}')}: {exc}", path=path) from None
         nodes.append(CweNode(**{**node, "parent_ids": frozenset(node["parent_ids"])}))
     return build_taxonomy(nodes)
 
@@ -371,11 +367,19 @@ def import_nvd_feed(path: str | Path) -> list[CveRecord]:
     (or no problemtype at all) come back with empty ``cwe_labels``.  Items
     without an English description are skipped with a warning.  A feed
     that is not an ``NVD_FEED`` raises FormatError naming the item and the
-    field, such as ``CVE_Items[3].cve.description.description_data[0].value``.
+    field, such as ``CVE_Items[3].cve.description.description_data[0].value``,
+    and so does an item with an English description whose id is not a CVE id.
     """
     path = Path(path)
-    items = parse(read_input_text(path), NVD_FEED, path)["CVE_Items"]
-    return [record for record in map(_nvd_record, items) if record is not None]
+    records = []
+    for i, item in enumerate(parse(read_input_text(path), NVD_FEED, path)["CVE_Items"]):
+        try:
+            record = _nvd_record(item)
+        except ValidationError as exc:  # only the id can fail CveRecord's checks here
+            raise FormatError(f"CVE_Items[{i}].cve.CVE_data_meta.ID: {exc}", path=path) from None
+        if record is not None:
+            records.append(record)
+    return records
 
 
 def _nvd_record(item: dict) -> CveRecord | None:

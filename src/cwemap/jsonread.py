@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .errors import FormatError, ParseError
+from .errors import FormatError
 
 _NAMES = {str: "string", int: "integer", float: "number", bool: "boolean", dict: "object",
           list: "array"}
@@ -108,14 +108,14 @@ def read(value, spec, where: str):
 
 def parse(text: str, spec, source, line: int | None = None):
     """The JSON ``text`` read by ``spec``.  Malformed text, or a value that
-    does not fit, raises ParseError naming ``source`` and ``line`` (for
+    does not fit, raises FormatError naming ``source`` and ``line`` (for
     malformed text without a ``line``, the line of the fault in ``text``)."""
     try:
         value = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON ({exc.msg})", path=source,
-                         line=exc.lineno if line is None else line) from None
+        raise FormatError(f"malformed JSON ({exc.msg})", path=source,
+                          line=exc.lineno if line is None else line) from None
     try:
         return _read(value, spec)
     except _Misfit as exc:
-        raise ParseError(exc.message(""), path=source, line=line) from None
+        raise FormatError(exc.message(""), path=source, line=line) from None

@@ -11,13 +11,20 @@ row-indexed parameter (``ROW_PARAM``) is the block of a ``RowBlock`` and
 is followed in the blob by its all-zero sentinel row, so ``load`` makes no
 copy of any array.  The flat baseline's one scorer is node ``FLAT``.
 
-The manifest records the model kind, the fingerprint, the full config
-snapshot (including the preprocessing assets; a hidden layer's width is
-read off its weights), the name and sha256 of each data file, and per
-scorer its child ids and the offset, dtype and shape of each of its
-arrays.  ``load`` checks the raw bytes of every data file against its
-sha256, so a model can never be applied against changed files.  Saving
-the same model twice produces byte-identical files.
+The manifest records the model kind, the full config snapshot (including
+the preprocessing assets; a hidden layer's width is read off its weights),
+the name and sha256 of each data file, per scorer its child ids and the
+offset, dtype and shape of each of its arrays, and the fingerprint.
+
+**Fingerprint.**  A model's fingerprint is the checksum of its manifest:
+the sha256 of the canonical JSON (sorted keys, no spaces) of every other
+manifest field.  Through the sha256 of each data file it covers the
+dictionary, the taxonomy and every weight, so two models with the same
+fingerprint classify alike.  ``fingerprint`` builds the same manifest that
+``save`` writes, from the same data file bytes.  ``load`` computes the
+checksum again from the fields it read and checks the raw bytes of every
+data file against its sha256, so no edit to the directory goes unnoticed.
+Saving the same model twice produces byte-identical files.
 
 **Commit point.**  ``save`` writes each data file through a temporary file
 and ``os.replace``, then replaces ``manifest.json`` the same way: until
@@ -31,11 +38,6 @@ write would leave.)
 ``weights/<node>.f64le`` file per parameter) is not read: its manifest
 raises VersionError, and the model must be trained again.  ``save`` leaves
 format-1 files in a reused directory alone; nothing reads them.
-
-``fingerprint`` still hashes the byte stream of format 1, so it does not
-depend on the storage: per scorer, its node id, its child ids, and per
-parameter its format-1 file name and its dense row-major float64 bytes,
-built one node at a time.
 
 Anything malformed in a model directory raises IntegrityError (or
 VersionError for an unknown format or kind), at load: besides unreadable
@@ -66,7 +68,7 @@ from .errors import (
 )
 from .features import Dictionary
 from .hierarchy import SCORERS, Model, PrepAssets, scoring_node
-from .ingest import SYNONYM_GROUP, Taxonomy, read_taxonomy, taxonomy_json
+from .ingest import SYNONYM_GROUP, read_taxonomy, taxonomy_json
 from .jsonread import Optional, parse, read
 from .netcore import RowBlock, Scorer, TrainConfig
 from .textprep import SynonymTable
@@ -78,8 +80,6 @@ MANIFEST = "manifest.json"
 DATA_FILES = {"dictionary": ".tsv", "taxonomy": ".json", "weights": ".bin"}
 #: Dtype of the row positions and of every parameter in the weights file.
 ROWS_DTYPE, PARAM_DTYPE = "<i8", "<f8"
-#: Format-1 file name suffix of each parameter, which the fingerprint hashes.
-_V1_INFIX = {"weights": "", "w_hidden": ".hidden", "w_out": ".out"}
 
 # The manifest's fields; ``config`` is read by ``TrainConfig.from_dict`` and
 # ``_ASSETS``, and each entry of a node's ``arrays`` by ``_ARRAY``.
@@ -112,22 +112,29 @@ class ModelManifest:
     @classmethod
     def from_json(cls, text: str) -> "ModelManifest":
         """Parse a manifest; VersionError for another format version, else
-        IntegrityError unless it has every field, well typed."""
+        IntegrityError unless it has every field, well typed, and its
+        fingerprint is the checksum of the other fields."""
         try:
             doc = parse(text, dict, MANIFEST)
             version = read(doc, {"format_version": int}, "manifest")["format_version"]
             if version != FORMAT_VERSION:
                 raise VersionError(f"model format version {version} is not supported (this "
                                    f"version reads {FORMAT_VERSION}); retrain the model")
-            return cls(**read(doc, _MANIFEST, "manifest"))
+            fields = read(doc, _MANIFEST, "manifest")
         except FormatError as exc:
             raise IntegrityError(str(exc)) from exc
+        if fields["fingerprint"] != checksum(fields):
+            raise IntegrityError(f"{MANIFEST}: the fingerprint is not the checksum of the "
+                                 "manifest; it was edited, or saved by an older version "
+                                 "(retrain the model)")
+        return cls(**fields)
 
 
-def taxonomy_fingerprint(taxonomy: Taxonomy) -> str:
-    canonical = json.dumps({"nodes": taxonomy.to_node_list()}, sort_keys=True,
-                           separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+def checksum(manifest: dict) -> str:
+    """The sha256 of the canonical JSON of every manifest field but ``fingerprint``."""
+    body = {key: value for key, value in manifest.items() if key != "fingerprint"}
+    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _assets_dict(assets: PrepAssets) -> dict:
@@ -158,10 +165,6 @@ def _config_dict(model: Model) -> dict:
     return config
 
 
-def _scorers(model: Model) -> list[Scorer]:
-    return sorted(model.classifiers.values(), key=lambda clf: clf.node_id)
-
-
 def _weights_blob(model: Model) -> tuple[bytes, list[dict]]:
     """The weights file and the manifest's node entries that describe it.
 
@@ -169,7 +172,7 @@ def _weights_blob(model: Model) -> tuple[bytes, list[dict]]:
     listed shape leaves out.
     """
     chunks, nodes, offset = [], [], 0
-    for clf in _scorers(model):
+    for clf in sorted(model.classifiers.values(), key=lambda clf: clf.node_id):
         matrix = getattr(clf, clf.ROW_PARAM)
         stored = {"rows": (matrix.rows, ROWS_DTYPE, matrix.rows.shape)}
         for name, value in clf.params().items():
@@ -197,14 +200,9 @@ def _replace_with(path: Path, data: bytes) -> None:
         temporary.unlink(missing_ok=True)
 
 
-def save(model: Model, directory: str | Path) -> ModelManifest:
-    """Persist a model; returns the manifest that was written.
-
-    The rename of ``manifest.json`` commits the save; the files of this
-    store that the manifest does not name are deleted after it.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+def _contents(model: Model) -> tuple[dict[str, bytes], dict]:
+    """The bytes of each data file of ``model``, and the manifest fields
+    but ``fingerprint`` that describe them."""
     blob, nodes = _weights_blob(model)
     contents = {
         "dictionary": model.dictionary.to_tsv().encode("utf-8"),
@@ -215,17 +213,25 @@ def save(model: Model, directory: str | Path) -> ModelManifest:
     for key, data in contents.items():
         digest = hashlib.sha256(data).hexdigest()
         files[key] = {"name": f"{key}-{digest[:12]}{DATA_FILES[key]}", "sha256": digest}
-        _replace_with(directory / files[key]["name"], data)
-    manifest = ModelManifest(
-        format_version=FORMAT_VERSION,
-        model_kind=model.kind,
-        fingerprint=fingerprint(model),
-        config=_config_dict(model),
-        files=files,
-        nodes=nodes,
-    )
+    body = {"format_version": FORMAT_VERSION, "model_kind": model.kind,
+            "config": _config_dict(model), "files": files, "nodes": nodes}
+    return contents, body
+
+
+def save(model: Model, directory: str | Path) -> ModelManifest:
+    """Persist a model; returns the manifest that was written.
+
+    The rename of ``manifest.json`` commits the save; the files of this
+    store that the manifest does not name are deleted after it.
+    """
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    contents, body = _contents(model)
+    for key, data in contents.items():
+        _replace_with(directory / body["files"][key]["name"], data)
+    manifest = ModelManifest(fingerprint=checksum(body), **body)
     _replace_with(directory / MANIFEST, manifest.to_json().encode("utf-8"))
-    named = {entry["name"] for entry in files.values()}
+    named = {entry["name"] for entry in body["files"].values()}
     for key in DATA_FILES:
         for path in directory.glob(f"{key}-*"):
             if path.name not in named and path.is_file():
@@ -316,27 +322,6 @@ def load(directory: str | Path) -> Model:
         raise IntegrityError(f"{manifest_path}: {exc}") from exc
 
 
-def _dense_le(clf: Scorer, name: str) -> np.ndarray:
-    """Parameter ``name`` of ``clf`` as a dense little-endian float64 matrix."""
-    value = getattr(clf, name)
-    return np.ascontiguousarray(value.to_dense() if isinstance(value, RowBlock) else value,
-                                dtype=PARAM_DTYPE)
-
-
 def fingerprint(model: Model) -> str:
-    """Content hash covering dictionary, taxonomy, config, and all weights.
-
-    The weights enter as the format-1 byte stream, one dense matrix at a time.
-    """
-    h = hashlib.sha256()
-    h.update(model.dictionary.fingerprint().encode())
-    h.update(taxonomy_fingerprint(model.taxonomy).encode())
-    h.update(json.dumps(_config_dict(model), sort_keys=True, separators=(",", ":")).encode())
-    for clf in _scorers(model):
-        h.update(clf.node_id.encode())
-        h.update(",".join(clf.child_ids).encode())
-        names = {f"{clf.node_id}{_V1_INFIX[name]}.f64le": name for name in clf.PARAMS}
-        for file_name in sorted(names):
-            h.update(file_name.encode())
-            h.update(_dense_le(clf, names[file_name]))
-    return h.hexdigest()
+    """The fingerprint ``save`` writes for ``model``: the checksum of its manifest."""
+    return checksum(_contents(model)[1])

@@ -36,10 +36,15 @@
   ``np.bincount``.
 * Dense parameters: ``dense_params`` expands each stored ``RowBlock``,
   and the forward passes and the dense fit run on those ``D x C`` arrays.
+* The format-1 fingerprint (``format1_fingerprint``), hashed over every
+  dense parameter, before the fingerprint became the checksum of the saved
+  manifest; it still tells whether a change left the weights alone.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import logging
 import math
 import re
@@ -53,6 +58,7 @@ from cwemap.evaluation import _label_correct
 from cwemap.features import Dictionary
 from cwemap.hierarchy import Prediction, _maximal_paths, threshold
 from cwemap.ingest import _cwe_sort_key
+from cwemap.modelstore import _config_dict
 from cwemap.netcore import LOSS_PLATEAU_DELTA, AdamState, _bce_terms, _loss_and_residual, sigmoid
 from cwemap.stemmer import _DOUBLES, _EXCEPTIONS, _LI_ENDINGS, _POST_1A_INVARIANT, _VOWELS
 from cwemap.textprep import preprocess
@@ -143,6 +149,43 @@ def dense_params(clf):
     one expanded to ``D x C``."""
     return {name: getattr(clf, name).to_dense() if name == clf.ROW_PARAM else getattr(clf, name)
             for name in clf.PARAMS}
+
+
+#: Format-1 file name suffix of each parameter.
+FORMAT_1_INFIX = {"weights": "", "w_hidden": ".hidden", "w_out": ".out"}
+
+
+def _canonical(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def format1_file_digests(model):
+    """The sha256 of the dictionary and of the taxonomy, as a format-1
+    manifest recorded them."""
+    return {"dictionary_fingerprint":
+            hashlib.sha256(model.dictionary.to_tsv().encode("utf-8")).hexdigest(),
+            "taxonomy_fingerprint":
+            hashlib.sha256(_canonical({"nodes": model.taxonomy.to_node_list()})).hexdigest()}
+
+
+def format1_fingerprint(model):
+    """The sha256 of the format-1 byte stream: the two file digests, the
+    canonical config, then per scorer in node-id order its node id, its
+    child ids and, per parameter in file-name order, its format-1 file name
+    and its dense little-endian float64 bytes."""
+    h = hashlib.sha256()
+    for digest in format1_file_digests(model).values():
+        h.update(digest.encode())
+    h.update(_canonical(_config_dict(model)))
+    for clf in sorted(model.classifiers.values(), key=lambda clf: clf.node_id):
+        h.update(clf.node_id.encode())
+        h.update(",".join(clf.child_ids).encode())
+        params = dense_params(clf)
+        for file_name, name in sorted((f"{clf.node_id}{FORMAT_1_INFIX[name]}.f64le", name)
+                                      for name in params):
+            h.update(file_name.encode())
+            h.update(np.ascontiguousarray(params[name], dtype="<f8"))
+    return h.hexdigest()
 
 
 def bce_with_logits(logits, targets):

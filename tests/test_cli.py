@@ -61,13 +61,20 @@ def model_file(model, name):
     return model / doc["files"][name.split(".")[0]]["name"]
 
 
+def write_manifest(model, doc):
+    """Write the manifest ``doc`` with the fingerprint that is its checksum,
+    so the load fails only on what its other fields say."""
+    doc["fingerprint"] = modelstore.checksum(doc)
+    (model / MANIFEST).write_text(json.dumps(doc), encoding="utf-8")
+
+
 def rewrite(model, name, data: bytes):
     """Replace the bytes of the data file ``name`` and record their sha256 in
     the manifest, so the load fails only on what the bytes say."""
     model_file(model, name).write_bytes(data)
     doc = json.loads((model / MANIFEST).read_text(encoding="utf-8"))
     doc["files"][name.split(".")[0]]["sha256"] = hashlib.sha256(data).hexdigest()
-    (model / MANIFEST).write_text(json.dumps(doc), encoding="utf-8")
+    write_manifest(model, doc)
 
 
 def classify(model, inputs):
@@ -193,7 +200,8 @@ class TestConfigValues:
 
 
 class TestNvdFeedBoundary:
-    """``ingest --feed`` exits 2 naming the item and field of a mistyped feed."""
+    """``ingest --feed`` exits 2 naming the item and field of a mistyped feed,
+    or of an item whose id is not a CVE id."""
 
     @pytest.mark.parametrize("doc, field", [
         ({"CVE_Items": 5}, "CVE_Items is not a JSON array"),
@@ -201,7 +209,15 @@ class TestNvdFeedBoundary:
         ({"CVE_Items": [{"cve": {"description": {"description_data": [
             {"lang": "en", "value": 5}]}}}]},
          "CVE_Items[0].cve.description.description_data[0].value is not a JSON string"),
-    ], ids=["items-number", "item-number", "description-value-number"])
+        ({"CVE_Items": [{"cve": {"description": {"description_data": [
+            {"lang": "en", "value": "x"}]}}}]},
+         "CVE_Items[0].cve.CVE_data_meta.ID: not a CVE identifier: ''"),
+        ({"CVE_Items": [{"cve": {"CVE_data_meta": {"ID": cve_id}, "description": {
+            "description_data": [{"lang": "en", "value": "x"}]}}}
+            for cve_id in ("CVE-2020-0001", "CVE-1")]},
+         "CVE_Items[1].cve.CVE_data_meta.ID: not a CVE identifier: 'CVE-1'"),
+    ], ids=["items-number", "item-number", "description-value-number", "id-missing",
+            "id-not-a-cve-id"])
     def test_mistyped_feed_exits_2(self, tmp_path, capsys, doc, field):
         feed = tmp_path / "feed.json"
         feed.write_text(json.dumps(doc), encoding="utf-8")
@@ -276,6 +292,16 @@ class TestNegativeSeed:
         assert cli.main(argv) == cli.EXIT_INPUT
 
 
+def _swap_arrays(first, second):
+    """An edit that swaps the arrays of two nodes with as many children, so
+    each node still finds arrays of the shapes it needs."""
+    def edit(doc):
+        entries = {e["node_id"]: e for e in doc["nodes"] if e["node_id"] in (first, second)}
+        entries[first]["arrays"], entries[second]["arrays"] = (entries[second]["arrays"],
+                                                               entries[first]["arrays"])
+    return edit
+
+
 class TestModelIntegrity:
     def test_intact_model_classifies(self, model_dir, inputs):
         assert classify(model_dir, inputs) == cli.EXIT_OK
@@ -310,8 +336,7 @@ class TestModelIntegrity:
         argv = train_argv(inputs, model, "--baseline", "two-layer", "--hidden", "4")
         assert cli.main(argv) == cli.EXIT_OK
         manifest = (model / MANIFEST).read_text(encoding="utf-8")
-        (model / MANIFEST).write_text(manifest.replace('"w_out"', '"w_output"'),
-                                      encoding="utf-8")
+        write_manifest(model, json.loads(manifest.replace('"w_out"', '"w_output"')))
         assert classify(model, inputs) == cli.EXIT_INTEGRITY
 
     def test_weight_file_that_is_a_directory_exits_4(self, damaged, inputs):
@@ -349,8 +374,21 @@ class TestModelIntegrity:
     def test_mistyped_manifest_value_exits_4(self, damaged, inputs, edit):
         doc = json.loads((damaged / MANIFEST).read_text(encoding="utf-8"))
         edit(doc)
-        (damaged / MANIFEST).write_text(json.dumps(doc), encoding="utf-8")
+        write_manifest(damaged, doc)
         assert classify(damaged, inputs) == cli.EXIT_INTEGRITY
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["config"].update(decision_threshold=0.05),
+        _swap_arrays("ROOT", "CWE-100"),
+    ], ids=["decision-threshold", "arrays-of-two-nodes-swapped"])
+    def test_edited_manifest_exits_4(self, damaged, inputs, capsys, edit):
+        # Each edit leaves a well-formed model that classifies differently.
+        doc = json.loads((damaged / MANIFEST).read_text(encoding="utf-8"))
+        edit(doc)
+        (damaged / MANIFEST).write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert classify(damaged, inputs) == cli.EXIT_INTEGRITY
+        assert "not the checksum of the manifest" in capsys.readouterr().err
 
     @pytest.mark.parametrize("code", ["sql inject", "", "sql\tinject"],
                              ids=["space", "empty", "tab"])
@@ -358,14 +396,14 @@ class TestModelIntegrity:
         # Encoding assumes no token holds a space; a code is a token.
         doc = json.loads((damaged / MANIFEST).read_text(encoding="utf-8"))
         doc["config"]["assets"]["synonym_groups"][0]["code"] = code
-        (damaged / MANIFEST).write_text(json.dumps(doc), encoding="utf-8")
+        write_manifest(damaged, doc)
         assert classify(damaged, inputs) == cli.EXIT_INTEGRITY
 
     def test_synonym_code_defined_twice_exits_4(self, damaged, inputs):
         doc = json.loads((damaged / MANIFEST).read_text(encoding="utf-8"))
         groups = doc["config"]["assets"]["synonym_groups"]
         groups[1]["code"] = groups[0]["code"]
-        (damaged / MANIFEST).write_text(json.dumps(doc), encoding="utf-8")
+        write_manifest(damaged, doc)
         assert classify(damaged, inputs) == cli.EXIT_INTEGRITY
 
     def test_dictionary_position_out_of_range_exits_4(self, damaged, inputs):
@@ -434,7 +472,7 @@ class TestModelScorers:
         edit, node = SCORER_PROBES[probe]
         doc = json.loads((damaged / MANIFEST).read_text(encoding="utf-8"))
         edit(doc, damaged)
-        (damaged / MANIFEST).write_text(json.dumps(doc), encoding="utf-8")
+        write_manifest(damaged, doc)
         capsys.readouterr()
         assert classify(damaged, inputs) == cli.EXIT_INTEGRITY
         assert node in capsys.readouterr().err
@@ -475,13 +513,15 @@ class TestCorpusBoundary:
                          str(inputs / "taxonomy.json"), "--model",
                          str(tmp_path / "m")]) == cli.EXIT_INPUT
 
-    def test_directory_or_non_utf8_taxonomy_exits_2(self, inputs, tmp_path):
+    def test_directory_or_non_utf8_taxonomy_exits_2(self, inputs, tmp_path, capsys):
         bad = tmp_path / "taxonomy.json"
-        bad.write_bytes(b'{"nodes": [{"id": "CWE-1", "name": "\xff"}]}')
-        for taxonomy in (tmp_path, bad):
+        bad.write_bytes(b'{"nodes": [\n{"id": "CWE-1", "name": "\xff"}]}')
+        for taxonomy, where in [(tmp_path, f"{tmp_path}: "), (bad, f"{bad}:2: ")]:
             argv = ["train", "--corpus", str(inputs / "corpus.jsonl"),
                     "--taxonomy", str(taxonomy), "--model", str(tmp_path / "m")]
+            capsys.readouterr()
             assert cli.main(argv) == cli.EXIT_INPUT
+            assert where in capsys.readouterr().err
 
     def test_mistyped_field_exits_2_in_train(self, inputs, tmp_path):
         corpus = tmp_path / "corpus.jsonl"
@@ -621,9 +661,15 @@ fuzz = settings(max_examples=60, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
+def canonical(doc):
+    # ``1 == 1.0`` in Python, but the two are written, and hashed, apart.
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 class TestJsonBoundaryFuzz:
     """Whatever any field of a valid JSON input holds, the command reading it
-    exits only with 0 or the input's documented error code."""
+    exits only with 0 or the input's documented error code; a manifest that
+    reads as anything but the saved one exits 4."""
 
     @fuzz
     @given(data=st.data())
@@ -680,7 +726,8 @@ class TestJsonBoundaryFuzz:
             model = Path(work) / "model"
             shutil.copytree(kind_models[kind], model)
             (model / MANIFEST).write_text(json.dumps(doc), encoding="utf-8")
-            assert classify(model, inputs) in (cli.EXIT_OK, cli.EXIT_INTEGRITY)
+            edited = canonical(doc) != canonical(valid)
+            assert classify(model, inputs) == (cli.EXIT_INTEGRITY if edited else cli.EXIT_OK)
 
 
 class TestTrainFlags:

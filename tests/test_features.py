@@ -266,4 +266,4 @@ class TestTsvRoundTrip:
         assert again.index == d.index
         assert again.counts == d.counts
         assert again.min_count == d.min_count
-        assert again.fingerprint() == d.fingerprint()
+        assert again.to_tsv() == d.to_tsv()

@@ -279,6 +279,13 @@ class TestRowSparseWeights:
             assert clf.weights.to_dense().tobytes() == want.tobytes(), node_id
 
 
+#: ``modelstore.fingerprint`` of the baseline models of ``test_pinned_baseline_fingerprints``.
+PINNED_BASELINE_FINGERPRINTS = {
+    "flat": "ee8349bf10c55baf7bec3a5ce1637f02e6bd447544105ddb0e405cb35ae2e025",
+    "two-layer": "abc2a64a2d2b718abb2d00d6a23c397002c1bc57e5e1d8fbb92d8fd618dd7640",
+}
+
+
 class TestTrainHierarchy:
     @pytest.mark.parametrize("kind", ["hierarchical", "flat", "two-layer"])
     def test_missing_label_warned_once_per_record(self, chain_taxonomy, caplog, kind):
@@ -350,7 +357,9 @@ class TestTrainHierarchy:
     def test_pinned_fingerprints(self):
         # Referee for refactors of the training path: these models must stay
         # bit-identical.  One run trains a fixed number of epochs; the other
-        # stops on the loss plateau, so it also pins the epoch losses.
+        # stops on the loss plateau, so it also pins the epoch losses.  The
+        # format-1 hash covers the weights alone, whatever the saved form;
+        # the fingerprint also pins that form.
         taxonomy, leaves, pools = synthdata.binary_taxonomy(depth=3, pool_size=20, seed=7)
         corpus = synthdata.make_corpus(leaves, pools, per_leaf=12, tokens_per_cve=10,
                                        noise=0.2, seed=3)
@@ -359,16 +368,22 @@ class TestTrainHierarchy:
         plateau = TrainConfig(learning_rate=0.3, max_epochs=100, batch_size=8, seed=5,
                               min_term_count=2, early_stop_patience=2)
         model = train_hierarchy(corpus, taxonomy, ASSETS, fixed)
-        assert fingerprint(model) == (
+        assert oracle.format1_fingerprint(model) == (
             "b9dec93ca2ac5bdbc3da7d3d790d2a9837d2ed3983e671c97e6dd9809e4c20ce"
+        )
+        assert fingerprint(model) == (
+            "482a5f0311f903058b2f5ed1d932fefa7393e3eeb415ecedb88ebfc2b13a1a21"
         )
         model = train_hierarchy(corpus, taxonomy, ASSETS, plateau)
         assert sorted(model.epochs_run.items()) == [
             ("CWE-100", 6), ("CWE-101", 5), ("CWE-102", 6), ("CWE-103", 10),
             ("CWE-104", 7), ("CWE-105", 7), ("ROOT", 9),
         ]
-        assert fingerprint(model) == (
+        assert oracle.format1_fingerprint(model) == (
             "7a1fbb4539a077c3628a7ea3473afdf39730457d47cd4dc2740bc7367220a12b"
+        )
+        assert fingerprint(model) == (
+            "d9d7da8c84d2b243827ff6ddf5a95cf27e592ccad05de5191aab70a9b26dca3c"
         )
 
     @pytest.mark.parametrize("baseline, expected", [
@@ -377,7 +392,8 @@ class TestTrainHierarchy:
     ])
     def test_pinned_baseline_fingerprints(self, tmp_path, baseline, expected):
         # The same referee for the two ablation baselines, trained through
-        # the command line (two-layer at hidden width 4).
+        # the command line (two-layer at hidden width 4); ``expected`` is the
+        # format-1 hash.
         taxonomy, leaves, pools = synthdata.binary_taxonomy(depth=3, pool_size=20, seed=7)
         corpus = synthdata.make_corpus(leaves, pools, per_leaf=12, tokens_per_cve=10,
                                        noise=0.2, seed=3)
@@ -388,7 +404,9 @@ class TestTrainHierarchy:
                 "--batch-size", "8", "--seed", "5", "--th", "2", "--hidden", "4",
                 "--baseline", baseline, "--model", str(tmp_path / "m")]
         assert cli.main(argv) == 0
-        assert fingerprint(load(tmp_path / "m")) == expected
+        model = load(tmp_path / "m")
+        assert oracle.format1_fingerprint(model) == expected
+        assert fingerprint(model) == PINNED_BASELINE_FINGERPRINTS[baseline]
 
     def test_empty_corpus_rejected(self, chain_taxonomy):
         with pytest.raises(ConfigurationError):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracle
 import synthdata
-from cwemap.errors import FormatError, ParseError, ValidationError
+from cwemap.errors import FormatError, ValidationError
 from cwemap.ingest import (
     CveRecord,
     CweNode,
@@ -101,7 +101,7 @@ class TestLoadCveCorpus:
         path = tmp_path / "corpus.jsonl"
         good = json.dumps({"id": "CVE-1999-0001", "description": "x", "cwe_labels": []})
         path.write_text(good + "\n{oops\n")
-        with pytest.raises(ParseError, match=":2"):
+        with pytest.raises(FormatError, match=":2"):
             load_cve_corpus(path)
 
     def test_file_order_preserved(self, tmp_path):

@@ -91,9 +91,9 @@ def test_load_leaves_the_slot_tokens_to_the_first_encode(tmp_path):
 
 
 def test_manifest_listing_a_hidden_size_still_loads(tmp_path):
-    """Directories saved before the width was read only off the weights
-    list it in the config; the key is ignored, and the width is the one of
-    the hidden block the manifest lists."""
+    """A config key that is not read, such as the hidden width that earlier
+    manifests listed, is ignored (though the fingerprint covers it): the
+    width is the one of the hidden block the manifest lists."""
     model = make_model("two-layer", {"CWE-1": [], "CWE-2": [], "CWE-3": ["CWE-1"]}, seed=3)
     modelstore.save(model, tmp_path / "model")
     manifest = tmp_path / "model" / modelstore.MANIFEST
@@ -102,6 +102,7 @@ def test_manifest_listing_a_hidden_size_still_loads(tmp_path):
     assert {tuple(e["arrays"]["w_hidden"]["shape"][1:]) for e in doc["nodes"]} == {(3,)}
     assert "hidden_size" not in doc["config"]
     doc["config"]["hidden_size"] = 3
+    doc["fingerprint"] = modelstore.checksum(doc)
     manifest.write_text(json.dumps(doc), encoding="utf-8")
     loaded = modelstore.load(tmp_path / "model")
     assert {clf.hidden_size for clf in loaded.classifiers.values()} == {3}
@@ -167,30 +168,24 @@ def test_resave_of_another_model_leaves_no_stale_file(tmp_path):
     assert modelstore.fingerprint(modelstore.load(tmp_path)) == modelstore.fingerprint(second)
 
 
-#: Format-1 file name suffix of each parameter.
-FORMAT_1_INFIX = {"weights": "", "w_hidden": ".hidden", "w_out": ".out"}
-
-
 def save_format_1(model, directory: Path) -> None:
     """``model`` in the format-1 layout: ``dictionary.tsv``, ``taxonomy.json``
     and one dense little-endian file per parameter under ``weights/``."""
     (directory / "weights").mkdir(parents=True)
-    model.dictionary.save_tsv(directory / "dictionary.tsv")
+    (directory / "dictionary.tsv").write_text(model.dictionary.to_tsv(), encoding="utf-8")
     save_taxonomy(model.taxonomy, directory / "taxonomy.json")
     nodes = []
     for clf in sorted(model.classifiers.values(), key=lambda clf: clf.node_id):
         files = {}
         for name, value in oracle.dense_params(clf).items():
-            file_name = f"{clf.node_id}{FORMAT_1_INFIX[name]}.f64le"
+            file_name = f"{clf.node_id}{oracle.FORMAT_1_INFIX[name]}.f64le"
             (directory / "weights" / file_name).write_bytes(value.astype("<f8").tobytes())
             files[file_name] = list(value.shape)
         nodes.append({"node_id": clf.node_id, "child_ids": list(clf.child_ids), "files": files})
     config = model.config.to_dict()
     config["assets"] = {"stopwords": sorted(model.assets.stopwords), "synonym_groups": []}
     manifest = {"format_version": 1, "model_kind": model.kind,
-                "dictionary_fingerprint": model.dictionary.fingerprint(),
-                "taxonomy_fingerprint": modelstore.taxonomy_fingerprint(model.taxonomy),
-                "config": config, "nodes": nodes}
+                **oracle.format1_file_digests(model), "config": config, "nodes": nodes}
     (directory / modelstore.MANIFEST).write_text(json.dumps(manifest, indent=2, sort_keys=True)
                                                  + "\n", encoding="utf-8")
 
