@@ -150,6 +150,13 @@ def _check_output_dir(flag: str, path: str) -> None:
         raise ConfigurationError(f"{flag} {path}: {existing} is not a writable directory")
 
 
+def _check_output_file(flag: str, path: str) -> None:
+    """ConfigurationError unless ``path`` is no directory and lies in a writable one."""
+    path = Path(path)
+    if path.is_dir() or not path.parent.is_dir() or not os.access(path.parent, os.W_OK | os.X_OK):
+        raise ConfigurationError(f"{flag} {path}: not a file in a writable directory")
+
+
 # TrainConfig field of each train flag.
 _CONFIG_FLAGS = {"lr": "learning_rate", "tau": "decision_threshold", "max_epochs": "max_epochs",
                  "batch_size": "batch_size", "seed": "seed", "th": "min_term_count",
@@ -178,6 +185,7 @@ def _load_assets(args: argparse.Namespace) -> hierarchy.PrepAssets:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    _check_output_file("--out", args.out)
     records = ingest.import_nvd_feed(args.feed)
     ingest.write_cve_corpus(records, args.out)
     labeled = sum(1 for r in records if r.cwe_labels)
@@ -222,6 +230,8 @@ def _classify_records(model, records: list[ingest.CveRecord], selection):
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    if args.out:
+        _check_output_file("--out", args.out)
     model = modelstore.load(args.model)
     selection = _selection(args)
     if args.corpus:

@@ -20,6 +20,7 @@ at its place, in some dictionary term; no other n-gram can be a term.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -28,9 +29,9 @@ from itertools import chain
 import numpy as np
 
 from .errors import ConfigurationError, FormatError
+from .jsonread import parse
 from .textprep import TokenSequence
 
-DEFAULT_MIN_COUNT = 3
 #: The smallest token count ``V`` with ``V + V**2 + V**3 >= 2**63``: from it
 #: on, a packed trigram key could overflow int64.
 MAX_VOCABULARY = 2_097_152
@@ -47,7 +48,6 @@ class Dictionary:
 
     index: dict[str, int]
     counts: dict[str, int]
-    min_count: int
     size: int = field(init=False)
 
     def __post_init__(self):
@@ -77,31 +77,29 @@ class Dictionary:
             out[pos] = term
         return out
 
-    def to_tsv(self) -> str:
-        lines = [f"{pos}\t{term}\t{self.counts[term]}" for pos, term in enumerate(self.terms())]
-        return "\n".join([f"# min_count={self.min_count}"] + lines) + "\n"
 
-    @classmethod
-    def from_tsv(cls, text: str) -> "Dictionary":
-        index: dict[str, int] = {}
-        counts: dict[str, int] = {}
-        min_count = DEFAULT_MIN_COUNT
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                if "min_count=" in line:
-                    min_count = int(line.split("min_count=", 1)[1].strip())
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FormatError("expected 'position<TAB>term<TAB>count'", line=lineno)
-            pos, term, count = int(parts[0]), parts[1], int(parts[2])
-            index[term] = pos
-            counts[term] = count
-        if set(index.values()) != set(range(len(index))):
-            raise FormatError("positions are not 0..n-1, one term each")
-        return cls(index=index, counts=counts, min_count=min_count)
+#: The saved form of a dictionary: its terms and their counts, in position order.
+_DICTIONARY = {"terms": [str], "counts": [int]}
+
+
+def dictionary_json(dictionary: Dictionary) -> str:
+    """The saved form of ``dictionary``, which ``read_dictionary`` reads back."""
+    terms = dictionary.terms()
+    return json.dumps({"terms": terms, "counts": [dictionary.counts[t] for t in terms]},
+                      separators=(",", ":"))
+
+
+def read_dictionary(text: str, path) -> Dictionary:
+    """The dictionary in ``text``, a ``_DICTIONARY`` document read from ``path``;
+    FormatError naming ``path`` unless it has one count per term and no term
+    twice."""
+    doc = parse(text, _DICTIONARY, path)
+    terms, counts = doc["terms"], doc["counts"]
+    index = {term: pos for pos, term in enumerate(terms)}
+    if len(counts) != len(terms) or len(index) != len(terms):
+        raise FormatError(f"{len(terms)} terms ({len(index)} distinct) and {len(counts)} "
+                          "counts; each term must occur once, with one count", path=path)
+    return Dictionary(index=index, counts=dict(zip(terms, counts)))
 
 
 #: A text's dictionary terms: ascending int64 positions and their counts.
@@ -125,7 +123,7 @@ def _key_terms(keys: np.ndarray, tokens: list[str]) -> list[str]:
     return terms
 
 
-def build_dictionary(token_lists: Sequence[TokenSequence], min_count: int = DEFAULT_MIN_COUNT
+def build_dictionary(token_lists: Sequence[TokenSequence], min_count: int
                      ) -> tuple[Dictionary, list[TermArrays]]:
     """The term dictionary of the training texts, and each text's terms over it.
 
@@ -164,8 +162,7 @@ def build_dictionary(token_lists: Sequence[TokenSequence], min_count: int = DEFA
     terms = _key_terms(unique[kept], tokens)
     order = sorted(range(len(kept)), key=lambda i: (-kept_totals[i], terms[i]))
     dictionary = Dictionary(index={terms[i]: pos for pos, i in enumerate(order)},
-                            counts={terms[i]: kept_totals[i] for i in order},
-                            min_count=min_count)
+                            counts={terms[i]: kept_totals[i] for i in order})
 
     # Each occurrence of a kept key as (text, position), counted per text.
     unique_position = np.full(len(unique), -1, dtype=np.int64)

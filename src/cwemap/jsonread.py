@@ -109,12 +109,19 @@ def read(value, spec, where: str):
 def parse(text: str, spec, source, line: int | None = None):
     """The JSON ``text`` read by ``spec``.  Malformed text, or a value that
     does not fit, raises FormatError naming ``source`` and ``line`` (for
-    malformed text without a ``line``, the line of the fault in ``text``)."""
+    malformed text without a ``line``, the line of the fault in ``text``).
+    So does an integer longer than Python converts (4,300 digits by
+    default) or nesting deeper than the recursion limit."""
     try:
         value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"malformed JSON ({exc.msg})", path=source,
                           line=exc.lineno if line is None else line) from None
+    except ValueError:
+        raise FormatError("malformed JSON (an integer of too many digits)", path=source,
+                          line=line) from None
+    except RecursionError:
+        raise FormatError("malformed JSON (nested too deeply)", path=source, line=line) from None
     try:
         return _read(value, spec)
     except _Misfit as exc:

@@ -1,20 +1,29 @@
 """Deterministic model persistence: one save, load and fingerprint for every kind.
 
-Directory layout (format 2): ``manifest.json`` and three data files, each
-named by the first 12 hex digits of the sha256 of its bytes:
-``dictionary-<sha12>.tsv``, ``taxonomy-<sha12>.json`` and
-``weights-<sha12>.bin``.  The weights file is one blob of raw little-endian
-arrays, back to back, for every scorer in node-id order (a JSON header
-plus raw arrays, as in the safetensors format): the scorer's ``rows``
-(int64), then each entry of its ``params()`` (float64, row-major).  The
-row-indexed parameter (``ROW_PARAM``) is the block of a ``RowBlock`` and
-is followed in the blob by its all-zero sentinel row, so ``load`` makes no
-copy of any array.  The flat baseline's one scorer is node ``FLAT``.
+Directory layout (format 3): ``manifest.json`` and three data files, each
+named ``<key>-<sha12><suffix>`` by the first 12 hex digits of the sha256 of
+its bytes (``file_name``): ``dictionary-<sha12>.json``,
+``taxonomy-<sha12>.json`` and ``weights-<sha12>.bin``.
+
+* The dictionary file holds the terms and their counts in position order
+  (``features.dictionary_json``).  The count a term needed to be kept is the
+  config's ``min_term_count``.
+* The weights file is one blob of raw little-endian arrays, back to back,
+  for every scorer in node-id order (a JSON header plus raw arrays, as in
+  the safetensors format): the scorer's ``rows`` (``ROWS_DTYPE``), then each
+  of its ``PARAMS`` (``PARAM_DTYPE``, row-major).  The row-indexed parameter
+  (``ROW_PARAM``) is the block of a ``RowBlock`` and is followed in the blob
+  by its all-zero sentinel row, so ``load`` makes no copy of any array.  The
+  flat baseline's one scorer is node ``FLAT``.
 
 The manifest records the model kind, the full config snapshot (including
 the preprocessing assets; a hidden layer's width is read off its weights),
-the name and sha256 of each data file, per scorer its child ids and the
-offset, dtype and shape of each of its arrays, and the fingerprint.
+the sha256 of each data file, per scorer its child ids and the shape of
+each of its arrays, and the fingerprint.  It stores nothing the reader can
+derive: a file's name follows from its sha256, an array's dtype from its
+name, and its place in the blob from the shapes before it.  ``load`` walks
+a cursor through the blob in manifest order and requires it to end exactly
+at the blob's end.
 
 **Fingerprint.**  A model's fingerprint is the checksum of its manifest:
 the sha256 of the canonical JSON (sorted keys, no spaces) of every other
@@ -34,17 +43,18 @@ manifest does not name.  (No file is synced to disk: the renames guard
 against an interrupted process, and the sha256 checks catch what a lost
 write would leave.)
 
-**Format 1** (``dictionary.tsv``, ``taxonomy.json`` and one dense
-``weights/<node>.f64le`` file per parameter) is not read: its manifest
-raises VersionError, and the model must be trained again.  ``save`` leaves
-format-1 files in a reused directory alone; nothing reads them.
+**Older formats** are not read: a format-1 or format-2 manifest raises
+VersionError, and the model must be trained again.  ``save`` into a reused
+directory deletes a format-2 model's data files (``<key>-*``, like its
+own) and leaves format-1 files (``dictionary.tsv``, ``taxonomy.json`` and
+``weights/``) alone; nothing reads them.
 
 Anything malformed in a model directory raises IntegrityError (or
-VersionError for an unknown format or kind), at load: besides unreadable
-files, checksums and array extents, a manifest that lists a node twice, or
-whose scorers are not exactly one per scoring node, over that node's
-taxonomy children in order and the dictionary's dimension
-(``hierarchy.Model``), names the offending node.
+VersionError for an unknown format or kind) at load, naming the file, and
+the node, being read: besides unreadable files, checksums and array
+extents, a manifest that lists a node twice, or whose scorers are not
+exactly one per scoring node, over that node's taxonomy children in order
+and the dictionary's dimension (``hierarchy.Model``).
 """
 
 from __future__ import annotations
@@ -53,47 +63,46 @@ import hashlib
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    CwemapError,
-    FormatError,
-    IntegrityError,
-    ValidationError,
-    VersionError,
-)
-from .features import Dictionary
+from .errors import CwemapError, FormatError, IntegrityError, VersionError
+from .features import dictionary_json, read_dictionary
 from .hierarchy import SCORERS, Model, PrepAssets, scoring_node
 from .ingest import SYNONYM_GROUP, read_taxonomy, taxonomy_json
 from .jsonread import Optional, parse, read
 from .netcore import RowBlock, Scorer, TrainConfig
 from .textprep import SynonymTable
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 MANIFEST = "manifest.json"
-#: Suffix of each data file; its name is ``<key>-<sha12><suffix>``.
-DATA_FILES = {"dictionary": ".tsv", "taxonomy": ".json", "weights": ".bin"}
+#: Suffix of each data file; its name is ``<key>-<sha12><suffix>`` (``file_name``).
+DATA_FILES = {"dictionary": ".json", "taxonomy": ".json", "weights": ".bin"}
 #: Dtype of the row positions and of every parameter in the weights file.
 ROWS_DTYPE, PARAM_DTYPE = "<i8", "<f8"
 
 # The manifest's fields; ``config`` is read by ``TrainConfig.from_dict`` and
-# ``_ASSETS``, and each entry of a node's ``arrays`` by ``_ARRAY``.
+# ``_ASSETS``, and a node's ``arrays`` (array name: shape) by ``_scorer``.
 _MANIFEST = {
     "format_version": int,
     "model_kind": str,
     "fingerprint": str,
     "config": dict,
-    "files": {key: {"name": str, "sha256": str} for key in DATA_FILES},
+    "files": dict.fromkeys(DATA_FILES, str),
     "nodes": [{"node_id": str, "child_ids": [str], "arrays": dict}],
 }
 _ASSETS = {"assets": Optional({"stopwords": Optional([str], []),
                                "synonym_groups": Optional([SYNONYM_GROUP], [])}, {})}
-_ARRAY = {"offset": int, "dtype": str, "shape": [int]}
+_SHA256 = re.compile(r"[0-9a-f]{64}")
+
+
+def file_name(key: str, sha256: str) -> str:
+    """The name of the data file ``key`` whose bytes have this sha256."""
+    return f"{key}-{sha256[:12]}{DATA_FILES[key]}"
 
 
 @dataclass(frozen=True)
@@ -102,8 +111,8 @@ class ModelManifest:
     model_kind: str  # "hierarchical" | "flat" | "two-layer"
     fingerprint: str
     config: dict
-    files: dict  # {"dictionary" | "taxonomy" | "weights": {"name", "sha256"}}
-    nodes: list[dict]  # {"node_id", "child_ids", "arrays": {name: {"offset", "dtype", "shape"}}}
+    files: dict  # {"dictionary" | "taxonomy" | "weights": sha256}
+    nodes: list[dict]  # {"node_id", "child_ids", "arrays": {"rows" | param: shape}}
 
     def to_json(self) -> str:
         doc = {key: getattr(self, key) for key in _MANIFEST}
@@ -112,21 +121,21 @@ class ModelManifest:
     @classmethod
     def from_json(cls, text: str) -> "ModelManifest":
         """Parse a manifest; VersionError for another format version, else
-        IntegrityError unless it has every field, well typed, and its
-        fingerprint is the checksum of the other fields."""
-        try:
-            doc = parse(text, dict, MANIFEST)
-            version = read(doc, {"format_version": int}, "manifest")["format_version"]
-            if version != FORMAT_VERSION:
-                raise VersionError(f"model format version {version} is not supported (this "
-                                   f"version reads {FORMAT_VERSION}); retrain the model")
-            fields = read(doc, _MANIFEST, "manifest")
-        except FormatError as exc:
-            raise IntegrityError(str(exc)) from exc
+        FormatError unless it has every field, well typed, and IntegrityError
+        unless each sha256 is 64 lowercase hex digits and the fingerprint is
+        the checksum of the other fields."""
+        doc = parse(text, dict, MANIFEST)
+        version = read(doc, {"format_version": int}, "manifest")["format_version"]
+        if version != FORMAT_VERSION:
+            raise VersionError(f"model format version {version} is not supported (this "
+                               f"version reads {FORMAT_VERSION}); retrain the model")
+        fields = read(doc, _MANIFEST, "manifest")
+        for key, sha256 in fields["files"].items():
+            if not _SHA256.fullmatch(sha256):
+                raise IntegrityError(f"files.{key} is not 64 lowercase hex digits")
         if fields["fingerprint"] != checksum(fields):
-            raise IntegrityError(f"{MANIFEST}: the fingerprint is not the checksum of the "
-                                 "manifest; it was edited, or saved by an older version "
-                                 "(retrain the model)")
+            raise IntegrityError("the fingerprint is not the checksum of the manifest; it was "
+                                 "edited, or saved by an older version (retrain the model)")
         return cls(**fields)
 
 
@@ -171,19 +180,15 @@ def _weights_blob(model: Model) -> tuple[bytes, list[dict]]:
     The row-indexed parameter is written with its sentinel row, which its
     listed shape leaves out.
     """
-    chunks, nodes, offset = [], [], 0
+    chunks, nodes = [], []
     for clf in sorted(model.classifiers.values(), key=lambda clf: clf.node_id):
-        matrix = getattr(clf, clf.ROW_PARAM)
-        stored = {"rows": (matrix.rows, ROWS_DTYPE, matrix.rows.shape)}
-        for name, value in clf.params().items():
-            held = matrix.padded if name == clf.ROW_PARAM else value
-            stored[name] = (held, PARAM_DTYPE, value.shape)
-        arrays = {}
-        for name, (held, dtype, shape) in stored.items():
-            data = np.ascontiguousarray(held, dtype=dtype).tobytes()
-            arrays[name] = {"offset": offset, "dtype": dtype, "shape": list(shape)}
-            chunks.append(data)
-            offset += len(data)
+        matrix, params = getattr(clf, clf.ROW_PARAM), clf.params()
+        arrays = {"rows": list(matrix.rows.shape)}
+        chunks.append(np.ascontiguousarray(matrix.rows, dtype=ROWS_DTYPE).tobytes())
+        for name in clf.PARAMS:
+            arrays[name] = list(params[name].shape)
+            held = matrix.padded if name == clf.ROW_PARAM else params[name]
+            chunks.append(np.ascontiguousarray(held, dtype=PARAM_DTYPE).tobytes())
         nodes.append({"node_id": clf.node_id, "child_ids": list(clf.child_ids),
                       "arrays": arrays})
     return b"".join(chunks), nodes
@@ -205,14 +210,11 @@ def _contents(model: Model) -> tuple[dict[str, bytes], dict]:
     but ``fingerprint`` that describe them."""
     blob, nodes = _weights_blob(model)
     contents = {
-        "dictionary": model.dictionary.to_tsv().encode("utf-8"),
+        "dictionary": dictionary_json(model.dictionary).encode("utf-8"),
         "taxonomy": taxonomy_json(model.taxonomy).encode("utf-8"),
         "weights": blob,
     }
-    files = {}
-    for key, data in contents.items():
-        digest = hashlib.sha256(data).hexdigest()
-        files[key] = {"name": f"{key}-{digest[:12]}{DATA_FILES[key]}", "sha256": digest}
+    files = {key: hashlib.sha256(data).hexdigest() for key, data in contents.items()}
     body = {"format_version": FORMAT_VERSION, "model_kind": model.kind,
             "config": _config_dict(model), "files": files, "nodes": nodes}
     return contents, body
@@ -227,99 +229,95 @@ def save(model: Model, directory: str | Path) -> ModelManifest:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     contents, body = _contents(model)
+    names = {key: file_name(key, sha256) for key, sha256 in body["files"].items()}
     for key, data in contents.items():
-        _replace_with(directory / body["files"][key]["name"], data)
+        _replace_with(directory / names[key], data)
     manifest = ModelManifest(fingerprint=checksum(body), **body)
     _replace_with(directory / MANIFEST, manifest.to_json().encode("utf-8"))
-    named = {entry["name"] for entry in body["files"].values()}
-    for key in DATA_FILES:
+    for key, name in names.items():
         for path in directory.glob(f"{key}-*"):
-            if path.name not in named and path.is_file():
+            if path.name != name and path.is_file():
                 path.unlink()
     return manifest
 
 
-def _read_data_file(directory: Path, manifest: ModelManifest, key: str) -> bytes:
-    """The bytes of the data file ``key``; IntegrityError unless the manifest
-    names a file of this directory whose sha256 it records."""
-    entry = manifest.files[key]
-    name = entry["name"]
-    if name != Path(name).name or name in ("", ".", ".."):
-        raise IntegrityError(f"manifest names no {key} file")
-    path = directory / name
+def _read_file(path: Path) -> bytes:
     if not path.is_file():
-        raise IntegrityError(f"missing model file: {path}")
-    data = path.read_bytes()
-    if hashlib.sha256(data).hexdigest() != entry["sha256"]:
-        raise IntegrityError(f"{path}: sha256 does not match the manifest")
-    return data
+        raise IntegrityError("missing model file")
+    return path.read_bytes()
 
 
-def _view(blob: bytes, spec: dict, dtype: str, ndim: int, extra_rows: int) -> np.ndarray:
-    """The read-only array an ``_ARRAY`` entry places in ``blob``, with
-    ``extra_rows`` more rows than its shape lists."""
-    shape, offset = spec["shape"], spec["offset"]
-    if len(shape) != ndim or min(shape) < 0 or spec["dtype"] != dtype or offset < 0:
-        raise IntegrityError(f"no {ndim}-D {dtype} array entry")
-    shape = [shape[0] + extra_rows, *shape[1:]]
-    count = math.prod(shape)
-    if offset % 8 or offset + 8 * count > len(blob):
-        raise IntegrityError(f"an array at byte {offset} overruns the weights file")
-    return np.frombuffer(blob, dtype=dtype, count=count, offset=offset).reshape(shape)
-
-
-def _scorer(kind, entry: dict, blob: bytes, dimension: int) -> Scorer:
-    """The scorer a manifest node entry describes, its arrays viewing ``blob``."""
-    arrays = entry["arrays"]
-    if set(arrays) != {"rows", *kind.PARAMS}:
-        raise IntegrityError(f"arrays {sorted(arrays)} are not rows and {', '.join(kind.PARAMS)}")
-    arrays = read(arrays, dict.fromkeys(arrays, _ARRAY), "arrays")
-    params = {name: _view(blob, arrays[name], PARAM_DTYPE, 2, int(name == kind.ROW_PARAM))
-              for name in kind.PARAMS}
-    rows = _view(blob, arrays["rows"], ROWS_DTYPE, 1, 0)
-    params[kind.ROW_PARAM] = RowBlock(rows, params[kind.ROW_PARAM], dimension)
-    return kind(entry["node_id"], tuple(entry["child_ids"]), **params)
+def _scorer(kind, entry: dict, blob: bytes, cursor: int, dimension: int
+            ) -> tuple[Scorer, int]:
+    """The scorer a manifest node entry describes, its arrays viewing ``blob``
+    from byte ``cursor`` on, and the byte after its last array."""
+    names = ("rows", *kind.PARAMS)
+    if sorted(entry["arrays"]) != sorted(names):
+        raise IntegrityError(f"arrays {sorted(entry['arrays'])} are not {', '.join(names)}")
+    shapes = read(entry["arrays"], dict.fromkeys(names, [int]), "arrays")
+    arrays = {}
+    for name in names:
+        shape, ndim = shapes[name], 1 if name == "rows" else 2
+        if len(shape) != ndim or min(shape) < 0:
+            raise IntegrityError(f"arrays.{name} is no shape of a {ndim}-D array")
+        if name == kind.ROW_PARAM:
+            shape = [shape[0] + 1, *shape[1:]]  # and the sentinel row
+        dtype = np.dtype(ROWS_DTYPE if name == "rows" else PARAM_DTYPE)
+        count = math.prod(shape)
+        end = cursor + dtype.itemsize * count
+        if end > len(blob):
+            raise IntegrityError(f"arrays.{name} runs past the end of the weights file")
+        arrays[name] = np.frombuffer(blob, dtype, count, cursor).reshape(shape)
+        cursor = end
+    arrays[kind.ROW_PARAM] = RowBlock(arrays.pop("rows"), arrays[kind.ROW_PARAM], dimension)
+    return kind(entry["node_id"], tuple(entry["child_ids"]), **arrays), cursor
 
 
 def load(directory: str | Path) -> Model:
-    """Restore a model, verifying the checksum of every data file."""
+    """Restore a model, verifying the checksum of every data file.
+
+    Every reader error becomes IntegrityError here, naming the file (and
+    the node) being read unless its message names the file already.
+    """
     directory = Path(directory)
-    manifest_path = directory / MANIFEST
-    if not manifest_path.is_file():
-        raise IntegrityError(f"missing manifest: {manifest_path}")
+    where = manifest_path = directory / MANIFEST
     try:
-        manifest = ModelManifest.from_json(manifest_path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise IntegrityError(f"{manifest_path}: not UTF-8 text") from exc
-    kind = SCORERS.get(manifest.model_kind)
-    if kind is None:
-        raise VersionError(f"unknown model kind {manifest.model_kind!r}")
+        manifest = ModelManifest.from_json(_read_file(manifest_path).decode("utf-8"))
+        kind = SCORERS.get(manifest.model_kind)
+        if kind is None:
+            raise VersionError(f"unknown model kind {manifest.model_kind!r}")
+        paths = {key: directory / file_name(key, sha256) for key, sha256 in manifest.files.items()}
+        data = {}
+        for key, where in paths.items():
+            data[key] = _read_file(where)
+            if hashlib.sha256(data[key]).hexdigest() != manifest.files[key]:
+                raise IntegrityError("sha256 does not match the manifest")
+        where = paths["dictionary"]
+        dictionary = read_dictionary(data["dictionary"].decode("utf-8"), where)
+        where = paths["taxonomy"]
+        taxonomy = read_taxonomy(data["taxonomy"].decode("utf-8"), where)
 
-    data = {key: _read_data_file(directory, manifest, key) for key in DATA_FILES}
-    try:
-        dictionary = Dictionary.from_tsv(data["dictionary"].decode("utf-8"))
-        taxonomy = read_taxonomy(data["taxonomy"].decode("utf-8"),
-                                 directory / manifest.files["taxonomy"]["name"])
-    except (CwemapError, ValueError) as exc:
-        raise IntegrityError(f"unreadable model file: {exc}") from exc
-
-    try:
+        where = manifest_path
         config = TrainConfig.from_dict(manifest.config)
         assets = _assets_from_dict(manifest.config)
-        classifiers = {}
+        classifiers, cursor, blob = {}, 0, data["weights"]
         for entry in manifest.nodes:
-            node_id = entry["node_id"]
-            scored = scoring_node(taxonomy, node_id)
+            where = f"{manifest_path}: node {entry['node_id']}"
+            scored = scoring_node(taxonomy, entry["node_id"])
             if scored in classifiers:
-                raise IntegrityError(f"{manifest_path}: node {node_id} is listed twice")
-            try:
-                classifiers[scored] = _scorer(kind, entry, data["weights"], dictionary.size)
-            except (ConfigurationError, FormatError, IntegrityError) as exc:
-                raise IntegrityError(f"{manifest_path}: node {node_id}: {exc}") from exc
+                raise IntegrityError("is listed twice")
+            classifiers[scored], cursor = _scorer(kind, entry, blob, cursor, dictionary.size)
+        where = paths["weights"]
+        if cursor != len(blob):
+            raise IntegrityError(f"{len(blob) - cursor} bytes follow the last array")
+        where = manifest_path
         return Model(taxonomy=taxonomy, dictionary=dictionary, classifiers=classifiers,
                      config=config, assets=assets, kind=manifest.model_kind)
-    except (ConfigurationError, FormatError, ValidationError) as exc:
-        raise IntegrityError(f"{manifest_path}: {exc}") from exc
+    except VersionError:
+        raise
+    except (CwemapError, UnicodeDecodeError) as exc:
+        located = isinstance(exc, FormatError) and exc.path is not None
+        raise IntegrityError(str(exc) if located else f"{where}: {exc}") from exc
 
 
 def fingerprint(model: Model) -> str:

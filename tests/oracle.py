@@ -36,8 +36,9 @@
   ``np.bincount``.
 * Dense parameters: ``dense_params`` expands each stored ``RowBlock``,
   and the forward passes and the dense fit run on those ``D x C`` arrays.
-* The format-1 fingerprint (``format1_fingerprint``), hashed over every
-  dense parameter, before the fingerprint became the checksum of the saved
+* The format-1 fingerprint (``format1_fingerprint``), hashed over the
+  format-1 dictionary file (``format1_dictionary_tsv``) and every dense
+  parameter, before the fingerprint became the checksum of the saved
   manifest; it still tells whether a change left the weights alone.
 """
 
@@ -96,8 +97,7 @@ def count_dictionary(term_counts, min_count=3):
         totals.update(counts)
     kept = sorted(((t, c) for t, c in totals.items() if c >= min_count),
                   key=lambda item: (-item[1], item[0]))
-    return Dictionary(index={t: i for i, (t, _) in enumerate(kept)}, counts=dict(kept),
-                      min_count=min_count)
+    return Dictionary(index={t: i for i, (t, _) in enumerate(kept)}, counts=dict(kept))
 
 
 def term_arrays(counts, dictionary):
@@ -159,11 +159,20 @@ def _canonical(value):
     return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+def format1_dictionary_tsv(model):
+    """The format-1 (and format-2) dictionary file: a ``# min_count=`` header,
+    then one ``position<TAB>term<TAB>count`` line per term."""
+    dictionary = model.dictionary
+    lines = [f"{pos}\t{term}\t{dictionary.counts[term]}"
+             for pos, term in enumerate(dictionary.terms())]
+    return "\n".join([f"# min_count={model.config.min_term_count}"] + lines) + "\n"
+
+
 def format1_file_digests(model):
     """The sha256 of the dictionary and of the taxonomy, as a format-1
     manifest recorded them."""
     return {"dictionary_fingerprint":
-            hashlib.sha256(model.dictionary.to_tsv().encode("utf-8")).hexdigest(),
+            hashlib.sha256(format1_dictionary_tsv(model).encode("utf-8")).hexdigest(),
             "taxonomy_fingerprint":
             hashlib.sha256(_canonical({"nodes": model.taxonomy.to_node_list()})).hexdigest()}
 
@@ -548,8 +557,7 @@ def build_dictionary(corpus, taxonomy, assets, min_count):
                 totals[term] += 1
     kept = sorted(((t, c) for t, c in totals.items() if c >= min_count),
                   key=lambda item: (-item[1], item[0]))
-    return Dictionary(index={t: i for i, (t, _) in enumerate(kept)}, counts=dict(kept),
-                      min_count=min_count)
+    return Dictionary(index={t: i for i, (t, _) in enumerate(kept)}, counts=dict(kept))
 
 
 def _labeled(corpus, taxonomy):

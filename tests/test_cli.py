@@ -53,12 +53,14 @@ def damaged(model_dir, tmp_path):
 
 
 def model_file(model, name):
-    """The path of ``name`` in a saved model: the manifest, or the data file the
-    manifest names for it (``dictionary.tsv`` is ``dictionary-<sha12>.tsv``)."""
+    """The path of ``name`` in a saved model: the manifest, or the data file
+    the manifest's sha256 names for it (``dictionary.json`` is
+    ``dictionary-<sha12>.json``)."""
     if name == MANIFEST:
         return model / MANIFEST
     doc = json.loads((model / MANIFEST).read_text(encoding="utf-8"))
-    return model / doc["files"][name.split(".")[0]]["name"]
+    key = name.split(".")[0]
+    return model / modelstore.file_name(key, doc["files"][key])
 
 
 def write_manifest(model, doc):
@@ -68,12 +70,20 @@ def write_manifest(model, doc):
     (model / MANIFEST).write_text(json.dumps(doc), encoding="utf-8")
 
 
+def reseal(model, doc, name, data: bytes):
+    """Replace the data file ``name`` with one holding ``data``, under the name
+    its sha256 gives, and record that sha256 in the manifest ``doc``."""
+    model_file(model, name).unlink()
+    key = name.split(".")[0]
+    doc["files"][key] = hashlib.sha256(data).hexdigest()
+    (model / modelstore.file_name(key, doc["files"][key])).write_bytes(data)
+
+
 def rewrite(model, name, data: bytes):
-    """Replace the bytes of the data file ``name`` and record their sha256 in
-    the manifest, so the load fails only on what the bytes say."""
-    model_file(model, name).write_bytes(data)
+    """Reseal the data file ``name`` with ``data`` and write the manifest, so
+    the load fails only on what the bytes say."""
     doc = json.loads((model / MANIFEST).read_text(encoding="utf-8"))
-    doc["files"][name.split(".")[0]]["sha256"] = hashlib.sha256(data).hexdigest()
+    reseal(model, doc, name, data)
     write_manifest(model, doc)
 
 
@@ -115,6 +125,10 @@ class TestTrain:
         assert cli.main(argv) == cli.EXIT_INPUT
         assert "no training record has a label in the taxonomy" in capsys.readouterr().err
         assert not (tmp_path / "m").exists()
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("work was done before the output path was checked")
 
 
 class TestModelOutputPath:
@@ -161,6 +175,14 @@ class TestConfigValues:
         if "baseline" in doc:
             argv = ["--config", str(config)] + train_argv(inputs, tmp_path / "m")
         assert cli.main(argv) == cli.EXIT_INPUT
+        assert not (tmp_path / "m").exists()
+
+    def test_5000_digit_integer_exits_2(self, inputs, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"lr": ' + "1" * 5000 + "}", encoding="utf-8")
+        argv = ["--config", str(config)] + train_argv(inputs, tmp_path / "m")
+        assert cli.main(argv) == cli.EXIT_INPUT
+        assert f"{config}: malformed JSON" in capsys.readouterr().err
         assert not (tmp_path / "m").exists()
 
     def test_integer_for_a_float_flag_is_accepted(self, inputs, tmp_path):
@@ -226,6 +248,13 @@ class TestNvdFeedBoundary:
         assert f"{feed}: {field}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_naming_a_directory_exits_2_before_reading(self, tmp_path, monkeypatch):
+        feed = tmp_path / "feed.json"
+        feed.write_text(json.dumps(VALID_FEED), encoding="utf-8")
+        monkeypatch.setattr(ingest, "import_nvd_feed", refuse)
+        for out in (tmp_path, tmp_path / "missing" / "corpus.jsonl"):
+            assert cli.main(["ingest", "--feed", str(feed), "--out", str(out)]) == cli.EXIT_INPUT
+
 
 # One-node taxonomies whose node has a field of another JSON type.
 TAXONOMY_PROBES = {
@@ -251,6 +280,14 @@ class TestTaxonomyBoundary:
                 "--max-epochs", "1", "--model", str(tmp_path / "m")]
         assert cli.main(argv) == cli.EXIT_INPUT
         assert f"{taxonomy}: node CWE-1: {message}" in capsys.readouterr().err
+
+    def test_nodes_nested_100000_deep_exits_2(self, inputs, tmp_path, capsys):
+        taxonomy = tmp_path / "taxonomy.json"
+        taxonomy.write_text('{"nodes": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+        argv = ["train", "--corpus", str(inputs / "corpus.jsonl"), "--taxonomy", str(taxonomy),
+                "--th", "1", "--max-epochs", "1", "--model", str(tmp_path / "m")]
+        assert cli.main(argv) == cli.EXIT_INPUT
+        assert f"{taxonomy}: malformed JSON" in capsys.readouterr().err
 
 
 # One-group synonym tables holding a value of another JSON type.
@@ -300,6 +337,14 @@ def _swap_arrays(first, second):
         entries[first]["arrays"], entries[second]["arrays"] = (entries[second]["arrays"],
                                                                entries[first]["arrays"])
     return edit
+
+
+def _shrink_first_arrays(doc):
+    """List the first node one stored row short, so that it still reads as a
+    scorer but every later array is read from bytes that belong elsewhere."""
+    arrays = doc["nodes"][0]["arrays"]
+    arrays["rows"] = [arrays["rows"][0] - 1]
+    arrays["weights"] = [arrays["weights"][0] - 1, arrays["weights"][1]]
 
 
 class TestModelIntegrity:
@@ -361,14 +406,14 @@ class TestModelIntegrity:
         lambda doc: doc.update(format_version=True),
         lambda doc: doc["config"].update(assets=[]),
         lambda doc: doc["nodes"][0].update(child_ids=["CWE-1"]),
-        lambda doc: doc["nodes"][0]["arrays"]["rows"].update(shape=[2**62]),
-        lambda doc: doc["nodes"][0]["arrays"]["weights"].update(offset=4),
-        lambda doc: doc["nodes"][0]["arrays"]["weights"].update(dtype="<f4"),
-        lambda doc: doc["files"]["weights"].update(name="../weights.bin"),
+        lambda doc: doc["nodes"][0]["arrays"].update(rows=[2**62]),
+        _shrink_first_arrays,
+        lambda doc: doc["nodes"][0]["arrays"].update(weights={"shape": [1, 2], "dtype": "<f8"}),
+        lambda doc: doc["files"].update(weights="../" + doc["files"]["weights"]),
         lambda doc: doc["config"].update(learning_rate=10**400),
         lambda doc: doc["config"].update(adam_epsilon=10**400),
     ], ids=["stopwords-number", "max-epochs-string", "format-version-bool", "assets-list",
-            "child-count", "rows-past-the-file", "offset-unaligned", "dtype-float32",
+            "child-count", "rows-past-the-file", "arrays-shifted", "array-entry-an-object",
             "file-outside-the-directory", "learning-rate-past-float",
             "adam-epsilon-past-float"])
     def test_mistyped_manifest_value_exits_4(self, damaged, inputs, edit):
@@ -376,6 +421,18 @@ class TestModelIntegrity:
         edit(doc)
         write_manifest(damaged, doc)
         assert classify(damaged, inputs) == cli.EXIT_INTEGRITY
+
+    @pytest.mark.parametrize("sha256", [
+        lambda sha256: "../" + sha256[3:], str.upper, lambda sha256: sha256[:12],
+    ], ids=["path", "uppercase", "short"])
+    def test_sha256_not_64_hex_digits_exits_4_before_naming_a_file(self, damaged, inputs, capsys,
+                                                                 sha256):
+        doc = json.loads((damaged / MANIFEST).read_text(encoding="utf-8"))
+        doc["files"]["taxonomy"] = sha256(doc["files"]["taxonomy"])
+        write_manifest(damaged, doc)
+        capsys.readouterr()
+        assert classify(damaged, inputs) == cli.EXIT_INTEGRITY
+        assert "files.taxonomy is not 64 lowercase hex digits" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc["config"].update(decision_threshold=0.05),
@@ -406,19 +463,51 @@ class TestModelIntegrity:
         write_manifest(damaged, doc)
         assert classify(damaged, inputs) == cli.EXIT_INTEGRITY
 
-    def test_dictionary_position_out_of_range_exits_4(self, damaged, inputs):
-        lines = model_file(damaged, "dictionary.tsv").read_text(encoding="utf-8").splitlines()
-        _, term, count = lines[1].split("\t")
-        lines[1] = f"999999\t{term}\t{count}"
-        rewrite(damaged, "dictionary.tsv", ("\n".join(lines) + "\n").encode("utf-8"))
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["terms"].__setitem__(1, doc["terms"][0]),
+        lambda doc: doc["counts"].pop(),
+        lambda doc: doc["counts"].append(3),
+    ], ids=["repeated-term", "missing-count", "extra-count"])
+    def test_dictionary_not_one_count_per_distinct_term_exits_4(self, damaged, inputs, capsys,
+                                                                edit):
+        doc = json.loads(model_file(damaged, "dictionary.json").read_text(encoding="utf-8"))
+        edit(doc)
+        rewrite(damaged, "dictionary.json", json.dumps(doc).encode("utf-8"))
+        capsys.readouterr()
         assert classify(damaged, inputs) == cli.EXIT_INTEGRITY
+        err = capsys.readouterr().err
+        assert f"{model_file(damaged, 'dictionary.json')}: " in err and "each term" in err
 
-    @pytest.mark.parametrize("name", ["dictionary.tsv", "taxonomy.json", MANIFEST])
+    def test_dictionary_holding_a_5000_digit_integer_exits_4(self, damaged, inputs, capsys):
+        doc = json.loads(model_file(damaged, "dictionary.json").read_text(encoding="utf-8"))
+        text = json.dumps(doc).replace('"counts": [', '"counts": [' + "1" * 5000 + ", ")
+        rewrite(damaged, "dictionary.json", text.encode("utf-8"))
+        capsys.readouterr()
+        assert classify(damaged, inputs) == cli.EXIT_INTEGRITY
+        assert model_file(damaged, "dictionary.json").name in capsys.readouterr().err
+
+    def test_weights_with_trailing_bytes_exit_4(self, damaged, inputs, capsys):
+        blob = model_file(damaged, "weights.bin").read_bytes()
+        rewrite(damaged, "weights.bin", blob + bytes(8))
+        capsys.readouterr()
+        assert classify(damaged, inputs) == cli.EXIT_INTEGRITY
+        assert "8 bytes follow the last array" in capsys.readouterr().err
+
+    def test_last_array_running_past_the_weights_exits_4(self, damaged, inputs, capsys):
+        doc = json.loads((damaged / MANIFEST).read_text(encoding="utf-8"))
+        weights = doc["nodes"][-1]["arrays"]["weights"]
+        weights[1] += 1
+        write_manifest(damaged, doc)
+        capsys.readouterr()
+        assert classify(damaged, inputs) == cli.EXIT_INTEGRITY
+        assert "runs past the end of the weights file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["dictionary.json", "taxonomy.json", MANIFEST])
     def test_missing_file_exits_4(self, damaged, inputs, name):
         model_file(damaged, name).unlink()
         assert classify(damaged, inputs) == cli.EXIT_INTEGRITY
 
-    @pytest.mark.parametrize("name", ["dictionary.tsv", "taxonomy.json"])
+    @pytest.mark.parametrize("name", ["dictionary.json", "taxonomy.json"])
     def test_corrupt_file_exits_4(self, damaged, inputs, name):
         # Caught by the checksum; with the checksum updated, by the parser.
         model_file(damaged, name).write_text("0\tonly two", encoding="utf-8")
@@ -427,8 +516,24 @@ class TestModelIntegrity:
         assert classify(damaged, inputs) == cli.EXIT_INTEGRITY
 
 
+def _node_spans(doc):
+    """Each node's (start, end) in the weights blob of a hierarchical model,
+    as load's cursor walks it: the node's rows, then its weights and their
+    sentinel row."""
+    spans, cursor = {}, 0
+    for entry in doc["nodes"]:
+        (kept,), (_, columns) = entry["arrays"]["rows"], entry["arrays"]["weights"]
+        spans[entry["node_id"]] = (cursor, cursor + 8 * kept + 8 * (kept + 1) * columns)
+        cursor = spans[entry["node_id"]][1]
+    return spans
+
+
 def _drop_entry(node_id):
     def edit(doc, model):
+        """Drop the node's entry, and its arrays from the weights blob."""
+        start, end = _node_spans(doc)[node_id]
+        blob = model_file(model, "weights.bin").read_bytes()
+        reseal(model, doc, "weights.bin", blob[:start] + blob[end:])
         doc["nodes"] = [e for e in doc["nodes"] if e["node_id"] != node_id]
     return edit
 
@@ -445,12 +550,11 @@ def _duplicate_entry(doc, model):
 
 def _row_past_the_dictionary(doc, model):
     """Store CWE-100's last row at a position the dictionary does not have."""
-    rows = next(e for e in doc["nodes"] if e["node_id"] == "CWE-100")["arrays"]["rows"]
+    (kept,) = next(e for e in doc["nodes"] if e["node_id"] == "CWE-100")["arrays"]["rows"]
+    end = _node_spans(doc)["CWE-100"][0] + 8 * kept
     blob = bytearray(model_file(model, "weights.bin").read_bytes())
-    end = rows["offset"] + 8 * rows["shape"][0]
     blob[end - 8:end] = np.array([10**6], dtype="<i8").tobytes()
-    model_file(model, "weights.bin").write_bytes(blob)
-    doc["files"]["weights"]["sha256"] = hashlib.sha256(blob).hexdigest()
+    reseal(model, doc, "weights.bin", bytes(blob))
 
 
 # Scorer sets that do not match the saved taxonomy and dictionary: the
@@ -498,6 +602,14 @@ class TestCorpusBoundary:
         argv = ["classify", "--model", str(model_dir), "--corpus", str(corpus)]
         assert cli.main(argv) == cli.EXIT_INPUT
         assert f"{corpus}:2:" in capsys.readouterr().err
+
+    def test_line_holding_a_5000_digit_integer_exits_2(self, model_dir, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        line = '{"id": "CVE-2020-0002", "description": "text", "n": ' + "1" * 5000 + "}"
+        corpus.write_text(GOOD_LINE + "\n" + line + "\n", encoding="utf-8")
+        argv = ["classify", "--model", str(model_dir), "--corpus", str(corpus)]
+        assert cli.main(argv) == cli.EXIT_INPUT
+        assert f"{corpus}:2: malformed JSON" in capsys.readouterr().err
 
     def test_non_utf8_corpus_exits_2(self, model_dir, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
@@ -902,11 +1014,15 @@ class TestClassifyAndEval:
         warned = [r.getMessage() for r in caplog.records if "CWE-77" in r.getMessage()]
         assert warned == [f"{record.id}: label CWE-77 not in taxonomy, skipped"]
 
+    def test_classify_out_naming_a_directory_exits_2_before_loading(
+            self, model_dir, inputs, tmp_path, monkeypatch):
+        monkeypatch.setattr(modelstore, "load", refuse)
+        for out in (tmp_path, tmp_path / "missing" / "p.jsonl"):
+            assert cli.main(["classify", "--model", str(model_dir), "--corpus",
+                             str(inputs / "corpus.jsonl"), "--out", str(out)]) == cli.EXIT_INPUT
+
     def test_eval_out_naming_a_file_exits_2_before_loading(self, model_dir, inputs, tmp_path,
                                                           monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("loaded the model before checking --out")
-
         monkeypatch.setattr(modelstore, "load", refuse)
         taken = tmp_path / "taken"
         taken.write_text("not a directory", encoding="utf-8")

@@ -124,7 +124,7 @@ class TestPackedKeys:
         dictionary, terms = build_dictionary(docs, min_count)
         want, want_terms = oracle.string_dictionary(docs, min_count)
         assert dictionary == want
-        assert dictionary.to_tsv() == want.to_tsv()
+        assert dictionary == want
         assert len(terms) == len(docs)
         for (positions, counts), (want_positions, want_counts) in zip(terms, want_terms):
             assert positions.dtype == counts.dtype == np.int64
@@ -177,7 +177,7 @@ class TestEncode:
         assert positions.dtype == np.int64 and positions.shape == (0,)
 
     def test_out_of_dictionary_terms_ignored(self):
-        d = Dictionary(index={"sql": 0, "inject": 1}, counts={"sql": 3, "inject": 3}, min_count=1)
+        d = Dictionary(index={"sql": 0, "inject": 1}, counts={"sql": 3, "inject": 3})
         assert encode(["sql", "xss"], d).tolist() == [0]
 
     def test_cardinality_matches_intersection(self):
@@ -201,13 +201,13 @@ class TestEncode:
 
     def test_slot_tokens_are_the_tokens_at_each_place_of_the_terms(self):
         d = Dictionary(index={"sql inject": 0, "xss": 1, "a b c": 2, "b a": 3, "p q r s": 4},
-                       counts={}, min_count=1)
+                       counts={})
         assert d.slot_tokens == {2: ({"sql", "b"}, {"inject", "a"}), 3: ({"a"}, {"b"}, {"c"})}
 
     def test_ngrams_with_a_token_out_of_place_are_skipped(self):
         # Only "a c" has the tokens of a bigram term at their places.
         index = LookupLog({"a": 0, "c": 1, "a c": 2, "c a": 3})
-        d = Dictionary(index=index, counts=dict.fromkeys(index, 3), min_count=1)
+        d = Dictionary(index=index, counts=dict.fromkeys(index, 3))
         assert encode(["a", "c", "z", "a"], d).tolist() == [0, 1, 2]
         assert index.looked_up == ["a", "c", "a c", "z", "a"]
 
@@ -234,7 +234,7 @@ TERMS = st.lists(TOKENS, min_size=1, max_size=3).map(" ".join)
 def dictionaries(draw):
     terms = draw(st.lists(TERMS, max_size=12, unique=True))
     return Dictionary(index={t: i for i, t in enumerate(terms)},
-                      counts=dict.fromkeys(terms, 1), min_count=1)
+                      counts=dict.fromkeys(terms, 1))
 
 
 class TestEncodeOracle:
@@ -256,14 +256,3 @@ class TestEncodeOracle:
     def test_equals_oracle_on_built_dictionaries(self, docs, min_count, tokens):
         dictionary = dictionary_of(docs, min_count)
         assert encode(tokens, dictionary).tolist() == oracle.encode(tokens, dictionary).tolist()
-
-
-class TestTsvRoundTrip:
-    def test_round_trip(self):
-        docs = [["alpha", "beta", "alpha"]] * 4
-        d = dictionary_of(docs, 2)
-        again = Dictionary.from_tsv(d.to_tsv())
-        assert again.index == d.index
-        assert again.counts == d.counts
-        assert again.min_count == d.min_count
-        assert again.to_tsv() == d.to_tsv()

@@ -1,13 +1,15 @@
 """Model persistence: save -> load keeps every model kind exactly; the
 checksums, the commit point and the format version guard the directory."""
 
+import hashlib
 import json
+import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -15,8 +17,8 @@ import synthdata
 from conftest import make_record
 from cwemap import cli, modelstore
 from cwemap.errors import IntegrityError
-from cwemap.features import build_dictionary
-from cwemap.hierarchy import FLAT_NODE_ID, Model, PrepAssets, classify
+from cwemap.features import Dictionary, build_dictionary
+from cwemap.hierarchy import FLAT_NODE_ID, SCORERS, Model, PrepAssets, classify
 from cwemap.ingest import CweNode, build_taxonomy, save_taxonomy, write_cve_corpus
 from cwemap.netcore import NodeClassifier, RowBlock, TrainConfig, TwoLayerClassifier
 from cwemap.textprep import SynonymTable, preprocess
@@ -98,8 +100,8 @@ def test_manifest_listing_a_hidden_size_still_loads(tmp_path):
     modelstore.save(model, tmp_path / "model")
     manifest = tmp_path / "model" / modelstore.MANIFEST
     doc = json.loads(manifest.read_text(encoding="utf-8"))
-    assert doc["format_version"] == modelstore.FORMAT_VERSION == 2
-    assert {tuple(e["arrays"]["w_hidden"]["shape"][1:]) for e in doc["nodes"]} == {(3,)}
+    assert doc["format_version"] == modelstore.FORMAT_VERSION == 3
+    assert {tuple(e["arrays"]["w_hidden"][1:]) for e in doc["nodes"]} == {(3,)}
     assert "hidden_size" not in doc["config"]
     doc["config"]["hidden_size"] = 3
     doc["fingerprint"] = modelstore.checksum(doc)
@@ -121,7 +123,7 @@ def test_one_flipped_byte_in_a_data_file_fails_the_load(kind, parents, seed, key
     model = make_model(kind, parents, seed)
     with tempfile.TemporaryDirectory() as tmp:
         manifest = modelstore.save(model, tmp)
-        path = Path(tmp) / manifest.files[key]["name"]
+        path = Path(tmp) / modelstore.file_name(key, manifest.files[key])
         data = bytearray(path.read_bytes())
         data[int(where * len(data))] ^= flip
         path.write_bytes(data)
@@ -158,13 +160,19 @@ def test_interrupted_save_leaves_the_previous_model(tmp_path, monkeypatch, faili
     assert before <= model_files(tmp_path)
 
 
+def saved_files(manifest) -> set[str]:
+    """The four files a format-3 save writes."""
+    named = {modelstore.file_name(key, sha256) for key, sha256 in manifest.files.items()}
+    assert len(named) == 3
+    return {modelstore.MANIFEST, *named}
+
+
 def test_resave_of_another_model_leaves_no_stale_file(tmp_path):
     first = make_model("two-layer", {"CWE-1": [], "CWE-2": [], "CWE-3": ["CWE-1"]}, seed=3)
     second = make_model("hierarchical", {"CWE-1": [], "CWE-2": ["CWE-1"]}, seed=5)
     modelstore.save(first, tmp_path)
     manifest = modelstore.save(second, tmp_path)
-    named = {entry["name"] for entry in manifest.files.values()}
-    assert model_files(tmp_path) == {modelstore.MANIFEST, *named} and len(named) == 3
+    assert model_files(tmp_path) == saved_files(manifest)
     assert modelstore.fingerprint(modelstore.load(tmp_path)) == modelstore.fingerprint(second)
 
 
@@ -172,7 +180,8 @@ def save_format_1(model, directory: Path) -> None:
     """``model`` in the format-1 layout: ``dictionary.tsv``, ``taxonomy.json``
     and one dense little-endian file per parameter under ``weights/``."""
     (directory / "weights").mkdir(parents=True)
-    (directory / "dictionary.tsv").write_text(model.dictionary.to_tsv(), encoding="utf-8")
+    (directory / "dictionary.tsv").write_text(oracle.format1_dictionary_tsv(model),
+                                              encoding="utf-8")
     save_taxonomy(model.taxonomy, directory / "taxonomy.json")
     nodes = []
     for clf in sorted(model.classifiers.values(), key=lambda clf: clf.node_id):
@@ -198,3 +207,78 @@ def test_format_1_directory_exits_4_asking_to_retrain(tmp_path, capsys):
     assert cli.main(argv) == cli.EXIT_INTEGRITY
     err = capsys.readouterr().err
     assert "format version 1" in err and "retrain" in err
+
+
+def save_format_2(model, directory: Path) -> None:
+    """``model`` in the format-2 layout: a TSV dictionary, and a manifest that
+    names each data file and gives each array its offset, dtype and shape."""
+    manifest = modelstore.save(model, directory)
+    (directory / modelstore.file_name("dictionary", manifest.files["dictionary"])).unlink()
+    tsv = oracle.format1_dictionary_tsv(model).encode("utf-8")
+    sha256 = {**manifest.files, "dictionary": hashlib.sha256(tsv).hexdigest()}
+    suffixes = {"dictionary": ".tsv", "taxonomy": ".json", "weights": ".bin"}
+    names = {key: f"{key}-{digest[:12]}{suffixes[key]}" for key, digest in sha256.items()}
+    (directory / names["dictionary"]).write_bytes(tsv)
+    row_param, offset, nodes = SCORERS[model.kind].ROW_PARAM, 0, []
+    for entry in manifest.nodes:
+        arrays = {}
+        for name, shape in entry["arrays"].items():
+            arrays[name] = {"offset": offset, "shape": shape,
+                            "dtype": "<i8" if name == "rows" else "<f8"}
+            offset += 8 * math.prod([shape[0] + (name == row_param), *shape[1:]])
+        nodes.append({**entry, "arrays": arrays})
+    doc = {"format_version": 2, "model_kind": model.kind, "config": manifest.config,
+           "files": {key: {"name": names[key], "sha256": sha256[key]} for key in names},
+           "nodes": nodes}
+    doc["fingerprint"] = modelstore.checksum(doc)
+    (directory / modelstore.MANIFEST).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                                                 encoding="utf-8")
+
+
+def test_format_2_directory_exits_4_asking_to_retrain(tmp_path, capsys):
+    model = make_model("hierarchical", {"CWE-1": [], "CWE-2": [], "CWE-3": ["CWE-1"]}, seed=3)
+    save_format_2(model, tmp_path / "model")
+    assert any(p.suffix == ".tsv" for p in (tmp_path / "model").iterdir())
+    write_cve_corpus([make_record(1, "some description", ["CWE-3"])], tmp_path / "c.jsonl")
+    argv = ["classify", "--model", str(tmp_path / "model"), "--corpus", str(tmp_path / "c.jsonl")]
+    assert cli.main(argv) == cli.EXIT_INTEGRITY
+    err = capsys.readouterr().err
+    assert "format version 2" in err and "retrain" in err
+
+
+def test_save_into_a_format_2_directory_leaves_the_4_format_3_files(tmp_path):
+    parents = {"CWE-1": [], "CWE-2": [], "CWE-3": ["CWE-1"]}
+    save_format_2(make_model("hierarchical", parents, seed=3), tmp_path)
+    model = make_model("hierarchical", parents, seed=4)
+    manifest = modelstore.save(model, tmp_path)
+    assert model_files(tmp_path) == saved_files(manifest)
+    assert modelstore.fingerprint(modelstore.load(tmp_path)) == modelstore.fingerprint(model)
+
+
+def model_with_dictionary(dictionary: Dictionary) -> Model:
+    """A one-scorer hierarchical model over ``dictionary``, storing every
+    other row."""
+    taxonomy = build_taxonomy([CweNode(id=n, name=n, parent_ids=frozenset())
+                               for n in ("CWE-1", "CWE-2")])
+    rows = np.arange(0, dictionary.size, 2)
+    weights = RowBlock.of(rows, np.full((rows.size, 2), 0.5), dictionary.size)
+    classifiers = {taxonomy.root_id: NodeClassifier(taxonomy.root_id, ("CWE-1", "CWE-2"),
+                                                    weights)}
+    return Model(taxonomy=taxonomy, dictionary=dictionary, classifiers=classifiers,
+                 config=TrainConfig(), assets=ASSETS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(counts=st.dictionaries(st.text(st.characters(max_codepoint=127), max_size=8),
+                              st.integers(1, 2**63), max_size=12))
+@example(counts={})
+@example(counts={"sql inject": 3})
+def test_dictionary_round_trips_through_save_and_load(counts):
+    dictionary = Dictionary(index={term: pos for pos, term in enumerate(counts)}, counts=counts)
+    model = model_with_dictionary(dictionary)
+    with tempfile.TemporaryDirectory() as tmp:
+        modelstore.save(model, tmp)
+        loaded = modelstore.load(tmp)
+    assert loaded.dictionary == dictionary
+    assert loaded.dictionary.terms() == list(counts)
+    assert modelstore.fingerprint(loaded) == modelstore.fingerprint(model)

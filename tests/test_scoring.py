@@ -39,7 +39,6 @@ def make_dict(terms):
     return Dictionary(
         index={t: i for i, t in enumerate(terms)},
         counts={t: 1 for t in terms},
-        min_count=1,
     )
 
 
