@@ -19,6 +19,7 @@ from .features import Dictionary, build_dictionary, encode
 from .hierarchy import (
     Model,
     Prediction,
+    Predictions,
     PrepAssets,
     SelectionMode,
     assemble_training_sets,

@@ -15,10 +15,10 @@ Exit codes: 0 success, 2 input/config problem, 3 training failure,
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -150,11 +150,15 @@ def _check_output_dir(flag: str, path: str) -> None:
         raise ConfigurationError(f"{flag} {path}: {existing} is not a writable directory")
 
 
-def _check_output_file(flag: str, path: str) -> None:
-    """ConfigurationError unless ``path`` is no directory and lies in a writable one."""
+def _check_output_file(flag: str, path: str, source: str | None = None) -> None:
+    """ConfigurationError unless ``path`` is no directory, lies in a writable
+    one, and is not the input file ``source`` under any name (writing it
+    would destroy the input)."""
     path = Path(path)
     if path.is_dir() or not path.parent.is_dir() or not os.access(path.parent, os.W_OK | os.X_OK):
         raise ConfigurationError(f"{flag} {path}: not a file in a writable directory")
+    if source and path.exists() and Path(source).exists() and os.path.samefile(path, source):
+        raise ConfigurationError(f"{flag} {path}: is the input file {source}")
 
 
 # TrainConfig field of each train flag.
@@ -185,7 +189,7 @@ def _load_assets(args: argparse.Namespace) -> hierarchy.PrepAssets:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    _check_output_file("--out", args.out)
+    _check_output_file("--out", args.out, args.feed)
     records = ingest.import_nvd_feed(args.feed)
     ingest.write_cve_corpus(records, args.out)
     labeled = sum(1 for r in records if r.cwe_labels)
@@ -231,7 +235,7 @@ def _classify_records(model, records: list[ingest.CveRecord], selection):
 
 def cmd_classify(args: argparse.Namespace) -> int:
     if args.out:
-        _check_output_file("--out", args.out)
+        _check_output_file("--out", args.out, args.corpus)
     model = modelstore.load(args.model)
     selection = _selection(args)
     if args.corpus:
@@ -241,11 +245,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
         if not text.strip():
             raise ValidationError("empty description on stdin")
         predictions = hierarchy.classify(model, [text], selection, ids=["stdin"])
-    if args.out:
-        evaluation.write_predictions(predictions, args.out)
-    else:
-        for pred in predictions:
-            print(json.dumps(pred.to_json_dict(), ensure_ascii=False))
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
+        out.writelines(line + "\n" for line in predictions.lines())
     return EXIT_OK
 
 
@@ -274,8 +275,9 @@ def _evaluate_both(predictions, test_set, taxonomy):
 
 
 def _eval_model(model, test_set, selection):
-    """Classify the test set once and evaluate those predictions in both modes."""
-    return _evaluate_both(_classify_records(model, test_set, selection), test_set,
+    """Classify the test set once and evaluate those predictions in both modes,
+    building each record's ``Prediction`` once for both."""
+    return _evaluate_both(list(_classify_records(model, test_set, selection)), test_set,
                           model.taxonomy)
 
 

@@ -240,9 +240,3 @@ def load_predictions(path: str | Path) -> list[Prediction]:
         out.append(Prediction(row["id"], frozenset(scores), tuple(map(tuple, row["paths"])),
                               scores, row["mode"]))
     return out
-
-
-def write_predictions(predictions: list[Prediction], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for pred in predictions:
-            fh.write(json.dumps(pred.to_json_dict(), ensure_ascii=False) + "\n")

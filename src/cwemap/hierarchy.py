@@ -29,8 +29,7 @@ the corpus batch just before the node's fit, so one node's copy of them
 is alive at a time.
 
 Inference descends from the virtual root, keeping children whose sigmoid
-score clears the decision rule, and reports all selected nodes plus the
-maximal root-to-deepest paths.  ``classify`` encodes each text once
+score clears the decision rule.  ``classify`` encodes each text once
 (``encode_text``), then takes the records ``CHUNK_RECORDS`` at a time and
 walks the scoring plan in ``Taxonomy.order``, parents first.  A chunk's
 state is two (records x nodes) arrays: each node's best score so far and
@@ -38,19 +37,36 @@ whether a parent selected it.  A node's selected rows are the records
 that reached it; it scores them in one pass, so the descent makes one
 pass per node, not one per (record, node) pair.  The flat baseline is the
 one-node case of the same walk.
+
+A record's maximal paths are the root paths, every node of them
+selected, that end at a terminal: a selected node with no selected child.
+Its candidates are the nodes on those paths, not every selected node (the
+flat baseline selects nodes whose parents it did not select).  Each chunk
+finds them for all its records at once from the taxonomy's ``PathTable``
+and keeps its results as arrays (``ChunkPredictions``): per record, the
+candidates in (-score, id) order with their scores, every scored node
+with its score, and the paths in sorted order.  ``classify`` returns them
+as ``Predictions``, a sequence that builds a ``Prediction`` per index and
+writes each record's JSON line straight from the arrays (``lines``),
+with no ``Prediction`` and no ``json.dumps`` per record.
 """
 
 from __future__ import annotations
 
 import logging
+import operator
+from bisect import bisect_right
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
 from .features import Dictionary, TermArrays, build_dictionary, encode
-from .ingest import CveRecord, Taxonomy, _cwe_sort_key
+from .ingest import CveRecord, PathTable, Taxonomy, _cwe_sort_key
 from .netcore import (
     CsrBatch,
     NodeClassifier,
@@ -141,6 +157,12 @@ class Prediction:
         return min(p[-1] for p in self.paths if len(p) == depth)
 
     def to_json_dict(self) -> dict:
+        """The specification of a line of ``classify`` output: the line is
+        ``json.dumps(prediction.to_json_dict(), ensure_ascii=False)``.
+
+        ``Predictions.lines`` writes that text from arrays, and
+        ``evaluation.load_predictions`` reads it back.
+        """
         return {
             "id": self.cve_id,
             "candidates": [
@@ -488,23 +510,98 @@ def train_hierarchy(
     )
 
 
-def _maximal_paths(taxonomy: Taxonomy, selected: set[str]) -> tuple[tuple[str, ...], ...]:
-    """All maximal chains of selected nodes starting at selected root-children."""
-    paths: list[tuple[str, ...]] = []
+@dataclass(frozen=True)
+class Ragged:
+    """Entries grouped by record: record r's are ``index[offsets[r]:offsets[r + 1]]``,
+    each with its value in ``values`` (when there are values)."""
 
-    def extend(path: list[str]) -> None:
-        tail = path[-1]
-        nxt = [c for c in taxonomy.children.get(tail, ()) if c in selected]
-        if not nxt:
-            paths.append(tuple(path))
-            return
-        for child in nxt:
-            extend(path + [child])
+    offsets: np.ndarray  # (records + 1,) int64
+    index: np.ndarray  # (entries,) int64
+    values: np.ndarray | None = None  # (entries,) float64
 
-    for root_child in taxonomy.children.get(taxonomy.root_id, ()):
-        if root_child in selected:
-            extend([root_child])
-    return tuple(sorted(set(paths)))
+    @classmethod
+    def of(cls, rows: np.ndarray, records: int, index: np.ndarray,
+           values: np.ndarray | None = None) -> "Ragged":
+        """The entries ``index`` (and ``values``) of the records ``rows``, which
+        are ascending and below ``records``."""
+        offsets = np.zeros(records + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=records), out=offsets[1:])
+        return cls(offsets, index, values)
+
+    def at(self, r: int) -> slice:
+        return slice(self.offsets[r], self.offsets[r + 1])
+
+
+@dataclass(frozen=True, eq=False)
+class ChunkPredictions:
+    """The predictions of one chunk of records, over the columns of
+    ``taxonomy.order`` and the paths of ``taxonomy.path_table``."""
+
+    ids: list[str]
+    candidates: Ragged  # columns in (-score, id) order, with their scores
+    scored: Ragged  # every scored column in column order, with its best score
+    paths: Ragged  # the maximal paths, in sorted order
+
+    def prediction(self, r: int, taxonomy: Taxonomy, mode: str) -> Prediction:
+        order, paths, at = taxonomy.order, taxonomy.path_table.paths, self.scored.at(r)
+        return Prediction(
+            cve_id=self.ids[r],
+            candidates=frozenset(order[j] for j in self.candidates.index[self.candidates.at(r)]
+                                 .tolist()),
+            paths=tuple(paths[p] for p in self.paths.index[self.paths.at(r)].tolist()),
+            scores=dict(zip([order[j] for j in self.scored.index[at].tolist()],
+                            self.scored.values[at].tolist())),
+            mode=mode,
+        )
+
+
+#: One line of output; ``Prediction.to_json_dict`` is its specification.
+_LINE = '{"id": %s, "candidates": [%s], "paths": [%s], "mode": %s}'
+
+
+class Predictions(Sequence):
+    """What ``classify`` returns: one ``Prediction`` per record, in order,
+    held as the arrays of each chunk (``ChunkPredictions``).
+
+    Indexing builds a ``Prediction``; ``lines()`` writes the records' JSON
+    lines straight from the arrays.
+    """
+
+    def __init__(self, taxonomy: Taxonomy, mode: str, chunks: list[ChunkPredictions]):
+        self.taxonomy, self.mode, self.chunks = taxonomy, mode, chunks
+        self._starts = list(accumulate((len(chunk.ids) for chunk in chunks), initial=0))
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, index: int) -> Prediction:
+        i = operator.index(index)
+        i += len(self) if i < 0 else 0
+        if not 0 <= i < len(self):
+            raise IndexError("prediction index out of range")
+        k = bisect_right(self._starts, i) - 1
+        return self.chunks[k].prediction(i - self._starts[k], self.taxonomy, self.mode)
+
+    def lines(self) -> Iterator[str]:
+        """Each record's line, without its newline: the text of
+        ``json.dumps(self[i].to_json_dict(), ensure_ascii=False)``.
+
+        Ids are quoted by ``encode_basestring``, which is what that call
+        quotes strings with; scores are finite floats, which it writes with
+        ``float.__repr__``.
+        """
+        table = self.taxonomy.path_table
+        entry = ['{"cwe": %s, "score": ' % name for name in table.names]
+        mode = encode_basestring(self.mode)
+        for chunk in self.chunks:
+            cand, paths = chunk.candidates, chunk.paths
+            entries = [entry[j] + float.__repr__(score) + "}" for j, score
+                       in zip(cand.index.tolist(), cand.values.tolist())]
+            path_json = [table.path_json[p] for p in paths.index.tolist()]
+            c, p = cand.offsets.tolist(), paths.offsets.tolist()
+            for r, cve_id in enumerate(chunk.ids):
+                yield _LINE % (encode_basestring(cve_id), ", ".join(entries[c[r]:c[r + 1]]),
+                               ", ".join(path_json[p[r]:p[r + 1]]), mode)
 
 
 def classify(
@@ -512,7 +609,7 @@ def classify(
     texts: list[str],
     mode: SelectionMode | None = None,
     ids: list[str] | None = None,
-) -> list[Prediction]:
+) -> Predictions:
     """Classify raw descriptions top-down, one prediction per text, in order.
 
     Every text is checked before any is classified: a bare string or an
@@ -537,14 +634,14 @@ def classify(
     column = {node_id: j for j, node_id in enumerate(model.taxonomy.order)}
     plan = [(column[node_id], clf, [column[c] for c in clf.child_ids])
             for node_id, clf in scoring_plan(model)]
-    predictions: list[Prediction] = []
-    for start in range(0, len(texts), CHUNK_RECORDS):
-        stop = start + CHUNK_RECORDS
-        predictions += _classify_chunk(model, plan, texts[start:stop], ids[start:stop], mode)
-    return predictions
+    chunks = [_classify_chunk(model, plan, texts[start:start + CHUNK_RECORDS],
+                              ids[start:start + CHUNK_RECORDS], mode)
+              for start in range(0, len(texts), CHUNK_RECORDS)]
+    return Predictions(model.taxonomy, mode.label(), chunks)
 
 
-def _classify_chunk(model, plan, texts: list[str], ids: list[str], mode: SelectionMode):
+def _classify_chunk(model, plan, texts: list[str], ids: list[str], mode: SelectionMode
+                    ) -> ChunkPredictions:
     """One walk of ``plan`` (node, scorer, children; parents first, nodes as
     columns of ``taxonomy.order``) over a chunk of records.
 
@@ -554,10 +651,10 @@ def _classify_chunk(model, plan, texts: list[str], ids: list[str], mode: Selecti
     """
     n = len(texts)
     batch = CsrBatch.pack([encode_text(model, t) for t in texts], model.dictionary.size)
-    order = model.taxonomy.order
-    best = np.full((n, len(order)), np.nan)
-    selected = np.zeros((n, len(order)), dtype=bool)
-    selected[:, order.index(model.taxonomy.root_id)] = True
+    table = model.taxonomy.path_table
+    best = np.full((n, len(model.taxonomy.order)), np.nan)
+    selected = np.zeros(best.shape, dtype=bool)
+    selected[:, table.root] = True
     for node, clf, kids in plan:
         rows = np.flatnonzero(selected[:, node])
         if not rows.size:
@@ -566,20 +663,45 @@ def _classify_chunk(model, plan, texts: list[str], ids: list[str], mode: Selecti
         block = np.ix_(rows, kids)
         best[block] = np.fmax(best[block], node_scores)
         selected[block] |= mode.select(clf.child_ids, node_scores)
+    return _chunk_predictions(table, ids, best, selected)
 
-    names = np.array(order, dtype=object)
-    label = mode.label()
-    predictions = []
-    for i in range(n):
-        scored = ~np.isnan(best[i])
-        paths = _maximal_paths(model.taxonomy, set(names[selected[i]].tolist()))
-        predictions.append(
-            Prediction(
-                cve_id=ids[i],
-                candidates=frozenset(node for path in paths for node in path),
-                paths=paths,
-                scores=dict(zip(names[scored].tolist(), best[i, scored].tolist())),
-                mode=label,
-            )
-        )
-    return predictions
+
+def _chunk_predictions(table: PathTable, ids: list[str], best: np.ndarray,
+                       selected: np.ndarray) -> ChunkPredictions:
+    """The maximal paths, candidates and scores of a chunk's records.
+
+    A terminal is a selected node, not the root, with no selected child.
+    The maximal paths are the root paths of the terminals whose every node
+    is selected, and the candidates are the nodes on them.  Not every
+    selected node is one: the flat baseline selects nodes whose parents it
+    did not select.
+    """
+    n = len(ids)
+    terminal = selected.copy()
+    terminal[:, table.root] = False
+    if table.parents.size:
+        terminal[:, table.parents] &= ~np.logical_or.reduceat(
+            selected[:, table.children], table.child_starts, axis=1)
+    rows, ends = np.nonzero(terminal)
+    first = table.starts[ends]
+    count = table.starts[ends + 1] - first
+    rows = np.repeat(rows, count)
+    paths = np.repeat(first - (np.cumsum(count) - count), count) + np.arange(rows.size)
+    kept = selected[rows[:, np.newaxis], table.columns[paths]].all(axis=1)
+    rows, paths = rows[kept], paths[kept]
+    ranked = np.lexsort((table.rank[paths], rows))
+    rows, paths = rows[ranked], paths[ranked]
+
+    on_path = np.zeros_like(selected)
+    on_path[rows[:, np.newaxis], table.columns[paths]] = True
+    on_path[:, table.root] = False  # the padding of shorter paths
+    cand_rows, cand_cols = np.nonzero(on_path)
+    cand_scores = best[cand_rows, cand_cols]
+    ranked = np.lexsort((table.id_rank[cand_cols], -cand_scores, cand_rows))
+    scored_rows, scored_cols = np.nonzero(~np.isnan(best))
+    return ChunkPredictions(
+        ids=ids,
+        candidates=Ragged.of(cand_rows[ranked], n, cand_cols[ranked], cand_scores[ranked]),
+        scored=Ragged.of(scored_rows, n, scored_cols, best[scored_rows, scored_cols]),
+        paths=Ragged.of(rows, n, paths),
+    )

@@ -21,7 +21,10 @@ import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from importlib import resources
+from json.encoder import encode_basestring
 from pathlib import Path
+
+import numpy as np
 
 from . import textprep
 from .errors import FormatError, ValidationError
@@ -95,6 +98,34 @@ class CweNode:
         return ". ".join(p for p in parts if p)
 
 
+@dataclass(frozen=True, eq=False)
+class PathTable:
+    """Every root path of a taxonomy, over the columns of ``Taxonomy.order``.
+
+    Path p is ``paths[p]``, root child first, and its columns are
+    ``columns[p]``, padded after its end with ``root``, the virtual root's
+    column.  The paths ending at the node of column j are ``starts[j]`` to
+    ``starts[j + 1]``; the virtual root ends none.  ``rank[p]`` is path p's
+    place in the sorted list of all paths, ``id_rank[j]`` the place of
+    column j's id among the sorted ids.  The children of column
+    ``parents[k]`` are ``children[child_starts[k]:child_starts[k + 1]]``.
+    ``names`` and ``path_json`` hold each id and each path as JSON text
+    (``json.dumps`` with ``ensure_ascii=False``).
+    """
+
+    root: int
+    columns: np.ndarray  # (P, longest path) int64
+    starts: np.ndarray  # (N + 1,) int64
+    rank: np.ndarray  # (P,) int64
+    id_rank: np.ndarray  # (N,) int64
+    parents: np.ndarray  # (K,) int64 columns with children
+    child_starts: np.ndarray  # (K,) int64
+    children: np.ndarray  # (edges,) int64
+    paths: tuple[tuple[str, ...], ...]
+    names: tuple[str, ...]
+    path_json: tuple[str, ...]
+
+
 @dataclass(frozen=True)
 class Taxonomy:
     """The CWE DAG under a synthetic virtual root.
@@ -152,6 +183,32 @@ class Taxonomy:
             paths[node_id] = frozenset(prefix + (node_id,) for prefix in prefixes)
         return paths
 
+    @cached_property
+    def path_table(self) -> PathTable:
+        """The root paths and ids of every node as arrays over ``order``'s columns."""
+        order = self.order
+        column = {node_id: j for j, node_id in enumerate(order)}
+        root = column[self.root_id]
+        ends = [() if n == self.root_id else sorted(self._root_paths[n]) for n in order]
+        paths = tuple(path for group in ends for path in group)
+        starts = np.zeros(len(order) + 1, dtype=np.int64)
+        np.cumsum([len(group) for group in ends], out=starts[1:])
+        columns = np.full((len(paths), max(map(len, paths), default=0)), root, dtype=np.int64)
+        for p, path in enumerate(paths):
+            columns[p, :len(path)] = [column[n] for n in path]
+        parents = [j for j, n in enumerate(order) if self.children[n]]
+        kids = [[column[c] for c in self.children[order[j]]] for j in parents]
+        child_starts = np.zeros(len(parents), dtype=np.int64)
+        np.cumsum([len(k) for k in kids[:-1]], out=child_starts[1:])
+        return PathTable(
+            root=root, columns=columns, starts=starts, rank=_sort_ranks(paths),
+            id_rank=_sort_ranks(order),
+            parents=np.array(parents, dtype=np.int64), child_starts=child_starts,
+            children=np.array([c for k in kids for c in k], dtype=np.int64),
+            paths=paths, names=tuple(map(encode_basestring, order)),
+            path_json=tuple("[" + ", ".join(map(encode_basestring, path)) + "]" for path in paths),
+        )
+
     def to_node_list(self) -> list[dict]:
         """Serializable node list (round-trips through load_taxonomy)."""
         out = []
@@ -169,6 +226,13 @@ class Taxonomy:
                 }
             )
         return out
+
+
+def _sort_ranks(items: tuple) -> np.ndarray:
+    """Each item's place in ``sorted(items)``."""
+    ranks = np.empty(len(items), dtype=np.int64)
+    ranks[sorted(range(len(items)), key=items.__getitem__)] = np.arange(len(items))
+    return ranks
 
 
 def _closure(order, edges) -> dict[str, frozenset[str]]:

@@ -22,15 +22,19 @@ on-positions of all rows back to back, row offsets, and a targets matrix.
 ``CsrBatch.pack`` builds one from per-record position arrays, for
 inference and for a training corpus alike.  ``train_node`` takes a node's
 training set as one such batch, checks its shape once, and each minibatch
-is a vectorized row gather (``take``) from it.  Sums over a row's
-on-positions run in row order (``np.add.at`` in the forward pass, and in
-the training gradients one ``np.bincount`` per column, which adds in the
-same order): the order in which ``weights[rows].sum(axis=0)`` adds the rows of
-one record for two or more columns, so the weights match per-example
-training bit for bit.  A BLAS product would reorder the sums and move the
-weights by ulps.  (NumPy sums a one-column slice pairwise, so a
-record-at-a-time sum there can differ from the batch in the last bit.)  The two-layer output layer is one
-vector-matrix product per row (a stacked ``matmul``) for the same reason.
+is a vectorized row gather (``take``) from it.  Every sum over a row's
+on-positions is an ``np.bincount``, which adds into each bin in input
+order from 0.0, as a sequential scatter-add would: the order in which
+``weights[rows].sum(axis=0)`` adds the rows of one record for two or more
+columns, so the weights match per-example training bit for bit.  The
+forward pass and the two-layer hidden gradient make one ``np.bincount``
+over the keys ``index * C + column`` (``_key_sums``); the single layer's
+training pass makes one per column (``_bin_sums``).  A BLAS product, or
+``np.add.reduceat``, would reorder the sums and move the weights by ulps.
+(NumPy sums a one-column slice pairwise, so a record-at-a-time sum there
+can differ from the batch in the last bit.)  The two-layer output layer is
+one vector-matrix product per row (a stacked ``matmul``) for the same
+reason.
 
 **Row-sparse weights.**  The row-indexed parameter (``ROW_PARAM``: the
 single layer's ``weights``, the hidden layer's ``w_hidden``) is a
@@ -275,21 +279,16 @@ class RowBlock:
 def _row_sums(matrix: RowBlock, batch: CsrBatch, node_id: str) -> np.ndarray:
     """Per row of ``batch``, the sum of the rows of ``matrix`` at its on-positions.
 
-    Each row's sum runs over its positions in order (``np.add.at``), the
-    rows gathered through ``RowBlock.gather``: a position outside the
-    stored rows adds the sentinel's +0.0, as the dense matrix's zero row
-    would, so the sums equal the dense ones to the bit, signed zeros
-    included.  ``_bin_sums`` gives the same sums, but slowed ``classify`` on
-    the short texts of the deep-short bench workload, so this forward pass
-    keeps ``np.add.at``.
+    The rows are gathered through ``RowBlock.gather`` and summed by
+    ``_key_sums`` in position order: a position outside the stored rows
+    adds the sentinel's +0.0, as the dense matrix's zero row would, so the
+    sums equal the dense ones to the bit, signed zeros included.
     """
     if batch.dimension != matrix.dimension:
         raise ConfigurationError(
             f"{node_id}: feature dimension {batch.dimension} != weight rows {matrix.dimension}"
         )
-    sums = np.zeros((batch.size, matrix.columns), dtype=np.float64)
-    np.add.at(sums, batch.rows(), matrix.gather(batch.positions))
-    return sums
+    return _key_sums(batch.rows(), matrix.gather(batch.positions), batch.size)
 
 
 def _loss_and_residual(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
@@ -305,13 +304,29 @@ def _bin_sums(index: np.ndarray, values: np.ndarray, bins: int) -> np.ndarray:
     """``(bins, C)``: per bin, the sum of the rows of ``values`` whose ``index`` is
     that bin, one ``np.bincount`` per column.
 
-    ``np.bincount`` adds into each bin in input order from 0.0, as
-    ``np.add.at`` does, so the sums are the same to the bit.
+    ``np.bincount`` adds into each bin in input order from 0.0, as a
+    sequential scatter-add does, so the sums are the same to the bit.  The
+    single layer's training pass keeps this form: over a node's few
+    columns, ``_key_sums`` was not faster on every workload.
     """
     sums = np.empty((bins, values.shape[1]), dtype=np.float64)
     for j in range(values.shape[1]):
         sums[:, j] = np.bincount(index, weights=values[:, j], minlength=bins)
     return sums
+
+
+def _key_sums(index: np.ndarray, values: np.ndarray, bins: int) -> np.ndarray:
+    """The sums of ``_bin_sums``, in one ``np.bincount`` over the keys
+    ``index * C + column``.
+
+    Each key's bin still adds its entries in input order from 0.0, so the
+    sums are the same to the bit.
+    """
+    columns = values.shape[1]
+    keys = (index * columns)[:, np.newaxis] + np.arange(columns)
+    sums = np.bincount(keys.ravel(), weights=values.ravel(), minlength=bins * columns)
+    # With no entries at all, np.bincount returns integer zeros.
+    return sums.astype(np.float64, copy=False).reshape(bins, columns)
 
 
 def loss_and_gradient(weights: np.ndarray, batch: CsrBatch) -> tuple[float, np.ndarray]:
@@ -429,7 +444,7 @@ class TwoLayerClassifier:
         g_out = (hidden[:, :, np.newaxis] * residual[:, np.newaxis, :]).sum(axis=0)
         d_out = np.matmul(self.w_out, residual[:, :, np.newaxis])[:, :, 0]
         d_pre = d_out * hidden * (1.0 - hidden)
-        g_hidden = _bin_sums(batch.positions, d_pre[batch.rows()], block.shape[0])
+        g_hidden = _key_sums(batch.positions, d_pre[batch.rows()], block.shape[0])
         return loss, {"w_hidden": g_hidden, "w_out": g_out}
 
 

@@ -7,7 +7,10 @@
 * The record-at-a-time descent ``cwemap.hierarchy.classify`` ran before it
   scored a batch of records per node: one breadth-first walk per text, one
   forward pass per (record, node) pair, and one-shot selection for the
-  flat baseline; each text is encoded by ``encode`` below.
+  flat baseline; each text is encoded by ``encode`` below.  Its maximal
+  paths come from a recursive walk down the selected children
+  (``maximal_paths``), before ``classify`` found them per chunk from the
+  terminals' root paths.
 * The per-example two-layer forward pass, the scalar TF-IDF formulas, and
   the per-prediction correctness rule of the evaluation.
 * The dense fit: ``train_node`` and an out-of-place ``adam_step`` over the
@@ -29,11 +32,12 @@
   ``count_terms``), Counters merged into the dictionary
   (``count_dictionary``), and each text's terms looked up again
   (``term_arrays``); ``string_dictionary`` chains the three.
-* The single-layer loss and gradient summed with ``np.add.at``
-  (``add_at_sums``, ``loss_and_gradient``), and the two-layer gradients
-  with their ``np.add.at`` hidden-layer scatter
-  (``two_layer_loss_and_grads``), before each column became one
-  ``np.bincount``.
+* Sums over each row's on-positions as ``np.add.at`` into zeros
+  (``add_at_sums``), as the forward pass ran before it became one
+  ``np.bincount``; the single-layer loss and gradient summed with it
+  (``loss_and_gradient``), and the two-layer gradients with their
+  ``np.add.at`` hidden-layer scatter (``two_layer_loss_and_grads``), before
+  each became ``np.bincount`` sums.
 * Dense parameters: ``dense_params`` expands each stored ``RowBlock``,
   and the forward passes and the dense fit run on those ``D x C`` arrays.
 * The format-1 fingerprint (``format1_fingerprint``), hashed over the
@@ -57,7 +61,7 @@ import numpy as np
 from cwemap.errors import ConfigurationError, TrainingError, ValidationError
 from cwemap.evaluation import _label_correct
 from cwemap.features import Dictionary
-from cwemap.hierarchy import Prediction, _maximal_paths, threshold
+from cwemap.hierarchy import Prediction, threshold
 from cwemap.ingest import _cwe_sort_key
 from cwemap.modelstore import _config_dict
 from cwemap.netcore import LOSS_PLATEAU_DELTA, AdamState, _bce_terms, _loss_and_residual, sigmoid
@@ -290,6 +294,25 @@ def descend(model, fv, mode):
     return selected, scores
 
 
+def maximal_paths(taxonomy, selected):
+    """All maximal chains of selected nodes starting at selected root-children,
+    sorted: a recursive walk down the selected children of each path's end."""
+    paths = []
+
+    def extend(path):
+        nxt = [c for c in taxonomy.children.get(path[-1], ()) if c in selected]
+        if not nxt:
+            paths.append(tuple(path))
+            return
+        for child in nxt:
+            extend(path + [child])
+
+    for root_child in taxonomy.children.get(taxonomy.root_id, ()):
+        if root_child in selected:
+            extend([root_child])
+    return tuple(sorted(set(paths)))
+
+
 def classify_one(model, text, mode=None, cve_id=""):
     """One record through the hierarchy, or one-shot for the flat baseline."""
     if not text.strip():
@@ -304,7 +327,7 @@ def classify_one(model, text, mode=None, cve_id=""):
         scores = {c: float(s) for c, s in zip(flat.child_ids, raw)}
     else:
         selected, scores = descend(model, fv, mode)
-    paths = _maximal_paths(model.taxonomy, selected)
+    paths = maximal_paths(model.taxonomy, selected)
     return Prediction(
         cve_id=cve_id,
         candidates=frozenset(node for path in paths for node in path),

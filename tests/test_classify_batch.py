@@ -1,5 +1,6 @@
 """Batched ``classify`` against the record-at-a-time reference in ``oracle``."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracle
 import synthdata
-from cwemap import hierarchy, textprep
+from cwemap import hierarchy, netcore, textprep
 from cwemap.errors import ConfigurationError, ValidationError
 from cwemap.features import build_dictionary
 from cwemap.hierarchy import (
@@ -109,7 +110,82 @@ def test_batched_equals_record_at_a_time(models, kind, data, mode, chunk):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(hierarchy, "CHUNK_RECORDS", chunk)
         got = classify(model, batch, mode, ids=ids)
-    assert got == [oracle.classify_one(model, t, mode, cve_id=i) for t, i in zip(batch, ids)]
+    assert list(got) == [oracle.classify_one(model, t, mode, cve_id=i) for t, i in zip(batch, ids)]
+
+
+# Ids that JSON must escape (a quote, a backslash, control characters, and
+# U+2028, which ``ensure_ascii=False`` keeps), non-ASCII ones, and any text.
+ESCAPED_IDS = st.one_of(
+    st.text(alphabet=st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028",
+                                      "\u00e9", "\u4e2d", "\U0001f600", "C", "-", "1"]),
+            max_size=8),
+    st.text(max_size=8),
+)
+# Scores whose text is an edge of ``float.__repr__``; drawn ones also tie.
+EDGE_SCORES = np.array([0.0, 1.0, 5e-324, 1e-05, 0.5, 0.75])
+
+
+@pytest.mark.parametrize(
+    "kind", ["trained", "two-layer", "flat", "dag", "dag-two-layer"]
+)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), mode=modes, chunk=st.sampled_from([1, 2, 3, 512]),
+       seed=st.integers(0, 2**16))
+def test_lines_are_json_dumps_of_each_prediction(models, kind, data, mode, chunk, seed):
+    model, words = models[kind]
+    batch = data.draw(texts(words))
+    ids = data.draw(st.lists(ESCAPED_IDS, min_size=len(batch), max_size=len(batch)))
+    rng = np.random.default_rng(seed)
+
+    def edge_scores(clf, rows):
+        # Half the scores become edge values, so candidates also tie.
+        scores = netcore.forward_scores(clf, rows)
+        swap = rng.random(scores.shape) < 0.5
+        scores[swap] = rng.choice(EDGE_SCORES, size=int(swap.sum()))
+        return scores
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hierarchy, "CHUNK_RECORDS", chunk)
+        patch.setattr(hierarchy, "forward_scores", edge_scores)
+        predictions = classify(model, batch, mode, ids=ids)
+    assert list(predictions.lines()) == [json.dumps(p.to_json_dict(), ensure_ascii=False)
+                                         for p in predictions]
+
+
+def test_predictions_index_like_a_list(models):
+    model, words = models["dag"]
+    batch = [" ".join(words[i:i + 5]) for i in range(0, 35, 5)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hierarchy, "CHUNK_RECORDS", 3)
+        predictions = classify(model, batch, top_k(2))
+    every = list(predictions)
+    assert len(predictions) == len(every) == len(batch)
+    assert [predictions[i] for i in range(-len(batch), len(batch))] == every * 2
+    for index in (len(batch), -len(batch) - 1):
+        with pytest.raises(IndexError):
+            predictions[index]
+
+
+def test_path_table_holds_every_root_path_in_sorted_order(models):
+    taxonomy = models["dag"][0].taxonomy
+    table = taxonomy.path_table
+    order = taxonomy.order
+    assert table.paths == tuple(sorted(table.paths, key=lambda p: (order.index(p[-1]), p)))
+    assert [table.paths[p] for p in np.argsort(table.rank)] == sorted(table.paths)
+    assert [order[j] for j in np.argsort(table.id_rank)] == sorted(order)
+    for j, node_id in enumerate(order):
+        ending = table.paths[table.starts[j]:table.starts[j + 1]]
+        assert set(ending) == (set() if node_id == taxonomy.root_id
+                               else taxonomy._root_paths[node_id])
+        for p in range(table.starts[j], table.starts[j + 1]):
+            path = table.paths[p]
+            assert [order[c] for c in table.columns[p]] == (
+                list(path) + [taxonomy.root_id] * (table.columns.shape[1] - len(path)))
+            assert json.loads(table.path_json[p]) == list(path)
+    for k, parent in enumerate(table.parents):
+        stop = table.child_starts[k + 1] if k + 1 < len(table.parents) else None
+        assert tuple(order[c] for c in table.children[table.child_starts[k]:stop]) == (
+            taxonomy.children[order[parent]])
 
 
 def test_corpus_longer_than_one_chunk(models):
@@ -118,7 +194,7 @@ def test_corpus_longer_than_one_chunk(models):
     n = 2 * hierarchy.CHUNK_RECORDS + 37
     batch = [" ".join(rng.choice(words, size=rng.integers(1, 15))) for _ in range(n)]
     got = classify(model, batch, top_k(2))
-    assert got == [oracle.classify_one(model, t, top_k(2)) for t in batch]
+    assert list(got) == [oracle.classify_one(model, t, top_k(2)) for t in batch]
 
 
 def test_model_missing_a_scorer_is_rejected(models):
@@ -233,4 +309,4 @@ class TestInputChecks:
             classify(models["dag"][0], ["a", "b"], ids=["CVE-2020-0001"])
 
     def test_no_texts_no_predictions(self, models):
-        assert classify(models["dag"][0], []) == []
+        assert list(classify(models["dag"][0], [])) == []

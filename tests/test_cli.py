@@ -255,6 +255,20 @@ class TestNvdFeedBoundary:
         for out in (tmp_path, tmp_path / "missing" / "corpus.jsonl"):
             assert cli.main(["ingest", "--feed", str(feed), "--out", str(out)]) == cli.EXIT_INPUT
 
+    @pytest.mark.parametrize("link", [False, True], ids=["same-name", "symlink"])
+    def test_out_naming_the_feed_exits_2_leaving_it(self, tmp_path, capsys, monkeypatch, link):
+        feed = tmp_path / "feed.json"
+        feed.write_text(json.dumps(VALID_FEED), encoding="utf-8")
+        before = feed.read_bytes()
+        out = feed
+        if link:
+            out = tmp_path / "corpus.jsonl"
+            out.symlink_to(feed)
+        monkeypatch.setattr(ingest, "import_nvd_feed", refuse)
+        assert cli.main(["ingest", "--feed", str(feed), "--out", str(out)]) == cli.EXIT_INPUT
+        assert f"--out {out}: is the input file {feed}" in capsys.readouterr().err
+        assert feed.read_bytes() == before
+
 
 # One-node taxonomies whose node has a field of another JSON type.
 TAXONOMY_PROBES = {
@@ -1020,6 +1034,32 @@ class TestClassifyAndEval:
         for out in (tmp_path, tmp_path / "missing" / "p.jsonl"):
             assert cli.main(["classify", "--model", str(model_dir), "--corpus",
                              str(inputs / "corpus.jsonl"), "--out", str(out)]) == cli.EXIT_INPUT
+
+    @pytest.mark.parametrize("link", [False, True], ids=["same-name", "symlink"])
+    def test_classify_out_naming_the_corpus_exits_2_leaving_it(
+            self, model_dir, inputs, tmp_path, capsys, monkeypatch, link):
+        corpus = tmp_path / "corpus.jsonl"
+        shutil.copy(inputs / "corpus.jsonl", corpus)
+        before = corpus.read_bytes()
+        out = corpus
+        if link:
+            out = tmp_path / "p.jsonl"
+            out.symlink_to(corpus)
+        monkeypatch.setattr(modelstore, "load", refuse)
+        assert cli.main(["classify", "--model", str(model_dir), "--corpus", str(corpus),
+                         "--out", str(out)]) == cli.EXIT_INPUT
+        assert f"--out {out}: is the input file {corpus}" in capsys.readouterr().err
+        assert corpus.read_bytes() == before
+
+    def test_classify_stdout_is_the_out_file(self, model_dir, inputs, tmp_path, capsys):
+        argv = ["classify", "--model", str(model_dir), "--corpus", str(inputs / "corpus.jsonl")]
+        out = tmp_path / "p.jsonl"
+        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_OK
+        written = out.read_bytes()
+        assert capsys.readouterr().out.encode("utf-8") == written
+        assert len(written.splitlines()) == len(ingest.load_cve_corpus(inputs / "corpus.jsonl"))
 
     def test_eval_out_naming_a_file_exits_2_before_loading(self, model_dir, inputs, tmp_path,
                                                           monkeypatch):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,12 @@ from cwemap.evaluation import (
     format_report_table,
     load_predictions,
     split_corpus,
-    write_predictions,
 )
 from cwemap.hierarchy import Prediction
 from cwemap.ingest import CveRecord
 
 from conftest import make_record
-from oracle import is_correct
+from oracle import is_correct, maximal_paths
 
 
 def pred(cve_id, paths, mode="threshold:0.75", extra_scores=None):
@@ -205,9 +206,7 @@ class TestRandomizedIdentities:
             # random subset of maximal paths as prediction
             all_nodes = list(ids)
             selected = {n for n in all_nodes if rng.random() < 0.5}
-            from cwemap.hierarchy import _maximal_paths
-
-            paths = _maximal_paths(taxonomy, selected)
+            paths = maximal_paths(taxonomy, selected)
             p = pred("CVE-1999-0001", paths)
             fine = is_correct(p, {label}, taxonomy, "fine")
             coarse = is_correct(p, {label}, taxonomy, "coarse")
@@ -229,7 +228,9 @@ class TestStreamEquivalence:
         ]
         live = evaluate(predictions, records, chain_taxonomy, "coarse")
         path = tmp_path / "preds.jsonl"
-        write_predictions(predictions, path)
+        # Written as the classify command's lines are specified.
+        path.write_text("".join(json.dumps(p.to_json_dict(), ensure_ascii=False) + "\n"
+                                for p in predictions), encoding="utf-8")
         reloaded = load_predictions(path)
         replayed = evaluate(reloaded, records, chain_taxonomy, "coarse")
         assert replayed.to_json_dict() == live.to_json_dict()

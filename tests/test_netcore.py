@@ -15,6 +15,8 @@ from cwemap.netcore import (
     TrainConfig,
     TwoLayerClassifier,
     _bin_sums,
+    _key_sums,
+    _row_sums,
     adam_step,
     batch_loss,
     forward_scores,
@@ -309,6 +311,12 @@ class TestBincountKernel:
         index, values, bins = case
         assert same_bits(_bin_sums(index, values, bins), oracle.add_at_sums(index, values, bins))
 
+    @settings(max_examples=300, deadline=None)
+    @given(bin_sum_cases())
+    def test_key_sums_equal_add_at(self, case):
+        index, values, bins = case
+        assert same_bits(_key_sums(index, values, bins), oracle.add_at_sums(index, values, bins))
+
     @pytest.mark.parametrize("index, values", [
         ([], np.zeros((0, 2))),  # every bin empty
         ([1, 1], [[-0.0], [-0.0]]),  # one column; a bin of negative zeros sums to 0.0
@@ -316,9 +324,10 @@ class TestBincountKernel:
     ])
     def test_edge_cases(self, index, values):
         index, values = np.array(index, dtype=np.int64), np.array(values, dtype=np.float64)
-        sums = _bin_sums(index, values, 3)
-        assert same_bits(sums, oracle.add_at_sums(index, values, 3))
-        assert not np.signbit(sums).any()
+        for kernel in (_bin_sums, _key_sums):
+            sums = kernel(index, values, 3)
+            assert same_bits(sums, oracle.add_at_sums(index, values, 3))
+            assert not np.signbit(sums).any()
 
     @settings(max_examples=200, deadline=None)
     @given(weights_and_batches(entries=SIGNED_ZEROS))
@@ -370,6 +379,27 @@ class TestRowBlock:
                                 matrix)
         expected = oracle.add_at_sums(batch.rows(), dense[batch.positions], batch.size)
         assert same_bits(scorer.logits(batch), expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(row_blocks())
+    def test_row_sums_equal_add_at_to_the_bit(self, case):
+        matrix, dense, batch = case
+        expected = oracle.add_at_sums(batch.rows(), dense[batch.positions], batch.size)
+        assert same_bits(_row_sums(matrix, batch, "CWE-1"), expected)
+
+    @pytest.mark.parametrize("stored, columns, records", [
+        ([1, 3], 2, [(), (0, 1, 2, 3), ()]),  # empty rows, first and last
+        ([1, 3], 2, [(0, 2), (4,), ()]),  # rows wholly outside the stored block
+        ([0, 2, 4], 1, [(0, 1, 2), (1, 3), ()]),  # one column
+        ([], 3, [(0, 4), ()]),  # nothing stored
+    ], ids=["empty-rows", "outside-the-block", "one-column", "no-stored-row"])
+    def test_row_sums_edge_cases_equal_add_at(self, stored, columns, records):
+        values = np.array([-0.0, 1e16, 1.0, -1e16, 1e-16, -0.0] * 3)
+        block = values[:len(stored) * columns].reshape(len(stored), columns)
+        matrix = RowBlock.of(np.array(stored, dtype=np.int64), block, 5)
+        batch = rows(5, *records)
+        expected = oracle.add_at_sums(batch.rows(), matrix.to_dense()[batch.positions], batch.size)
+        assert same_bits(_row_sums(matrix, batch, "CWE-1"), expected)
 
     @settings(max_examples=100, deadline=None)
     @given(row_blocks(), st.data())
