@@ -66,7 +66,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ValidationError
 from .features import Dictionary, TermArrays, build_dictionary, encode
-from .ingest import CveRecord, PathTable, Taxonomy, _cwe_sort_key
+from .ingest import CveRecord, PathTable, Taxonomy, _cwe_sort_key, _sort_ranks
 from .netcore import (
     CsrBatch,
     NodeClassifier,
@@ -124,7 +124,7 @@ class SelectionMode:
         """
         if self.kind == "threshold":
             return scores >= self.tau
-        id_rank = np.argsort(np.argsort(np.array(child_ids)))
+        id_rank = _sort_ranks(child_ids)
         ranked = np.lexsort((np.broadcast_to(id_rank, scores.shape), -scores), axis=1)
         keep = np.zeros(scores.shape, dtype=bool)
         np.put_along_axis(keep, ranked[:, : self.k], True, axis=1)
@@ -563,8 +563,10 @@ class Predictions(Sequence):
     """What ``classify`` returns: one ``Prediction`` per record, in order,
     held as the arrays of each chunk (``ChunkPredictions``).
 
-    Indexing builds a ``Prediction``; ``lines()`` writes the records' JSON
-    lines straight from the arrays.
+    Indexing builds a ``Prediction``, and a slice a list of them;
+    ``lines()`` writes the records' JSON lines straight from the arrays.
+    It is not a list: it never equals one, and ``+`` does not join it to
+    one, so call ``list()`` first for either.
     """
 
     def __init__(self, taxonomy: Taxonomy, mode: str, chunks: list[ChunkPredictions]):
@@ -574,7 +576,9 @@ class Predictions(Sequence):
     def __len__(self) -> int:
         return self._starts[-1]
 
-    def __getitem__(self, index: int) -> Prediction:
+    def __getitem__(self, index: int | slice) -> Prediction | list[Prediction]:
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
         i = operator.index(index)
         i += len(self) if i < 0 else 0
         if not 0 <= i < len(self):
@@ -619,6 +623,10 @@ def classify(
     case: its classifier at the root selects every class at once.
     Candidates are the nodes on the maximal paths of selected nodes from a
     root child, so every model gives path-consistent output.
+
+    The result is a ``Predictions`` sequence, not a list: index or slice
+    it, or iterate it, and call ``list()`` on it to compare it with a list
+    or to join it to one.
     """
     if isinstance(texts, str):
         raise ValidationError("classify takes a list of descriptions, not one string")

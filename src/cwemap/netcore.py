@@ -26,10 +26,10 @@ is a vectorized row gather (``take``) from it.  Every sum over a row's
 on-positions is an ``np.bincount``, which adds into each bin in input
 order from 0.0, as a sequential scatter-add would: the order in which
 ``weights[rows].sum(axis=0)`` adds the rows of one record for two or more
-columns, so the weights match per-example training bit for bit.  The
-forward pass and the two-layer hidden gradient make one ``np.bincount``
-over the keys ``index * C + column`` (``_key_sums``); the single layer's
-training pass makes one per column (``_bin_sums``).  A BLAS product, or
+columns, so the weights match per-example training bit for bit.  Every
+such sum, forward and gradient alike, goes through ``_key_sums``: one
+``np.bincount`` over the keys ``index * C + column``, taken over groups of
+columns when the keys would pass ``KEY_LIMIT``.  A BLAS product, or
 ``np.add.reduceat``, would reorder the sums and move the weights by ulps.
 (NumPy sums a one-column slice pairwise, so a record-at-a-time sum there
 can differ from the batch in the last bit.)  The two-layer output layer is
@@ -81,6 +81,8 @@ from .errors import ConfigurationError, TrainingError
 from .jsonread import Optional, read
 
 LOSS_PLATEAU_DELTA = 1e-5
+# The most keys ``_key_sums`` builds in one ``np.bincount`` (512 kB of int64).
+KEY_LIMIT = 1 << 16
 
 
 @dataclass
@@ -300,31 +302,26 @@ def _loss_and_residual(logits: np.ndarray, targets: np.ndarray) -> tuple[float, 
     return loss, (sigmoid(logits) - targets) * (1.0 / (c * n))
 
 
-def _bin_sums(index: np.ndarray, values: np.ndarray, bins: int) -> np.ndarray:
-    """``(bins, C)``: per bin, the sum of the rows of ``values`` whose ``index`` is
-    that bin, one ``np.bincount`` per column.
+def _key_sums(index: np.ndarray, values: np.ndarray, bins: int) -> np.ndarray:
+    """``(bins, C)``: per bin, the sum of the rows of ``values`` whose ``index``
+    is that bin, from one ``np.bincount`` over the keys ``index * C + column``.
 
     ``np.bincount`` adds into each bin in input order from 0.0, as a
-    sequential scatter-add does, so the sums are the same to the bit.  The
-    single layer's training pass keeps this form: over a node's few
-    columns, ``_key_sums`` was not faster on every workload.
+    sequential scatter-add does, so the sums are the same to the bit.  When
+    the keys would pass ``KEY_LIMIT``, the columns are summed in groups of
+    as many as fit (at least one), which changes no sum, so the key array
+    stays small on long texts.
     """
-    sums = np.empty((bins, values.shape[1]), dtype=np.float64)
-    for j in range(values.shape[1]):
-        sums[:, j] = np.bincount(index, weights=values[:, j], minlength=bins)
-    return sums
-
-
-def _key_sums(index: np.ndarray, values: np.ndarray, bins: int) -> np.ndarray:
-    """The sums of ``_bin_sums``, in one ``np.bincount`` over the keys
-    ``index * C + column``.
-
-    Each key's bin still adds its entries in input order from 0.0, so the
-    sums are the same to the bit.
-    """
-    columns = values.shape[1]
-    keys = (index * columns)[:, np.newaxis] + np.arange(columns)
-    sums = np.bincount(keys.ravel(), weights=values.ravel(), minlength=bins * columns)
+    entries, columns = values.shape
+    width = max(1, KEY_LIMIT // max(entries, 1))
+    if columns > width:
+        return np.hstack([_key_sums(index, values[:, start:start + width], bins)
+                          for start in range(0, columns, width)])
+    # Keys and weights column by column: each bin, one (index, column) pair,
+    # still sees its entries in input order, and for few columns these keys
+    # build faster than row by row.
+    keys = index * columns + np.arange(columns)[:, np.newaxis]
+    sums = np.bincount(keys.ravel(), weights=values.T.ravel(), minlength=bins * columns)
     # With no entries at all, np.bincount returns integer zeros.
     return sums.astype(np.float64, copy=False).reshape(bins, columns)
 
@@ -332,9 +329,9 @@ def _key_sums(index: np.ndarray, values: np.ndarray, bins: int) -> np.ndarray:
 def loss_and_gradient(weights: np.ndarray, batch: CsrBatch) -> tuple[float, np.ndarray]:
     """Batch-mean BCE loss of a single layer and its exact gradient, one forward pass."""
     rows = batch.rows()
-    logits = _bin_sums(rows, weights[batch.positions], batch.size)
+    logits = _key_sums(rows, weights[batch.positions], batch.size)
     loss, residual = _loss_and_residual(logits, batch.targets)
-    return loss, _bin_sums(batch.positions, residual[rows], weights.shape[0])
+    return loss, _key_sums(batch.positions, residual[rows], weights.shape[0])
 
 
 def _fitted_block(matrix: RowBlock, batch: CsrBatch, node_id: str) -> np.ndarray:

@@ -161,6 +161,8 @@ def test_predictions_index_like_a_list(models):
     every = list(predictions)
     assert len(predictions) == len(every) == len(batch)
     assert [predictions[i] for i in range(-len(batch), len(batch))] == every * 2
+    for piece in (slice(None), slice(2, 5), slice(-3, None), slice(None, None, -2), slice(9, 20)):
+        assert predictions[piece] == every[piece]
     for index in (len(batch), -len(batch) - 1):
         with pytest.raises(IndexError):
             predictions[index]

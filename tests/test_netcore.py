@@ -1,11 +1,13 @@
 import math
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cwemap import netcore
 from cwemap.errors import ConfigurationError, TrainingError
 from cwemap.netcore import (
     AdamState,
@@ -14,7 +16,6 @@ from cwemap.netcore import (
     RowBlock,
     TrainConfig,
     TwoLayerClassifier,
-    _bin_sums,
     _key_sums,
     _row_sums,
     adam_step,
@@ -303,13 +304,16 @@ def bin_sum_cases(draw):
 
 
 class TestBincountKernel:
-    """The training pass's ``np.bincount`` sums equal the ``np.add.at`` form bit for bit."""
+    """The ``np.bincount`` sums equal the ``np.add.at`` form bit for bit."""
 
     @settings(max_examples=300, deadline=None)
-    @given(bin_sum_cases())
-    def test_bin_sums_equal_add_at(self, case):
+    @given(bin_sum_cases(), st.integers(1, 70))
+    def test_bin_sums_equal_add_at(self, case, key_limit):
+        """Column groups of any width, from one column up to every column."""
         index, values, bins = case
-        assert same_bits(_bin_sums(index, values, bins), oracle.add_at_sums(index, values, bins))
+        with patch.object(netcore, "KEY_LIMIT", key_limit):
+            sums = _key_sums(index, values, bins)
+        assert same_bits(sums, oracle.add_at_sums(index, values, bins))
 
     @settings(max_examples=300, deadline=None)
     @given(bin_sum_cases())
@@ -324,8 +328,9 @@ class TestBincountKernel:
     ])
     def test_edge_cases(self, index, values):
         index, values = np.array(index, dtype=np.int64), np.array(values, dtype=np.float64)
-        for kernel in (_bin_sums, _key_sums):
-            sums = kernel(index, values, 3)
+        for key_limit in (1, netcore.KEY_LIMIT):
+            with patch.object(netcore, "KEY_LIMIT", key_limit):
+                sums = _key_sums(index, values, 3)
             assert same_bits(sums, oracle.add_at_sums(index, values, 3))
             assert not np.signbit(sums).any()
 
