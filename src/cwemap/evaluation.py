@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .hierarchy import Prediction
+from .hierarchy import Prediction, resolve_labels
 from .ingest import CveRecord, Taxonomy, paths_to_root, read_input_lines
 from .jsonread import Optional, parse
 
@@ -103,11 +103,8 @@ def evaluate(
     n = 0
     n_correct = 0
     n_deeper = 0
-    for record in test_set:
-        labels = sorted(l for l in record.cwe_labels if l in taxonomy)
-        for label in record.cwe_labels:
-            if label not in taxonomy:
-                logger.warning("%s: label %s not in taxonomy, skipped", record.id, label)
+    for record, resolved in zip(test_set, resolve_labels(test_set, taxonomy)):
+        labels = sorted(resolved)
         if not labels:
             logger.warning("%s: no resolvable labels, record skipped", record.id)
             continue

@@ -1,6 +1,6 @@
 """Deterministic model persistence: one save, load and fingerprint for every kind.
 
-Directory layout (format 3): ``manifest.json`` and three data files, each
+Directory layout (format 4): ``manifest.json`` and three data files, each
 named ``<key>-<sha12><suffix>`` by the first 12 hex digits of the sha256 of
 its bytes (``file_name``): ``dictionary-<sha12>.json``,
 ``taxonomy-<sha12>.json`` and ``weights-<sha12>.bin``.
@@ -11,10 +11,11 @@ its bytes (``file_name``): ``dictionary-<sha12>.json``,
 * The weights file is one blob of raw little-endian arrays, back to back,
   for every scorer in node-id order (a JSON header plus raw arrays, as in
   the safetensors format): the scorer's ``rows`` (``ROWS_DTYPE``), then each
-  of its ``PARAMS`` (``PARAM_DTYPE``, row-major).  The row-indexed parameter
-  (``ROW_PARAM``) is the block of a ``RowBlock`` and is followed in the blob
-  by its all-zero sentinel row, so ``load`` makes no copy of any array.  The
-  flat baseline's one scorer is node ``FLAT``.
+  of its ``PARAMS`` (``PARAM_DTYPE``, row-major) exactly as ``params()``
+  returns it; the row-indexed parameter (``ROW_PARAM``) is the stored block
+  of a ``RowBlock``.  ``load`` views every array in the blob, copying none,
+  and requires every parameter to be finite.  The flat baseline's one
+  scorer is node ``FLAT``.
 
 The manifest records the model kind, the full config snapshot (including
 the preprocessing assets; a hidden layer's width is read off its weights),
@@ -43,18 +44,18 @@ manifest does not name.  (No file is synced to disk: the renames guard
 against an interrupted process, and the sha256 checks catch what a lost
 write would leave.)
 
-**Older formats** are not read: a format-1 or format-2 manifest raises
+**Older formats** are not read: a format-1, 2 or 3 manifest raises
 VersionError, and the model must be trained again.  ``save`` into a reused
-directory deletes a format-2 model's data files (``<key>-*``, like its
-own) and leaves format-1 files (``dictionary.tsv``, ``taxonomy.json`` and
-``weights/``) alone; nothing reads them.
+directory deletes a format-2 or format-3 model's data files (``<key>-*``,
+like its own) and leaves format-1 files (``dictionary.tsv``,
+``taxonomy.json`` and ``weights/``) alone; nothing reads them.
 
 Anything malformed in a model directory raises IntegrityError (or
 VersionError for an unknown format or kind) at load, naming the file, and
-the node, being read: besides unreadable files, checksums and array
-extents, a manifest that lists a node twice, or whose scorers are not
-exactly one per scoring node, over that node's taxonomy children in order
-and the dictionary's dimension (``hierarchy.Model``).
+the node, being read: besides unreadable files, checksums, array extents
+and non-finite weights, a manifest that lists a node twice, or whose
+scorers are not exactly one per scoring node, over that node's taxonomy
+children in order and the dictionary's dimension (``hierarchy.Model``).
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ from .jsonread import Optional, parse, read
 from .netcore import RowBlock, Scorer, TrainConfig
 from .textprep import SynonymTable
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 MANIFEST = "manifest.json"
 #: Suffix of each data file; its name is ``<key>-<sha12><suffix>`` (``file_name``).
@@ -175,20 +176,15 @@ def _config_dict(model: Model) -> dict:
 
 
 def _weights_blob(model: Model) -> tuple[bytes, list[dict]]:
-    """The weights file and the manifest's node entries that describe it.
-
-    The row-indexed parameter is written with its sentinel row, which its
-    listed shape leaves out.
-    """
+    """The weights file and the manifest's node entries that describe it."""
     chunks, nodes = [], []
     for clf in sorted(model.classifiers.values(), key=lambda clf: clf.node_id):
-        matrix, params = getattr(clf, clf.ROW_PARAM), clf.params()
-        arrays = {"rows": list(matrix.rows.shape)}
-        chunks.append(np.ascontiguousarray(matrix.rows, dtype=ROWS_DTYPE).tobytes())
+        rows, params = getattr(clf, clf.ROW_PARAM).rows, clf.params()
+        arrays = {"rows": list(rows.shape)}
+        chunks.append(np.ascontiguousarray(rows, dtype=ROWS_DTYPE).tobytes())
         for name in clf.PARAMS:
             arrays[name] = list(params[name].shape)
-            held = matrix.padded if name == clf.ROW_PARAM else params[name]
-            chunks.append(np.ascontiguousarray(held, dtype=PARAM_DTYPE).tobytes())
+            chunks.append(np.ascontiguousarray(params[name], dtype=PARAM_DTYPE).tobytes())
         nodes.append({"node_id": clf.node_id, "child_ids": list(clf.child_ids),
                       "arrays": arrays})
     return b"".join(chunks), nodes
@@ -250,7 +246,9 @@ def _read_file(path: Path) -> bytes:
 def _scorer(kind, entry: dict, blob: bytes, cursor: int, dimension: int
             ) -> tuple[Scorer, int]:
     """The scorer a manifest node entry describes, its arrays viewing ``blob``
-    from byte ``cursor`` on, and the byte after its last array."""
+    from byte ``cursor`` on, and the byte after its last array.
+    IntegrityError names an array that does not fit the blob, or a
+    parameter that holds a NaN or an infinity."""
     names = ("rows", *kind.PARAMS)
     if sorted(entry["arrays"]) != sorted(names):
         raise IntegrityError(f"arrays {sorted(entry['arrays'])} are not {', '.join(names)}")
@@ -260,14 +258,14 @@ def _scorer(kind, entry: dict, blob: bytes, cursor: int, dimension: int
         shape, ndim = shapes[name], 1 if name == "rows" else 2
         if len(shape) != ndim or min(shape) < 0:
             raise IntegrityError(f"arrays.{name} is no shape of a {ndim}-D array")
-        if name == kind.ROW_PARAM:
-            shape = [shape[0] + 1, *shape[1:]]  # and the sentinel row
         dtype = np.dtype(ROWS_DTYPE if name == "rows" else PARAM_DTYPE)
         count = math.prod(shape)
         end = cursor + dtype.itemsize * count
         if end > len(blob):
             raise IntegrityError(f"arrays.{name} runs past the end of the weights file")
         arrays[name] = np.frombuffer(blob, dtype, count, cursor).reshape(shape)
+        if name != "rows" and not np.isfinite(arrays[name]).all():
+            raise IntegrityError(f"arrays.{name} holds a value that is not finite")
         cursor = end
     arrays[kind.ROW_PARAM] = RowBlock(arrays.pop("rows"), arrays[kind.ROW_PARAM], dimension)
     return kind(entry["node_id"], tuple(entry["child_ids"]), **arrays), cursor

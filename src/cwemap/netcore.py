@@ -22,7 +22,7 @@ on-positions of all rows back to back, row offsets, and a targets matrix.
 ``CsrBatch.pack`` builds one from per-record position arrays, for
 inference and for a training corpus alike.  ``train_node`` takes a node's
 training set as one such batch, checks its shape once, and each minibatch
-is a vectorized row gather (``take``) from it.  Every sum over a row's
+is a vectorized row selection (``take``) from it.  Every sum over a row's
 on-positions is an ``np.bincount``, which adds into each bin in input
 order from 0.0, as a sequential scatter-add would: the order in which
 ``weights[rows].sum(axis=0)`` adds the rows of one record for two or more
@@ -42,16 +42,18 @@ single layer's ``weights``, the hidden layer's ``w_hidden``) is a
 ``(len(rows), C)`` block, every other row being exactly +0.0.  A TF-IDF
 node stores the terms of its children's class documents
 (``scoring.init_weights``); random init, the flat baseline and the hidden
-layer store every row.  Scoring gathers rows through a lookup that sends
-each position outside ``rows`` to one all-zero sentinel row kept after
-the block, so every sum adds the same +0.0s in the same order as over the
-dense matrix, and the logits are the dense ones to the bit.
+layer store every row.  A row sum skips the positions outside ``rows``,
+and its logits are still the dense ones to the bit: ``np.bincount``
+starts every bin at +0.0, a sum that starts at +0.0 is never -0.0
+(``+0.0 + -0.0`` and ``x + -x`` are +0.0), and adding +0.0 to anything
+but -0.0 leaves its bits alone, so the +0.0 rows that the dense matrix
+would add change nothing.
 
 **Block fit.**  ``train_node`` fits each node on its support S, the
 feature positions set in at least one of its examples.  S lies in the
 stored rows of a TF-IDF node, because a record reaches a node only
 through a child whose class document holds the record's terms (rows that
-are missing are added as zeros).  The fit gathers the S rows of the block,
+are missing are added as zeros).  The fit copies the S rows of the block,
 renumbers the examples' positions to rows of that work block, runs Adam
 on the ``|S| x C`` work block (and on any other parameter whole), and
 writes it back into a copy of the block.  This is exact, not an
@@ -141,13 +143,10 @@ class AdamState:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function, from ``exp(-|x|)`` so that nothing overflows."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _bce_terms(x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -191,8 +190,8 @@ class CsrBatch:
         lengths = self.offsets[index + 1] - starts
         offsets = np.zeros(len(index) + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
-        gather = np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])
-        return CsrBatch(self.positions[gather], offsets, self.targets[index], self.dimension)
+        entries = np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])
+        return CsrBatch(self.positions[entries], offsets, self.targets[index], self.dimension)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,53 +199,36 @@ class RowBlock:
     """A ``dimension x C`` matrix whose rows outside ``rows`` are exactly +0.0.
 
     ``rows`` holds the ascending, distinct positions of the stored rows and
-    ``padded`` their values, ``(len(rows) + 1, C)``: the block, then one
-    all-zero sentinel row.  ``gather`` sends every position outside ``rows``
-    to the sentinel, so a sum over any positions adds the same +0.0s in the
-    same order as over the dense matrix.  A TF-IDF node stores the terms of
-    its children's class documents; every other scorer stores every row.
+    ``block`` their values, ``(len(rows), C)``.  A TF-IDF node stores the
+    terms of its children's class documents; every other scorer stores
+    every row.
     """
 
     rows: np.ndarray  # (R,) ascending distinct int64 positions below dimension
-    padded: np.ndarray  # (R + 1, C) float64; row R is the +0.0 sentinel
+    block: np.ndarray  # (R, C) float64
     dimension: int
 
     def __post_init__(self):
-        rows, padded = self.rows, self.padded
+        rows, block = self.rows, self.block
         if rows.ndim != 1 or rows.dtype.kind != "i" or (
             rows.size and (rows[0] < 0 or rows[-1] >= self.dimension or (np.diff(rows) <= 0).any())
         ):
             raise ConfigurationError(
                 f"rows are not ascending distinct positions below {self.dimension}")
-        if padded.ndim != 2 or padded.dtype.kind != "f" or padded.shape[0] != rows.size + 1:
-            raise ConfigurationError(f"a block of {rows.size} rows cannot have shape "
-                                     f"{padded.shape} with its sentinel row")
-        if padded[-1].view(np.uint64).any():
-            raise ConfigurationError("the sentinel row is not all +0.0")
-
-    @classmethod
-    def of(cls, rows: np.ndarray, block: np.ndarray, dimension: int) -> "RowBlock":
-        """The matrix holding ``block`` at ``rows`` (a copy) and +0.0 elsewhere."""
-        padded = np.zeros((len(rows) + 1, block.shape[1]), dtype=np.float64)
-        padded[:-1] = block
-        return cls(np.asarray(rows, dtype=np.int64), padded, dimension)
+        if block.ndim != 2 or block.dtype.kind != "f" or block.shape[0] != rows.size:
+            raise ConfigurationError(f"a block of {rows.size} rows cannot have shape {block.shape}")
 
     @classmethod
     def full(cls, matrix: np.ndarray) -> "RowBlock":
-        """The 2-D ``matrix`` (a copy), every row stored."""
+        """The 2-D ``matrix``, every row stored."""
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2:
             raise ConfigurationError(f"weights of shape {matrix.shape} are not a matrix")
-        return cls.of(np.arange(matrix.shape[0], dtype=np.int64), matrix, matrix.shape[0])
-
-    @property
-    def block(self) -> np.ndarray:
-        """The stored rows, ``(R, C)``: a view of ``padded``."""
-        return self.padded[:-1]
+        return cls(np.arange(matrix.shape[0], dtype=np.int64), matrix, matrix.shape[0])
 
     @property
     def columns(self) -> int:
-        return self.padded.shape[1]
+        return self.block.shape[1]
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.dimension, self.columns), dtype=np.float64)
@@ -260,37 +242,33 @@ class RowBlock:
         if not missing.size:
             return self
         rows = np.union1d(self.rows, missing)
-        padded = np.zeros((len(rows) + 1, self.columns), dtype=np.float64)
-        padded[np.searchsorted(rows, self.rows)] = self.block
-        return RowBlock(rows, padded, self.dimension)
-
-    def gather(self, positions: np.ndarray) -> np.ndarray:
-        """The matrix's rows at ``positions``, ``(len(positions), C)``.
-
-        A lookup of length ``dimension``, built per call, sends each
-        position to its stored row or to the sentinel; keeping one per
-        scorer would hold four bytes per dictionary term for every node.
-        """
-        if self.rows.size == self.dimension:
-            return self.padded[positions]
-        lookup = np.full(self.dimension, self.rows.size, dtype=np.int32)
-        lookup[self.rows] = np.arange(self.rows.size, dtype=np.int32)
-        return self.padded[lookup[positions]]
+        block = np.zeros((len(rows), self.columns), dtype=np.float64)
+        block[np.searchsorted(rows, self.rows)] = self.block
+        return RowBlock(rows, block, self.dimension)
 
 
 def _row_sums(matrix: RowBlock, batch: CsrBatch, node_id: str) -> np.ndarray:
     """Per row of ``batch``, the sum of the rows of ``matrix`` at its on-positions.
 
-    The rows are gathered through ``RowBlock.gather`` and summed by
-    ``_key_sums`` in position order: a position outside the stored rows
-    adds the sentinel's +0.0, as the dense matrix's zero row would, so the
-    sums equal the dense ones to the bit, signed zeros included.
+    The stored rows are summed by ``_key_sums`` in position order, and a
+    position outside them is skipped: its +0.0 row would change no sum (see
+    the module doc), so the sums equal the dense ones to the bit, signed
+    zeros included.  A lookup of length ``dimension``, built per call, maps
+    each position to its stored row or to -1; keeping one per scorer would
+    hold four bytes per dictionary term for every node.
     """
     if batch.dimension != matrix.dimension:
         raise ConfigurationError(
             f"{node_id}: feature dimension {batch.dimension} != weight rows {matrix.dimension}"
         )
-    return _key_sums(batch.rows(), matrix.gather(batch.positions), batch.size)
+    index, positions = batch.rows(), batch.positions
+    if matrix.rows.size != matrix.dimension:
+        lookup = np.full(matrix.dimension, -1, dtype=np.int32)
+        lookup[matrix.rows] = np.arange(matrix.rows.size, dtype=np.int32)
+        positions = lookup[positions]
+        stored = positions >= 0
+        index, positions = index[stored], positions[stored]
+    return _key_sums(index, matrix.block[positions], batch.size)
 
 
 def _loss_and_residual(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
@@ -549,9 +527,8 @@ def train_node(
     # The block's rows outside the support never change: one check covers every epoch.
     rest_finite = bool(np.isfinite(matrix.block).all())
 
-    # The work block gathers the support rows and, last, the sentinel row.
-    work_rows = RowBlock(np.arange(len(support), dtype=np.int64),
-                         matrix.padded[np.append(at, matrix.rows.size)], len(support))
+    work_rows = RowBlock(np.arange(len(support), dtype=np.int64), matrix.block[at],
+                         len(support))
     work = replace(clf, **{name: work_rows if name == clf.ROW_PARAM else value.copy()
                            for name, value in clf.params().items()})
     fitted = work.params()  # views: Adam updates ``work`` in place
@@ -588,7 +565,7 @@ def train_node(
                 break
     if log_path is not None:
         _write_loss_log(log_path, losses)
-    trained = matrix.padded.copy()
+    trained = matrix.block.copy()
     trained[at] = fitted[clf.ROW_PARAM]
     trained = RowBlock(matrix.rows, trained, matrix.dimension)
     return replace(work, **{clf.ROW_PARAM: trained}), losses

@@ -102,4 +102,4 @@ def init_weights(
     for g, (doc, at) in enumerate(zip(docs, local)):
         tf = 0.5 + 0.5 * doc.counts / doc.max_count
         block[at, g] = tf * idf[at]
-    return RowBlock.of(rows, block, dictionary.size)
+    return RowBlock(rows, block, dictionary.size)

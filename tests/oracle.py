@@ -32,6 +32,8 @@
   ``count_terms``), Counters merged into the dictionary
   (``count_dictionary``), and each text's terms looked up again
   (``term_arrays``); ``string_dictionary`` chains the three.
+* ``sigmoid`` choosing its two branches by boolean masks, before it became
+  one ``np.where`` over ``exp(-|x|)``.
 * Sums over each row's on-positions as ``np.add.at`` into zeros
   (``add_at_sums``), as the forward pass ran before it became one
   ``np.bincount``; the single-layer loss and gradient summed with it
@@ -64,7 +66,7 @@ from cwemap.features import Dictionary
 from cwemap.hierarchy import Prediction, threshold
 from cwemap.ingest import _cwe_sort_key
 from cwemap.modelstore import _config_dict
-from cwemap.netcore import LOSS_PLATEAU_DELTA, AdamState, _bce_terms, _loss_and_residual, sigmoid
+from cwemap.netcore import LOSS_PLATEAU_DELTA, AdamState, _bce_terms, _loss_and_residual
 from cwemap.stemmer import _DOUBLES, _EXCEPTIONS, _LI_ENDINGS, _POST_1A_INVARIANT, _VOWELS
 from cwemap.textprep import preprocess
 
@@ -116,6 +118,17 @@ def string_dictionary(token_lists, min_count=3):
     counts = [count_terms(tokens) for tokens in token_lists]
     dictionary = count_dictionary(counts, min_count)
     return dictionary, [term_arrays(c, dictionary) for c in counts]
+
+
+def sigmoid(x):
+    """The logistic function with its two branches chosen by boolean masks."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 def add_at_sums(index, values, bins):

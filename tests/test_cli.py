@@ -532,12 +532,11 @@ class TestModelIntegrity:
 
 def _node_spans(doc):
     """Each node's (start, end) in the weights blob of a hierarchical model,
-    as load's cursor walks it: the node's rows, then its weights and their
-    sentinel row."""
+    as load's cursor walks it: the node's rows, then its weights."""
     spans, cursor = {}, 0
     for entry in doc["nodes"]:
         (kept,), (_, columns) = entry["arrays"]["rows"], entry["arrays"]["weights"]
-        spans[entry["node_id"]] = (cursor, cursor + 8 * kept + 8 * (kept + 1) * columns)
+        spans[entry["node_id"]] = (cursor, cursor + 8 * kept + 8 * kept * columns)
         cursor = spans[entry["node_id"]][1]
     return spans
 
@@ -594,6 +593,25 @@ class TestModelScorers:
         capsys.readouterr()
         assert classify(damaged, inputs) == cli.EXIT_INTEGRITY
         assert node in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_exits_4_naming_the_node_and_array(self, damaged, inputs, capsys,
+                                                                 value):
+        """A NaN weight, resealed, would print ``"score": nan``, which is not JSON."""
+        doc = json.loads((damaged / MANIFEST).read_text(encoding="utf-8"))
+        (kept,) = next(e for e in doc["nodes"] if e["node_id"] == "ROOT")["arrays"]["rows"]
+        first = _node_spans(doc)["ROOT"][0] + 8 * kept
+        blob = bytearray(model_file(damaged, "weights.bin").read_bytes())
+        blob[first:first + 8] = np.array([value], dtype="<f8").tobytes()
+        reseal(damaged, doc, "weights.bin", bytes(blob))
+        write_manifest(damaged, doc)
+        capsys.readouterr()
+        assert classify(damaged, inputs) == cli.EXIT_INTEGRITY
+        assert "node ROOT" in capsys.readouterr().err
+        argv = ["eval", "--model", str(damaged), "--corpus", str(inputs / "corpus.jsonl")]
+        assert cli.main(argv) == cli.EXIT_INTEGRITY
+        err = capsys.readouterr().err
+        assert "node ROOT" in err and "arrays.weights" in err
 
 
 GOOD_LINE = '{"id": "CVE-2020-0001", "description": "some text", "cwe_labels": ["CWE-100"]}'

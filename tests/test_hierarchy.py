@@ -281,8 +281,8 @@ class TestRowSparseWeights:
 
 #: ``modelstore.fingerprint`` of the baseline models of ``test_pinned_baseline_fingerprints``.
 PINNED_BASELINE_FINGERPRINTS = {
-    "flat": "84e65fd90bee3260adfdc1d800310eb3f44596a1341b3eeb904309cbea1b8f78",
-    "two-layer": "0ab99e401209b0218e4c951e5ca11c0c47dcb41cd859d484aacdadcb072c2785",
+    "flat": "1fa0a12a1a382253786d801cf0eb5235d5f22933a2aeda2ebc0a0b29d8629e43",
+    "two-layer": "cb6210c9c7cb36b173dd3904e7268f51118c6c2d1551632b73e8741620c55c0e",
 }
 
 
@@ -372,7 +372,7 @@ class TestTrainHierarchy:
             "b9dec93ca2ac5bdbc3da7d3d790d2a9837d2ed3983e671c97e6dd9809e4c20ce"
         )
         assert fingerprint(model) == (
-            "e94274389c50f2ff03aa56765a77b8a5bcc9907b33a650210d81d22af710a512"
+            "5d145397dc7047ca369ff777f9f236d7c1ebbbcf1d6b848a4ae1b8c26e021eac"
         )
         model = train_hierarchy(corpus, taxonomy, ASSETS, plateau)
         assert sorted(model.epochs_run.items()) == [
@@ -383,7 +383,7 @@ class TestTrainHierarchy:
             "7a1fbb4539a077c3628a7ea3473afdf39730457d47cd4dc2740bc7367220a12b"
         )
         assert fingerprint(model) == (
-            "b7afcd45cc2091b264a33064ad4657c6e2081693e7f2ecf62d9e76c4fde8080c"
+            "afe5fe4ebc5c77cfc4539d33a22ef50b34c309e25c9add363bf400a48d4dd34f"
         )
 
     @pytest.mark.parametrize("baseline, expected", [

@@ -55,7 +55,7 @@ def make_model(kind, parents, seed, hidden=3):
                     rng.normal(size=(hidden, len(kids))))
             else:
                 rows = np.flatnonzero(rng.integers(0, 2, size=d))
-                classifiers[node_id] = NodeClassifier(node_id, kids, RowBlock.of(
+                classifiers[node_id] = NodeClassifier(node_id, kids, RowBlock(
                     rows, rng.normal(size=(rows.size, len(kids))), d))
     return Model(taxonomy=taxonomy, dictionary=dictionary, classifiers=classifiers, config=cfg,
                  assets=ASSETS, kind=kind)
@@ -100,7 +100,7 @@ def test_manifest_listing_a_hidden_size_still_loads(tmp_path):
     modelstore.save(model, tmp_path / "model")
     manifest = tmp_path / "model" / modelstore.MANIFEST
     doc = json.loads(manifest.read_text(encoding="utf-8"))
-    assert doc["format_version"] == modelstore.FORMAT_VERSION == 3
+    assert doc["format_version"] == modelstore.FORMAT_VERSION == 4
     assert {tuple(e["arrays"]["w_hidden"][1:]) for e in doc["nodes"]} == {(3,)}
     assert "hidden_size" not in doc["config"]
     doc["config"]["hidden_size"] = 3
@@ -161,7 +161,7 @@ def test_interrupted_save_leaves_the_previous_model(tmp_path, monkeypatch, faili
 
 
 def saved_files(manifest) -> set[str]:
-    """The four files a format-3 save writes."""
+    """The four files a format-4 save writes."""
     named = {modelstore.file_name(key, sha256) for key, sha256 in manifest.files.items()}
     assert len(named) == 3
     return {modelstore.MANIFEST, *named}
@@ -209,50 +209,88 @@ def test_format_1_directory_exits_4_asking_to_retrain(tmp_path, capsys):
     assert "format version 1" in err and "retrain" in err
 
 
-def save_format_2(model, directory: Path) -> None:
-    """``model`` in the format-2 layout: a TSV dictionary, and a manifest that
-    names each data file and gives each array its offset, dtype and shape."""
+def write_old_manifest(directory: Path, doc: dict) -> None:
+    doc["fingerprint"] = modelstore.checksum(doc)
+    (directory / modelstore.MANIFEST).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                                                 encoding="utf-8")
+
+
+def save_format_3(model, directory: Path) -> dict:
+    """``model`` in the format-3 layout, whose manifest is returned: the
+    format-4 files, but with each row-indexed block followed in the weights
+    blob by an all-zero row that its listed shape leaves out."""
     manifest = modelstore.save(model, directory)
-    (directory / modelstore.file_name("dictionary", manifest.files["dictionary"])).unlink()
+    path = directory / modelstore.file_name("weights", manifest.files["weights"])
+    blob, cursor, chunks = path.read_bytes(), 0, []
+    kind = SCORERS[model.kind]
+    for entry in manifest.nodes:
+        for name in ("rows", *kind.PARAMS):
+            shape = entry["arrays"][name]
+            chunks.append(blob[cursor:cursor + 8 * math.prod(shape)])
+            cursor += 8 * math.prod(shape)
+            if name == kind.ROW_PARAM:
+                chunks.append(bytes(8 * shape[1]))
+    path.unlink()
+    blob = b"".join(chunks)
+    files = {**manifest.files, "weights": hashlib.sha256(blob).hexdigest()}
+    (directory / modelstore.file_name("weights", files["weights"])).write_bytes(blob)
+    doc = {"format_version": 3, "model_kind": model.kind, "config": manifest.config,
+           "files": files, "nodes": manifest.nodes}
+    write_old_manifest(directory, doc)
+    return doc
+
+
+def save_format_2(model, directory: Path) -> None:
+    """``model`` in the format-2 layout: the format-3 weights blob, a TSV
+    dictionary, and a manifest that names each data file and gives each
+    array its offset, dtype and shape."""
+    manifest = save_format_3(model, directory)
+    (directory / modelstore.file_name("dictionary", manifest["files"]["dictionary"])).unlink()
     tsv = oracle.format1_dictionary_tsv(model).encode("utf-8")
-    sha256 = {**manifest.files, "dictionary": hashlib.sha256(tsv).hexdigest()}
+    sha256 = {**manifest["files"], "dictionary": hashlib.sha256(tsv).hexdigest()}
     suffixes = {"dictionary": ".tsv", "taxonomy": ".json", "weights": ".bin"}
     names = {key: f"{key}-{digest[:12]}{suffixes[key]}" for key, digest in sha256.items()}
     (directory / names["dictionary"]).write_bytes(tsv)
     row_param, offset, nodes = SCORERS[model.kind].ROW_PARAM, 0, []
-    for entry in manifest.nodes:
+    for entry in manifest["nodes"]:
         arrays = {}
         for name, shape in entry["arrays"].items():
             arrays[name] = {"offset": offset, "shape": shape,
                             "dtype": "<i8" if name == "rows" else "<f8"}
             offset += 8 * math.prod([shape[0] + (name == row_param), *shape[1:]])
         nodes.append({**entry, "arrays": arrays})
-    doc = {"format_version": 2, "model_kind": model.kind, "config": manifest.config,
+    doc = {"format_version": 2, "model_kind": model.kind, "config": manifest["config"],
            "files": {key: {"name": names[key], "sha256": sha256[key]} for key in names},
            "nodes": nodes}
-    doc["fingerprint"] = modelstore.checksum(doc)
-    (directory / modelstore.MANIFEST).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                                                 encoding="utf-8")
+    write_old_manifest(directory, doc)
+
+
+OLD_FORMATS = {2: save_format_2, 3: save_format_3}
 
 
 def test_format_2_directory_exits_4_asking_to_retrain(tmp_path, capsys):
+    """Format 2, and format 3 with its zero row after each block, alike."""
     model = make_model("hierarchical", {"CWE-1": [], "CWE-2": [], "CWE-3": ["CWE-1"]}, seed=3)
-    save_format_2(model, tmp_path / "model")
-    assert any(p.suffix == ".tsv" for p in (tmp_path / "model").iterdir())
     write_cve_corpus([make_record(1, "some description", ["CWE-3"])], tmp_path / "c.jsonl")
-    argv = ["classify", "--model", str(tmp_path / "model"), "--corpus", str(tmp_path / "c.jsonl")]
-    assert cli.main(argv) == cli.EXIT_INTEGRITY
-    err = capsys.readouterr().err
-    assert "format version 2" in err and "retrain" in err
+    for version, save_old in OLD_FORMATS.items():
+        directory = tmp_path / f"format-{version}"
+        save_old(model, directory)
+        assert any(p.suffix == ".tsv" for p in directory.iterdir()) == (version == 2)
+        argv = ["classify", "--model", str(directory), "--corpus", str(tmp_path / "c.jsonl")]
+        assert cli.main(argv) == cli.EXIT_INTEGRITY
+        err = capsys.readouterr().err
+        assert f"format version {version}" in err and "retrain" in err
 
 
-def test_save_into_a_format_2_directory_leaves_the_4_format_3_files(tmp_path):
+def test_save_into_a_format_2_or_3_directory_leaves_the_4_format_4_files(tmp_path):
     parents = {"CWE-1": [], "CWE-2": [], "CWE-3": ["CWE-1"]}
-    save_format_2(make_model("hierarchical", parents, seed=3), tmp_path)
     model = make_model("hierarchical", parents, seed=4)
-    manifest = modelstore.save(model, tmp_path)
-    assert model_files(tmp_path) == saved_files(manifest)
-    assert modelstore.fingerprint(modelstore.load(tmp_path)) == modelstore.fingerprint(model)
+    for version, save_old in OLD_FORMATS.items():
+        directory = tmp_path / f"format-{version}"
+        save_old(make_model("hierarchical", parents, seed=3), directory)
+        manifest = modelstore.save(model, directory)
+        assert model_files(directory) == saved_files(manifest)
+        assert modelstore.fingerprint(modelstore.load(directory)) == modelstore.fingerprint(model)
 
 
 def model_with_dictionary(dictionary: Dictionary) -> Model:
@@ -261,7 +299,7 @@ def model_with_dictionary(dictionary: Dictionary) -> Model:
     taxonomy = build_taxonomy([CweNode(id=n, name=n, parent_ids=frozenset())
                                for n in ("CWE-1", "CWE-2")])
     rows = np.arange(0, dictionary.size, 2)
-    weights = RowBlock.of(rows, np.full((rows.size, 2), 0.5), dictionary.size)
+    weights = RowBlock(rows, np.full((rows.size, 2), 0.5), dictionary.size)
     classifiers = {taxonomy.root_id: NodeClassifier(taxonomy.root_id, ("CWE-1", "CWE-2"),
                                                     weights)}
     return Model(taxonomy=taxonomy, dictionary=dictionary, classifiers=classifiers,

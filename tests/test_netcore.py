@@ -4,7 +4,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cwemap import netcore
@@ -363,13 +363,16 @@ class TestBincountKernel:
 
 @st.composite
 def row_blocks(draw, entries=SIGNED_ZEROS):
-    """A matrix stored on a random subset of its rows, and its dense form."""
+    """A matrix stored on a random subset of its rows, some of them all -0.0,
+    and its dense form; the batch's rows set positions inside and outside
+    the stored rows alike."""
     weights, batch = draw(weights_and_batches(entries=entries))
     d, c = weights.shape
     rows = np.array(sorted(draw(st.sets(st.integers(0, d - 1)))), dtype=np.int64)
+    weights[sorted(draw(st.sets(st.integers(0, d - 1))))] = -0.0
     dense = np.zeros((d, c))
     dense[rows] = weights[rows]
-    return RowBlock.of(rows, weights[rows], d), dense, pack(batch, d, c)
+    return RowBlock(rows, weights[rows], d), dense, pack(batch, d, c)
 
 
 class TestRowBlock:
@@ -401,7 +404,7 @@ class TestRowBlock:
     def test_row_sums_edge_cases_equal_add_at(self, stored, columns, records):
         values = np.array([-0.0, 1e16, 1.0, -1e16, 1e-16, -0.0] * 3)
         block = values[:len(stored) * columns].reshape(len(stored), columns)
-        matrix = RowBlock.of(np.array(stored, dtype=np.int64), block, 5)
+        matrix = RowBlock(np.array(stored, dtype=np.int64), block, 5)
         batch = rows(5, *records)
         expected = oracle.add_at_sums(batch.rows(), matrix.to_dense()[batch.positions], batch.size)
         assert same_bits(_row_sums(matrix, batch, "CWE-1"), expected)
@@ -416,19 +419,18 @@ class TestRowBlock:
         assert same_bits(wider.to_dense(), dense)
         assert (wider is matrix) == extra.issubset(matrix.rows.tolist())
 
-    @pytest.mark.parametrize("rows, padded, dimension", [
-        ([1, 0], np.zeros((3, 2)), 4),  # not ascending
-        ([0, 0], np.zeros((3, 2)), 4),  # repeated
-        ([0, 4], np.zeros((3, 2)), 4),  # past the dimension
-        ([-1, 2], np.zeros((3, 2)), 4),  # negative
-        ([0, 1], np.zeros((2, 2)), 4),  # no sentinel row
-        ([0, 1], np.array([[1.0], [2.0], [-0.0]]), 4),  # sentinel not +0.0
-        ([0.0, 1.0], np.zeros((3, 2)), 4),  # float positions
-    ], ids=["descending", "repeated", "past-dimension", "negative", "no-sentinel",
-            "negative-zero-sentinel", "float-rows"])
-    def test_malformed_block_rejected(self, rows, padded, dimension):
+    @pytest.mark.parametrize("rows, block, dimension", [
+        ([1, 0], np.zeros((2, 2)), 4),  # not ascending
+        ([0, 0], np.zeros((2, 2)), 4),  # repeated
+        ([0, 4], np.zeros((2, 2)), 4),  # past the dimension
+        ([-1, 2], np.zeros((2, 2)), 4),  # negative
+        ([0, 1], np.zeros((3, 2)), 4),  # three block rows for two stored rows
+        ([0.0, 1.0], np.zeros((2, 2)), 4),  # float positions
+    ], ids=["descending", "repeated", "past-dimension", "negative", "block-rows-not-rows",
+            "float-rows"])
+    def test_malformed_block_rejected(self, rows, block, dimension):
         with pytest.raises(ConfigurationError):
-            RowBlock(np.array(rows), padded, dimension)
+            RowBlock(np.array(rows), block, dimension)
 
 
 class TestAdam:
@@ -605,7 +607,7 @@ def fits(draw):
             weights *= rng.integers(0, 2, size=(d, 1))
         if draw(st.booleans()):  # only some rows stored
             rows = np.flatnonzero(rng.integers(0, 2, size=d))
-            weights = RowBlock.of(rows, weights[rows], d)
+            weights = RowBlock(rows, weights[rows], d)
         scorer = NodeClassifier("CWE-1", children, weights)
     else:
         scorer = TwoLayerClassifier("CWE-1", children, rng.normal(size=(d, hidden)),
@@ -773,6 +775,14 @@ class TestTwoLayer:
                 w_hidden=rng.normal(size=(4, 3)),
                 w_out=rng.normal(size=(2, 1)),
             )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False), max_size=20))
+@example([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e308, -1e308, 36.0, -745.2])
+def test_sigmoid_equals_the_masked_form_to_the_bit(values):
+    x = np.array(values, dtype=np.float64)
+    assert same_bits(sigmoid(x), oracle.sigmoid(x))
 
 
 def test_sigmoid_extremes():
