@@ -95,7 +95,7 @@ def read_dictionary(text: str, path) -> Dictionary:
     twice."""
     doc = parse(text, _DICTIONARY, path)
     terms, counts = doc["terms"], doc["counts"]
-    index = {term: pos for pos, term in enumerate(terms)}
+    index = dict(zip(terms, range(len(terms))))
     if len(counts) != len(terms) or len(index) != len(terms):
         raise FormatError(f"{len(terms)} terms ({len(index)} distinct) and {len(counts)} "
                           "counts; each term must occur once, with one count", path=path)

@@ -32,8 +32,9 @@ from .jsonread import Optional, parse, read
 
 logger = logging.getLogger(__name__)
 
-CVE_ID_RE = re.compile(r"^CVE-\d{4}-\d{4,}$")
-CWE_ID_RE = re.compile(r"^CWE-\d+$")
+# Ids are matched whole (``fullmatch``) and their digits are ASCII ones.
+CVE_ID_RE = re.compile(r"CVE-[0-9]{4}-[0-9]{4,}")
+CWE_ID_RE = re.compile(r"CWE-([0-9]+)")
 
 #: Identifier of the synthetic node parenting all top-level weakness classes.
 VIRTUAL_ROOT = "ROOT"
@@ -57,9 +58,14 @@ SYNONYM_TABLE = {"groups": [SYNONYM_GROUP]}
 
 
 def normalize_cwe_id(raw: str) -> str:
-    """Canonicalize a CWE label to ``CWE-<integer>`` or raise."""
+    """``raw`` stripped of surrounding whitespace and uppercased, which must
+    then be ``CWE-`` and ASCII digits, kept as written (``cwe-012`` becomes
+    ``CWE-012``); ValidationError otherwise.  An id already in that form is
+    returned as it is."""
+    if type(raw) is str and CWE_ID_RE.fullmatch(raw):
+        return raw
     cleaned = raw.strip().upper() if isinstance(raw, str) else ""
-    if not CWE_ID_RE.match(cleaned):
+    if not CWE_ID_RE.fullmatch(cleaned):
         raise ValidationError(f"not a CWE identifier: {raw!r}")
     return cleaned
 
@@ -73,7 +79,7 @@ class CveRecord:
     cwe_labels: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        if not CVE_ID_RE.match(self.id):
+        if not CVE_ID_RE.fullmatch(self.id):
             raise ValidationError(f"not a CVE identifier: {self.id!r}")
         if not self.description.strip():
             raise ValidationError(f"{self.id}: description is empty")
@@ -246,8 +252,14 @@ def _closure(order, edges) -> dict[str, frozenset[str]]:
 
 
 def _cwe_sort_key(node_id: str):
-    m = re.match(r"^CWE-(\d+)$", node_id)
-    return (0, int(m.group(1)), "") if m else (1, 0, node_id)
+    """CWE ids by number, then by id (``CWE-012`` before ``CWE-12``), then
+    any other id by itself.  The number is compared as its digits without
+    leading zeros, shorter first, so no id is too long to order."""
+    m = CWE_ID_RE.fullmatch(node_id)
+    if m is None:
+        return (1, 0, "", node_id)
+    digits = m.group(1).lstrip("0")
+    return (0, len(digits), digits, node_id)
 
 
 def read_input_lines(path: str | Path):
@@ -330,7 +342,7 @@ def build_taxonomy(nodes: list[CweNode]) -> Taxonomy:
         node_id = normalize_cwe_id(node.id)
         if node_id in by_id:
             raise ValidationError(f"duplicate taxonomy node id {node_id}")
-        parent_ids = frozenset(normalize_cwe_id(p) for p in node.parent_ids)
+        parent_ids = frozenset(map(normalize_cwe_id, node.parent_ids))
         if node_id != node.id or parent_ids != node.parent_ids:
             node = replace(node, id=node_id, parent_ids=parent_ids)
         by_id[node_id] = node
@@ -343,14 +355,13 @@ def build_taxonomy(nodes: list[CweNode]) -> Taxonomy:
     all_nodes = dict(by_id)
     all_nodes[VIRTUAL_ROOT] = root
 
+    # One sort of every id: each node is appended to its parents' lists in
+    # id order, so every list of children comes out sorted.
     children: dict[str, list[str]] = {node_id: [] for node_id in all_nodes}
-    for node in by_id.values():
-        parents = node.parent_ids or frozenset({VIRTUAL_ROOT})
-        for parent in parents:
-            children[parent].append(node.id)
-    ordered = {
-        node_id: tuple(sorted(kids, key=_cwe_sort_key)) for node_id, kids in children.items()
-    }
+    for node_id in sorted(by_id, key=_cwe_sort_key):
+        for parent in by_id[node_id].parent_ids or (VIRTUAL_ROOT,):
+            children[parent].append(node_id)
+    ordered = {node_id: tuple(kids) for node_id, kids in children.items()}
     return Taxonomy(nodes=all_nodes, root_id=VIRTUAL_ROOT, children=ordered,
                     order=_topological_order(all_nodes, ordered))
 
@@ -401,10 +412,13 @@ def read_taxonomy(text: str, path: str | Path) -> Taxonomy:
     nodes = []
     for i, raw in enumerate(parse(text, TAXONOMY, path)["nodes"]):
         try:
-            node = read(raw, TAXONOMY_NODE, f"nodes[{i}]")
+            node = read(raw, TAXONOMY_NODE, "")
         except FormatError as exc:
-            raise FormatError(f"node {raw.get('id', f'#{i}')}: {exc}", path=path) from None
-        nodes.append(CweNode(**{**node, "parent_ids": frozenset(node["parent_ids"])}))
+            # ``raw`` is an object, so the misfit is a field: ``nodes[i].<field> ...``.
+            raise FormatError(f"node {raw.get('id', f'#{i}')}: nodes[{i}].{exc}",
+                              path=path) from None
+        node["parent_ids"] = frozenset(node["parent_ids"])
+        nodes.append(CweNode(**node))
     return build_taxonomy(nodes)
 
 

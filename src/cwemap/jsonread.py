@@ -68,6 +68,10 @@ def _read(value, spec):
         if type(value) is not list:
             _typed(value, list)
         (item,) = spec
+        # An array of items that each have exactly the item type is read as
+        # it is, in one pass in C; the walk below converts or names a misfit.
+        if type(item) is type and set(map(type, value)) <= {item}:
+            return value
         items = []
         try:
             for entry in value:

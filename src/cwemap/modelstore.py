@@ -13,9 +13,14 @@ its bytes (``file_name``): ``dictionary-<sha12>.json``,
   the safetensors format): the scorer's ``rows`` (``ROWS_DTYPE``), then each
   of its ``PARAMS`` (``PARAM_DTYPE``, row-major) exactly as ``params()``
   returns it; the row-indexed parameter (``ROW_PARAM``) is the stored block
-  of a ``RowBlock``.  ``load`` views every array in the blob, copying none,
-  and requires every parameter to be finite.  The flat baseline's one
-  scorer is node ``FLAT``.
+  of a ``RowBlock``.  ``load`` maps the file read-only, hashes the
+  mapping in place and views every array in it, copying none; it requires
+  every parameter to be finite.  The flat baseline's one scorer is node
+  ``FLAT``.  The trade of mapping: if another process truncates the file
+  in place while a loaded model is in use, the next access to the lost
+  pages faults (SIGBUS) instead of raising.  ``save`` never writes a file
+  in place (see the commit point), and safetensors and
+  ``np.load(mmap_mode="r")`` make the same trade.
 
 The manifest records the model kind, the full config snapshot (including
 the preprocessing assets; a hidden layer's width is read off its weights),
@@ -63,6 +68,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import mmap
 import os
 import re
 from dataclasses import dataclass
@@ -243,7 +249,19 @@ def _read_file(path: Path) -> bytes:
     return path.read_bytes()
 
 
-def _scorer(kind, entry: dict, blob: bytes, cursor: int, dimension: int
+def _map_file(path: Path) -> mmap.mmap | bytes:
+    """The bytes of ``path``, mapped read-only: b"" for an empty file, which
+    cannot be mapped."""
+    if not path.is_file():
+        raise IntegrityError("missing model file")
+    with path.open("rb") as fh:
+        try:
+            return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except ValueError:
+            return b""
+
+
+def _scorer(kind, entry: dict, blob: mmap.mmap | bytes, cursor: int, dimension: int
             ) -> tuple[Scorer, int]:
     """The scorer a manifest node entry describes, its arrays viewing ``blob``
     from byte ``cursor`` on, and the byte after its last array.
@@ -287,7 +305,7 @@ def load(directory: str | Path) -> Model:
         paths = {key: directory / file_name(key, sha256) for key, sha256 in manifest.files.items()}
         data = {}
         for key, where in paths.items():
-            data[key] = _read_file(where)
+            data[key] = (_map_file if key == "weights" else _read_file)(where)
             if hashlib.sha256(data[key]).hexdigest() != manifest.files[key]:
                 raise IntegrityError("sha256 does not match the manifest")
         where = paths["dictionary"]

@@ -7,9 +7,12 @@ consonant-y and never appears in output.
 
 Steps 2, 3 and 4 dispatch on the word's ending, as Snowball's ``among``
 does: the longest suffix of the step's table that ends the word is looked
-up in a dict, and only that rule's region condition is then tested.  R1
-and R2 each come from one search for a vowel followed by a non-vowel, and
-the consonant-y marking runs only on a word that contains a "y".
+up in a dict, and only that rule's region condition is then tested.
+Steps 1a and 1b dispatch on the word's last letter ("s" or "d"; "d", "g"
+or "y").  R1 and R2 both come from one match of one compiled regex (after
+an exceptional R1 prefix, R2 from one search), the consonant-y marking
+runs only on a word that contains a "y", and the output lowers "Y" only
+in a word that holds one.
 
 Every rule of every step needs the word to end in one of
 ``s d g y l n i m r e t c`` or to contain an apostrophe (step 0).  So a
@@ -29,8 +32,10 @@ _DOUBLES = ("bb", "dd", "ff", "gg", "mm", "nn", "pp", "rr", "tt")
 _LI_ENDINGS = frozenset("cdeghkmnrt")
 # The last characters some rule can match; see the module docstring.
 _RULE_ENDINGS = frozenset("sdgylnimretc")
-# A region starts after the first vowel followed by a non-vowel.
+# A region starts after the first vowel followed by a non-vowel: R1 ends
+# the first group, R2 the second.
 _REGION_RE = re.compile(r"[aeiouy][^aeiouy]")
+_REGIONS_RE = re.compile(r"([^aeiouy]*[aeiouy]+[^aeiouy])([^aeiouy]*[aeiouy]+[^aeiouy])?")
 # Exceptional prefixes that pin R1 right after them.
 _R1_PREFIXES = ("gener", "commun", "arsen")
 
@@ -54,6 +59,10 @@ _EXCEPTIONS = {
     "bias": "bias",
     "andes": "andes",
 }
+
+# Step 1b: per last letter, the suffixes other than "eed"/"eedly" that can
+# end a word there, longest first.
+_STEP1B = {"d": ("ed",), "g": ("ing",), "y": ("ingly", "edly")}
 
 # Words left invariant immediately after step 1a.
 _POST_1A_INVARIANT = frozenset(
@@ -145,9 +154,11 @@ def stem(token: str) -> str:
 
     if word.startswith(_R1_PREFIXES):
         r1 = next(len(p) for p in _R1_PREFIXES if word.startswith(p))
+        r2 = _region_start(word, r1)
     else:
-        r1 = _region_start(word, 0)
-    r2 = _region_start(word, r1)
+        regions = _REGIONS_RE.match(word)
+        r1 = regions.end(1) if regions else len(word)
+        r2 = regions.end(2) if regions and regions.end(2) >= 0 else len(word)
 
     # Step 0: possessive endings.
     if "'" in word:
@@ -156,27 +167,29 @@ def stem(token: str) -> str:
                 word = word[: -len(suffix)]
                 break
 
-    # Step 1a.
-    if word.endswith("sses"):
-        word = word[:-2]
-    elif word.endswith(("ied", "ies")):
-        word = word[:-3] + ("i" if len(word) > 4 else "ie")
-    elif word.endswith(("us", "ss")):
-        pass
-    elif word.endswith("s"):
-        if not _VOWELS.isdisjoint(word[:-2]):
+    # Step 1a: every rule ends in "s" or "d".
+    last = word[-1:]
+    if last == "s":
+        if word.endswith("sses"):
+            word = word[:-2]
+        elif word.endswith("ies"):
+            word = word[:-3] + ("i" if len(word) > 4 else "ie")
+        elif not word.endswith(("us", "ss")) and not _VOWELS.isdisjoint(word[:-2]):
             word = word[:-1]
+    elif last == "d" and word.endswith("ied"):
+        word = word[:-3] + ("i" if len(word) > 4 else "ie")
 
     if word in _POST_1A_INVARIANT:
         return word
 
-    # Step 1b.
-    if word.endswith(("eedly", "eed")):
+    # Step 1b: every rule ends in "d", "g" or "y".
+    suffixes = _STEP1B.get(word[-1:], ())
+    if suffixes and word.endswith(("eedly", "eed")):
         cut = len(word) - (5 if word.endswith("eedly") else 3)
         if cut >= r1:
             word = word[:cut] + "ee"
     else:
-        for suffix in ("ingly", "edly", "ing", "ed"):
+        for suffix in suffixes:
             if word.endswith(suffix):
                 stemv = word[: -len(suffix)]
                 if not _VOWELS.isdisjoint(stemv):
@@ -231,4 +244,4 @@ def stem(token: str) -> str:
         if len(word) - 1 >= r2 and len(word) >= 2 and word[-2] == "l":
             word = word[:-1]
 
-    return word.replace("Y", "y")
+    return word.replace("Y", "y") if "Y" in word else word

@@ -46,6 +46,9 @@
   format-1 dictionary file (``format1_dictionary_tsv``) and every dense
   parameter, before the fingerprint became the checksum of the saved
   manifest; it still tells whether a change left the weights alone.
+* The typed JSON reader's array walk (``read_array``): each item read on
+  its own, before an array whose items all have exactly the item type was
+  accepted in one check.
 """
 
 from __future__ import annotations
@@ -60,7 +63,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from cwemap.errors import ConfigurationError, TrainingError, ValidationError
+from cwemap import jsonread
+from cwemap.errors import ConfigurationError, FormatError, TrainingError, ValidationError
 from cwemap.evaluation import _label_correct
 from cwemap.features import Dictionary
 from cwemap.hierarchy import Prediction, threshold
@@ -840,3 +844,21 @@ def stem(token):
             word = word[:-1]
 
     return word.replace("Y", "y")
+
+
+def read_array(value, item, where):
+    """``jsonread.read(value, [item], where)`` walking every item: the first
+    item that does not fit names its ``[i]``."""
+    try:
+        if type(value) is not list:
+            jsonread._typed(value, list)
+        items = []
+        try:
+            for entry in value:
+                items.append(entry if type(entry) is item else jsonread._read(entry, item))
+        except jsonread._Misfit as exc:
+            exc.path.append(f"[{len(items)}]")
+            raise
+        return items
+    except jsonread._Misfit as exc:
+        raise FormatError(exc.message(where)) from None

@@ -295,6 +295,27 @@ class TestTaxonomyBoundary:
         assert cli.main(argv) == cli.EXIT_INPUT
         assert f"{taxonomy}: node CWE-1: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["taxonomy", "corpus"])
+    def test_cwe_id_of_non_ascii_digits_exits_2(self, tmp_path, capsys, where):
+        """``CWE-١٢`` is no CWE id, though ``int`` reads its digits as 12."""
+        arabic = "CWE-\u0661\u0662"
+        taxonomy = tmp_path / "taxonomy.json"
+        nodes = [{"id": "CWE-12"}, {"id": "CWE-13"}]
+        if where == "taxonomy":
+            nodes.append({"id": arabic})
+        taxonomy.write_text(json.dumps({"nodes": nodes}), encoding="utf-8")
+        corpus = tmp_path / "corpus.jsonl"
+        write_cve_corpus([CveRecord(f"CVE-2000-{n:04d}", f"buffer overflow text {n}",
+                                    frozenset({f"CWE-1{n % 2 + 2}"})) for n in range(4)], corpus)
+        if where == "corpus":
+            with corpus.open("a", encoding="utf-8") as fh:
+                fh.write(json.dumps({"id": "CVE-2000-0009", "description": "text",
+                                     "cwe_labels": [arabic]}) + "\n")
+        argv = ["train", "--corpus", str(corpus), "--taxonomy", str(taxonomy), "--th", "1",
+                "--max-epochs", "1", "--model", str(tmp_path / "m")]
+        assert cli.main(argv) == cli.EXIT_INPUT
+        assert "not a CWE identifier" in capsys.readouterr().err
+
     def test_nodes_nested_100000_deep_exits_2(self, inputs, tmp_path, capsys):
         taxonomy = tmp_path / "taxonomy.json"
         taxonomy.write_text('{"nodes": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
@@ -874,6 +895,67 @@ class TestJsonBoundaryFuzz:
             assert classify(model, inputs) == (cli.EXIT_INTEGRITY if edited else cli.EXIT_OK)
 
 
+def value_paths(doc, path=()):
+    """The path of every object member and array item in the JSON value ``doc``."""
+    members = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in members:
+        yield path + (key,)
+        yield from value_paths(value, path + (key,))
+
+
+# The damage ``damaged_bytes`` draws: to any data file, then to a JSON one only.
+DAMAGE = ["empty", "truncated", "appended", "flipped"]
+JSON_DAMAGE = ["nested", "digits", "not-utf8"]
+_MARK = "\u0000mark\u0000"
+
+
+@st.composite
+def damaged_bytes(draw, data: bytes, damage: str) -> bytes:
+    """``data`` emptied (which no file mapping takes), cut short, lengthened
+    or with one byte flipped; for JSON, one value replaced by a deep nest of
+    arrays or a 5,000-digit integer, or bytes that are not UTF-8 inserted."""
+    if damage == "empty":
+        return b""
+    if damage == "truncated":
+        return data[:draw(st.integers(1, len(data) - 1))]
+    if damage == "appended":
+        return data + draw(st.binary(min_size=1, max_size=16))
+    at = draw(st.integers(0, len(data) - 1))
+    if damage == "flipped":
+        return data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
+    if damage == "not-utf8":
+        return data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + data[at:]
+    doc = json.loads(data)
+    *steps, key = draw(st.sampled_from(list(value_paths(doc))))
+    parent = doc
+    for step in steps:
+        parent = parent[step]
+    parent[key] = _MARK
+    depth = draw(st.sampled_from([40, 100_000]))
+    value = "[" * depth + "]" * depth if damage == "nested" else "1" * 5000
+    return json.dumps(doc).replace(json.dumps(_MARK), value).encode("utf-8")
+
+
+class TestModelDirectoryFuzz:
+    """Whatever one data file of a model holds, resealed so that its sha256
+    and the manifest's checksum match, ``classify`` exits 0 or 4."""
+
+    @pytest.mark.parametrize("name,damage", [
+        (name, damage) for name in ("dictionary.json", "taxonomy.json", "weights.bin")
+        for damage in DAMAGE + (JSON_DAMAGE if name.endswith(".json") else [])])
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_resealed_data_file_exits_0_or_4(self, kind_models, inputs, name, damage, data):
+        kind = data.draw(st.sampled_from(sorted(kind_models)))
+        with tempfile.TemporaryDirectory() as work:
+            model = Path(work) / "model"
+            shutil.copytree(kind_models[kind], model)
+            content = model_file(model, name).read_bytes()
+            rewrite(model, name, data.draw(damaged_bytes(content, damage)))
+            assert classify(model, inputs) in (cli.EXIT_OK, cli.EXIT_INTEGRITY)
+
+
 class TestTrainFlags:
     def test_log_dir_created_with_parents(self, inputs, tmp_path):
         log_dir = tmp_path / "logs" / "nested"
@@ -997,6 +1079,17 @@ class TestClassifyAndEval:
     def test_empty_stdin_exits_2(self, model_dir, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("  \n"))
         assert cli.main(["classify", "--model", str(model_dir)]) == cli.EXIT_INPUT
+
+    def test_id_with_a_trailing_newline_exits_2(self, model_dir, tmp_path, capsys):
+        """Else ``CVE-2020-12345`` and ``CVE-2020-12345\\n`` pass as two records."""
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("".join(json.dumps({"id": cve_id, "description": "a buffer overflow"})
+                                  + "\n" for cve_id in ("CVE-2020-12345", "CVE-2020-12345\n")),
+                          encoding="utf-8")
+        argv = ["classify", "--model", str(model_dir), "--corpus", str(corpus),
+                "--out", str(tmp_path / "p.jsonl")]
+        assert cli.main(argv) == cli.EXIT_INPUT
+        assert f"{corpus}:2: not a CVE identifier" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad_line", ['{"id": "CVE-1", "candidates": [', "[1, 2]",
                                           '{"candidates": 5}', '{"candidates": [{"score": 1}]}'])

@@ -38,6 +38,19 @@ class TestCveRecord:
         with pytest.raises(ValidationError):
             CveRecord(id="cve-xx", description="text")
 
+    @pytest.mark.parametrize("cve_id", ["CVE-2020-12345\n", "CVE-2020-١٢٣٤٥", "CVE-٢٠٢٠-12345"])
+    def test_id_must_be_the_whole_string_of_ascii_digits(self, cve_id):
+        with pytest.raises(ValidationError, match="not a CVE identifier"):
+            CveRecord(id=cve_id, description="text")
+
+    @pytest.mark.parametrize("raw", ["CWE-١٢", "CWE-12\u0663", "CWE-\uff11"])
+    def test_cwe_digits_must_be_ascii(self, raw):
+        with pytest.raises(ValidationError, match="not a CWE identifier"):
+            normalize_cwe_id(raw)
+
+    def test_normalize_keeps_leading_zeros(self):
+        assert normalize_cwe_id(" cwe-012\n") == "CWE-012"
+
     def test_empty_description_rejected(self):
         with pytest.raises(ValidationError):
             CveRecord(id="CVE-1999-0001", description="   ")
@@ -165,6 +178,25 @@ class TestTaxonomy:
     def test_children_ordered_numerically(self):
         t = build_taxonomy([CweNode(id="CWE-10"), CweNode(id="CWE-2"), CweNode(id="CWE-1")])
         assert t.children[t.root_id] == ("CWE-1", "CWE-2", "CWE-10")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.permutations([
+        CweNode(id="CWE-12"), CweNode(id="CWE-012"), CweNode(id="CWE-0012"),
+        CweNode(id="CWE-7"), CweNode(id="CWE-07", parent_ids=frozenset({"CWE-12"})),
+        CweNode(id="CWE-7000", parent_ids=frozenset({"CWE-12", "CWE-012"})),
+        CweNode(id="CWE-700", parent_ids=frozenset({"CWE-12"})),
+    ]))
+    def test_children_do_not_depend_on_node_order(self, nodes):
+        """Ids of one number (``CWE-12``, ``CWE-012``) are ordered by the id."""
+        t = build_taxonomy(nodes)
+        assert t.children[t.root_id] == ("CWE-7", "CWE-0012", "CWE-012", "CWE-12")
+        assert t.children["CWE-12"] == ("CWE-07", "CWE-700", "CWE-7000")
+        assert t.order == build_taxonomy(sorted(nodes, key=lambda n: n.id)).order
+
+    def test_a_cwe_number_of_any_length_is_ordered(self):
+        huge = "CWE-" + "9" * 5000
+        t = build_taxonomy([CweNode(id=huge), CweNode(id="CWE-10"), CweNode(id="CWE-0" + "1" * 4999)])
+        assert t.children[t.root_id] == ("CWE-10", "CWE-0" + "1" * 4999, huge)
 
     def test_ancestors_and_descendants(self, chain_taxonomy):
         assert chain_taxonomy.ancestors("CWE-78") == frozenset({"CWE-707", "CWE-74", "CWE-77"})

@@ -111,6 +111,17 @@ def test_manifest_listing_a_hidden_size_still_loads(tmp_path):
     assert modelstore.fingerprint(loaded) == modelstore.fingerprint(model)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_loaded_arrays_are_read_only(tmp_path, kind):
+    modelstore.save(make_model(kind, {"CWE-1": [], "CWE-2": [], "CWE-3": ["CWE-1"]}, seed=3),
+                    tmp_path)
+    for clf in modelstore.load(tmp_path).classifiers.values():
+        for array in (getattr(clf, clf.ROW_PARAM).rows, *clf.params().values()):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+
 def model_files(directory: Path) -> set[str]:
     return {p.name for p in directory.iterdir()}
 
