@@ -11,6 +11,10 @@ A spec is
 
 The number rule lives here alone: a boolean is no number, and a ``float``
 may be written as an integer, which must then fit in a float.
+
+A value that fits its spec as it is, such as an array whose items all
+have exactly the item type or an object read by ``dict``, is returned
+itself, not copied (a default too): callers must not mutate what they read.
 """
 
 from __future__ import annotations

@@ -305,7 +305,7 @@ def load(directory: str | Path) -> Model:
         paths = {key: directory / file_name(key, sha256) for key, sha256 in manifest.files.items()}
         data = {}
         for key, where in paths.items():
-            data[key] = (_map_file if key == "weights" else _read_file)(where)
+            data[key] = _map_file(where) if key == "weights" else _read_file(where)
             if hashlib.sha256(data[key]).hexdigest() != manifest.files[key]:
                 raise IntegrityError("sha256 does not match the manifest")
         where = paths["dictionary"]

@@ -169,15 +169,13 @@ def stem(token: str) -> str:
 
     # Step 1a: every rule ends in "s" or "d".
     last = word[-1:]
-    if last == "s":
-        if word.endswith("sses"):
-            word = word[:-2]
-        elif word.endswith("ies"):
+    if last in ("s", "d"):
+        if word.endswith(("ied", "ies")):
             word = word[:-3] + ("i" if len(word) > 4 else "ie")
-        elif not word.endswith(("us", "ss")) and not _VOWELS.isdisjoint(word[:-2]):
+        elif word.endswith("sses"):
+            word = word[:-2]
+        elif last == "s" and not word.endswith(("us", "ss")) and not _VOWELS.isdisjoint(word[:-2]):
             word = word[:-1]
-    elif last == "d" and word.endswith("ied"):
-        word = word[:-3] + ("i" if len(word) > 4 else "ie")
 
     if word in _POST_1A_INVARIANT:
         return word

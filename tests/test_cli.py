@@ -897,7 +897,10 @@ class TestJsonBoundaryFuzz:
 
 def value_paths(doc, path=()):
     """The path of every object member and array item in the JSON value ``doc``."""
-    members = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    if isinstance(doc, dict):
+        members = doc.items()
+    else:
+        members = enumerate(doc) if isinstance(doc, list) else ()
     for key, value in members:
         yield path + (key,)
         yield from value_paths(value, path + (key,))

@@ -194,9 +194,9 @@ class TestTaxonomy:
         assert t.order == build_taxonomy(sorted(nodes, key=lambda n: n.id)).order
 
     def test_a_cwe_number_of_any_length_is_ordered(self):
-        huge = "CWE-" + "9" * 5000
-        t = build_taxonomy([CweNode(id=huge), CweNode(id="CWE-10"), CweNode(id="CWE-0" + "1" * 4999)])
-        assert t.children[t.root_id] == ("CWE-10", "CWE-0" + "1" * 4999, huge)
+        huge, padded = "CWE-" + "9" * 5000, "CWE-0" + "1" * 4999
+        t = build_taxonomy([CweNode(id=huge), CweNode(id="CWE-10"), CweNode(id=padded)])
+        assert t.children[t.root_id] == ("CWE-10", padded, huge)
 
     def test_ancestors_and_descendants(self, chain_taxonomy):
         assert chain_taxonomy.ancestors("CWE-78") == frozenset({"CWE-707", "CWE-74", "CWE-77"})
