@@ -118,7 +118,9 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
     other, since the two pick different descent rules.  The config is an
     object whose values (null for unset) have their flags' JSON types, and
     which a flag's key may spell with ``-`` or ``_``: else FormatError.  A
-    value that is not one of its flag's choices raises ConfigurationError.
+    value that is not one of its flag's choices, or a string that cannot
+    name a file (every other string flag names one), raises
+    ConfigurationError.
     """
     if not args.config:
         return args
@@ -137,9 +139,19 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
         if action.choices is not None and value not in action.choices:
             raise ConfigurationError(f"{path}: {key} must be one of {list(action.choices)}, "
                                      f"not {value!r}")
+        if isinstance(value, str) and not _is_file_name(value):
+            raise ConfigurationError(f"{path}: {key} {value!r} cannot name a file")
         if action.dest not in explicit and _RIVAL_FLAGS.get(action.dest) not in explicit:
             setattr(args, action.dest, value)
     return args
+
+
+def _is_file_name(text: str) -> bool:
+    """Whether ``text`` encodes to a path without NUL, as argv always does."""
+    try:
+        return b"\0" not in os.fsencode(text)
+    except UnicodeEncodeError:
+        return False
 
 
 def _check_output_dir(flag: str, path: str) -> None:
@@ -159,6 +171,14 @@ def _check_output_file(flag: str, path: str, source: str | None = None) -> None:
         raise ConfigurationError(f"{flag} {path}: not a file in a writable directory")
     if source and path.exists() and Path(source).exists() and os.path.samefile(path, source):
         raise ConfigurationError(f"{flag} {path}: is the input file {source}")
+
+
+def _check_outside_model(flag: str, path: str, model: str) -> None:
+    """ConfigurationError when ``path`` is the model directory or lies in it
+    (writing there would destroy the model)."""
+    resolved = Path(path).resolve()
+    if Path(model).resolve() in (resolved, *resolved.parents):
+        raise ConfigurationError(f"{flag} {path}: in the model directory {model}")
 
 
 # TrainConfig field of each train flag.
@@ -200,6 +220,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     if not args.corpus or not args.taxonomy or not args.model:
         raise ConfigurationError("train needs --corpus, --taxonomy, and --model")
+    if args.hidden is not None and args.baseline != "two-layer":
+        raise ConfigurationError("--hidden sets the width of --baseline two-layer only")
+    if args.init is not None and args.baseline is not None:
+        raise ConfigurationError(f"--init sets the hierarchical model's weights, not those "
+                                 f"of --baseline {args.baseline}")
     _check_output_dir("--model", args.model)
     if args.log_dir is not None:
         try:
@@ -236,6 +261,7 @@ def _classify_records(model, records: list[ingest.CveRecord], selection):
 def cmd_classify(args: argparse.Namespace) -> int:
     if args.out:
         _check_output_file("--out", args.out, args.corpus)
+        _check_outside_model("--out", args.out, args.model)
     model = modelstore.load(args.model)
     selection = _selection(args)
     if args.corpus:
@@ -284,6 +310,7 @@ def _eval_model(model, test_set, selection):
 def cmd_eval(args: argparse.Namespace) -> int:
     if args.out:
         _check_output_dir("--out", args.out)
+        _check_outside_model("--out", args.out, args.model)
     model = modelstore.load(args.model)
     corpus = ingest.load_cve_corpus(args.corpus)
     if args.split is not None:

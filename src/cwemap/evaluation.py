@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import FormatError, ValidationError
 from .hierarchy import Prediction, resolve_labels
 from .ingest import CveRecord, Taxonomy, paths_to_root, read_input_lines
 from .jsonread import Optional, parse
@@ -212,7 +212,7 @@ def write_report(fine: EvalReport, coarse: EvalReport, json_path: str | Path,
         Path(text_path).write_text(format_report_table(fine, coarse) + "\n", encoding="utf-8")
 
 
-#: One line of the classify output (``Prediction.to_json_dict``).
+#: One line of the classify output, as ``hierarchy.Predictions.lines`` writes it.
 PREDICTION = {
     "id": Optional(str, ""),
     "candidates": Optional([{"cwe": str, "score": Optional(float, 0.0)}], []),
@@ -224,15 +224,19 @@ PREDICTION = {
 def load_predictions(path: str | Path) -> list[Prediction]:
     """Read a predictions JSONL file written by the CLI classify command.
 
-    A line that is not a ``PREDICTION`` raises FormatError naming the path
-    and line.
+    A line that is not a ``PREDICTION``, or that repeats the id of an
+    earlier line, raises FormatError naming the path and line.
     """
     path = Path(path)
     out = []
+    seen: set[str] = set()
     for lineno, line in read_input_lines(path):
         if not line.strip():
             continue
         row = parse(line, PREDICTION, path, lineno)
+        if row["id"] in seen:
+            raise FormatError(f"duplicate prediction id {row['id']!r}", path=path, line=lineno)
+        seen.add(row["id"])
         scores = {c["cwe"]: c["score"] for c in row["candidates"]}
         out.append(Prediction(row["id"], frozenset(scores), tuple(map(tuple, row["paths"])),
                               scores, row["mode"]))

@@ -12,6 +12,12 @@ strings are built for the kept keys only.  The keys are exact, not hashed,
 so the dictionary is the one that counting the n-gram strings gives.  The
 same pass returns each text's (positions, counts) over the dictionary.
 
+A ``Dictionary`` holds what its saved file holds: the terms and their
+counts, as lists in position order (``dictionary_json`` writes them, and
+``read_dictionary`` passes the lists it reads in as they are).  Its term
+index is built once, when it is made, which is also where a repeated term
+or a count list of another length is refused.
+
 A document is a binary vector over the dictionary, kept as the ascending
 int64 positions of the dictionary terms it contains (``encode``).  At
 inference ``encode`` builds only the n-grams whose tokens all occur, each
@@ -28,7 +34,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ConfigurationError, FormatError
+from .errors import ConfigurationError, FormatError, ValidationError
 from .jsonread import parse
 from .textprep import TokenSequence
 
@@ -39,43 +45,42 @@ MAX_VOCABULARY = 2_097_152
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Immutable term index with deterministic positions.
+    """Immutable term list with deterministic positions, as its file stores it.
 
-    Positions are assigned by descending total occurrence count, ties by
-    lexicographic term order, so the same corpus always yields the same
-    layout regardless of document order.
+    ``terms[p]`` is the term at position p and ``counts[p]`` its total
+    count.  Positions are assigned by descending total occurrence count,
+    ties by lexicographic term order, so the same corpus always yields the
+    same layout regardless of document order.  ``index`` maps each term to
+    its position; building a dictionary whose terms repeat, or whose counts
+    are not one per term, raises ValidationError.
     """
 
-    index: dict[str, int]
-    counts: dict[str, int]
-    size: int = field(init=False)
+    terms: list[str]
+    counts: list[int]
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "size", len(self.index))
+        index = dict(zip(self.terms, range(len(self.terms))))
+        if len(self.counts) != len(self.terms) or len(index) != len(self.terms):
+            raise ValidationError(f"{len(self.terms)} terms ({len(index)} distinct) and "
+                                  f"{len(self.counts)} counts; each term must occur once, "
+                                  "with one count")
+        object.__setattr__(self, "index", index)
 
-    def __contains__(self, term: str) -> bool:
-        return term in self.index
-
-    def __len__(self) -> int:
-        return self.size
+    @property
+    def size(self) -> int:
+        return len(self.terms)
 
     @cached_property
     def slot_tokens(self) -> dict[int, tuple[frozenset[str], ...]]:
         """For n = 2 and 3, the tokens found at each position of the n-token
         terms; built on first use (by ``encode``)."""
         slots: dict[int, tuple[set[str], ...]] = {2: (set(), set()), 3: (set(), set(), set())}
-        for term in self.index:
+        for term in self.terms:
             tokens = term.split(" ")
             for slot, token in zip(slots.get(len(tokens), ()), tokens):
                 slot.add(token)
         return {n: tuple(map(frozenset, found)) for n, found in slots.items()}
-
-    def terms(self) -> list[str]:
-        """Terms in position order."""
-        out = [""] * self.size
-        for term, pos in self.index.items():
-            out[pos] = term
-        return out
 
 
 #: The saved form of a dictionary: its terms and their counts, in position order.
@@ -84,8 +89,7 @@ _DICTIONARY = {"terms": [str], "counts": [int]}
 
 def dictionary_json(dictionary: Dictionary) -> str:
     """The saved form of ``dictionary``, which ``read_dictionary`` reads back."""
-    terms = dictionary.terms()
-    return json.dumps({"terms": terms, "counts": [dictionary.counts[t] for t in terms]},
+    return json.dumps({"terms": dictionary.terms, "counts": dictionary.counts},
                       separators=(",", ":"))
 
 
@@ -94,12 +98,10 @@ def read_dictionary(text: str, path) -> Dictionary:
     FormatError naming ``path`` unless it has one count per term and no term
     twice."""
     doc = parse(text, _DICTIONARY, path)
-    terms, counts = doc["terms"], doc["counts"]
-    index = dict(zip(terms, range(len(terms))))
-    if len(counts) != len(terms) or len(index) != len(terms):
-        raise FormatError(f"{len(terms)} terms ({len(index)} distinct) and {len(counts)} "
-                          "counts; each term must occur once, with one count", path=path)
-    return Dictionary(index=index, counts=dict(zip(terms, counts)))
+    try:
+        return Dictionary(doc["terms"], doc["counts"])
+    except ValidationError as exc:
+        raise FormatError(str(exc), path=path) from None
 
 
 #: A text's dictionary terms: ascending int64 positions and their counts.
@@ -161,8 +163,7 @@ def build_dictionary(token_lists: Sequence[TokenSequence], min_count: int
     kept_totals = totals[kept].tolist()
     terms = _key_terms(unique[kept], tokens)
     order = sorted(range(len(kept)), key=lambda i: (-kept_totals[i], terms[i]))
-    dictionary = Dictionary(index={terms[i]: pos for pos, i in enumerate(order)},
-                            counts={terms[i]: kept_totals[i] for i in order})
+    dictionary = Dictionary([terms[i] for i in order], [kept_totals[i] for i in order])
 
     # Each occurrence of a kept key as (text, position), counted per text.
     unique_position = np.full(len(unique), -1, dtype=np.int64)

@@ -42,23 +42,21 @@ A record's maximal paths are the root paths, every node of them
 selected, that end at a terminal: a selected node with no selected child.
 Its candidates are the nodes on those paths, not every selected node (the
 flat baseline selects nodes whose parents it did not select).  Each chunk
-finds them for all its records at once from the taxonomy's ``PathTable``
-and keeps its results as arrays (``ChunkPredictions``): per record, the
-candidates in (-score, id) order with their scores, every scored node
-with its score, and the paths in sorted order.  ``classify`` returns them
-as ``Predictions``, a sequence that builds a ``Prediction`` per index and
-writes each record's JSON line straight from the arrays (``lines``),
-with no ``Prediction`` and no ``json.dumps`` per record.
+finds them for all its records at once from the taxonomy's ``PathTable``,
+as three ``Ragged`` arrays: per record, the candidates in (-score, id)
+order with their scores, every scored node with its score, and the paths
+in sorted order.  ``classify`` joins the chunks' arrays into one table,
+``Predictions``: a sequence that builds a ``Prediction`` per index, and
+the one writer of the output line format (``lines``), which writes each
+record's JSON line straight from the table, with no ``Prediction`` and no
+``json.dumps`` per record.
 """
 
 from __future__ import annotations
 
 import logging
-import operator
-from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -141,7 +139,9 @@ def top_k(k: int) -> SelectionMode:
 
 @dataclass(frozen=True)
 class Prediction:
-    """Classification output: selected classes, their scores, maximal paths."""
+    """One record's classification: selected classes, their scores, maximal
+    paths.  ``Predictions`` builds one per index, and
+    ``evaluation.load_predictions`` one per line it reads back."""
 
     cve_id: str
     candidates: frozenset[str]
@@ -155,23 +155,6 @@ class Prediction:
             return None
         depth = max(len(p) for p in self.paths)
         return min(p[-1] for p in self.paths if len(p) == depth)
-
-    def to_json_dict(self) -> dict:
-        """The specification of a line of ``classify`` output: the line is
-        ``json.dumps(prediction.to_json_dict(), ensure_ascii=False)``.
-
-        ``Predictions.lines`` writes that text from arrays, and
-        ``evaluation.load_predictions`` reads it back.
-        """
-        return {
-            "id": self.cve_id,
-            "candidates": [
-                {"cwe": c, "score": self.scores.get(c, 0.0)}
-                for c in sorted(self.candidates, key=lambda c: (-self.scores.get(c, 0.0), c))
-            ],
-            "paths": [list(p) for p in sorted(self.paths)],
-            "mode": self.mode,
-        }
 
 
 #: The scorer class of each model kind.
@@ -528,84 +511,84 @@ class Ragged:
         np.cumsum(np.bincount(rows, minlength=records), out=offsets[1:])
         return cls(offsets, index, values)
 
+    @classmethod
+    def join(cls, parts: Sequence["Ragged"]) -> "Ragged":
+        """The records of ``parts`` one after another; each part's offsets are
+        shifted by the entries of the parts before it."""
+        shifts = np.cumsum([0] + [part.offsets[-1] for part in parts])
+        offsets = np.concatenate([[0]] + [part.offsets[1:] + s for part, s in zip(parts, shifts)])
+        values = None if parts[0].values is None else np.concatenate([p.values for p in parts])
+        return cls(offsets, np.concatenate([part.index for part in parts]), values)
+
     def at(self, r: int) -> slice:
         return slice(self.offsets[r], self.offsets[r + 1])
 
 
-@dataclass(frozen=True, eq=False)
-class ChunkPredictions:
-    """The predictions of one chunk of records, over the columns of
-    ``taxonomy.order`` and the paths of ``taxonomy.path_table``."""
+#: One line of output; ``lines`` below is its one writer.
+_LINE = '{"id": %s, "candidates": [%s], "paths": [%s], "mode": %s}'
 
+
+@dataclass(frozen=True, eq=False)
+class Predictions(Sequence):
+    """What ``classify`` returns: one ``Prediction`` per record, in order, held
+    as one table over the columns of ``taxonomy.order`` and the paths of
+    ``taxonomy.path_table``.
+
+    Indexing builds a ``Prediction``, and a slice a list of them;
+    ``lines()`` writes the records' JSON lines straight from the table.
+    It is not a list: it never equals one, and ``+`` does not join it to
+    one, so call ``list()`` first for either.
+    """
+
+    taxonomy: Taxonomy
+    mode: str
     ids: list[str]
     candidates: Ragged  # columns in (-score, id) order, with their scores
     scored: Ragged  # every scored column in column order, with its best score
     paths: Ragged  # the maximal paths, in sorted order
 
-    def prediction(self, r: int, taxonomy: Taxonomy, mode: str) -> Prediction:
-        order, paths, at = taxonomy.order, taxonomy.path_table.paths, self.scored.at(r)
-        return Prediction(
-            cve_id=self.ids[r],
-            candidates=frozenset(order[j] for j in self.candidates.index[self.candidates.at(r)]
-                                 .tolist()),
-            paths=tuple(paths[p] for p in self.paths.index[self.paths.at(r)].tolist()),
-            scores=dict(zip([order[j] for j in self.scored.index[at].tolist()],
-                            self.scored.values[at].tolist())),
-            mode=mode,
-        )
-
-
-#: One line of output; ``Prediction.to_json_dict`` is its specification.
-_LINE = '{"id": %s, "candidates": [%s], "paths": [%s], "mode": %s}'
-
-
-class Predictions(Sequence):
-    """What ``classify`` returns: one ``Prediction`` per record, in order,
-    held as the arrays of each chunk (``ChunkPredictions``).
-
-    Indexing builds a ``Prediction``, and a slice a list of them;
-    ``lines()`` writes the records' JSON lines straight from the arrays.
-    It is not a list: it never equals one, and ``+`` does not join it to
-    one, so call ``list()`` first for either.
-    """
-
-    def __init__(self, taxonomy: Taxonomy, mode: str, chunks: list[ChunkPredictions]):
-        self.taxonomy, self.mode, self.chunks = taxonomy, mode, chunks
-        self._starts = list(accumulate((len(chunk.ids) for chunk in chunks), initial=0))
-
     def __len__(self) -> int:
-        return self._starts[-1]
+        return len(self.ids)
 
     def __getitem__(self, index: int | slice) -> Prediction | list[Prediction]:
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = operator.index(index)
-        i += len(self) if i < 0 else 0
-        if not 0 <= i < len(self):
-            raise IndexError("prediction index out of range")
-        k = bisect_right(self._starts, i) - 1
-        return self.chunks[k].prediction(i - self._starts[k], self.taxonomy, self.mode)
+        picked = range(len(self))[index]
+        if isinstance(picked, range):
+            return [self[r] for r in picked]
+        order, paths = self.taxonomy.order, self.taxonomy.path_table.paths
+        cand, scored, at = self.candidates, self.scored, self.scored.at(picked)
+        return Prediction(
+            cve_id=self.ids[picked],
+            candidates=frozenset(order[j] for j in cand.index[cand.at(picked)].tolist()),
+            paths=tuple(paths[p] for p in self.paths.index[self.paths.at(picked)].tolist()),
+            scores=dict(zip([order[j] for j in scored.index[at].tolist()],
+                            scored.values[at].tolist())),
+            mode=self.mode,
+        )
 
     def lines(self) -> Iterator[str]:
-        """Each record's line, without its newline: the text of
-        ``json.dumps(self[i].to_json_dict(), ensure_ascii=False)``.
+        """Each record's JSON line, without its newline: an object of ``id``,
+        ``candidates`` (``cwe`` and ``score`` each, in (-score, id) order),
+        ``paths`` (sorted) and ``mode``, in the text ``json.dumps`` gives
+        with ``ensure_ascii=False``.
 
-        Ids are quoted by ``encode_basestring``, which is what that call
-        quotes strings with; scores are finite floats, which it writes with
-        ``float.__repr__``.
+        Strings are quoted by ``encode_basestring``, which is what that call
+        quotes them with; scores are finite floats, which it writes with
+        ``float.__repr__``.  Each node id and each path is quoted once.
         """
-        table = self.taxonomy.path_table
-        entry = ['{"cwe": %s, "score": ' % name for name in table.names]
+        entry = ['{"cwe": %s, "score": ' % encode_basestring(n) for n in self.taxonomy.order]
+        path_json = ["[" + ", ".join(map(encode_basestring, path)) + "]"
+                     for path in self.taxonomy.path_table.paths]
         mode = encode_basestring(self.mode)
-        for chunk in self.chunks:
-            cand, paths = chunk.candidates, chunk.paths
-            entries = [entry[j] + float.__repr__(score) + "}" for j, score
-                       in zip(cand.index.tolist(), cand.values.tolist())]
-            path_json = [table.path_json[p] for p in paths.index.tolist()]
-            c, p = cand.offsets.tolist(), paths.offsets.tolist()
-            for r, cve_id in enumerate(chunk.ids):
-                yield _LINE % (encode_basestring(cve_id), ", ".join(entries[c[r]:c[r + 1]]),
-                               ", ".join(path_json[p[r]:p[r + 1]]), mode)
+        cand, paths = self.candidates, self.paths
+        c, p = cand.offsets.tolist(), paths.offsets.tolist()
+        # One record's entries are taken out at a time, so the text of one
+        # record is alive, not that of the whole table.
+        for r, cve_id in enumerate(self.ids):
+            at = slice(c[r], c[r + 1])
+            entries = [entry[j] + float.__repr__(score) + "}"
+                       for j, score in zip(cand.index[at].tolist(), cand.values[at].tolist())]
+            ends = [path_json[k] for k in paths.index[p[r]:p[r + 1]].tolist()]
+            yield _LINE % (encode_basestring(cve_id), ", ".join(entries), ", ".join(ends), mode)
 
 
 def classify(
@@ -624,9 +607,7 @@ def classify(
     Candidates are the nodes on the maximal paths of selected nodes from a
     root child, so every model gives path-consistent output.
 
-    The result is a ``Predictions`` sequence, not a list: index or slice
-    it, or iterate it, and call ``list()`` on it to compare it with a list
-    or to join it to one.
+    The result is a ``Predictions`` table, a sequence but not a list.
     """
     if isinstance(texts, str):
         raise ValidationError("classify takes a list of descriptions, not one string")
@@ -642,14 +623,14 @@ def classify(
     column = {node_id: j for j, node_id in enumerate(model.taxonomy.order)}
     plan = [(column[node_id], clf, [column[c] for c in clf.child_ids])
             for node_id, clf in scoring_plan(model)]
-    chunks = [_classify_chunk(model, plan, texts[start:start + CHUNK_RECORDS],
-                              ids[start:start + CHUNK_RECORDS], mode)
-              for start in range(0, len(texts), CHUNK_RECORDS)]
-    return Predictions(model.taxonomy, mode.label(), chunks)
+    # No texts still make one (empty) chunk, so there is a part to join.
+    chunks = [_classify_chunk(model, plan, texts[start:start + CHUNK_RECORDS], mode)
+              for start in range(0, max(len(texts), 1), CHUNK_RECORDS)]
+    return Predictions(model.taxonomy, mode.label(), ids, *map(Ragged.join, zip(*chunks)))
 
 
-def _classify_chunk(model, plan, texts: list[str], ids: list[str], mode: SelectionMode
-                    ) -> ChunkPredictions:
+def _classify_chunk(model, plan, texts: list[str], mode: SelectionMode
+                    ) -> tuple[Ragged, Ragged, Ragged]:
     """One walk of ``plan`` (node, scorer, children; parents first, nodes as
     columns of ``taxonomy.order``) over a chunk of records.
 
@@ -671,12 +652,14 @@ def _classify_chunk(model, plan, texts: list[str], ids: list[str], mode: Selecti
         block = np.ix_(rows, kids)
         best[block] = np.fmax(best[block], node_scores)
         selected[block] |= mode.select(clf.child_ids, node_scores)
-    return _chunk_predictions(table, ids, best, selected)
+    return _chunk_predictions(table, best, selected)
 
 
-def _chunk_predictions(table: PathTable, ids: list[str], best: np.ndarray,
-                       selected: np.ndarray) -> ChunkPredictions:
-    """The maximal paths, candidates and scores of a chunk's records.
+def _chunk_predictions(table: PathTable, best: np.ndarray, selected: np.ndarray
+                       ) -> tuple[Ragged, Ragged, Ragged]:
+    """The candidates (in (-score, id) order, with their scores), every scored
+    node (with its best score) and the maximal paths (in sorted order) of a
+    chunk's records.
 
     A terminal is a selected node, not the root, with no selected child.
     The maximal paths are the root paths of the terminals whose every node
@@ -684,7 +667,7 @@ def _chunk_predictions(table: PathTable, ids: list[str], best: np.ndarray,
     selected node is one: the flat baseline selects nodes whose parents it
     did not select.
     """
-    n = len(ids)
+    n = len(best)
     terminal = selected.copy()
     terminal[:, table.root] = False
     if table.parents.size:
@@ -707,9 +690,6 @@ def _chunk_predictions(table: PathTable, ids: list[str], best: np.ndarray,
     cand_scores = best[cand_rows, cand_cols]
     ranked = np.lexsort((table.id_rank[cand_cols], -cand_scores, cand_rows))
     scored_rows, scored_cols = np.nonzero(~np.isnan(best))
-    return ChunkPredictions(
-        ids=ids,
-        candidates=Ragged.of(cand_rows[ranked], n, cand_cols[ranked], cand_scores[ranked]),
-        scored=Ragged.of(scored_rows, n, scored_cols, best[scored_rows, scored_cols]),
-        paths=Ragged.of(rows, n, paths),
-    )
+    return (Ragged.of(cand_rows[ranked], n, cand_cols[ranked], cand_scores[ranked]),
+            Ragged.of(scored_rows, n, scored_cols, best[scored_rows, scored_cols]),
+            Ragged.of(rows, n, paths))

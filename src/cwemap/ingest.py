@@ -21,7 +21,6 @@ import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from importlib import resources
-from json.encoder import encode_basestring
 from pathlib import Path
 
 import numpy as np
@@ -106,7 +105,8 @@ class CweNode:
 
 @dataclass(frozen=True, eq=False)
 class PathTable:
-    """Every root path of a taxonomy, over the columns of ``Taxonomy.order``.
+    """Every root path of a taxonomy, over the columns of ``Taxonomy.order``,
+    as ``hierarchy.classify`` reads them (it alone writes them as output).
 
     Path p is ``paths[p]``, root child first, and its columns are
     ``columns[p]``, padded after its end with ``root``, the virtual root's
@@ -115,8 +115,6 @@ class PathTable:
     place in the sorted list of all paths, ``id_rank[j]`` the place of
     column j's id among the sorted ids.  The children of column
     ``parents[k]`` are ``children[child_starts[k]:child_starts[k + 1]]``.
-    ``names`` and ``path_json`` hold each id and each path as JSON text
-    (``json.dumps`` with ``ensure_ascii=False``).
     """
 
     root: int
@@ -128,8 +126,6 @@ class PathTable:
     child_starts: np.ndarray  # (K,) int64
     children: np.ndarray  # (edges,) int64
     paths: tuple[tuple[str, ...], ...]
-    names: tuple[str, ...]
-    path_json: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -211,8 +207,7 @@ class Taxonomy:
             id_rank=_sort_ranks(order),
             parents=np.array(parents, dtype=np.int64), child_starts=child_starts,
             children=np.array([c for k in kids for c in k], dtype=np.int64),
-            paths=paths, names=tuple(map(encode_basestring, order)),
-            path_json=tuple("[" + ", ".join(map(encode_basestring, path)) + "]" for path in paths),
+            paths=paths,
         )
 
     def to_node_list(self) -> list[dict]:
@@ -313,21 +308,13 @@ def load_cve_corpus(path: str | Path) -> list[CveRecord]:
 
 
 def write_cve_corpus(records: list[CveRecord], path: str | Path) -> None:
-    """Write records as JSONL (the load_cve_corpus format)."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
+    """Write records as JSONL (the load_cve_corpus format), every character
+    past ASCII escaped, so that a lone surrogate read from an escape is
+    written back as one."""
+    with Path(path).open("w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": rec.id,
-                        "description": rec.description,
-                        "cwe_labels": sorted(rec.cwe_labels, key=_cwe_sort_key),
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+            fh.write(json.dumps({"id": rec.id, "description": rec.description,
+                                 "cwe_labels": sorted(rec.cwe_labels, key=_cwe_sort_key)}) + "\n")
 
 
 def build_taxonomy(nodes: list[CweNode]) -> Taxonomy:

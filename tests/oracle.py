@@ -11,6 +11,9 @@
   paths come from a recursive walk down the selected children
   (``maximal_paths``), before ``classify`` found them per chunk from the
   terminals' root paths.
+* The line of ``classify`` output built as a dict per prediction
+  (``to_json_dict``) and written by ``json.dumps``, before
+  ``Predictions.lines`` wrote the same text straight from its table.
 * The per-example two-layer forward pass, the scalar TF-IDF formulas, and
   the per-prediction correctness rule of the evaluation.
 * The dense fit: ``train_node`` and an out-of-place ``adam_step`` over the
@@ -107,7 +110,7 @@ def count_dictionary(term_counts, min_count=3):
         totals.update(counts)
     kept = sorted(((t, c) for t, c in totals.items() if c >= min_count),
                   key=lambda item: (-item[1], item[0]))
-    return Dictionary(index={t: i for i, (t, _) in enumerate(kept)}, counts=dict(kept))
+    return Dictionary([t for t, _ in kept], [c for _, c in kept])
 
 
 def term_arrays(counts, dictionary):
@@ -184,8 +187,8 @@ def format1_dictionary_tsv(model):
     """The format-1 (and format-2) dictionary file: a ``# min_count=`` header,
     then one ``position<TAB>term<TAB>count`` line per term."""
     dictionary = model.dictionary
-    lines = [f"{pos}\t{term}\t{dictionary.counts[term]}"
-             for pos, term in enumerate(dictionary.terms())]
+    lines = [f"{pos}\t{term}\t{count}"
+             for pos, (term, count) in enumerate(zip(dictionary.terms, dictionary.counts))]
     return "\n".join([f"# min_count={model.config.min_term_count}"] + lines) + "\n"
 
 
@@ -352,6 +355,19 @@ def classify_one(model, text, mode=None, cve_id=""):
         scores=scores,
         mode=mode.label(),
     )
+
+
+def to_json_dict(prediction):
+    """The object of a line of ``classify`` output: the line is
+    ``json.dumps(to_json_dict(prediction), ensure_ascii=False)``."""
+    scores = prediction.scores
+    return {
+        "id": prediction.cve_id,
+        "candidates": [{"cwe": c, "score": scores.get(c, 0.0)} for c in
+                       sorted(prediction.candidates, key=lambda c: (-scores.get(c, 0.0), c))],
+        "paths": [list(p) for p in sorted(prediction.paths)],
+        "mode": prediction.mode,
+    }
 
 
 def reject_cycles(nodes):
@@ -529,7 +545,7 @@ def build_class_documents(corpus, taxonomy, dictionary, assets):
                 for source in node_sources[member]:
                     n_sources += 1
                     for term, count in source.items():
-                        if term in dictionary:
+                        if term in dictionary.index:
                             term_counts[term] += count
                             term_df[term] += 1
             per_child[child] = ClassDocument(child, dict(term_counts),
@@ -597,7 +613,7 @@ def build_dictionary(corpus, taxonomy, assets, min_count):
                 totals[term] += 1
     kept = sorted(((t, c) for t, c in totals.items() if c >= min_count),
                   key=lambda item: (-item[1], item[0]))
-    return Dictionary(index={t: i for i, (t, _) in enumerate(kept)}, counts=dict(kept))
+    return Dictionary([t for t, _ in kept], [c for _, c in kept])
 
 
 def _labeled(corpus, taxonomy):

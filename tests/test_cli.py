@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracle
 import synthdata
 from cwemap import cli, evaluation, hierarchy, ingest, modelstore
 from cwemap.ingest import CveRecord, save_taxonomy, write_cve_corpus
@@ -804,11 +805,12 @@ VALID_FEED = {"CVE_Items": [
 ]}
 VALID_SYNONYMS = {"groups": [{"code": "xss", "members": ["cross site scripting", "xss"]},
                              {"code": "sqli", "members": ["sql injection"]}]}
-# Every train setting of ``--config``; the argv of the fuzz gives max-epochs,
+# Every train setting of ``--config`` but ``init``, which the two-layer
+# baseline does not take; the argv of the fuzz gives max-epochs,
 # th, lr and hidden as flags too, so a generated value of one of them is
 # type-checked but cannot make a run long, large or diverge.
-VALID_CONFIG = {"lr": 0.5, "tau": 0.5, "seed": 3, "batch_size": 8, "init": "random",
-                "split": 0.9, "max_epochs": 1, "th": 1, "hidden": 2, "baseline": "two-layer"}
+VALID_CONFIG = {"lr": 0.5, "tau": 0.5, "seed": 3, "batch_size": 8, "split": 0.9,
+                "max_epochs": 1, "th": 1, "hidden": 2, "baseline": "two-layer"}
 
 
 @pytest.fixture(scope="module")
@@ -959,6 +961,142 @@ class TestModelDirectoryFuzz:
             assert classify(model, inputs) in (cli.EXIT_OK, cli.EXIT_INTEGRITY)
 
 
+# Raw JSON text that ``damaged_text`` puts in place of one value: integers
+# past the 4,300 digits Python converts, exponents past a float's range,
+# nesting past the recursion limit, and strings holding a lone surrogate or
+# a NUL.
+RAW_VALUES = ["1" * 5000, "-" + "9" * 4301, "123456789012345678901234567890", "1e400",
+              "-1e400", "1e-400", "1E999999999999", "0." + "0" * 400 + "1", '"\\ud800"',
+              '"CWE-1\\udfff"', '"a\\u0000b"', "[" * 3000 + "]" * 3000,
+              '{"a":' * 3000 + "0" + "}" * 3000, "[" * 40 + "]" * 40]
+TEXT_DAMAGE = ["value", "duplicate-key", "bom", "nul", "crlf", "not-utf8", "truncated"]
+
+
+@st.composite
+def damaged_text(draw, docs, indent=None) -> bytes:
+    """The JSON values ``docs`` written one per line (an indented document
+    when there is one and ``indent`` is given), with one damage to the text:
+    a value replaced by one of ``RAW_VALUES``, an object holding one of its
+    keys twice, a UTF-8 BOM, a NUL byte, CRLF line ends, bytes that are not
+    UTF-8, or the text cut short."""
+    damage = draw(st.sampled_from(TEXT_DAMAGE))
+    docs = json.loads(json.dumps(docs))
+    raw = None
+    if damage in ("value", "duplicate-key"):
+        i = draw(st.integers(0, len(docs) - 1))
+        places = [()] + list(value_paths(docs[i]))
+        if damage == "duplicate-key":
+            places = [p for p in places if isinstance(_at(docs[i], p), dict) and _at(docs[i], p)]
+        place = draw(st.sampled_from(places)) if places else ()
+        if damage == "value":
+            raw = draw(st.sampled_from(RAW_VALUES))
+        else:
+            members = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in _at(docs[i], place).items()]
+            key = draw(st.sampled_from(sorted(_at(docs[i], place))))
+            value = draw(st.sampled_from(RAW_VALUES) | JSON_VALUES.map(json.dumps))
+            members.insert(draw(st.integers(0, len(members))), f"{json.dumps(key)}: {value}")
+            raw = "{" + ", ".join(members) + "}"
+        if place:
+            *steps, key = place
+            _at(docs[i], steps)[key] = _MARK
+        else:
+            docs[i] = _MARK
+    text = "\n".join(json.dumps(doc, indent=indent) for doc in docs) + "\n"
+    if raw is not None:
+        text = text.replace(json.dumps(_MARK), raw)
+    data = text.encode("utf-8")
+    at = draw(st.integers(0, len(data) - 1))
+    if damage == "bom":
+        return b"\xef\xbb\xbf" + data
+    if damage == "nul":
+        return data[:at] + b"\x00" + data[at:]
+    if damage == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    if damage == "not-utf8":
+        bad = draw(st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"]))
+        return data[:at] + bad + data[at:]
+    if damage == "truncated":
+        return data[:at]
+    return data
+
+
+def _at(doc, place):
+    for step in place:
+        doc = doc[step]
+    return doc
+
+
+text_fuzz = settings(max_examples=40, deadline=None,
+                     suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                            HealthCheck.too_slow])
+
+
+class TestTextFuzz:
+    """Whatever bytes an input file holds, a valid one damaged as text, the
+    command reading it exits 0 or 2."""
+
+    @text_fuzz
+    @given(data=st.data())
+    def test_corpus_exits_0_or_2(self, inputs, model_dir, data):
+        lines = (inputs / "corpus.jsonl").read_text(encoding="utf-8").splitlines()[:4]
+        content = data.draw(damaged_text([json.loads(line) for line in lines]))
+        with tempfile.TemporaryDirectory() as work:
+            corpus = Path(work) / "corpus.jsonl"
+            corpus.write_bytes(content)
+            train = ["train", "--corpus", str(corpus), "--taxonomy",
+                     str(inputs / "taxonomy.json"), "--max-epochs", "1", "--th", "1",
+                     "--model", str(Path(work) / "m")]
+            classify = ["classify", "--model", str(model_dir), "--corpus", str(corpus),
+                        "--out", str(Path(work) / "p.jsonl")]
+            assert cli.main(train) in (cli.EXIT_OK, cli.EXIT_INPUT)
+            assert cli.main(classify) in (cli.EXIT_OK, cli.EXIT_INPUT)
+
+    @text_fuzz
+    @given(data=st.data())
+    def test_taxonomy_exits_0_or_2(self, inputs, data):
+        valid = json.loads((inputs / "taxonomy.json").read_text(encoding="utf-8"))
+        with tempfile.TemporaryDirectory() as work:
+            taxonomy = Path(work) / "taxonomy.json"
+            taxonomy.write_bytes(data.draw(damaged_text([valid], indent=1)))
+            argv = ["train", "--corpus", str(inputs / "corpus.jsonl"), "--taxonomy",
+                    str(taxonomy), "--max-epochs", "1", "--th", "1",
+                    "--model", str(Path(work) / "m")]
+            assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_INPUT)
+
+    @text_fuzz
+    @given(data=st.data())
+    def test_nvd_feed_exits_0_or_2(self, data):
+        with tempfile.TemporaryDirectory() as work:
+            feed = Path(work) / "feed.json"
+            feed.write_bytes(data.draw(damaged_text([VALID_FEED], indent=1)))
+            argv = ["ingest", "--feed", str(feed), "--out", str(Path(work) / "c.jsonl")]
+            assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_INPUT)
+
+    @text_fuzz
+    @given(data=st.data())
+    def test_synonym_table_exits_0_or_2(self, inputs, data):
+        with tempfile.TemporaryDirectory() as work:
+            synonyms = Path(work) / "synonyms.json"
+            synonyms.write_bytes(data.draw(damaged_text([VALID_SYNONYMS], indent=1)))
+            argv = train_argv(inputs, Path(work) / "m", "--max-epochs", "1",
+                              "--synonyms", str(synonyms))
+            assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_INPUT)
+
+    @text_fuzz
+    @given(data=st.data())
+    def test_config_exits_0_or_2(self, inputs, data):
+        with tempfile.TemporaryDirectory() as work:
+            # A path field too, so a damaged value can be a string no file has.
+            stopwords = Path(work) / "stopwords.txt"
+            stopwords.write_text("the\n", encoding="utf-8")
+            valid = {**VALID_CONFIG, "stopwords": str(stopwords)}
+            config = Path(work) / "config.json"
+            config.write_bytes(data.draw(damaged_text([valid], indent=1)))
+            argv = ["--config", str(config)] + train_argv(
+                inputs, Path(work) / "m", "--max-epochs", "1", "--lr", "0.05", "--hidden", "2")
+            assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_INPUT)
+
+
 class TestTrainFlags:
     def test_log_dir_created_with_parents(self, inputs, tmp_path):
         log_dir = tmp_path / "logs" / "nested"
@@ -970,6 +1108,36 @@ class TestTrainFlags:
         (tmp_path / "logs").write_text("", encoding="utf-8")
         argv = train_argv(inputs, tmp_path / "m", "--log-dir", str(tmp_path / "logs"))
         assert cli.main(argv) == cli.EXIT_INPUT
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("extra, config, flag", [
+        (["--hidden", "5"], None, "--hidden"),
+        (["--hidden", "5", "--baseline", "flat"], None, "--hidden"),
+        ([], {"hidden": 5}, "--hidden"),
+        (["--init", "random", "--baseline", "two-layer"], None, "--init"),
+        (["--init", "tfidf"], {"baseline": "flat"}, "--init"),
+        ([], {"init": "random", "baseline": "two-layer"}, "--init"),
+    ], ids=["hidden", "hidden-flat", "hidden-config", "init-two-layer", "init-config-flat",
+            "init-config"])
+    def test_flag_that_does_nothing_exits_2_naming_it(self, inputs, tmp_path, capsys,
+                                                      monkeypatch, extra, config, flag):
+        argv = train_argv(inputs, tmp_path / "m", *extra)
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+            argv = ["--config", str(tmp_path / "config.json")] + argv
+        monkeypatch.setattr(ingest, "load_cve_corpus", refuse)
+        assert cli.main(argv) == cli.EXIT_INPUT
+        assert f"error: {flag} " in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("name", ["a\\u0000b", "a\\ud800b"], ids=["nul", "lone-surrogate"])
+    def test_config_string_that_cannot_name_a_file_exits_2(self, inputs, tmp_path, capsys,
+                                                          name):
+        config = tmp_path / "config.json"
+        config.write_text('{"stopwords": "%s"}' % name, encoding="utf-8")
+        assert cli.main(["--config", str(config)] + train_argv(inputs, tmp_path / "m")
+                        ) == cli.EXIT_INPUT
+        assert f"{config}: stopwords " in capsys.readouterr().err
         assert not (tmp_path / "m").exists()
 
     def test_config_sets_hidden(self, inputs, tmp_path):
@@ -1064,7 +1232,7 @@ class TestClassifyAndEval:
                                       [r.description for r in records], hierarchy.top_k(3),
                                       ids=[r.id for r in records])
         rows = [json.loads(line) for line in predictions.read_text(encoding="utf-8").splitlines()]
-        assert rows == [p.to_json_dict() for p in expected]
+        assert rows == [oracle.to_json_dict(p) for p in expected]
         assert {row["mode"] for row in rows} == {"topk:3"}
 
     @pytest.mark.parametrize("command", ["classify", "eval"])
@@ -1183,3 +1351,42 @@ class TestClassifyAndEval:
         for out in (taken, taken / "below"):
             assert cli.main(["eval", "--model", str(model_dir), "--corpus",
                              str(inputs / "corpus.jsonl"), "--out", str(out)]) == cli.EXIT_INPUT
+
+    @pytest.mark.parametrize("out", ["manifest", "new-file", "symlink"])
+    def test_classify_out_in_the_model_directory_exits_2_leaving_it(
+            self, damaged, inputs, tmp_path, capsys, out):
+        before = {p.name: p.read_bytes() for p in damaged.iterdir()}
+        target = {"manifest": damaged / MANIFEST, "new-file": damaged / "p.jsonl",
+                  "symlink": tmp_path / "link.jsonl"}[out]
+        if out == "symlink":
+            target.symlink_to(damaged / MANIFEST)
+        assert cli.main(["classify", "--model", str(damaged), "--corpus",
+                         str(inputs / "corpus.jsonl"), "--out", str(target)]) == cli.EXIT_INPUT
+        assert f"--out {target}: in the model directory" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in damaged.iterdir()} == before
+        assert classify(damaged, inputs) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("spelling", ["same", "dotdot", "below"])
+    def test_eval_out_in_the_model_directory_exits_2_before_loading(
+            self, model_dir, inputs, capsys, monkeypatch, spelling):
+        monkeypatch.setattr(modelstore, "load", refuse)
+        out = {"same": model_dir, "dotdot": model_dir / ".." / model_dir.name,
+               "below": model_dir / "report"}[spelling]
+        assert cli.main(["eval", "--model", str(model_dir), "--corpus",
+                         str(inputs / "corpus.jsonl"), "--out", str(out)]) == cli.EXIT_INPUT
+        assert f"--out {out}: in the model directory" in capsys.readouterr().err
+
+    def test_compare_file_repeating_an_id_exits_2_naming_the_line(
+            self, model_dir, inputs, tmp_path, capsys):
+        corpus = str(inputs / "corpus.jsonl")
+        predictions = tmp_path / "p.jsonl"
+        assert cli.main(["classify", "--model", str(model_dir), "--corpus", corpus,
+                         "--out", str(predictions)]) == cli.EXIT_OK
+        lines = predictions.read_text(encoding="utf-8").splitlines(keepends=True)
+        predictions.write_text("".join(lines + lines[1:2]), encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["eval", "--model", str(model_dir), "--corpus", corpus,
+                         "--compare", str(predictions)]) == cli.EXIT_INPUT
+        cve_id = json.loads(lines[1])["id"]
+        assert (f"p.jsonl:{len(lines) + 1}: duplicate prediction id {cve_id!r}"
+                in capsys.readouterr().err)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cwemap.errors import ValidationError
+from cwemap.errors import FormatError, ValidationError
 from cwemap.evaluation import (
     evaluate,
     format_report_table,
@@ -14,6 +14,7 @@ from cwemap.hierarchy import Prediction
 from cwemap.ingest import CveRecord
 
 from conftest import make_record
+import oracle
 from oracle import is_correct, maximal_paths
 
 
@@ -229,11 +230,20 @@ class TestStreamEquivalence:
         live = evaluate(predictions, records, chain_taxonomy, "coarse")
         path = tmp_path / "preds.jsonl"
         # Written as the classify command's lines are specified.
-        path.write_text("".join(json.dumps(p.to_json_dict(), ensure_ascii=False) + "\n"
+        path.write_text("".join(json.dumps(oracle.to_json_dict(p), ensure_ascii=False) + "\n"
                                 for p in predictions), encoding="utf-8")
         reloaded = load_predictions(path)
         replayed = evaluate(reloaded, records, chain_taxonomy, "coarse")
         assert replayed.to_json_dict() == live.to_json_dict()
+
+
+    def test_repeated_id_rejected_naming_the_line(self, tmp_path):
+        line = json.dumps(oracle.to_json_dict(pred("CVE-1999-0001", [CHAIN_PATH])))
+        other = json.dumps(oracle.to_json_dict(pred("CVE-1999-0002", [])))
+        path = tmp_path / "preds.jsonl"
+        path.write_text("\n".join([line, other, "", line]) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"preds\.jsonl:4: duplicate prediction id"):
+            load_predictions(path)
 
 
 class TestSplit:

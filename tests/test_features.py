@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cwemap import features
-from cwemap.errors import ConfigurationError
+from cwemap.errors import ConfigurationError, ValidationError
 import oracle
 from cwemap.features import Dictionary, build_dictionary, encode
 from oracle import count_terms, ngram_set, ngrams
@@ -54,12 +54,35 @@ class TestNgramSet:
         assert ngram_set(["a", "a"]) == {"a", "a a"}
 
 
+class TestDictionary:
+    @pytest.mark.parametrize("terms, counts", [(["a", "b", "a"], [1, 1, 1]), (["a"], []),
+                                               (["a"], [1, 2])],
+                             ids=["repeated-term", "missing-count", "extra-count"])
+    def test_not_one_count_per_distinct_term_is_rejected(self, terms, counts):
+        with pytest.raises(ValidationError, match="each term must occur once, with one count"):
+            Dictionary(terms, counts)
+
+    def test_index_holds_each_terms_position(self):
+        d = Dictionary(["b", "a b", "a"], [5, 4, 4])
+        assert d.index == {"b": 0, "a b": 1, "a": 2} and d.size == 3
+
+    def test_saved_form_is_the_terms_and_counts_in_position_order(self):
+        d = Dictionary(["b", "a b"], [5, 4])
+        text = features.dictionary_json(d)
+        assert text == '{"terms":["b","a b"],"counts":[5,4]}'
+        assert features.read_dictionary(text, "d.json") == d
+
+    def test_read_dictionary_keeps_the_parsed_lists(self):
+        d = features.read_dictionary('{"terms":["b"],"counts":[5]}', "d.json")
+        assert type(d.terms) is list and type(d.counts) is list
+
+
 class TestBuildDictionary:
     def test_counts_meeting_threshold_exactly(self):
         docs = [["buffer", "overflow"]] * 3
         d = dictionary_of(docs, min_count=3)
         assert set(d.index) == {"buffer", "overflow", "buffer overflow"}
-        assert all(d.counts[t] == 3 for t in d.index)
+        assert d.counts == [3, 3, 3]
 
     def test_threshold_above_counts_empties_dictionary(self):
         docs = [["buffer", "overflow"]] * 3
@@ -72,13 +95,13 @@ class TestBuildDictionary:
         assert totals["sql inject"] == 5
         assert totals["libpam-pgsql"] == 1
         d = dictionary_of(docs, min_count=3)
-        assert "sql inject" in d
-        assert "libpam-pgsql" not in d
+        assert "sql inject" in d.index
+        assert "libpam-pgsql" not in d.index
 
     def test_positions_by_count_then_lexicographic(self):
         docs = [["b"], ["b"], ["b"], ["a"], ["a"], ["a"], ["c"], ["c"], ["c"], ["c"]]
         d = dictionary_of(docs, min_count=3)
-        assert d.terms() == ["c", "a", "b"]  # c:4, then a/b tie at 3
+        assert d.terms == ["c", "a", "b"]  # c:4, then a/b tie at 3
 
     def test_empty_docs_valid(self):
         dictionary, terms = build_dictionary([], min_count=3)
@@ -96,8 +119,7 @@ class TestBuildDictionary:
     def test_permutation_invariance(self, docs, th):
         d1 = dictionary_of(docs, th)
         d2 = dictionary_of(list(reversed(docs)), th)
-        assert d1.index == d2.index
-        assert d1.counts == d2.counts
+        assert d1 == d2
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.lists(st.sampled_from("abc"), max_size=6), max_size=8))
@@ -154,9 +176,9 @@ class TestPackedKeys:
     def test_terms_counted_per_text(self):
         dictionary, terms = build_dictionary([["a", "b", "a", "b"], ["b"]], 1)
         positions, counts = terms[0]
-        got = dict(zip((dictionary.terms()[p] for p in positions), counts.tolist()))
+        got = dict(zip((dictionary.terms[p] for p in positions), counts.tolist()))
         assert got == {"a": 2, "b": 2, "a b": 2, "b a": 1, "a b a": 1, "b a b": 1}
-        assert [dictionary.terms()[p] for p in terms[1][0]] == ["b"]
+        assert [dictionary.terms[p] for p in terms[1][0]] == ["b"]
 
     def test_vocabulary_limit(self, monkeypatch):
         monkeypatch.setattr(features, "MAX_VOCABULARY", 3)
@@ -177,7 +199,7 @@ class TestEncode:
         assert positions.dtype == np.int64 and positions.shape == (0,)
 
     def test_out_of_dictionary_terms_ignored(self):
-        d = Dictionary(index={"sql": 0, "inject": 1}, counts={"sql": 3, "inject": 3})
+        d = Dictionary(["sql", "inject"], [3, 3])
         assert encode(["sql", "xss"], d).tolist() == [0]
 
     def test_cardinality_matches_intersection(self):
@@ -200,14 +222,14 @@ class TestEncode:
         assert positions.tolist() == sorted(d.index[t] for t in terms if t in d.index)
 
     def test_slot_tokens_are_the_tokens_at_each_place_of_the_terms(self):
-        d = Dictionary(index={"sql inject": 0, "xss": 1, "a b c": 2, "b a": 3, "p q r s": 4},
-                       counts={})
+        d = Dictionary(["sql inject", "xss", "a b c", "b a", "p q r s"], [1] * 5)
         assert d.slot_tokens == {2: ({"sql", "b"}, {"inject", "a"}), 3: ({"a"}, {"b"}, {"c"})}
 
     def test_ngrams_with_a_token_out_of_place_are_skipped(self):
         # Only "a c" has the tokens of a bigram term at their places.
-        index = LookupLog({"a": 0, "c": 1, "a c": 2, "c a": 3})
-        d = Dictionary(index=index, counts=dict.fromkeys(index, 3))
+        d = Dictionary(["a", "c", "a c", "c a"], [3] * 4)
+        index = LookupLog(d.index)
+        object.__setattr__(d, "index", index)
         assert encode(["a", "c", "z", "a"], d).tolist() == [0, 1, 2]
         assert index.looked_up == ["a", "c", "a c", "z", "a"]
 
@@ -233,8 +255,7 @@ TERMS = st.lists(TOKENS, min_size=1, max_size=3).map(" ".join)
 @st.composite
 def dictionaries(draw):
     terms = draw(st.lists(TERMS, max_size=12, unique=True))
-    return Dictionary(index={t: i for i, t in enumerate(terms)},
-                      counts=dict.fromkeys(terms, 1))
+    return Dictionary(terms, [1] * len(terms))
 
 
 class TestEncodeOracle:

@@ -401,8 +401,10 @@ class TestTrainHierarchy:
         save_taxonomy(taxonomy, tmp_path / "taxonomy.json")
         argv = ["train", "--corpus", str(tmp_path / "corpus.jsonl"),
                 "--taxonomy", str(tmp_path / "taxonomy.json"), "--max-epochs", "6",
-                "--batch-size", "8", "--seed", "5", "--th", "2", "--hidden", "4",
+                "--batch-size", "8", "--seed", "5", "--th", "2",
                 "--baseline", baseline, "--model", str(tmp_path / "m")]
+        if baseline == "two-layer":
+            argv += ["--hidden", "4"]
         assert cli.main(argv) == 0
         model = load(tmp_path / "m")
         assert oracle.format1_fingerprint(model) == expected

@@ -323,11 +323,11 @@ def model_with_dictionary(dictionary: Dictionary) -> Model:
 @example(counts={})
 @example(counts={"sql inject": 3})
 def test_dictionary_round_trips_through_save_and_load(counts):
-    dictionary = Dictionary(index={term: pos for pos, term in enumerate(counts)}, counts=counts)
+    dictionary = Dictionary(list(counts), list(counts.values()))
     model = model_with_dictionary(dictionary)
     with tempfile.TemporaryDirectory() as tmp:
         modelstore.save(model, tmp)
         loaded = modelstore.load(tmp)
     assert loaded.dictionary == dictionary
-    assert loaded.dictionary.terms() == list(counts)
+    assert loaded.dictionary.terms == list(counts)
     assert modelstore.fingerprint(loaded) == modelstore.fingerprint(model)

@@ -36,10 +36,7 @@ def init_weights(children, dictionary, class_docs):
 
 
 def make_dict(terms):
-    return Dictionary(
-        index={t: i for i, t in enumerate(terms)},
-        counts={t: 1 for t in terms},
-    )
+    return Dictionary(list(terms), [1] * len(terms))
 
 
 class TestTermFrequency:
